@@ -111,18 +111,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        params = {
+            method: RunParams(eps0=args.eps0, r=args.r, eps_f=args.eps_f, method=method, max_iter=args.max_iter)
+            for method in METHODS
+        }
+    except ValueError as exc:
+        print(f"error: bad run parameter: {exc}", file=sys.stderr)
+        return 1
     instance = case_study_instance()
     rows = []
     for method in METHODS:
         for topology in TABLE2_TOPOLOGIES:
             schedule = TOPOLOGIES[topology](instance.m)
-            params = RunParams(
-                eps0=args.eps0, r=args.r, eps_f=args.eps_f, method=method, max_iter=args.max_iter
-            )
-            result = run(instance, schedule, params)
-            feasible = all(
+            try:
+                result = run(instance, schedule, params[method])
+            except ConfigError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            # A run that hit --max-iter has no exit point to check.
+            feasible = result.terminated and all(
                 solve_llp(c, x)[0] <= 1e-9
                 for c, x in zip(instance.constraints, result.x_opt)
             )
@@ -132,13 +140,15 @@ def cmd_table2(args) -> int:
     print(header)
     print("-" * len(header))
     for method, topology, result, feasible in rows:
-        x = result.x_opt[0]
+        solution = f"[{result.x_opt[0][0]:+.4f}, {result.x_opt[0][1]:+.4f}]" if result.terminated else ""
         print(
             f"{method:<8}{topology:<12}{result.iterations:<7}"
             f"{result.final_lower:<12.4f}{result.final_upper:<12.4f}"
-            f"{'yes' if feasible else 'NO':<9}[{x[0]:+.4f}, {x[1]:+.4f}]"
+            f"{'yes' if feasible else 'NO':<9}{solution}"
         )
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "table2.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -146,7 +156,10 @@ def cmd_table2(args) -> int:
             + [f"x{i}_coord{j}" for i in range(1, instance.m + 1) for j in (1, 2)]
         )
         for method, topology, result, feasible in rows:
-            coords = [f"{c:.6f}" for x in result.x_opt for c in x]
+            if result.terminated:
+                coords = [f"{c:.6f}" for x in result.x_opt for c in x]
+            else:
+                coords = [""] * (2 * instance.m)
             writer.writerow(
                 [
                     method,
@@ -158,16 +171,12 @@ def cmd_table2(args) -> int:
                 ]
                 + coords
             )
-    return 0
+    return 0 if all(result.terminated for _, _, result, _ in rows) else 2
 
 
 def _sweep_rows(m_max: float, eps_f: float):
-    topologies = {
-        name: gen
-        for name, gen in TOPOLOGIES.items()
-    }
     rows = []
-    for name, gen in topologies.items():
+    for name, gen in TOPOLOGIES.items():
         m_lo = 3 if name == "customized" else 2
         rows.extend(accuracy_sweep({name: gen}, range(m_lo, int(m_max) + 1), eps_f))
     return rows

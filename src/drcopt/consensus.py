@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import GraphSchedule
 from .problem import ProblemInstance
 from .solver import Cut, SolveReport, Tolerances, build_subproblem, solve
@@ -68,23 +66,13 @@ def consensus_solve(
     tolerances: Tolerances = Tolerances(),
     start_slot: int = 0,
 ) -> tuple[list[SolveReport], int]:
-    """Flood the cut tuples, then let every agent solve its local copy.
+    """Flood the cut tuples, then solve the subproblem every agent now holds.
 
-    The canonical ordering makes the solver inputs bitwise identical, so
-    the pure deterministic solver is invoked once per distinct input
-    (normally once) and each agent receives the identical report.
+    Flooding leaves every agent with the same tuple set (it raises
+    otherwise) and the canonical ordering makes the solver input bitwise
+    identical, so the deterministic solver runs once and every agent
+    receives the identical report.
     """
     held, slots_used = flood_constraints(payloads, schedule, start_slot)
-    reports: list[SolveReport] = []
-    cache: dict[tuple, SolveReport] = {}
-    for merged in held:
-        subproblem = build_subproblem(instance, sorted(merged))
-        key = subproblem.canonical_key()
-        if key not in cache:
-            cache[key] = solve(subproblem, tolerances)
-        reports.append(cache[key])
-    first = reports[0].minimizer
-    for report in reports[1:]:
-        if not np.array_equal(report.minimizer, first):
-            raise AssertionError("consensus violated: agents solved different subproblems")
-    return reports, slots_used
+    report = solve(build_subproblem(instance, held[0]), tolerances)
+    return [report] * len(held), slots_used

@@ -8,7 +8,7 @@ uncertainty box Y_i, plus a shared bounded box on the decision vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -44,6 +44,15 @@ class RunParams:
     def __post_init__(self):
         if self.method not in ("I", "II"):
             raise ValueError("method must be 'I' or 'II'")
+        # Negated comparisons so that NaN is rejected too.
+        if not self.eps0 > 0.0:
+            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+        if not self.r > 1.0:
+            raise ValueError(f"r must exceed 1, got {self.r}")
+        if not self.eps_f > 0.0:
+            raise ValueError(f"eps_f must be positive, got {self.eps_f}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

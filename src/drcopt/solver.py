@@ -9,12 +9,17 @@ from the box center so identical inputs always yield identical outputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .problem import LocalObjective, ProblemInstance, SemiInfiniteConstraint, Vector
@@ -77,9 +82,6 @@ class FiniteSubproblem:
             g = self.constraint_functions[agent_id - 1]
             grads[k] = g.x_gradient(x, np.asarray(scenario))
         return grads
-
-    def canonical_key(self) -> tuple:
-        return self.cuts
 
 
 def build_subproblem(instance: ProblemInstance, cuts: Sequence[Cut]) -> FiniteSubproblem:
@@ -156,11 +158,55 @@ def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> flo
     return float(max(0.0, c.max())) if len(c) else 0.0
 
 
+@functools.cache
+def _openblas_set_num_threads_local():
+    """``openblas_set_num_threads_local`` of scipy's bundled OpenBLAS, or None.
+
+    The function sets the calling thread's BLAS thread count and returns
+    the previous one.  It is None when scipy links another BLAS (conda,
+    distro and MKL builds) or its OpenBLAS predates the symbol.
+    """
+    package = Path(scipy.__file__).parent
+    for lib_dir in (package.parent / "scipy.libs", package / ".dylibs"):
+        for path in sorted(lib_dir.glob("libscipy_openblas*")):
+            try:
+                set_local = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            set_local.argtypes = [ctypes.c_int]
+            set_local.restype = ctypes.c_int
+            return set_local
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with one scipy OpenBLAS thread on the calling thread.
+
+    The subproblems have a handful of variables, so a second BLAS thread
+    has no work to share; once woken it spins and doubles the process CPU
+    time.  At these sizes OpenBLAS does not split an operation between
+    threads, so results are bitwise the same either way.  Without a
+    bundled OpenBLAS this does nothing.
+    """
+    set_local = _openblas_set_num_threads_local()
+    if set_local is None:
+        yield
+        return
+    previous = set_local(1)
+    try:
+        yield
+    finally:
+        set_local(previous)
+
+
+@single_blas_thread()
 def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> SolveReport:
     """Solve the subproblem to the configured feasibility and stationarity tolerances.
 
     Deterministic: the start point is always the box center and every
-    step is a pure function of the canonical input.
+    step is a pure function of the canonical input.  Runs on one BLAS
+    thread (see :func:`single_blas_thread`).
     """
     x = problem.box.mean(axis=1)
     n_cuts = len(problem.cuts)

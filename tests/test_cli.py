@@ -48,6 +48,18 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", topology="torus")
         assert main(["run", cfg, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eps0", 0), ("eps0", -0.01), ("r", 1.0), ("r", 0.5), ("eps_f", 0), ("eps_f", -1.0), ("max_iter", 0)],
+    )
+    def test_bad_run_parameter_exits_1(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "cfg.json", **{field: value})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run parameter:") and field in err
+        assert not out.exists()
+
     def test_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", max_iter=2)
         out = tmp_path / "out"
@@ -75,6 +87,27 @@ class TestTable2:
             lower, upper = float(row["lower"]), float(row["upper"])
             assert lower <= F_STAR + 1e-9 <= upper + 2e-9
             assert upper - lower <= 0.06 + 1e-9
+
+    def test_budget_exhaustion_writes_rows_without_coordinates_and_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out), "--max-iter", "2"]) == 2
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 + 6
+        assert all(line.split()[2:3] == ["2"] and " NO" in line for line in printed[2:])
+        with open(out / "table2.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 6
+        for row in rows[1:]:
+            assert len(row) == len(rows[0])
+            assert row[2] == "2" and row[5] == "False"
+            assert row[6:] == [""] * 12
+
+    @pytest.mark.parametrize("eps0, message", [("0", "eps0 must be positive"), ("10", "choose a smaller eps0")])
+    def test_bad_eps0_exits_1(self, tmp_path, capsys, eps0, message):
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out), "--eps0", eps0]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

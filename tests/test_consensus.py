@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from drcopt import consensus
 from drcopt.agents import initial_states, lower_cuts
 from drcopt.consensus import Message, consensus_solve, flood_constraints, flood_slots
-from drcopt.graph import complete, directed_cycle, make_schedule
+from drcopt.graph import GraphSchedule, complete, directed_cycle, make_schedule
 
 
 def single_tuple_payloads(m):
@@ -73,3 +74,34 @@ class TestConsensusSolve:
         a, _ = consensus_solve(case_study, payloads, directed_cycle(6))
         b, _ = consensus_solve(case_study, payloads, complete(6))
         assert np.array_equal(a[0].minimizer, b[0].minimizer)
+
+    def test_one_solve_shared_by_every_agent(self, case_study, monkeypatch):
+        calls = []
+        real_solve = consensus.solve
+
+        def counting_solve(problem, tolerances):
+            calls.append(problem)
+            return real_solve(problem, tolerances)
+
+        monkeypatch.setattr(consensus, "solve", counting_solve)
+        states = initial_states(case_study, 0.01)
+        for s in states:
+            s.lower_scenarios.append((float(s.agent_id) / 6.0,))
+        payloads = [frozenset(lower_cuts(s)) for s in states]
+        reports, _ = consensus_solve(case_study, payloads, directed_cycle(6))
+        assert len(calls) == 1
+        assert len(calls[0].cuts) == 6
+        assert len(reports) == 6
+        assert all(report is reports[0] for report in reports)
+
+    def test_disconnected_schedule_fails_the_flood_before_solving(self, case_study, monkeypatch):
+        monkeypatch.setattr(consensus, "solve", lambda *args: pytest.fail("solve called"))
+        # 1 -> 2 -> ... -> 6 without the closing edge: agent 1 never hears from the others.
+        path = frozenset((i, i + 1) for i in range(1, 6))
+        schedule = GraphSchedule(m=6, slots=(path,), window=1)
+        states = initial_states(case_study, 0.01)
+        for s in states:
+            s.lower_scenarios.append((1.0,))
+        payloads = [frozenset(lower_cuts(s)) for s in states]
+        with pytest.raises(AssertionError, match="missed tuples"):
+            consensus_solve(case_study, payloads, schedule)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy
 
+from drcopt import solver
 from drcopt.solver import (
     SolveStatus,
     Tolerances,
@@ -122,3 +124,74 @@ class TestGridOracle:
             assert report.status is SolveStatus.OPTIMAL
             grid_val, _ = case_study_grid_min(subproblem_cut_view(problem))
             assert report.objective_value == pytest.approx(grid_val, abs=5e-3)
+
+
+def blas_threads(set_local) -> int:
+    """The calling thread's OpenBLAS thread count; setting it is the only way to read it."""
+    count = set_local(1)
+    set_local(count)
+    return count
+
+
+@pytest.fixture
+def set_local():
+    """scipy's OpenBLAS at two threads for the test, then back to where it was."""
+    fn = solver._openblas_set_num_threads_local()
+    if fn is None:
+        pytest.skip("scipy bundles no OpenBLAS with per-thread control")
+    before = blas_threads(fn)
+    fn(2)
+    yield fn
+    fn(before)
+
+
+class TestSingleBlasThread:
+    def test_bundled_openblas_is_found(self):
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"scipy is built against {blas['name']}")
+        assert solver._openblas_set_num_threads_local() is not None
+
+    def test_one_thread_inside_and_previous_count_after(self, set_local):
+        with solver.single_blas_thread():
+            assert blas_threads(set_local) == 1
+        assert blas_threads(set_local) == 2
+
+    def test_previous_count_restored_when_body_raises(self, set_local):
+        with pytest.raises(RuntimeError, match="inside"):
+            with solver.single_blas_thread():
+                raise RuntimeError("raised inside the guard")
+        assert blas_threads(set_local) == 2
+
+    def test_restore_sequence_with_a_stand_in_library(self, monkeypatch):
+        calls = []
+
+        def fake_set_local(count):
+            calls.append(count)
+            return 7
+
+        monkeypatch.setattr(solver, "_openblas_set_num_threads_local", lambda: fake_set_local)
+        with pytest.raises(ZeroDivisionError):
+            with solver.single_blas_thread():
+                assert calls == [1]
+                1 / 0
+        assert calls == [1, 7]
+
+    def test_noop_when_no_library_is_found(self, monkeypatch, set_local):
+        monkeypatch.setattr(solver, "_openblas_set_num_threads_local", lambda: None)
+        ran = False
+        with solver.single_blas_thread():
+            ran = True
+            assert blas_threads(set_local) == 2
+        assert ran
+        assert blas_threads(set_local) == 2
+
+    def test_solve_is_bitwise_identical_with_and_without_the_guard(self, case_study):
+        cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
+        problem = build_subproblem(case_study, cuts)
+        guarded = solve(problem)
+        bypassed = solve.__wrapped__(problem)
+        assert guarded.status is bypassed.status is SolveStatus.OPTIMAL
+        assert guarded.minimizer.tobytes() == bypassed.minimizer.tobytes()
+        assert guarded.multipliers.tobytes() == bypassed.multipliers.tobytes()
+        assert guarded.iterations == bypassed.iterations
