@@ -20,6 +20,9 @@ from .sim import PLOT_CEILING, ConfigError, RunParams, RunResult, run, trace
 
 METHODS = ("I", "II")
 TABLE2_TOPOLOGIES = ("cycle", "customized", "complete")
+# A subproblem solve hit its iteration limit (RuntimeError) or a run
+# invariant failed (AssertionError): exit code 3.
+NUMERICAL_FAILURES = (RuntimeError, AssertionError)
 
 
 def _load_config(path: str) -> dict:
@@ -82,6 +85,20 @@ def _result_summary(result: RunResult) -> dict:
     }
 
 
+def _write_results(out: Path, summary: dict) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "results.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+
+def _numerical_failure(exc: Exception) -> str:
+    """Report a solver or invariant failure of a run; return its message."""
+    message = str(exc) or type(exc).__name__
+    print(f"error: numerical failure: {message}", file=sys.stderr)
+    return message
+
+
 def cmd_run(args) -> int:
     out = Path(args.out)
     try:
@@ -91,10 +108,10 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.json", "w") as fh:
-        json.dump(_result_summary(result), fh, indent=2)
-        fh.write("\n")
+    except NUMERICAL_FAILURES as exc:
+        _write_results(out, {"terminated": False, "error": _numerical_failure(exc)})
+        return 3
+    _write_results(out, _result_summary(result))
     _write_trace_csv(out / "trace.csv", result)
     if args.plot:
         curve = trace(result)
@@ -129,6 +146,9 @@ def cmd_table2(args) -> int:
             except ConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
+            except NUMERICAL_FAILURES as exc:
+                _numerical_failure(exc)
+                return 3
             # A run that hit --max-iter has no exit point to check.
             feasible = result.terminated and all(
                 solve_llp(c, x)[0] <= 1e-9

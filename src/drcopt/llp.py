@@ -53,9 +53,11 @@ def solve_llp_numeric(
 ) -> tuple[float, Vector]:
     """Grid search plus local refinement, ignoring any analytic maximizer.
 
-    Concave constraints get a single golden-section refinement around the
-    best grid cell; otherwise the top five grid cells are each refined
-    locally and the best result wins.
+    The grid is evaluated in one ``evaluate_many`` call when the
+    constraint has one, else point by point.  Concave constraints get a
+    single golden-section refinement around the best grid cell; otherwise
+    the top five grid cells are each refined locally and the best result
+    wins.
     """
     if constraint.n_y != 1:
         raise UnsupportedDimension(
@@ -63,7 +65,10 @@ def solve_llp_numeric(
         )
     lo, hi = constraint.uncertainty_box[0]
     ys = np.linspace(lo, hi, grid_points)
-    vals = np.array([constraint.evaluate(x, np.array([y])) for y in ys])
+    if constraint.evaluate_many is not None:
+        vals = constraint.evaluate_many(x, ys[:, None])
+    else:
+        vals = np.array([constraint.evaluate(x, np.array([y])) for y in ys])
 
     def f(y: float) -> float:
         return constraint.evaluate(x, np.array([y]))

@@ -55,6 +55,13 @@ class SemiInfiniteConstraint:
     ``evaluate`` and ``x_gradient`` take (x, y) with y a 1-D array of
     length n_y.  ``analytic_argmax``, when present, maps x to the global
     maximizer of g(x, .) over the uncertainty box.
+
+    ``evaluate_many``, when present, takes (x, Y) with Y of shape
+    (k, n_y) and returns the k values g(x, Y[j]) as a float array.  Row j
+    must equal ``evaluate(x, Y[j])`` bit for bit, so that the numeric
+    lower-level problem picks the same grid cells with or without it:
+    compute each term as ``evaluate`` does, with the same operations in
+    the same order.
     """
 
     evaluate: Callable[[Vector, Vector], float]
@@ -62,6 +69,7 @@ class SemiInfiniteConstraint:
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
     analytic_argmax: Optional[Callable[[Vector], Vector]] = None
+    evaluate_many: Optional[Callable[[Vector, np.ndarray], np.ndarray]] = None
 
     @property
     def n_y(self) -> int:
@@ -122,6 +130,14 @@ def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteCo
         yy = float(y[0])
         return (float(x[0]) - v) ** 2 + 2.0 * yy * float(x[1]) - yy * yy - 1.0
 
+    def evaluate_many(x: Vector, ys: np.ndarray) -> np.ndarray:
+        # The x term stays a Python float (numpy's square differs from
+        # ** 2 in the last bit on some inputs) and the y terms apply left
+        # to right, as in evaluate, so every entry equals the scalar value
+        # bit for bit.
+        yy = ys[:, 0]
+        return (float(x[0]) - v) ** 2 + 2.0 * yy * float(x[1]) - yy * yy - 1.0
+
     def x_gradient(x: Vector, y: Vector) -> Vector:
         return np.array([2.0 * (float(x[0]) - v), 2.0 * float(y[0])])
 
@@ -134,6 +150,7 @@ def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteCo
         uncertainty_box=np.array([[lo, hi]]),
         concave_in_y=True,
         analytic_argmax=analytic_argmax,
+        evaluate_many=evaluate_many,
     )
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import drcopt.cli
 from drcopt.cli import main
 
 from helpers import F_STAR
@@ -68,6 +69,47 @@ class TestRun:
         assert not summary["terminated"]
         assert summary["x_opt"] is None
         assert summary["final_upper"] is None  # +inf serialized as null
+
+
+NUMERICAL_FAILURES = [
+    RuntimeError("lower subproblem solve hit the iteration limit"),
+    AssertionError("lower bound decreased across iterations"),
+]
+
+
+def raise_from_run(monkeypatch, exc):
+    def failing_run(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(drcopt.cli, "run", failing_run)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)
+    def test_run_exits_3_and_records_the_error(self, tmp_path, capsys, monkeypatch, exc):
+        raise_from_run(monkeypatch, exc)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: numerical failure: {exc}\n"
+        summary = json.loads((out / "results.json").read_text())
+        assert summary == {"terminated": False, "error": str(exc)}
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)
+    def test_table2_exits_3(self, tmp_path, capsys, monkeypatch, exc):
+        raise_from_run(monkeypatch, exc)
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: numerical failure: {exc}\n"
+        assert not out.exists()
+
+    def test_message_falls_back_to_exception_type(self, tmp_path, capsys, monkeypatch):
+        raise_from_run(monkeypatch, AssertionError())
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: numerical failure: AssertionError\n"
+        assert json.loads((out / "results.json").read_text())["error"] == "AssertionError"
 
 
 class TestTable2:
