@@ -10,6 +10,7 @@ from .bounds import method1_accuracy, method2_accuracy
 from .graph import GraphSchedule, complete, customized, directed_cycle
 from .llp import Verdict, feasibility_verdict, solve_llp
 from .problem import (
+    NumericalFailure,
     ProblemInstance,
     case_study_instance,
     check_interior_point,
@@ -23,6 +24,7 @@ __all__ = [
     "AgentState",
     "FiniteSubproblem",
     "GraphSchedule",
+    "NumericalFailure",
     "ProblemInstance",
     "RunParams",
     "RunResult",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .llp import Verdict, feasibility_verdict, solve_llp
-from .problem import ProblemInstance, Vector
+from .problem import NumericalFailure, ProblemInstance, Vector
 from .solver import Cut, FiniteSubproblem, build_subproblem
 
 SCENARIO_CAP = 10_000  # runaway guard per agent
@@ -62,7 +62,7 @@ def initial_states(instance: ProblemInstance, eps0: float) -> list[AgentState]:
 
 def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
     if len(scenarios) >= SCENARIO_CAP:
-        raise RuntimeError(f"scenario set exceeded the cap of {SCENARIO_CAP}")
+        raise NumericalFailure(f"scenario set exceeded the cap of {SCENARIO_CAP}")
     # No dedup: re-appending a near-identical maximizer is harmless.
     scenarios.append(tuple(float(v) for v in np.atleast_1d(y)))
 

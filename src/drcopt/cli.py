@@ -15,14 +15,12 @@ from . import svgplot
 from .bounds import accuracy_sweep, method1_accuracy
 from .graph import TOPOLOGIES, schedule_from_config
 from .llp import solve_llp
-from .problem import case_study_instance, instance_from_config
+from .problem import NumericalFailure, case_study_instance, instance_from_config, with_numeric_llp
 from .sim import PLOT_CEILING, ConfigError, RunParams, RunResult, run, trace
 
 METHODS = ("I", "II")
 TABLE2_TOPOLOGIES = ("cycle", "customized", "complete")
-# A subproblem solve hit its iteration limit (RuntimeError) or a run
-# invariant failed (AssertionError): exit code 3.
-NUMERICAL_FAILURES = (RuntimeError, AssertionError)
+LLP_MODES = ("analytic", "numeric")
 
 
 def _load_config(path: str) -> dict:
@@ -44,6 +42,11 @@ def _build_from_config(config: dict):
             instance = instance_from_config(instance_cfg)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad 'instance' section: {exc}") from None
+    llp = config.get("llp", "analytic")
+    if llp not in LLP_MODES:
+        raise ConfigError(f"bad 'llp' field: {llp!r} is not one of {', '.join(LLP_MODES)}")
+    if llp == "numeric":
+        instance = with_numeric_llp(instance)
     topology = config.get("topology", "cycle")
     try:
         if isinstance(topology, str):
@@ -108,7 +111,10 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_FAILURES as exc:
+    except NumericalFailure as exc:
+        # Leave no trace of an earlier run next to this run's error.
+        (out / "trace.csv").unlink(missing_ok=True)
+        (out / "trace.svg").unlink(missing_ok=True)
         _write_results(out, {"terminated": False, "error": _numerical_failure(exc)})
         return 3
     _write_results(out, _result_summary(result))
@@ -146,7 +152,7 @@ def cmd_table2(args) -> int:
             except ConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            except NUMERICAL_FAILURES as exc:
+            except NumericalFailure as exc:
                 _numerical_failure(exc)
                 return 3
             # A run that hit --max-iter has no exit point to check.

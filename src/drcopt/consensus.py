@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import GraphSchedule
-from .problem import ProblemInstance
+from .problem import NumericalFailure, ProblemInstance
 from .solver import Cut, SolveReport, Tolerances, build_subproblem, solve
 
 
@@ -55,7 +55,7 @@ def flood_constraints(
     union = frozenset().union(*held) if held else frozenset()
     for agent, merged in enumerate(held, start=1):
         if merged != union:
-            raise AssertionError(f"agent {agent} missed tuples after flooding: schedule not connected?")
+            raise NumericalFailure(f"agent {agent} missed tuples after flooding: schedule not connected?")
     return held, n_slots
 
 

@@ -8,7 +8,7 @@ uncertainty box Y_i, plus a shared bounded box on the decision vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,14 @@ class NonPositiveSlack(Exception):
     def __init__(self, slack: float):
         super().__init__(f"interior-point slack is {slack:.6g} (must be > 0)")
         self.slack = slack
+
+
+class NumericalFailure(RuntimeError, AssertionError):
+    """A run cannot go on: a solve or the cut growth hit its limit, or an invariant failed.
+
+    It derives from both RuntimeError and AssertionError, the types these
+    failures were raised as before, so callers that catch either still do.
+    """
 
 
 @dataclass(frozen=True)
@@ -204,6 +212,18 @@ def case_study_instance() -> ProblemInstance:
         constraints=constraints,
         box=box,
         known_optimum=(x_star, f_star),
+    )
+
+
+def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:
+    """The same instance with every analytic maximizer dropped.
+
+    Each agent's lower-level problem then takes the numeric grid path, as
+    it does for a constraint without a closed form; a run on the result
+    cross-checks the closed forms.
+    """
+    return replace(
+        instance, constraints=tuple(replace(c, analytic_argmax=None) for c in instance.constraints)
     )
 
 

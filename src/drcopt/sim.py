@@ -20,7 +20,7 @@ from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import solve_llp
-from .problem import ProblemInstance, Vector
+from .problem import NumericalFailure, ProblemInstance, Vector
 from .solver import SolveStatus, Tolerances
 from .termination import run_stopping_round
 
@@ -90,14 +90,15 @@ def _check_solver_status(report, phase: str):
     if report.status is SolveStatus.INFEASIBLE:
         raise ConfigError(f"{phase} subproblem infeasible; choose a smaller eps0")
     if report.status is not SolveStatus.OPTIMAL:
-        raise RuntimeError(f"{phase} subproblem solve hit the iteration limit")
+        raise NumericalFailure(f"{phase} subproblem solve hit the iteration limit")
 
 
 def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = RunParams()) -> RunResult:
     """Run the algorithm until the stopping round fires or max_iter is reached.
 
     A budget-exhausted run is returned with ``terminated=False`` rather
-    than raised; an infeasible upper subproblem raises :class:`ConfigError`.
+    than raised; an infeasible upper subproblem raises :class:`ConfigError`,
+    and a solve limit or a failed invariant raises :class:`NumericalFailure`.
     """
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
@@ -134,9 +135,9 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
 
         lower, upper = bound_values(states, instance)
         if lower < prev_lower - 1e-9:
-            raise AssertionError("lower bound decreased across iterations")
+            raise NumericalFailure("lower bound decreased across iterations")
         if math.isfinite(upper) and upper < lower - 1e-9:
-            raise AssertionError("upper bound fell below lower bound")
+            raise NumericalFailure("upper bound fell below lower bound")
         prev_lower = lower
 
         gaps = [s.gap(instance) for s in states]
@@ -160,14 +161,14 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
             x_opt = []
             for state in states:
                 if state.x_bar is INFEASIBLE or state.x_bar is None:
-                    raise AssertionError("stopping round fired with an infinite upper bound")
+                    raise NumericalFailure("stopping round fired with an infinite upper bound")
                 x_opt.append(np.array(state.x_bar))
             for state, x in zip(states, x_opt):
                 g_max, _ = solve_llp(instance.constraints[state.agent_id - 1], x)
                 if g_max > 1e-9:
-                    raise AssertionError("terminal point is not locally feasible")
+                    raise NumericalFailure("terminal point is not locally feasible")
                 if not np.array_equal(x, x_opt[0]):
-                    raise AssertionError("terminal points are not in consensus")
+                    raise NumericalFailure("terminal points are not in consensus")
             return RunResult(
                 records=records,
                 terminated=True,

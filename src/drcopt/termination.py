@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .graph import GraphSchedule
+from .problem import NumericalFailure
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +98,6 @@ def run_stopping_round(
     stop = any(c.h >= threshold for c in counters)
     if stop and not all(c.h >= threshold for c in counters):
         if method == "I":
-            raise AssertionError("Method I stop must be simultaneous across agents")
+            raise NumericalFailure("Method I stop must be simultaneous across agents")
         logger.warning("Method II stop was not simultaneous across agents")
     return stop, threshold, counters

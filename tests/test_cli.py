@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import drcopt.agents
 import drcopt.cli
-from drcopt.cli import main
+from drcopt.cli import _build_from_config, main
+from drcopt.problem import NumericalFailure
 
 from helpers import F_STAR
 
@@ -61,6 +64,29 @@ class TestRun:
         assert err.startswith("error: bad run parameter:") and field in err
         assert not out.exists()
 
+    def test_numeric_llp_matches_analytic(self, tmp_path, capsys):
+        summaries = {}
+        for llp in ("analytic", "numeric"):
+            out = tmp_path / llp
+            assert main(["run", write_config(tmp_path / f"{llp}.json", llp=llp), "--out", str(out)]) == 0
+            summaries[llp] = json.loads((out / "results.json").read_text())
+        analytic, numeric = summaries["analytic"], summaries["numeric"]
+        assert numeric["iterations"] == analytic["iterations"]
+        for key in ("final_lower", "final_upper"):
+            assert numeric[key] == pytest.approx(analytic[key], abs=1e-9)
+        assert np.allclose(numeric["x_opt"], analytic["x_opt"], atol=1e-9)
+
+    def test_numeric_llp_keeps_the_batched_grid(self):
+        instance, _, _ = _build_from_config({"llp": "numeric"})
+        for constraint in instance.constraints:
+            assert constraint.analytic_argmax is None
+            assert constraint.evaluate_many is not None
+
+    def test_unknown_llp_mode_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", llp="grid")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "bad 'llp' field" in capsys.readouterr().err
+
     def test_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", max_iter=2)
         out = tmp_path / "out"
@@ -71,10 +97,10 @@ class TestRun:
         assert summary["final_upper"] is None  # +inf serialized as null
 
 
-NUMERICAL_FAILURES = [
-    RuntimeError("lower subproblem solve hit the iteration limit"),
-    AssertionError("lower bound decreased across iterations"),
-]
+NUMERICAL_FAILURES = {
+    "iteration-limit": NumericalFailure("lower subproblem solve hit the iteration limit"),
+    "invariant": NumericalFailure("lower bound decreased across iterations"),
+}
 
 
 def raise_from_run(monkeypatch, exc):
@@ -85,7 +111,7 @@ def raise_from_run(monkeypatch, exc):
 
 
 class TestNumericalFailure:
-    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES.values(), ids=NUMERICAL_FAILURES.keys())
     def test_run_exits_3_and_records_the_error(self, tmp_path, capsys, monkeypatch, exc):
         raise_from_run(monkeypatch, exc)
         cfg = write_config(tmp_path / "cfg.json")
@@ -96,7 +122,7 @@ class TestNumericalFailure:
         assert summary == {"terminated": False, "error": str(exc)}
         assert not (out / "trace.csv").exists()
 
-    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("exc", NUMERICAL_FAILURES.values(), ids=NUMERICAL_FAILURES.keys())
     def test_table2_exits_3(self, tmp_path, capsys, monkeypatch, exc):
         raise_from_run(monkeypatch, exc)
         out = tmp_path / "t2"
@@ -105,11 +131,35 @@ class TestNumericalFailure:
         assert not out.exists()
 
     def test_message_falls_back_to_exception_type(self, tmp_path, capsys, monkeypatch):
-        raise_from_run(monkeypatch, AssertionError())
+        raise_from_run(monkeypatch, NumericalFailure())
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path / "cfg.json"), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: numerical failure: AssertionError\n"
-        assert json.loads((out / "results.json").read_text())["error"] == "AssertionError"
+        assert capsys.readouterr().err == "error: numerical failure: NumericalFailure\n"
+        assert json.loads((out / "results.json").read_text())["error"] == "NumericalFailure"
+
+    def test_scenario_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(drcopt.agents, "SCENARIO_CAP", 1)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json"), "--out", str(out)]) == 3
+        message = "scenario set exceeded the cap of 1"
+        assert capsys.readouterr().err == f"error: numerical failure: {message}\n"
+        assert json.loads((out / "results.json").read_text())["error"] == message
+
+    @pytest.mark.parametrize("exc", [RuntimeError("bug"), AssertionError("bug")], ids=lambda e: type(e).__name__)
+    def test_other_errors_are_not_numerical_failures(self, tmp_path, monkeypatch, exc):
+        raise_from_run(monkeypatch, exc)
+        with pytest.raises(type(exc), match="bug"):
+            main(["run", write_config(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+
+    def test_failure_removes_traces_of_an_earlier_run(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--plot"]) == 0
+        assert (out / "trace.csv").exists() and (out / "trace.svg").exists()
+        raise_from_run(monkeypatch, NUMERICAL_FAILURES["invariant"])
+        assert main(["run", cfg, "--out", str(out), "--plot"]) == 3
+        assert sorted(path.name for path in out.iterdir()) == ["results.json"]
+        assert not json.loads((out / "results.json").read_text())["terminated"]
 
 
 class TestTable2:
