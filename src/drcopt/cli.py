@@ -13,7 +13,7 @@ import numpy as np
 
 from . import svgplot
 from .bounds import accuracy_sweep, method1_accuracy
-from .graph import TOPOLOGIES, schedule_from_config
+from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
 from .llp import solve_llp
 from .problem import NumericalFailure, case_study_instance, instance_from_config, with_numeric_llp
 from .sim import PLOT_CEILING, ConfigError, RunParams, RunResult, run, trace
@@ -48,13 +48,18 @@ def _build_from_config(config: dict):
     if llp == "numeric":
         instance = with_numeric_llp(instance)
     topology = config.get("topology", "cycle")
+    if isinstance(topology, str):
+        topology = {"topology": topology, "m": instance.m}
     try:
-        if isinstance(topology, str):
-            schedule = TOPOLOGIES[topology](instance.m)
-        else:
-            schedule = schedule_from_config(topology)
-    except KeyError:
-        raise ConfigError(f"bad 'topology' field: unknown topology {topology!r}") from None
+        schedule = schedule_from_config(topology)
+    except KeyError as exc:
+        raise ConfigError(f"bad 'topology' field: missing key {exc}") from None
+    except (TypeError, ValueError, InvalidSize, NotUniformlyConnected) as exc:
+        raise ConfigError(f"bad 'topology' field: {exc}") from None
+    if schedule.m != instance.m:
+        raise ConfigError(
+            f"bad 'topology' field: the schedule has {schedule.m} agents, the instance {instance.m}"
+        )
     try:
         params = RunParams(
             eps0=float(config.get("eps0", 0.01)),

@@ -119,14 +119,8 @@ def complete(m: int) -> GraphSchedule:
     return make_schedule(m, [edges])
 
 
-def customized(m: int, bidirectional: bool = True) -> GraphSchedule:
-    """Complete graph on nodes 1..m-1 plus a pendant link {m-1, m}.
-
-    The pendant link is bidirectional by default; with
-    ``bidirectional=False`` only (m, m-1) and (m-1, m) survive anyway
-    since a one-way pendant would break strong connectivity, so the flag
-    is kept for symmetry of the clique edges (always bidirectional).
-    """
+def customized(m: int) -> GraphSchedule:
+    """Complete graph on nodes 1..m-1 plus a bidirectional pendant link {m-1, m}."""
     if m < 3:
         raise InvalidSize("customized graph needs m >= 3")
     edges = {(j, i) for j in range(1, m) for i in range(1, m) if j != i}

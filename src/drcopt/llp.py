@@ -53,8 +53,8 @@ def solve_llp_numeric(
 ) -> tuple[float, Vector]:
     """Grid search plus local refinement, ignoring any analytic maximizer.
 
-    The grid is evaluated in one ``evaluate_many`` call when the
-    constraint has one, else point by point.  Concave constraints get a
+    The grid is evaluated in one ``batch`` call when the constraint has
+    one, else point by point.  Concave constraints get a
     single golden-section refinement around the best grid cell; otherwise
     the top five grid cells are each refined locally and the best result
     wins.
@@ -65,8 +65,8 @@ def solve_llp_numeric(
         )
     lo, hi = constraint.uncertainty_box[0]
     ys = np.linspace(lo, hi, grid_points)
-    if constraint.evaluate_many is not None:
-        vals = constraint.evaluate_many(x, ys[:, None])
+    if constraint.batch is not None:
+        vals, _ = constraint.batch(x, constraint.coefficients[None, :], ys[:, None])
     else:
         vals = np.array([constraint.evaluate(x, np.array([y])) for y in ys])
 

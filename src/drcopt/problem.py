@@ -34,12 +34,28 @@ class NumericalFailure(RuntimeError, AssertionError):
 
 @dataclass(frozen=True)
 class LocalObjective:
-    """Convex local objective with an analytic gradient."""
+    """Convex local objective with an analytic gradient.
+
+    ``batch``, when present, is a function shared by a whole family of
+    objectives, told apart by their ``coefficients`` (a 1-D array).  It
+    takes (x, P), with P holding one member's coefficients per row, and
+    returns the values (k,) and gradients (k, n) of those k members at x.
+    Row j must equal ``evaluate`` and ``gradient`` of the member with
+    coefficients P[j] bit for bit: compute each term as the scalar closures
+    do, with the same operations in the same order.  The solver then
+    evaluates all objectives of a subproblem in one call when they share
+    one ``batch``, and its results do not depend on which path it took.
+    """
 
     evaluate: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
-    kind: str = "custom"
-    center: Optional[Vector] = None
+    batch: Optional[Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    coefficients: Optional[np.ndarray] = None
+
+
+def _quadratic_distance_batch(x: Vector, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = x - centers
+    return (d * d).sum(axis=1), 2.0 * d
 
 
 def quadratic_distance(center) -> LocalObjective:
@@ -48,12 +64,12 @@ def quadratic_distance(center) -> LocalObjective:
 
     def evaluate(x: Vector) -> float:
         d = np.asarray(x, dtype=float) - c
-        return float(d @ d)
+        return float((d * d).sum())
 
     def gradient(x: Vector) -> Vector:
         return 2.0 * (np.asarray(x, dtype=float) - c)
 
-    return LocalObjective(evaluate, gradient, kind="quadratic-distance", center=c)
+    return LocalObjective(evaluate, gradient, batch=_quadratic_distance_batch, coefficients=c)
 
 
 @dataclass(frozen=True)
@@ -64,12 +80,18 @@ class SemiInfiniteConstraint:
     length n_y.  ``analytic_argmax``, when present, maps x to the global
     maximizer of g(x, .) over the uncertainty box.
 
-    ``evaluate_many``, when present, takes (x, Y) with Y of shape
-    (k, n_y) and returns the k values g(x, Y[j]) as a float array.  Row j
-    must equal ``evaluate(x, Y[j])`` bit for bit, so that the numeric
-    lower-level problem picks the same grid cells with or without it:
-    compute each term as ``evaluate`` does, with the same operations in
-    the same order.
+    ``batch``, when present, is a function shared by a whole family of
+    constraints, told apart by their ``coefficients`` (a 1-D array).  It
+    takes (x, P, Y), with P of shape (k, p) holding one member's
+    coefficients per row (or a single row for all k) and Y of shape
+    (k, n_y), and returns the values g_j(x, Y[j]) (k,) and x-gradients
+    (k, n) of those k pairs.  Row j must equal ``evaluate`` and
+    ``x_gradient`` of the member with coefficients P[j] at Y[j] bit for
+    bit: compute each term as the scalar closures do, with the same
+    operations in the same order.  The solver evaluates all cuts of a
+    subproblem in one call when their constraints share one ``batch``,
+    and the numeric lower-level problem scans its grid in one call; the
+    results do not depend on which path was taken.
     """
 
     evaluate: Callable[[Vector, Vector], float]
@@ -77,7 +99,8 @@ class SemiInfiniteConstraint:
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
     analytic_argmax: Optional[Callable[[Vector], Vector]] = None
-    evaluate_many: Optional[Callable[[Vector, np.ndarray], np.ndarray]] = None
+    batch: Optional[Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    coefficients: Optional[np.ndarray] = None
 
     @property
     def n_y(self) -> int:
@@ -126,6 +149,17 @@ CASE_STUDY_CENTERS = ((0.0, 6.0), (0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1
 CASE_STUDY_V = (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75)
 
 
+def _paper_quadratic_batch(
+    x: Vector, coefficients: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    d = x[0] - coefficients[:, 0]
+    y = ys[:, 0]
+    grads = np.empty((len(y), 2))
+    grads[:, 0] = 2.0 * d
+    grads[:, 1] = 2.0 * y
+    return d * d + 2.0 * y * x[1] - y * y - 1.0, grads
+
+
 def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteConstraint:
     """g(x, y) = (x1 - v)^2 + 2*y*x2 - y^2 - 1 over y in [-y_bound, y_bound].
 
@@ -135,16 +169,8 @@ def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteCo
     lo, hi = -y_bound, y_bound
 
     def evaluate(x: Vector, y: Vector) -> float:
-        yy = float(y[0])
-        return (float(x[0]) - v) ** 2 + 2.0 * yy * float(x[1]) - yy * yy - 1.0
-
-    def evaluate_many(x: Vector, ys: np.ndarray) -> np.ndarray:
-        # The x term stays a Python float (numpy's square differs from
-        # ** 2 in the last bit on some inputs) and the y terms apply left
-        # to right, as in evaluate, so every entry equals the scalar value
-        # bit for bit.
-        yy = ys[:, 0]
-        return (float(x[0]) - v) ** 2 + 2.0 * yy * float(x[1]) - yy * yy - 1.0
+        d, yy = float(x[0]) - v, float(y[0])
+        return d * d + 2.0 * yy * float(x[1]) - yy * yy - 1.0
 
     def x_gradient(x: Vector, y: Vector) -> Vector:
         return np.array([2.0 * (float(x[0]) - v), 2.0 * float(y[0])])
@@ -158,7 +184,8 @@ def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteCo
         uncertainty_box=np.array([[lo, hi]]),
         concave_in_y=True,
         analytic_argmax=analytic_argmax,
-        evaluate_many=evaluate_many,
+        batch=_paper_quadratic_batch,
+        coefficients=np.array([float(v)]),
     )
 
 

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy
@@ -35,14 +35,57 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+def _shared_batch(members):
+    """The ``batch`` function every member has, or None (no members, none, or several)."""
+    kernels = {member.batch for member in members}
+    return kernels.pop() if len(kernels) == 1 else None
+
+
+def _objective_terms(objectives):
+    """x -> (values, gradients) of the objectives, one row per objective."""
+    batch = _shared_batch(objectives)
+    if batch is not None:
+        coefficients = np.array([f.coefficients for f in objectives])
+        return lambda x: batch(x, coefficients)
+    return lambda x: (
+        np.array([f.evaluate(x) for f in objectives]),
+        np.array([f.gradient(x) for f in objectives]),
+    )
+
+
+def _cut_terms(constraints, scenarios, n: int):
+    """x -> (values, x-gradients) of g_a(x, y_j), one row per cut."""
+    batch = _shared_batch(constraints)
+    if batch is not None:
+        coefficients = np.array([g.coefficients for g in constraints])
+        ys = np.array(scenarios)
+        return lambda x: batch(x, coefficients, ys)
+    rows = tuple(zip(constraints, scenarios))
+    return lambda x: (
+        np.array([g.evaluate(x, y) for g, y in rows]),
+        np.array([g.x_gradient(x, y) for g, y in rows]).reshape(len(rows), n),
+    )
+
+
 @dataclass(frozen=True)
 class FiniteSubproblem:
-    """Canonical finite convex program: sum of objectives + box + cuts."""
+    """Canonical finite convex program: sum of objectives + box + cuts.
+
+    On construction the objectives' and the cuts' data are gathered into
+    arrays once.  :meth:`evaluate` computes each family (the objectives,
+    the cuts) with one kernel call when its members share one ``batch``
+    function, and with one scalar call per member otherwise.  Both paths
+    give bitwise equal results (see the ``batch`` contract in
+    :mod:`drcopt.problem`).
+    """
 
     objectives: tuple[LocalObjective, ...]
     constraint_functions: tuple[SemiInfiniteConstraint, ...]
     box: Vector
     cuts: tuple[Cut, ...]
+    _objective_terms: Callable = field(init=False, repr=False, compare=False)
+    _cut_terms: Callable = field(init=False, repr=False, compare=False)
+    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(sorted(self.cuts)) != self.cuts:
@@ -54,34 +97,26 @@ class FiniteSubproblem:
             y = np.asarray(scenario)
             if np.any(y < y_box[:, 0] - 1e-12) or np.any(y > y_box[:, 1] + 1e-12):
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
+        constraints = [self.constraint_functions[agent_id - 1] for agent_id, _, _, _ in self.cuts]
+        scenarios = [np.asarray(scenario, dtype=float) for _, _, scenario, _ in self.cuts]
+        object.__setattr__(self, "_objective_terms", _objective_terms(self.objectives))
+        object.__setattr__(self, "_cut_terms", _cut_terms(constraints, scenarios, self.n))
+        object.__setattr__(self, "_rhs", np.array([rhs for _, _, _, rhs in self.cuts], dtype=float))
 
     @property
     def n(self) -> int:
         return self.box.shape[0]
 
-    def objective_value(self, x: Vector) -> float:
-        return sum(f.evaluate(x) for f in self.objectives)
+    def evaluate(self, x: Vector) -> tuple[float, Vector, np.ndarray, np.ndarray]:
+        """(f, grad f, c, Jacobian of c) at x.
 
-    def objective_gradient(self, x: Vector) -> Vector:
-        g = np.zeros(self.n)
-        for f in self.objectives:
-            g = g + f.gradient(x)
-        return g
-
-    def constraint_values(self, x: Vector) -> np.ndarray:
-        """c_j(x) = g_a(x, y_j) - rhs_j, violated when positive."""
-        vals = np.empty(len(self.cuts))
-        for k, (agent_id, _, scenario, rhs) in enumerate(self.cuts):
-            g = self.constraint_functions[agent_id - 1]
-            vals[k] = g.evaluate(x, np.asarray(scenario)) - rhs
-        return vals
-
-    def constraint_gradients(self, x: Vector) -> np.ndarray:
-        grads = np.empty((len(self.cuts), self.n))
-        for k, (agent_id, _, scenario, _) in enumerate(self.cuts):
-            g = self.constraint_functions[agent_id - 1]
-            grads[k] = g.x_gradient(x, np.asarray(scenario))
-        return grads
+        f is the sum of the objectives; c_j(x) = g_a(x, y_j) - rhs_j is cut
+        j's value, violated when positive, and row j of the Jacobian its
+        gradient.
+        """
+        f_values, f_grads = self._objective_terms(x)
+        g_values, g_grads = self._cut_terms(x)
+        return float(f_values.sum()), f_grads.sum(axis=0), g_values - self._rhs, g_grads
 
 
 def build_subproblem(instance: ProblemInstance, cuts: Sequence[Cut]) -> FiniteSubproblem:
@@ -121,10 +156,14 @@ def stationarity_residual(problem: FiniteSubproblem, x: Vector, multipliers=None
     Uses the supplied constraint multipliers (zero when omitted): the
     residual is || x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||.
     """
-    grad = problem.objective_gradient(x)
-    if multipliers is not None and len(problem.cuts):
-        grad = grad + problem.constraint_gradients(x).T @ np.asarray(multipliers)
-    return float(np.linalg.norm(x - _project(x - grad, problem.box)))
+    _, grad, _, jac = problem.evaluate(x)
+    return _kkt_residual(x, grad, jac, multipliers, problem.box)
+
+
+def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
+    if multipliers is not None and len(jac):
+        grad = grad + jac.T @ np.asarray(multipliers)
+    return float(np.linalg.norm(x - _project(x - grad, box)))
 
 
 def _inner_minimize(fun_grad, x0: Vector, box: Vector, max_inner: int) -> Vector:
@@ -146,15 +185,15 @@ def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> flo
     """Minimize the sum of squared violations; returns the residual max violation."""
 
     def fun_grad(x):
-        c = problem.constraint_values(x)
+        _, _, c, jac = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
-        grad = problem.constraint_gradients(x).T @ pos if len(c) else np.zeros(problem.n)
+        grad = jac.T @ pos if len(c) else np.zeros(problem.n)
         return 0.5 * float(pos @ pos), grad
 
     x = problem.box.mean(axis=1)
     for _ in range(20):
         x = _inner_minimize(fun_grad, x, problem.box, tolerances.max_inner)
-    c = problem.constraint_values(x)
+    _, _, c, _ = problem.evaluate(x)
     return float(max(0.0, c.max())) if len(c) else 0.0
 
 
@@ -223,30 +262,28 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
     for outer in range(1, tolerances.max_outer + 1):
 
         def fun_grad(z, lam=lam, mu=mu):
-            f = problem.objective_value(z)
-            grad = problem.objective_gradient(z)
+            f, grad, c, jac = problem.evaluate(z)
             if n_cuts:
-                c = problem.constraint_values(z)
                 shifted = np.maximum(0.0, lam + mu * c)
                 f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
-                grad = grad + problem.constraint_gradients(z).T @ shifted
+                grad = grad + jac.T @ shifted
             return f, grad
 
         x = _inner_minimize(fun_grad, x, problem.box, tolerances.max_inner)
 
+        f, grad, c, jac = problem.evaluate(x)
         if n_cuts:
-            c = problem.constraint_values(x)
             viol = float(max(0.0, c.max()))
             lam_next = np.maximum(0.0, lam + mu * c)
         else:
             viol = 0.0
             lam_next = lam
 
-        residual = stationarity_residual(problem, x, lam_next)
+        residual = _kkt_residual(x, grad, jac, lam_next, problem.box)
         if viol <= tolerances.feasibility_tol and residual <= tolerances.stationarity_tol:
             return SolveReport(
                 minimizer=x,
-                objective_value=problem.objective_value(x),
+                objective_value=f,
                 max_violation=viol,
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
@@ -270,10 +307,11 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
 
     residual_viol = _feasibility_phase(problem, tolerances)
     status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
+    f, _, c, _ = problem.evaluate(x)
     return SolveReport(
         minimizer=x,
-        objective_value=problem.objective_value(x),
-        max_violation=float(max(0.0, problem.constraint_values(x).max())) if n_cuts else 0.0,
+        objective_value=f,
+        max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
         iterations=tolerances.max_outer,
         status=status,
         multipliers=lam,

@@ -53,6 +53,23 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ({"topology": "explicit", "m": 6, "slots": [[[1, 2]]]}, "no window of length"),
+            ({"topology": "ring", "m": 6}, "unknown topology 'ring'"),
+            ({"topology": "cycle", "m": 5}, "the schedule has 5 agents, the instance 6"),
+        ],
+        ids=["not-uniformly-connected", "unknown-name", "agent-count-mismatch"],
+    )
+    def test_bad_topology_object_exits_1(self, tmp_path, capsys, topology, message):
+        cfg = write_config(tmp_path / "cfg.json", topology=topology)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad 'topology' field:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [("eps0", 0), ("eps0", -0.01), ("r", 1.0), ("r", 0.5), ("eps_f", 0), ("eps_f", -1.0), ("max_iter", 0)],
     )
@@ -80,7 +97,7 @@ class TestRun:
         instance, _, _ = _build_from_config({"llp": "numeric"})
         for constraint in instance.constraints:
             assert constraint.analytic_argmax is None
-            assert constraint.evaluate_many is not None
+            assert constraint.batch is not None
 
     def test_unknown_llp_mode_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", llp="grid")

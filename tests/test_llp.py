@@ -109,7 +109,7 @@ class TestNumericPath:
             uncertainty_box=np.array([[-1.0, 1.0]]),
             concave_in_y=True,
         )
-        assert constraint.evaluate_many is None
+        assert constraint.batch is None
         for x0, y_expected in ((0.3, 0.3), (-0.8, -0.8), (1.7, 1.0)):
             g_max, y_star = solve_llp(constraint, np.array([x0, 0.0]))
             assert y_star[0] == pytest.approx(y_expected, abs=1e-6)
@@ -131,12 +131,13 @@ class TestBatchedGrid:
         constraint = case_study.constraints[agent]
         for x in random_xs(rng, 40):
             scalar = np.array([constraint.evaluate(x, np.array([y])) for y in GRID])
-            assert constraint.evaluate_many(x, GRID[:, None]).tobytes() == scalar.tobytes()
+            values, _ = constraint.batch(x, constraint.coefficients[None, :], GRID[:, None])
+            assert values.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("agent", range(6))
     def test_numeric_solve_bitwise_equal_without_kernel(self, case_study, rng, agent):
         constraint = case_study.constraints[agent]
-        scalar_only = dataclasses.replace(constraint, evaluate_many=None)
+        scalar_only = dataclasses.replace(constraint, batch=None)
         for x in random_xs(rng, 30):
             g, y = solve_llp_numeric(constraint, x)
             g_ref, y_ref = solve_llp_numeric(scalar_only, x)

@@ -1,8 +1,12 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy
 
 from drcopt import solver
+from drcopt.problem import example1_constraint
 from drcopt.solver import (
     SolveStatus,
     Tolerances,
@@ -16,6 +20,67 @@ from helpers import case_study_grid_min, subproblem_cut_view
 
 def all_agent_cuts(y, rhs):
     return [(i, 0, (y,), rhs) for i in range(1, 7)]
+
+
+def without_batch(instance):
+    """The instance with every ``batch`` hook stripped: the per-member loop only."""
+    return dataclasses.replace(
+        instance,
+        objectives=tuple(dataclasses.replace(f, batch=None) for f in instance.objectives),
+        constraints=tuple(dataclasses.replace(g, batch=None) for g in instance.constraints),
+    )
+
+
+def counting(instance, calls: Counter):
+    """The instance with each scalar closure counting its calls in ``calls``."""
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    return dataclasses.replace(
+        instance,
+        objectives=tuple(
+            dataclasses.replace(
+                f, evaluate=counted("evaluate", f.evaluate), gradient=counted("gradient", f.gradient)
+            )
+            for f in instance.objectives
+        ),
+        constraints=tuple(
+            dataclasses.replace(
+                g, evaluate=counted("evaluate", g.evaluate), x_gradient=counted("x_gradient", g.x_gradient)
+            )
+            for g in instance.constraints
+        ),
+    )
+
+
+def random_points(rng, k):
+    """k points around the case-study box, half of them with |x2| > 1."""
+    inside = rng.uniform(-1.0, 1.0, k // 2)
+    outside = rng.choice([-1.0, 1.0], k - k // 2) * rng.uniform(1.0, 2.0, k - k // 2)
+    return np.column_stack([rng.uniform(-2.5, 2.5, k), np.concatenate([inside, outside])])
+
+
+def random_cuts(rng):
+    """Two cuts per agent of the case study, one with rhs 0 and one negative."""
+    return [
+        (agent, k, (float(rng.uniform(-1.0, 1.0)),), 0.0 if k == 0 else float(-rng.uniform(0.0, 0.1)))
+        for agent in range(1, 7)
+        for k in range(2)
+    ]
+
+
+def assert_reports_bitwise_equal(a, b):
+    assert a.status is b.status
+    assert a.iterations == b.iterations
+    assert a.minimizer.tobytes() == b.minimizer.tobytes()
+    assert a.multipliers.tobytes() == b.multipliers.tobytes()
+    assert np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
+    assert np.float64(a.max_violation).tobytes() == np.float64(b.max_violation).tobytes()
 
 
 class TestHandDerivedSubproblems:
@@ -195,3 +260,55 @@ class TestSingleBlasThread:
         assert guarded.minimizer.tobytes() == bypassed.minimizer.tobytes()
         assert guarded.multipliers.tobytes() == bypassed.multipliers.tobytes()
         assert guarded.iterations == bypassed.iterations
+
+
+class TestFusedEvaluation:
+    def test_kernels_bitwise_equal_scalar_closures(self, case_study, rng):
+        objectives, constraints = case_study.objectives, case_study.constraints
+        centers = np.array([f.coefficients for f in objectives])
+        coefficients = np.array([g.coefficients for g in constraints])
+        for x in random_points(rng, 200):
+            ys = rng.uniform(-1.0, 1.0, (6, 1))
+            values, grads = objectives[0].batch(x, centers)
+            assert values.tobytes() == np.array([f.evaluate(x) for f in objectives]).tobytes()
+            assert grads.tobytes() == np.array([f.gradient(x) for f in objectives]).tobytes()
+            values, grads = constraints[0].batch(x, coefficients, ys)
+            pairs = list(zip(constraints, ys))
+            assert values.tobytes() == np.array([g.evaluate(x, y) for g, y in pairs]).tobytes()
+            assert grads.tobytes() == np.array([g.x_gradient(x, y) for g, y in pairs]).tobytes()
+
+    def test_fused_evaluation_bitwise_equal_per_cut_loop(self, case_study, rng):
+        scalar_only = without_batch(case_study)
+        for _ in range(10):
+            cuts = random_cuts(rng)
+            fused = build_subproblem(case_study, cuts)
+            looped = build_subproblem(scalar_only, cuts)
+            for x in random_points(rng, 20):
+                for a, b in zip(fused.evaluate(x), looped.evaluate(x)):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_case_study_solve_bitwise_equal_per_cut_loop(self, case_study, rng):
+        cuts = random_cuts(rng)
+        fused = solve(build_subproblem(case_study, cuts))
+        assert_reports_bitwise_equal(fused, solve(build_subproblem(without_batch(case_study), cuts)))
+
+    def test_case_study_solve_calls_no_scalar_closure(self, case_study):
+        cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
+        calls = Counter()
+        report = solve(build_subproblem(counting(case_study, calls), cuts))
+        assert report.status is SolveStatus.OPTIMAL
+        assert calls == Counter()
+        # The same counters do see the per-cut loop once the hooks are gone.
+        solve(build_subproblem(counting(without_batch(case_study), calls), cuts))
+        assert calls["evaluate"] and calls["gradient"] and calls["x_gradient"]
+
+    def test_mixed_family_takes_the_per_cut_loop(self, case_study):
+        mixed = dataclasses.replace(
+            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3
+        )
+        cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
+        cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
+        calls = Counter()
+        report = solve(build_subproblem(counting(mixed, calls), cuts))
+        assert calls["x_gradient"] > 0
+        assert_reports_bitwise_equal(report, solve(build_subproblem(without_batch(mixed), cuts)))
