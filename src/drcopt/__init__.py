@@ -5,7 +5,7 @@ semi-infinite constraints by exchanging scenario cuts over a time-varying
 directed network, with finite-time distributed termination detection.
 """
 
-from .agents import INFEASIBLE, AgentState, dlbd_oracle, dubd_oracle
+from .agents import AgentState, dlbd_oracle, dubd_oracle
 from .bounds import method1_accuracy, method2_accuracy
 from .graph import GraphSchedule, complete, customized, directed_cycle
 from .llp import Verdict, feasibility_verdict, solve_llp
@@ -20,7 +20,6 @@ from .sim import RunParams, RunResult, run, trace
 from .solver import FiniteSubproblem, SolveReport, Tolerances, solve
 
 __all__ = [
-    "INFEASIBLE",
     "AgentState",
     "FiniteSubproblem",
     "GraphSchedule",

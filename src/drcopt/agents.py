@@ -15,26 +15,9 @@ import numpy as np
 
 from .llp import Verdict, feasibility_verdict, solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector
-from .solver import Cut, FiniteSubproblem, build_subproblem
+from .solver import Cut
 
 SCENARIO_CAP = 10_000  # runaway guard per agent
-
-
-class InfeasibleSentinel:
-    """Marker for an upper candidate that violated its constraint (f -> +inf)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFEASIBLE"
-
-
-INFEASIBLE = InfeasibleSentinel()
 
 
 @dataclass
@@ -44,11 +27,11 @@ class AgentState:
     lower_scenarios: list[tuple[float, ...]] = field(default_factory=list)
     upper_scenarios: list[tuple[float, ...]] = field(default_factory=list)
     x_tilde: Vector | None = None
-    x_bar: Vector | InfeasibleSentinel | None = None
+    x_bar: Vector | None = None  # None: no feasible upper candidate (f -> +inf)
 
     def gap(self, instance: ProblemInstance) -> float:
-        """e_i = |f_i(x_bar) - f_i(x_tilde)|, +inf while x_bar is the sentinel."""
-        if self.x_bar is None or self.x_bar is INFEASIBLE:
+        """e_i = |f_i(x_bar) - f_i(x_tilde)|, +inf while there is no x_bar."""
+        if self.x_bar is None:
             return math.inf
         f = instance.objectives[self.agent_id - 1]
         return abs(f.evaluate(self.x_bar) - f.evaluate(self.x_tilde))
@@ -67,13 +50,11 @@ def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
     scenarios.append(tuple(float(v) for v in np.atleast_1d(y)))
 
 
-def dlbd_oracle(
-    state: AgentState, instance: ProblemInstance, x_new: Vector, tol: float = 0.0
-) -> tuple[Verdict, float]:
+def dlbd_oracle(state: AgentState, instance: ProblemInstance, x_new: Vector) -> tuple[Verdict, float]:
     """Lower-side oracle: record the consensus point, cut if it is infeasible."""
     constraint = instance.constraints[state.agent_id - 1]
     g_max, y_star = solve_llp(constraint, x_new)
-    verdict = feasibility_verdict(g_max, tol)
+    verdict = feasibility_verdict(g_max)
     state.x_tilde = np.array(x_new, dtype=float)
     if verdict is Verdict.VIOLATED:
         _append_scenario(state.lower_scenarios, y_star)
@@ -81,17 +62,17 @@ def dlbd_oracle(
 
 
 def dubd_oracle(
-    state: AgentState, instance: ProblemInstance, z_new: Vector, r: float, tol: float = 0.0
+    state: AgentState, instance: ProblemInstance, z_new: Vector, r: float
 ) -> tuple[Verdict, float]:
     """Upper-side oracle: cut on violation, shrink epsilon by r on feasibility."""
     if r <= 1.0:
         raise ValueError("reduction parameter r must exceed 1")
     constraint = instance.constraints[state.agent_id - 1]
     g_max, y_star = solve_llp(constraint, z_new)
-    verdict = feasibility_verdict(g_max, tol)
+    verdict = feasibility_verdict(g_max)
     if verdict is Verdict.VIOLATED:
         _append_scenario(state.upper_scenarios, y_star)
-        state.x_bar = INFEASIBLE
+        state.x_bar = None
     else:
         state.epsilon = state.epsilon / r
         state.x_bar = np.array(z_new, dtype=float)
@@ -106,28 +87,14 @@ def upper_cuts(state: AgentState) -> list[Cut]:
     return [(state.agent_id, k, y, -state.epsilon) for k, y in enumerate(state.upper_scenarios)]
 
 
-def build_lower_subproblem(states, instance: ProblemInstance) -> FiniteSubproblem:
-    cuts: list[Cut] = []
-    for state in states:
-        cuts.extend(lower_cuts(state))
-    return build_subproblem(instance, cuts)
-
-
-def build_upper_subproblem(states, instance: ProblemInstance) -> FiniteSubproblem:
-    cuts: list[Cut] = []
-    for state in states:
-        cuts.extend(upper_cuts(state))
-    return build_subproblem(instance, cuts)
-
-
 def bound_values(states, instance: ProblemInstance) -> tuple[float, float]:
-    """(lower, upper) objective sums; upper is +inf while any x_bar is the sentinel."""
+    """(lower, upper) objective sums; upper is +inf while any agent has no x_bar."""
     lower = 0.0
     upper = 0.0
     for state in states:
         f = instance.objectives[state.agent_id - 1]
         lower += f.evaluate(state.x_tilde)
-        if state.x_bar is INFEASIBLE or state.x_bar is None:
+        if state.x_bar is None:
             upper = math.inf
         elif math.isfinite(upper):
             upper += f.evaluate(state.x_bar)

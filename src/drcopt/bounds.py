@@ -19,27 +19,19 @@ def method1_accuracy(m: int, eps_f: float) -> float:
     return m * eps_f
 
 
-def neighborhood_weights(schedule: GraphSchedule) -> list[float]:
+def neighborhood_weights(schedule: GraphSchedule) -> list[int]:
     """w_j = sum over the first T slots of (1 + outdeg_j(t)).
 
     Counting appearances: at slot t, gap e_j shows up once in its own
     closed neighborhood and once per out-neighbor, so the triple sum
     over agents, slots and neighborhoods collapses to sum_j w_j * e_j.
     """
-    return [
-        sum(1 + schedule.out_degree(j, t) for t in range(schedule.window))
-        for j in range(1, schedule.m + 1)
-    ]
-
-
-def aggregate_gap_load(schedule: GraphSchedule, gaps: list[float]) -> float:
-    """Literal triple-sum evaluation, the independent oracle for the weights."""
-    total = 0.0
-    for i in range(1, schedule.m + 1):
-        for t in range(schedule.window):
-            for j in (i,) + schedule.in_neighbors(i, t):
-                total += gaps[j - 1]
-    return total
+    weights = [schedule.window] * schedule.m
+    for t in range(schedule.window):
+        for i in range(1, schedule.m + 1):
+            for j in schedule.in_neighbors(i, t):
+                weights[j - 1] += 1
+    return weights
 
 
 def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:

@@ -8,6 +8,7 @@ implicit everywhere: protocols always operate on N_i^in(t) united with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 Edge = tuple[int, int]
 
@@ -76,14 +77,23 @@ class GraphSchedule:
     def edges(self, t: int) -> frozenset[Edge]:
         return self.slots[t % self.period]
 
+    @cached_property
+    def _in_neighbor_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per slot of the period, each node's sorted in-neighbors (row node - 1).
+
+        Built on first use in one pass over the edges, so schedules that
+        are only constructed (and validated) never pay for it.
+        """
+        table = []
+        for edges in self.slots:
+            senders: list[list[int]] = [[] for _ in range(self.m)]
+            for j, i in edges:
+                senders[i - 1].append(j)
+            table.append(tuple(tuple(sorted(row)) for row in senders))
+        return tuple(table)
+
     def in_neighbors(self, node: int, t: int) -> tuple[int, ...]:
-        return tuple(sorted(j for j, i in self.edges(t) if i == node))
-
-    def out_neighbors(self, node: int, t: int) -> tuple[int, ...]:
-        return tuple(sorted(i for j, i in self.edges(t) if j == node))
-
-    def out_degree(self, node: int, t: int) -> int:
-        return sum(1 for j, _ in self.edges(t) if j == node)
+        return self._in_neighbor_table[t % self.period][node - 1]
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:

@@ -132,18 +132,6 @@ class ProblemInstance:
         if not np.all(np.isfinite(self.box)) or np.any(self.box[:, 0] > self.box[:, 1]):
             raise ValueError("box must be bounded and nonempty")
 
-    def objective_value(self, x: Vector) -> float:
-        return sum(f.evaluate(x) for f in self.objectives)
-
-    def objective_gradient(self, x: Vector) -> Vector:
-        g = np.zeros(self.n)
-        for f in self.objectives:
-            g = g + f.gradient(x)
-        return g
-
-    def box_center(self) -> Vector:
-        return self.box.mean(axis=1)
-
 
 CASE_STUDY_CENTERS = ((0.0, 6.0), (0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 CASE_STUDY_V = (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agents
-from .agents import INFEASIBLE, AgentState, bound_values, initial_states
+from .agents import AgentState, bound_values, initial_states
 from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
@@ -38,7 +38,6 @@ class RunParams:
     eps_f: float = 0.01
     method: str = "I"
     max_iter: int = 500
-    llp_tol: float = 0.0
     tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
@@ -59,7 +58,7 @@ class RunParams:
 class IterationRecord:
     k: int
     lower: float
-    upper: float  # +inf while any upper candidate is the sentinel
+    upper: float  # +inf while any agent has no feasible upper candidate
     g_max_lower: tuple[float, ...]  # per agent, at the lower consensus point
     g_max_upper: tuple[float, ...]  # per agent, at the upper consensus point
     epsilons: tuple[float, ...]
@@ -116,22 +115,16 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        reports, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
+        report, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
         slot += used
-        _check_solver_status(reports[0], "lower")
-        g_max_lower = tuple(
-            agents.dlbd_oracle(s, instance, r.minimizer, params.llp_tol)[1]
-            for s, r in zip(states, reports)
-        )
+        _check_solver_status(report, "lower")
+        g_max_lower = tuple(agents.dlbd_oracle(s, instance, report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        reports, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
+        report, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
         slot += used
-        _check_solver_status(reports[0], "upper")
-        g_max_upper = tuple(
-            agents.dubd_oracle(s, instance, r.minimizer, params.r, params.llp_tol)[1]
-            for s, r in zip(states, reports)
-        )
+        _check_solver_status(report, "upper")
+        g_max_upper = tuple(agents.dubd_oracle(s, instance, report.minimizer, params.r)[1] for s in states)
 
         lower, upper = bound_values(states, instance)
         if lower < prev_lower - 1e-9:
@@ -160,7 +153,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         if stop:
             x_opt = []
             for state in states:
-                if state.x_bar is INFEASIBLE or state.x_bar is None:
+                if state.x_bar is None:
                     raise NumericalFailure("stopping round fired with an infinite upper bound")
                 x_opt.append(np.array(state.x_bar))
             for state, x in zip(states, x_opt):

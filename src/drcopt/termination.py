@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import GraphSchedule
 from .problem import NumericalFailure
@@ -32,48 +32,25 @@ def stop_threshold(schedule: GraphSchedule) -> int:
     return schedule.window * (schedule.m - 1) + 1
 
 
-def _min_consensus_h(counters, schedule, slot, i):
-    neighborhood = (i,) + schedule.in_neighbors(i, slot)
-    return min(min(counters[j - 1].h, counters[j - 1].c) for j in neighborhood) + 1
-
-
-def step_method1(
-    counters: list[CounterState], schedule: GraphSchedule, slot: int, eps_f: float
+def step_counters(
+    counters: list[CounterState], schedule: GraphSchedule, slot: int, method: str, eps_f: float
 ) -> list[CounterState]:
-    """One lock-step slot of the per-agent-gap recursion."""
+    """One lock-step slot of the counter recursion.
+
+    Each agent looks at its closed in-neighborhood: h becomes the minimum
+    of min(h, c) there plus one, and c grows while the method's test
+    holds there (Method I: every gap at most eps_f; Method II: the gap
+    sum at most eps_f), else resets to 0.
+    """
     out = []
     for i in range(1, schedule.m + 1):
-        neighborhood = (i,) + schedule.in_neighbors(i, slot)
-        ok = all(counters[j - 1].e <= eps_f for j in neighborhood)
-        out.append(
-            replace(
-                counters[i - 1],
-                h=_min_consensus_h(counters, schedule, slot, i),
-                c=counters[i - 1].c + 1 if ok else 0,
-            )
-        )
+        neighborhood = [counters[j - 1] for j in (i,) + schedule.in_neighbors(i, slot)]
+        gaps = [n.e for n in neighborhood]
+        ok = all(e <= eps_f for e in gaps) if method == "I" else sum(gaps) <= eps_f
+        own = counters[i - 1]
+        h = min(min(n.h, n.c) for n in neighborhood) + 1
+        out.append(CounterState(h=h, c=own.c + 1 if ok else 0, e=own.e))
     return out
-
-
-def step_method2(
-    counters: list[CounterState], schedule: GraphSchedule, slot: int, eps_f: float
-) -> list[CounterState]:
-    """One lock-step slot of the neighborhood-sum recursion."""
-    out = []
-    for i in range(1, schedule.m + 1):
-        neighborhood = (i,) + schedule.in_neighbors(i, slot)
-        ok = sum(counters[j - 1].e for j in neighborhood) <= eps_f
-        out.append(
-            replace(
-                counters[i - 1],
-                h=_min_consensus_h(counters, schedule, slot, i),
-                c=counters[i - 1].c + 1 if ok else 0,
-            )
-        )
-    return out
-
-
-_STEPS = {"I": step_method1, "II": step_method2}
 
 
 def run_stopping_round(
@@ -90,11 +67,12 @@ def run_stopping_round(
     """
     if len(gaps) != schedule.m:
         raise ValueError("one gap value per agent required")
-    step = _STEPS[method]
+    if method not in ("I", "II"):
+        raise ValueError("method must be 'I' or 'II'")
     threshold = stop_threshold(schedule)
     counters = [CounterState(e=e) for e in gaps]
     for offset in range(threshold):
-        counters = step(counters, schedule, start_slot + offset, eps_f)
+        counters = step_counters(counters, schedule, start_slot + offset, method, eps_f)
     stop = any(c.h >= threshold for c in counters)
     if stop and not all(c.h >= threshold for c in counters):
         if method == "I":

@@ -87,6 +87,21 @@ def random_connected_schedule(rng: np.random.Generator, m_max=5, p_max=3) -> Gra
             continue
 
 
+def edge_scan_in_neighbors(schedule: GraphSchedule, node: int, t: int) -> tuple[int, ...]:
+    """Sorted in-neighbors of node at slot t by a scan over every edge of the slot."""
+    return tuple(sorted(j for j, i in schedule.edges(t) if i == node))
+
+
+def aggregate_gap_load(schedule: GraphSchedule, gaps: list[float]) -> float:
+    """Literal triple sum over agents, the first T slots and closed in-neighborhoods."""
+    total = 0.0
+    for i in range(1, schedule.m + 1):
+        for t in range(schedule.window):
+            for j in (i,) + edge_scan_in_neighbors(schedule, i, t):
+                total += gaps[j - 1]
+    return total
+
+
 def box_lp_vertex_max(weights, capacity, upper):
     """Brute-force optimum of max sum(e) s.t. w.e <= capacity, 0 <= e_i <= upper.
 

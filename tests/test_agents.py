@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from drcopt.agents import (
-    INFEASIBLE,
     bound_values,
-    build_lower_subproblem,
-    build_upper_subproblem,
     dlbd_oracle,
     dubd_oracle,
     initial_states,
+    lower_cuts,
+    upper_cuts,
 )
 from drcopt.llp import Verdict
+from drcopt.solver import build_subproblem
 
 from helpers import F_STAR, X_STAR
 
@@ -49,7 +49,7 @@ class TestUpperOracle:
             assert verdict is Verdict.VIOLATED
             assert state.upper_scenarios == [(1.0,)]
             assert state.epsilon == 0.01
-            assert state.x_bar is INFEASIBLE
+            assert state.x_bar is None
 
     def test_feasible_point_halves_epsilon(self, case_study, states):
         state = states[0]
@@ -72,15 +72,19 @@ class TestUpperOracle:
             dubd_oracle(states[0], case_study, np.zeros(2), r=1.0)
 
 
+def build_from(states, instance, side_cuts):
+    return build_subproblem(instance, [cut for state in states for cut in side_cuts(state)])
+
+
 class TestSubproblemBuilders:
     def test_empty_sets_give_box_only(self, case_study, states):
-        assert build_lower_subproblem(states, case_study).cuts == ()
-        assert build_upper_subproblem(states, case_study).cuts == ()
+        assert build_from(states, case_study, lower_cuts).cuts == ()
+        assert build_from(states, case_study, upper_cuts).cuts == ()
 
     def test_lower_cuts_have_zero_rhs(self, case_study, states):
         for state in states:
             dlbd_oracle(state, case_study, np.array([0.0, 1.0]))
-        problem = build_lower_subproblem(states, case_study)
+        problem = build_from(states, case_study, lower_cuts)
         assert len(problem.cuts) == 6
         assert all(rhs == 0.0 for _, _, _, rhs in problem.cuts)
         assert [a for a, _, _, _ in problem.cuts] == list(range(1, 7))
@@ -88,7 +92,7 @@ class TestSubproblemBuilders:
     def test_upper_cuts_carry_restriction(self, case_study, states):
         for state in states:
             dubd_oracle(state, case_study, np.array([0.0, 1.0]), r=2.0)
-        problem = build_upper_subproblem(states, case_study)
+        problem = build_from(states, case_study, upper_cuts)
         assert len(problem.cuts) == 6
         assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)
 
@@ -97,7 +101,7 @@ class TestBoundValues:
     def test_sentinel_makes_upper_infinite(self, case_study, states):
         for state in states:
             state.x_tilde = np.array([0.0, 0.71875])
-            state.x_bar = INFEASIBLE
+            state.x_bar = None
         lower, upper = bound_values(states, case_study)
         assert lower == pytest.approx(38.474609375)
         assert upper == math.inf
@@ -112,7 +116,7 @@ class TestBoundValues:
 
     def test_gap_is_infinite_for_sentinel(self, case_study, states):
         states[0].x_tilde = X_STAR
-        states[0].x_bar = INFEASIBLE
+        states[0].x_bar = None
         assert states[0].gap(case_study) == math.inf
 
 

@@ -4,14 +4,13 @@ from scipy.optimize import linprog
 
 from drcopt.bounds import (
     accuracy_sweep,
-    aggregate_gap_load,
     method1_accuracy,
     method2_accuracy,
     neighborhood_weights,
 )
 from drcopt.graph import complete, customized, directed_cycle, make_schedule
 
-from helpers import box_lp_vertex_max, random_connected_schedule
+from helpers import aggregate_gap_load, box_lp_vertex_max, random_connected_schedule
 
 EPS_F = 0.01
 

@@ -3,8 +3,9 @@ import pytest
 
 from drcopt import consensus
 from drcopt.agents import initial_states, lower_cuts
-from drcopt.consensus import Message, consensus_solve, flood_constraints, flood_slots
+from drcopt.consensus import consensus_solve, flood_constraints, flood_slots
 from drcopt.graph import GraphSchedule, complete, directed_cycle, make_schedule
+from drcopt.problem import NumericalFailure
 
 
 def single_tuple_payloads(m):
@@ -19,17 +20,17 @@ class TestFlooding:
         union = frozenset().union(*single_tuple_payloads(6))
         assert all(h == union for h in held)
 
-    def test_cycle_delivery_takes_exactly_m_minus_1_hops(self):
+    def test_cycle_delivery_takes_exactly_m_minus_1_hops(self, monkeypatch):
         schedule = directed_cycle(6)
-        trace: list[Message] = []
         payloads = single_tuple_payloads(6)
-        target = (1, 0, (1.0,), 0.0)
-        held, slots = flood_constraints(payloads, schedule, trace=trace)
+        held, slots = flood_constraints(payloads, schedule)
         assert slots == 5
-        assert target in held[5]
-        # the hop chain 1->2->...->6 means agent 6 receives it only in the
-        # very last slot, so it never appears in any of agent 6's sends
-        assert not any(target in msg.tuples for msg in trace if msg.sender == 6)
+        assert (1, 0, (1.0,), 0.0) in held[5]
+        # the hop chain 1->2->...->6 needs every one of the T(m-1) slots:
+        # one slot fewer leaves agent 6 without agent 1's tuple
+        monkeypatch.setattr(consensus, "flood_slots", lambda s: s.window * (s.m - 1) - 1)
+        with pytest.raises(NumericalFailure, match="missed tuples"):
+            flood_constraints(payloads, schedule)
 
     def test_alternating_two_agent_schedule(self):
         schedule = make_schedule(2, [{(1, 2)}, {(2, 1)}])
@@ -52,19 +53,17 @@ class TestConsensusSolve:
     def test_first_iteration_lower_solution(self, case_study):
         states = initial_states(case_study, 0.01)
         payloads = [frozenset(lower_cuts(s)) for s in states]
-        reports, slots = consensus_solve(case_study, payloads, directed_cycle(6))
+        report, slots = consensus_solve(case_study, payloads, directed_cycle(6))
         assert slots == 5
-        for report in reports:
-            assert np.array_equal(report.minimizer, reports[0].minimizer)
-        assert np.allclose(reports[0].minimizer, [0.0, 1.0], atol=1e-8)
+        assert np.allclose(report.minimizer, [0.0, 1.0], atol=1e-8)
 
     def test_second_iteration_lower_solution(self, case_study):
         states = initial_states(case_study, 0.01)
         for s in states:
             s.lower_scenarios.append((1.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]
-        reports, _ = consensus_solve(case_study, payloads, complete(6))
-        assert np.allclose(reports[0].minimizer, [0.0, 0.71875], atol=1e-6)
+        report, _ = consensus_solve(case_study, payloads, complete(6))
+        assert np.allclose(report.minimizer, [0.0, 0.71875], atol=1e-6)
 
     def test_bitwise_consensus_across_topologies(self, case_study):
         states = initial_states(case_study, 0.01)
@@ -73,7 +72,7 @@ class TestConsensusSolve:
         payloads = [frozenset(lower_cuts(s)) for s in states]
         a, _ = consensus_solve(case_study, payloads, directed_cycle(6))
         b, _ = consensus_solve(case_study, payloads, complete(6))
-        assert np.array_equal(a[0].minimizer, b[0].minimizer)
+        assert np.array_equal(a.minimizer, b.minimizer)
 
     def test_one_solve_shared_by_every_agent(self, case_study, monkeypatch):
         calls = []
@@ -88,11 +87,9 @@ class TestConsensusSolve:
         for s in states:
             s.lower_scenarios.append((float(s.agent_id) / 6.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]
-        reports, _ = consensus_solve(case_study, payloads, directed_cycle(6))
+        consensus_solve(case_study, payloads, directed_cycle(6))
         assert len(calls) == 1
         assert len(calls[0].cuts) == 6
-        assert len(reports) == 6
-        assert all(report is reports[0] for report in reports)
 
     def test_disconnected_schedule_fails_the_flood_before_solving(self, case_study, monkeypatch):
         monkeypatch.setattr(consensus, "solve", lambda *args: pytest.fail("solve called"))

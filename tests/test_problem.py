@@ -41,7 +41,7 @@ class TestCaseStudyInstance:
         x_star, f_star = case_study.known_optimum
         assert np.allclose(x_star, X_STAR)
         assert f_star == pytest.approx(38.687746, abs=1e-5)
-        assert case_study.objective_value(x_star) == pytest.approx(F_STAR, abs=1e-9)
+        assert sum(f.evaluate(x_star) for f in case_study.objectives) == pytest.approx(F_STAR, abs=1e-9)
 
     def test_known_optimum_feasible_all_agents(self, case_study):
         x_star, _ = case_study.known_optimum
@@ -140,7 +140,9 @@ class TestConfig:
         }
         instance = instance_from_config(config)
         x = np.array([0.3, -0.2])
-        assert instance.objective_value(x) == pytest.approx(case_study.objective_value(x))
+        assert [f.evaluate(x) for f in instance.objectives] == pytest.approx(
+            [f.evaluate(x) for f in case_study.objectives]
+        )
 
     def test_unknown_kind_rejected(self):
         config = {

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from drcopt.graph import complete, directed_cycle, make_schedule
-from drcopt.termination import (
-    CounterState,
-    run_stopping_round,
-    step_method1,
-    step_method2,
-    stop_threshold,
-)
+from drcopt.termination import CounterState, run_stopping_round, step_counters, stop_threshold
 
 from helpers import random_connected_schedule
 
@@ -36,7 +30,7 @@ class TestStepMethod1:
         schedule = make_schedule(2, [{(1, 2), (2, 1)}])
         counters = [CounterState(e=0.005), CounterState(e=0.009)]
         for t in range(2):
-            counters = step_method1(counters, schedule, t, EPS_F)
+            counters = step_counters(counters, schedule, t, "I", EPS_F)
         assert all(c.h == 2 and c.c == 2 for c in counters)
         assert stop_threshold(schedule) == 2
 
@@ -44,7 +38,7 @@ class TestStepMethod1:
         schedule = make_schedule(2, [{(1, 2), (2, 1)}])
         counters = [CounterState(e=math.inf), CounterState(e=0.0)]
         for t in range(10):
-            counters = step_method1(counters, schedule, t, EPS_F)
+            counters = step_counters(counters, schedule, t, "I", EPS_F)
         assert counters[0].c == 0
         assert counters[1].c == 0  # neighbor sees agent 1's bad gap
         assert max(c.h for c in counters) <= 1
@@ -54,8 +48,8 @@ class TestStepMethod1:
         a = [CounterState(e=0.0), CounterState(e=0.0)]
         b = [CounterState(e=0.005), CounterState(e=0.009)]
         for t in range(3):
-            a = step_method1(a, schedule, t, EPS_F)
-            b = step_method1(b, schedule, t, EPS_F)
+            a = step_counters(a, schedule, t, "I", EPS_F)
+            b = step_counters(b, schedule, t, "I", EPS_F)
         assert [(c.h, c.c) for c in a] == [(c.h, c.c) for c in b]
 
 
@@ -64,21 +58,21 @@ class TestStepMethod2:
         schedule = complete(6)
         counters = [CounterState(e=EPS_F / 6) for _ in range(6)]
         for t in range(6):
-            counters = step_method2(counters, schedule, t, EPS_F)
+            counters = step_counters(counters, schedule, t, "II", EPS_F)
         assert all(c.h == 6 for c in counters)
 
     def test_neighborhood_sum_above_threshold_resets(self):
         schedule = complete(6)
         counters = [CounterState(e=EPS_F / 3) for _ in range(6)]
         for t in range(6):
-            counters = step_method2(counters, schedule, t, EPS_F)
+            counters = step_counters(counters, schedule, t, "II", EPS_F)
         assert all(c.c == 0 for c in counters)
         assert all(c.h <= 1 for c in counters)
 
     def test_single_agent_reduces_to_local_test(self):
         schedule = make_schedule(1, [set()])
         counters = [CounterState(e=0.009)]
-        counters = step_method2(counters, schedule, 0, EPS_F)
+        counters = step_counters(counters, schedule, 0, "II", EPS_F)
         assert counters[0].c == 1
 
 
@@ -103,6 +97,10 @@ class TestStoppingRound:
     def test_gap_count_validated(self):
         with pytest.raises(ValueError):
             run_stopping_round([0.0], directed_cycle(3), "I", EPS_F)
+
+    def test_method_validated(self):
+        with pytest.raises(ValueError, match="method"):
+            run_stopping_round([0.0] * 3, directed_cycle(3), "III", EPS_F)
 
 
 class TestRandomizedSoundness:
