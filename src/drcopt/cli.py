@@ -138,6 +138,11 @@ def cmd_run(args) -> int:
     return 0 if result.terminated else 2
 
 
+def _fixed(value: float, places: int, sign: str = "") -> str:
+    """``value`` to ``places`` decimals, printing 0 for a value that rounds to -0."""
+    return f"{round(float(value), places) + 0.0:{sign}.{places}f}"
+
+
 def cmd_table2(args) -> int:
     try:
         params = {
@@ -171,7 +176,7 @@ def cmd_table2(args) -> int:
     print(header)
     print("-" * len(header))
     for method, topology, result, feasible in rows:
-        solution = f"[{result.x_opt[0][0]:+.4f}, {result.x_opt[0][1]:+.4f}]" if result.terminated else ""
+        solution = f"[{_fixed(result.x_opt[0][0], 4, '+')}, {_fixed(result.x_opt[0][1], 4, '+')}]" if result.terminated else ""
         print(
             f"{method:<8}{topology:<12}{result.iterations:<7}"
             f"{result.final_lower:<12.4f}{result.final_upper:<12.4f}"
@@ -188,7 +193,7 @@ def cmd_table2(args) -> int:
         )
         for method, topology, result, feasible in rows:
             if result.terminated:
-                coords = [f"{c:.6f}" for x in result.x_opt for c in x]
+                coords = [_fixed(c, 6) for x in result.x_opt for c in x]
             else:
                 coords = [""] * (2 * instance.m)
             writer.writerow(

@@ -3,24 +3,19 @@
 Minimizes the sum of the agents' objectives over the shared box subject
 to a finite, canonically ordered list of scenario cuts
 g_a(x, y) <= rhs.  Method: augmented Lagrangian on the inequality
-constraints with a box-constrained quasi-Newton inner solve, started
-from the box center so identical inputs always yield identical outputs.
+constraints with a box-constrained projected Newton inner solve
+(:func:`minimize`), started from the box center so identical inputs
+always yield identical outputs.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
-from scipy.optimize import minimize
 
 from .problem import LocalObjective, ProblemInstance, SemiInfiniteConstraint, Vector
 
@@ -166,19 +161,85 @@ def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Ve
     return float(np.linalg.norm(x - _project(x - grad, box)))
 
 
-def _inner_minimize(fun_grad, x0: Vector, box: Vector, max_inner: int) -> Vector:
-    bounds = [(float(lo), float(hi)) for lo, hi in box]
-    res = minimize(
-        fun_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        # ftol far below float resolution: stop only on the gradient test
-        # or outright stagnation, never on a small-but-nonzero f change.
-        options={"maxiter": max_inner, "ftol": 1e-22, "gtol": 1e-12},
-    )
-    return res.x
+@dataclass(frozen=True)
+class MinimizeResult:
+    x: Vector
+    nit: int  # Newton steps taken
+    nfev: int  # fun_grad calls, finite differences included
+
+
+def _projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
+    return float(np.max(np.abs(x - _project(x - grad, box))))
+
+
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
+    """Minimize a smooth convex ``fun_grad(x) -> (f, grad)`` over a box.
+
+    Projected Newton method (Bertsekas, SIAM J. Control Optim. 1982).
+    Each step splits the variables by an epsilon-active set: a variable
+    within ``eps = min(1e-3, ||x - P(x - grad)||_inf)`` of a bound, with
+    the gradient pushing it out, moves along the negative gradient; the
+    others take a Newton step with a Hessian built by forward differences
+    of ``fun_grad``, symmetrized and with its eigenvalues floored.  The
+    step ``P(x + alpha d)`` is halved until the Armijo test holds.  When
+    the predicted decrease is below the resolution of ``f``, the full
+    step is taken only if it shrinks the projected gradient.
+
+    Stops when ``max|x - P(x - grad)| <= 1e-12``, or when a step can no
+    longer change ``x`` or ``f`` at float resolution, or after
+    ``max_iter`` steps.  Every operation is a fixed function of the
+    input, so repeated calls agree bit for bit.
+    """
+    lo, hi = box[:, 0], box[:, 1]
+    x = _project(np.asarray(x0, dtype=float), box)
+    f, grad = fun_grad(x)
+    nit, nfev = 0, 1
+    while nit < max_iter:
+        pg = _projected_gradient(x, grad, box)
+        if pg <= 1e-12:
+            break
+        eps = min(1e-3, pg)
+        active = ((x <= lo + eps) & (grad > 0.0)) | ((x >= hi - eps) & (grad < 0.0))
+        free = np.flatnonzero(~active)
+        d = -grad
+        if len(free):
+            hessian = np.empty((len(free), len(free)))
+            for col, j in enumerate(free):
+                # Step into the box, so every evaluation point is feasible.
+                h = _FD_STEP * max(1.0, abs(x[j]))
+                xh = x.copy()
+                xh[j] += h if x[j] + h <= hi[j] else -h
+                hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
+            nfev += len(free)
+            w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
+            w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
+            d[free] = -(v @ ((v.T @ grad[free]) / w))
+        alpha, accepted = 1.0, False
+        while not accepted:
+            x_new = _project(x + alpha * d, box)
+            if np.array_equal(x_new, x):
+                break
+            f_new, grad_new = fun_grad(x_new)
+            nfev += 1
+            armijo = f + 1e-4 * float(grad @ (x_new - x))
+            if armijo < f:
+                accepted = f_new <= armijo
+            elif armijo == f:
+                # The predicted decrease is invisible in f: take the full
+                # step only if it shrinks the projected gradient, else x
+                # is as good as floats allow.
+                accepted = alpha == 1.0 and _projected_gradient(x_new, grad_new, box) < pg
+                if not accepted:
+                    break
+            alpha *= 0.5
+        if not accepted:
+            break
+        x, f, grad = x_new, f_new, grad_new
+        nit += 1
+    return MinimizeResult(x, nit, nfev)
 
 
 def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> float:
@@ -190,62 +251,35 @@ def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> flo
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
         return 0.5 * float(pos @ pos), grad
 
-    x = problem.box.mean(axis=1)
-    for _ in range(20):
-        x = _inner_minimize(fun_grad, x, problem.box, tolerances.max_inner)
+    x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, tolerances.max_inner).x
     _, _, c, _ = problem.evaluate(x)
     return float(max(0.0, c.max())) if len(c) else 0.0
 
 
-@functools.cache
-def _openblas_set_num_threads_local():
-    """``openblas_set_num_threads_local`` of scipy's bundled OpenBLAS, or None.
+def _kkt_satisfied(
+    x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_next: np.ndarray, box: Vector, tolerances: Tolerances
+) -> bool:
+    """The exit test: feasibility, the projected KKT residual and complementarity.
 
-    The function sets the calling thread's BLAS thread count and returns
-    the previous one.  It is None when scipy links another BLAS (conda,
-    distro and MKL builds) or its OpenBLAS predates the symbol.
+    ``lam_next`` are the updated multipliers.  Complementary slackness
+    ``max_j lam_j |c_j|`` must also be small: otherwise a large stale
+    multiplier on a slack cut could cancel the objective's gradient at a
+    point that is not optimal.
     """
-    package = Path(scipy.__file__).parent
-    for lib_dir in (package.parent / "scipy.libs", package / ".dylibs"):
-        for path in sorted(lib_dir.glob("libscipy_openblas*")):
-            try:
-                set_local = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-            except (OSError, AttributeError):
-                continue
-            set_local.argtypes = [ctypes.c_int]
-            set_local.restype = ctypes.c_int
-            return set_local
-    return None
+    viol = float(max(0.0, c.max())) if len(c) else 0.0
+    complementarity = float(np.max(lam_next * np.abs(c))) if len(c) else 0.0
+    return (
+        viol <= tolerances.feasibility_tol
+        and _kkt_residual(x, grad, jac, lam_next, box) <= tolerances.stationarity_tol
+        and complementarity <= tolerances.stationarity_tol
+    )
 
 
-@contextmanager
-def single_blas_thread():
-    """Run the body with one scipy OpenBLAS thread on the calling thread.
-
-    The subproblems have a handful of variables, so a second BLAS thread
-    has no work to share; once woken it spins and doubles the process CPU
-    time.  At these sizes OpenBLAS does not split an operation between
-    threads, so results are bitwise the same either way.  Without a
-    bundled OpenBLAS this does nothing.
-    """
-    set_local = _openblas_set_num_threads_local()
-    if set_local is None:
-        yield
-        return
-    previous = set_local(1)
-    try:
-        yield
-    finally:
-        set_local(previous)
-
-
-@single_blas_thread()
 def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> SolveReport:
     """Solve the subproblem to the configured feasibility and stationarity tolerances.
 
     Deterministic: the start point is always the box center and every
-    step is a pure function of the canonical input.  Runs on one BLAS
-    thread (see :func:`single_blas_thread`).
+    step is a pure function of the canonical input.
     """
     x = problem.box.mean(axis=1)
     n_cuts = len(problem.cuts)
@@ -269,7 +303,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
                 grad = grad + jac.T @ shifted
             return f, grad
 
-        x = _inner_minimize(fun_grad, x, problem.box, tolerances.max_inner)
+        x = minimize(fun_grad, x, problem.box, tolerances.max_inner).x
 
         f, grad, c, jac = problem.evaluate(x)
         if n_cuts:
@@ -279,8 +313,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
             viol = 0.0
             lam_next = lam
 
-        residual = _kkt_residual(x, grad, jac, lam_next, problem.box)
-        if viol <= tolerances.feasibility_tol and residual <= tolerances.stationarity_tol:
+        if _kkt_satisfied(x, grad, c, jac, lam_next, problem.box, tolerances):
             return SolveReport(
                 minimizer=x,
                 objective_value=f,

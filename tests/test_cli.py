@@ -1,5 +1,10 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from drcopt.cli import _build_from_config, main
 from drcopt.problem import NumericalFailure
 
 from helpers import F_STAR
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -217,6 +224,34 @@ class TestTable2:
         assert main(["table2", "--out", str(out), "--eps0", eps0]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zeros_print_without_a_sign(self, tmp_path, capsys, monkeypatch):
+        real_run = drcopt.cli.run
+        x_opt = [np.array([-1e-17, -4e-7]), np.array([1e-17, -5.1e-7])] + [np.array([0.0, 0.5])] * 4
+
+        def noisy_run(*args, **kwargs):
+            return dataclasses.replace(real_run(*args, **kwargs), x_opt=x_opt)
+
+        monkeypatch.setattr(drcopt.cli, "run", noisy_run)
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert all(line.endswith("[+0.0000, +0.0000]") for line in printed[2:])
+        with open(out / "table2.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            assert row[6:10] == ["0.000000", "0.000000", "0.000000", "-0.000001"]
+
+    def test_runs_without_scipy(self, tmp_path):
+        out = tmp_path / "t2"
+        script = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from drcopt.cli import main\n"
+            f"sys.exit(main(['table2', '--out', {str(out)!r}]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True)
+        assert (out / "table2.csv").read_bytes() == (ROOT / "perfbench" / "expected_table2.csv").read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy
+from scipy.optimize import minimize as scipy_minimize
 
 from drcopt import solver
 from drcopt.problem import example1_constraint
@@ -11,6 +11,7 @@ from drcopt.solver import (
     SolveStatus,
     Tolerances,
     build_subproblem,
+    minimize,
     solve,
     stationarity_residual,
 )
@@ -191,77 +192,6 @@ class TestGridOracle:
             assert report.objective_value == pytest.approx(grid_val, abs=5e-3)
 
 
-def blas_threads(set_local) -> int:
-    """The calling thread's OpenBLAS thread count; setting it is the only way to read it."""
-    count = set_local(1)
-    set_local(count)
-    return count
-
-
-@pytest.fixture
-def set_local():
-    """scipy's OpenBLAS at two threads for the test, then back to where it was."""
-    fn = solver._openblas_set_num_threads_local()
-    if fn is None:
-        pytest.skip("scipy bundles no OpenBLAS with per-thread control")
-    before = blas_threads(fn)
-    fn(2)
-    yield fn
-    fn(before)
-
-
-class TestSingleBlasThread:
-    def test_bundled_openblas_is_found(self):
-        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if blas["name"] != "scipy-openblas":
-            pytest.skip(f"scipy is built against {blas['name']}")
-        assert solver._openblas_set_num_threads_local() is not None
-
-    def test_one_thread_inside_and_previous_count_after(self, set_local):
-        with solver.single_blas_thread():
-            assert blas_threads(set_local) == 1
-        assert blas_threads(set_local) == 2
-
-    def test_previous_count_restored_when_body_raises(self, set_local):
-        with pytest.raises(RuntimeError, match="inside"):
-            with solver.single_blas_thread():
-                raise RuntimeError("raised inside the guard")
-        assert blas_threads(set_local) == 2
-
-    def test_restore_sequence_with_a_stand_in_library(self, monkeypatch):
-        calls = []
-
-        def fake_set_local(count):
-            calls.append(count)
-            return 7
-
-        monkeypatch.setattr(solver, "_openblas_set_num_threads_local", lambda: fake_set_local)
-        with pytest.raises(ZeroDivisionError):
-            with solver.single_blas_thread():
-                assert calls == [1]
-                1 / 0
-        assert calls == [1, 7]
-
-    def test_noop_when_no_library_is_found(self, monkeypatch, set_local):
-        monkeypatch.setattr(solver, "_openblas_set_num_threads_local", lambda: None)
-        ran = False
-        with solver.single_blas_thread():
-            ran = True
-            assert blas_threads(set_local) == 2
-        assert ran
-        assert blas_threads(set_local) == 2
-
-    def test_solve_is_bitwise_identical_with_and_without_the_guard(self, case_study):
-        cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
-        problem = build_subproblem(case_study, cuts)
-        guarded = solve(problem)
-        bypassed = solve.__wrapped__(problem)
-        assert guarded.status is bypassed.status is SolveStatus.OPTIMAL
-        assert guarded.minimizer.tobytes() == bypassed.minimizer.tobytes()
-        assert guarded.multipliers.tobytes() == bypassed.multipliers.tobytes()
-        assert guarded.iterations == bypassed.iterations
-
-
 class TestFusedEvaluation:
     def test_kernels_bitwise_equal_scalar_closures(self, case_study, rng):
         objectives, constraints = case_study.objectives, case_study.constraints
@@ -312,3 +242,105 @@ class TestFusedEvaluation:
         report = solve(build_subproblem(counting(mixed, calls), cuts))
         assert calls["x_gradient"] > 0
         assert_reports_bitwise_equal(report, solve(build_subproblem(without_batch(mixed), cuts)))
+
+
+def box_quadratic(rng, n: int, case: str):
+    """A strictly convex quadratic on [-1, 1]^n with a known minimizer.
+
+    ``case`` is "interior" (minimizer inside the box), "lower" or "upper"
+    (the first n // 2 + 1 variables at that bound, the gradient pushing
+    them out by at least 0.1).  Returns (fun_grad, box, x_star).
+    """
+    a = rng.normal(size=(n, n))
+    q = a @ a.T + n * np.eye(n)
+    x_star = rng.uniform(-0.8, 0.8, n)
+    grad_star = np.zeros(n)
+    bound = n // 2 + 1
+    if case == "lower":
+        x_star[:bound] = -1.0
+        grad_star[:bound] = rng.uniform(0.1, 1.0, bound)
+    elif case == "upper":
+        x_star[:bound] = 1.0
+        grad_star[:bound] = -rng.uniform(0.1, 1.0, bound)
+    b = grad_star - q @ x_star
+
+    def fun_grad(x):
+        return float(0.5 * x @ q @ x + b @ x), q @ x + b
+
+    return fun_grad, np.array([[-1.0, 1.0]] * n), x_star
+
+
+def lbfgsb(fun_grad, x0, box):
+    """scipy's L-BFGS-B at the settings the solver used before its own minimizer."""
+    bounds = [(float(lo), float(hi)) for lo, hi in box]
+    options = {"maxiter": 500, "ftol": 1e-22, "gtol": 1e-12}
+    return scipy_minimize(fun_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options).x
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("case", ["interior", "lower", "upper"])
+    def test_matches_lbfgsb_on_box_quadratics(self, rng, n, case):
+        for _ in range(5):
+            fun_grad, box, x_star = box_quadratic(rng, n, case)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            result = minimize(fun_grad, x0, box, 500)
+            reference = lbfgsb(fun_grad, x0, box)
+            assert np.max(np.abs(result.x - reference)) <= 1e-8
+            assert np.max(np.abs(result.x - x_star)) <= 1e-8
+            # Newton steps: two on an interior quadratic (one, then a
+            # polish at rounding level), a few more to find the bounds.
+            assert result.nit <= (2 if case == "interior" else 6)
+            # No higher than the reference's, up to the rounding of f.
+            f_reference = fun_grad(reference)[0]
+            assert fun_grad(result.x)[0] <= f_reference + 16 * np.spacing(abs(f_reference))
+
+    def test_repeated_call_is_bitwise_equal(self, rng):
+        fun_grad, box, _ = box_quadratic(rng, 4, "lower")
+        x0 = rng.uniform(-1.0, 1.0, 4)
+        a, b = minimize(fun_grad, x0, box, 500), minimize(fun_grad, x0, box, 500)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.nit, a.nfev) == (b.nit, b.nfev)
+
+    def test_counts_iterations_and_evaluations(self, rng):
+        fun_grad, box, _ = box_quadratic(rng, 3, "upper")
+        result = minimize(fun_grad, np.zeros(3), box, 500)
+        assert result.nit >= 1 and result.nfev >= 1
+
+    @pytest.mark.parametrize("case", ["interior", "lower", "upper"])
+    def test_returns_at_once_from_the_optimum(self, rng, case):
+        fun_grad, box, x_star = box_quadratic(rng, 2, case)
+        # The constructed optimum only up to rounding: start from the
+        # minimizer's own answer, which passes the 1e-12 test.
+        x_opt = minimize(fun_grad, x_star, box, 500).x
+        result = minimize(fun_grad, x_opt, box, 500)
+        assert (result.nit, result.nfev) == (0, 1)
+        assert result.x.tobytes() == x_opt.tobytes()
+
+
+class TestExitTest:
+    def test_stale_multiplier_on_a_slack_cut_is_refused(self, case_study):
+        tolerances = Tolerances()
+        # The optimum of the tighter problem (cuts at rhs -0.05) with its
+        # multipliers: the objective's gradient is cancelled by them.
+        tight = solve(build_subproblem(case_study, all_agent_cuts(1.0, -0.05)))
+        assert tight.status is SolveStatus.OPTIMAL
+        # The same point and multipliers on the looser problem (rhs 0):
+        # every cut is slack by 0.05, so the multipliers are stale.
+        loose = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        x, lam = tight.minimizer, tight.multipliers
+        _, grad, c, jac = loose.evaluate(x)
+        assert np.all(c < -0.04) and np.max(lam) > 1e-3
+        # Feasibility and the projected KKT residual alone would accept it.
+        assert max(0.0, c.max()) <= tolerances.feasibility_tol
+        assert solver._kkt_residual(x, grad, jac, lam, loose.box) <= tolerances.stationarity_tol
+        assert not solver._kkt_satisfied(x, grad, c, jac, lam, loose.box, tolerances)
+        # The solve itself moves on to the looser problem's optimum.
+        report = solve(loose)
+        assert report.objective_value < tight.objective_value - 1e-3
+
+    def test_accepts_the_solver_optimum(self, case_study):
+        problem = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        report = solve(problem)
+        _, grad, c, jac = problem.evaluate(report.minimizer)
+        assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box, Tolerances())
