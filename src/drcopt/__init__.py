@@ -13,11 +13,10 @@ from .problem import (
     NumericalFailure,
     ProblemInstance,
     case_study_instance,
-    check_interior_point,
     example1_constraint,
 )
 from .sim import RunParams, RunResult, run, trace
-from .solver import FiniteSubproblem, SolveReport, Tolerances, solve
+from .solver import FiniteSubproblem, SolveReport, solve
 
 __all__ = [
     "AgentState",
@@ -28,10 +27,8 @@ __all__ = [
     "RunParams",
     "RunResult",
     "SolveReport",
-    "Tolerances",
     "Verdict",
     "case_study_instance",
-    "check_interior_point",
     "complete",
     "customized",
     "directed_cycle",

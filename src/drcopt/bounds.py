@@ -14,7 +14,8 @@ from .graph import GraphSchedule
 
 
 def method1_accuracy(m: int, eps_f: float) -> float:
-    if m < 1 or eps_f <= 0.0:
+    # Negated comparison so that NaN is rejected too.
+    if m < 1 or not eps_f > 0.0:
         raise ValueError("need m >= 1 and eps_f > 0")
     return m * eps_f
 
@@ -41,7 +42,7 @@ def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:
     rule: fill variables to eps_f in ascending weight order, fractional
     last.
     """
-    if eps_f <= 0.0:
+    if not eps_f > 0.0:
         raise ValueError("eps_f must be positive")
     weights = neighborhood_weights(schedule)
     capacity = schedule.m * schedule.window * eps_f
@@ -62,23 +63,20 @@ class SweepRow:
     window: int
     method1_bound: float
     method2_bound: float
-    centralized: float
 
 
-def accuracy_sweep(topologies: dict, m_range, eps_f: float) -> list[SweepRow]:
-    """Bounds per (topology, m); topologies maps name -> generator(m)."""
+def accuracy_sweep(name: str, generator, m_range, eps_f: float) -> list[SweepRow]:
+    """Bounds per m of the topology ``name``, whose schedules ``generator(m)`` builds."""
     rows = []
-    for name, generator in topologies.items():
-        for m in m_range:
-            schedule = generator(m)
-            rows.append(
-                SweepRow(
-                    topology=name,
-                    m=m,
-                    window=schedule.window,
-                    method1_bound=method1_accuracy(m, eps_f),
-                    method2_bound=method2_accuracy(schedule, eps_f),
-                    centralized=eps_f,
-                )
+    for m in m_range:
+        schedule = generator(m)
+        rows.append(
+            SweepRow(
+                topology=name,
+                m=m,
+                window=schedule.window,
+                method1_bound=method1_accuracy(m, eps_f),
+                method2_bound=method2_accuracy(schedule, eps_f),
             )
+        )
     return rows

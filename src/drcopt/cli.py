@@ -16,7 +16,8 @@ from .bounds import accuracy_sweep, method1_accuracy
 from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
 from .llp import solve_llp
 from .problem import NumericalFailure, case_study_instance, instance_from_config, with_numeric_llp
-from .sim import PLOT_CEILING, ConfigError, RunParams, RunResult, run, trace
+from .sim import ConfigError, RunParams, RunResult, run, trace
+from .solver import FEASIBILITY_TOL
 
 METHODS = ("I", "II")
 TABLE2_TOPOLOGIES = ("cycle", "customized", "complete")
@@ -26,21 +27,26 @@ LLP_MODES = ("analytic", "numeric")
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file must hold a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _build_from_config(config: dict):
     instance_cfg = config.get("instance", "case-study")
     if instance_cfg == "case-study":
         instance = case_study_instance()
+    elif not isinstance(instance_cfg, dict):
+        raise ConfigError(f"bad 'instance' section: {instance_cfg!r} is neither \"case-study\" nor an object")
     else:
         try:
             instance = instance_from_config(instance_cfg)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad 'instance' section: {exc}") from None
     llp = config.get("llp", "analytic")
     if llp not in LLP_MODES:
@@ -113,9 +119,6 @@ def cmd_run(args) -> int:
         config = _load_config(args.config)
         instance, schedule, params = _build_from_config(config)
         result = run(instance, schedule, params)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalFailure as exc:
         # Leave no trace of an earlier run next to this run's error.
         (out / "trace.csv").unlink(missing_ok=True)
@@ -150,8 +153,7 @@ def cmd_table2(args) -> int:
             for method in METHODS
         }
     except ValueError as exc:
-        print(f"error: bad run parameter: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad run parameter: {exc}") from None
     instance = case_study_instance()
     rows = []
     for method in METHODS:
@@ -159,15 +161,12 @@ def cmd_table2(args) -> int:
             schedule = TOPOLOGIES[topology](instance.m)
             try:
                 result = run(instance, schedule, params[method])
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
             except NumericalFailure as exc:
                 _numerical_failure(exc)
                 return 3
             # A run that hit --max-iter has no exit point to check.
             feasible = result.terminated and all(
-                solve_llp(c, x)[0] <= 1e-9
+                solve_llp(c, x)[0] <= FEASIBILITY_TOL
                 for c, x in zip(instance.constraints, result.x_opt)
             )
             rows.append((method, topology, result, feasible))
@@ -212,9 +211,12 @@ def cmd_table2(args) -> int:
 
 def _sweep_rows(m_max: float, eps_f: float):
     rows = []
-    for name, gen in TOPOLOGIES.items():
-        m_lo = 3 if name == "customized" else 2
-        rows.extend(accuracy_sweep({name: gen}, range(m_lo, int(m_max) + 1), eps_f))
+    try:
+        for name, gen in TOPOLOGIES.items():
+            m_lo = 3 if name == "customized" else 2
+            rows.extend(accuracy_sweep(name, gen, range(m_lo, int(m_max) + 1), eps_f))
+    except ValueError as exc:
+        raise ConfigError(f"bad --eps-f: {exc}") from None
     return rows
 
 
@@ -229,20 +231,19 @@ def _write_sweep_csv(path: Path, rows) -> None:
 
 
 def cmd_sweep(args) -> int:
+    rows = _sweep_rows(args.m_max, args.eps_f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _sweep_rows(args.m_max, args.eps_f)
     _write_sweep_csv(out / "sweep.csv", rows)
     return 0
 
 
 def cmd_fig3(args) -> int:
     if args.m_max < 3:
-        print("error: fig3 needs --m-max >= 3", file=sys.stderr)
-        return 1
+        raise ConfigError("fig3 needs --m-max >= 3")
+    rows = _sweep_rows(args.m_max, args.eps_f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _sweep_rows(args.m_max, args.eps_f)
     _write_sweep_csv(out / "fig3.csv", rows)
 
     ms = sorted({row.m for row in rows})
@@ -299,8 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a :class:`ConfigError` from any of them prints ``error: ...`` and exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .graph import GraphSchedule
 from .problem import NumericalFailure, ProblemInstance
-from .solver import Cut, SolveReport, Tolerances, build_subproblem, solve
+from .solver import Cut, SolveReport, build_subproblem, solve
 
 
 def flood_slots(schedule: GraphSchedule) -> int:
@@ -52,7 +52,6 @@ def consensus_solve(
     instance: ProblemInstance,
     payloads: list[frozenset[Cut]],
     schedule: GraphSchedule,
-    tolerances: Tolerances = Tolerances(),
     start_slot: int = 0,
 ) -> tuple[SolveReport, int]:
     """Flood the cut tuples, then solve the subproblem every agent now holds.
@@ -63,4 +62,4 @@ def consensus_solve(
     every agent's.
     """
     held, slots_used = flood_constraints(payloads, schedule, start_slot)
-    return solve(build_subproblem(instance, held[0]), tolerances), slots_used
+    return solve(build_subproblem(instance, held[0])), slots_used

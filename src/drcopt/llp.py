@@ -11,6 +11,9 @@ from .problem import SemiInfiniteConstraint, Vector
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
+REFINE_TOL = 1e-10  # width in y at which golden-section refinement stops
+
 
 class UnsupportedDimension(Exception):
     """Numeric path only handles one-dimensional uncertainty."""
@@ -21,19 +24,19 @@ class Verdict(Enum):
     VIOLATED = "violated"
 
 
-def feasibility_verdict(g_max: float, tol: float = 0.0) -> Verdict:
-    """Violated iff g_max strictly exceeds tol; boundary values count feasible."""
-    return Verdict.VIOLATED if g_max > tol else Verdict.FEASIBLE
+def feasibility_verdict(g_max: float) -> Verdict:
+    """Violated iff g_max is positive; boundary values count feasible."""
+    return Verdict.VIOLATED if g_max > 0.0 else Verdict.FEASIBLE
 
 
-def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Maximizer of a unimodal f on [a, b] located to within tol."""
-    if b - a <= tol:
+def golden_section_max(f, a: float, b: float) -> float:
+    """Maximizer of a unimodal f on [a, b] located to within ``REFINE_TOL``."""
+    if b - a <= REFINE_TOL:
         return (a + b) / 2.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > REFINE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -45,12 +48,7 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> float:
     return (a + b) / 2.0
 
 
-def solve_llp_numeric(
-    constraint: SemiInfiniteConstraint,
-    x: Vector,
-    grid_points: int = 2001,
-    refine_tol: float = 1e-10,
-) -> tuple[float, Vector]:
+def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:
     """Grid search plus local refinement, ignoring any analytic maximizer.
 
     The grid is evaluated in one ``batch`` call when the constraint has
@@ -64,7 +62,7 @@ def solve_llp_numeric(
             "numeric LLP path requires n_y == 1; provide analytic_argmax instead"
         )
     lo, hi = constraint.uncertainty_box[0]
-    ys = np.linspace(lo, hi, grid_points)
+    ys = np.linspace(lo, hi, GRID_POINTS)
     if constraint.batch is not None:
         vals, _ = constraint.batch(x, constraint.coefficients[None, :], ys[:, None])
     else:
@@ -84,9 +82,9 @@ def solve_llp_numeric(
     # y-tolerance short, which is not a value-tolerance.
     for idx in seeds:
         a = ys[max(idx - 1, 0)]
-        b = ys[min(idx + 1, grid_points - 1)]
-        candidates = [golden_section_max(f, float(a), float(b), refine_tol)]
-        if idx in (0, grid_points - 1):
+        b = ys[min(idx + 1, GRID_POINTS - 1)]
+        candidates = [golden_section_max(f, float(a), float(b))]
+        if idx in (0, GRID_POINTS - 1):
             candidates.append(float(ys[idx]))
         for y in candidates:
             g = f(y)
@@ -95,12 +93,7 @@ def solve_llp_numeric(
     return best_g, np.array([best_y])
 
 
-def solve_llp(
-    constraint: SemiInfiniteConstraint,
-    x: Vector,
-    grid_points: int = 2001,
-    refine_tol: float = 1e-10,
-) -> tuple[float, Vector]:
+def solve_llp(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:
     """Return (g_max, y_star) with y_star a global maximizer of g(x, .).
 
     Uses the constraint's analytic maximizer when available, otherwise
@@ -110,4 +103,4 @@ def solve_llp(
     if constraint.analytic_argmax is not None:
         y_star = np.asarray(constraint.analytic_argmax(x), dtype=float)
         return constraint.evaluate(x, y_star), y_star
-    return solve_llp_numeric(constraint, x, grid_points, refine_tol)
+    return solve_llp_numeric(constraint, x)

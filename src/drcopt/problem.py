@@ -16,14 +16,6 @@ import numpy as np
 Vector = np.ndarray
 
 
-class NonPositiveSlack(Exception):
-    """The supplied point is not a strict interior point of the feasible set."""
-
-    def __init__(self, slack: float):
-        super().__init__(f"interior-point slack is {slack:.6g} (must be > 0)")
-        self.slack = slack
-
-
 class NumericalFailure(RuntimeError, AssertionError):
     """A run cannot go on: a solve or the cut growth hit its limit, or an invariant failed.
 
@@ -148,13 +140,15 @@ def _paper_quadratic_batch(
     return d * d + 2.0 * y * x[1] - y * y - 1.0, grads
 
 
-def paper_quadratic_constraint(v: float, y_bound: float = 1.0) -> SemiInfiniteConstraint:
-    """g(x, y) = (x1 - v)^2 + 2*y*x2 - y^2 - 1 over y in [-y_bound, y_bound].
+def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
+    """g(x, y) = (x1 - v)^2 + 2*y*x2 - y^2 - 1 over y in [-1, 1].
 
     Concave in y with stationary point y = x2, so the maximizer is the
     clamp of x2 to the uncertainty interval.
     """
-    lo, hi = -y_bound, y_bound
+    if not math.isfinite(v):
+        raise ValueError(f"paper-quadratic v must be finite, got {v}")
+    lo, hi = -1.0, 1.0
 
     def evaluate(x: Vector, y: Vector) -> float:
         d, yy = float(x[0]) - v, float(y[0])
@@ -186,6 +180,9 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
     c > 0 the exponential is convex, so the maximum sits at a box
     endpoint.
     """
+    # Negated comparison so that NaN is rejected too.
+    if not 0.0 < y_upper < math.inf:
+        raise ValueError(f"example1 y_upper must be positive and finite, got {y_upper}")
 
     def evaluate(x: Vector, y: Vector) -> float:
         x1, x2, yy = float(x[0]), float(x[1]), float(y[0])
@@ -242,32 +239,16 @@ def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
-def check_interior_point(instance: ProblemInstance, x0, llp_solve) -> float:
-    """Certify x0 as a strict interior point of every agent's feasible set.
-
-    Returns min_i -g_i^max(x0), the admissible headroom for the initial
-    restriction parameters.  Raises :class:`NonPositiveSlack` when x0 is
-    infeasible or only boundary-feasible for some agent.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 < instance.box[:, 0]) or np.any(x0 > instance.box[:, 1]):
-        raise ValueError("x0 must lie inside the instance box")
-    slack = math.inf
-    for constraint in instance.constraints:
-        g_max, _ = llp_solve(constraint, x0)
-        slack = min(slack, -g_max)
-    if slack <= 0.0:
-        raise NonPositiveSlack(slack)
-    return slack
-
-
 def instance_from_config(config: dict) -> ProblemInstance:
     """Build an instance from the JSON configuration schema.
 
     Built-in kinds only: objectives of kind "quadratic-distance" with a
     center, constraints of kind "paper-quadratic" (field v) or "example1".
+    Both constraint kinds are functions of (x1, x2), so n must be 2.
     """
     n = int(config["n"])
+    if n != 2:
+        raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
     m = int(config["m"])
     box = np.asarray(config["box"], dtype=float)
     agents = config["agents"]
@@ -282,6 +263,8 @@ def instance_from_config(config: dict) -> ProblemInstance:
         center = np.asarray(obj["center"], dtype=float)
         if center.shape != (n,):
             raise ValueError("objective center has wrong dimension")
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"objective center must be finite, got {center.tolist()}")
         objectives.append(quadratic_distance(center))
         con = spec["constraint"]
         if con["kind"] == "paper-quadratic":

@@ -21,14 +21,14 @@ from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector
-from .solver import SolveStatus, Tolerances
+from .solver import FEASIBILITY_TOL, SolveStatus
 from .termination import run_stopping_round
 
 PLOT_CEILING = 39.0  # stand-in for +inf upper bounds when plotting
 
 
 class ConfigError(Exception):
-    """A subproblem came back infeasible; the initial restriction is inadmissible."""
+    """Bad configuration: invalid input, or an eps0 so large that an upper subproblem is infeasible."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class RunParams:
     eps_f: float = 0.01
     method: str = "I"
     max_iter: int = 500
-    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         if self.method not in ("I", "II"):
@@ -115,13 +114,13 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        report, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
+        report, used = consensus_solve(instance, payloads, schedule, slot)
         slot += used
         _check_solver_status(report, "lower")
         g_max_lower = tuple(agents.dlbd_oracle(s, instance, report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        report, used = consensus_solve(instance, payloads, schedule, params.tolerances, slot)
+        report, used = consensus_solve(instance, payloads, schedule, slot)
         slot += used
         _check_solver_status(report, "upper")
         g_max_upper = tuple(agents.dubd_oracle(s, instance, report.minimizer, params.r)[1] for s in states)
@@ -158,7 +157,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
                 x_opt.append(np.array(state.x_bar))
             for state, x in zip(states, x_opt):
                 g_max, _ = solve_llp(instance.constraints[state.agent_id - 1], x)
-                if g_max > 1e-9:
+                if g_max > FEASIBILITY_TOL:
                     raise NumericalFailure("terminal point is not locally feasible")
                 if not np.array_equal(x, x_opt[0]):
                     raise NumericalFailure("terminal points are not in consensus")
@@ -183,9 +182,9 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     )
 
 
-def trace(result: RunResult, ceiling: float = PLOT_CEILING) -> list[tuple[int, float, float]]:
-    """Per-iteration (k, lower, upper) with +inf rendered as the plot ceiling."""
+def trace(result: RunResult) -> list[tuple[int, float, float]]:
+    """Per-iteration (k, lower, upper) with +inf rendered as ``PLOT_CEILING``."""
     return [
-        (rec.k, rec.lower, rec.upper if math.isfinite(rec.upper) else ceiling)
+        (rec.k, rec.lower, rec.upper if math.isfinite(rec.upper) else PLOT_CEILING)
         for rec in result.records
     ]

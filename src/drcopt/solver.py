@@ -23,6 +23,14 @@ from .problem import LocalObjective, ProblemInstance, SemiInfiniteConstraint, Ve
 # define the canonical ordering shared by every agent after flooding.
 Cut = tuple[int, int, tuple[float, ...], float]
 
+# The exit test of :func:`solve`: the largest cut violation is at most
+# FEASIBILITY_TOL, the projected KKT residual and complementarity at most
+# STATIONARITY_TOL.
+FEASIBILITY_TOL = 1e-9
+STATIONARITY_TOL = 1e-8
+MAX_OUTER = 1000  # augmented-Lagrangian multiplier updates per solve
+MAX_INNER = 500  # Newton steps per inner minimization
+
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
@@ -124,14 +132,6 @@ def build_subproblem(instance: ProblemInstance, cuts: Sequence[Cut]) -> FiniteSu
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    feasibility_tol: float = 1e-9
-    stationarity_tol: float = 1e-8
-    max_outer: int = 1000
-    max_inner: int = 500
-
-
-@dataclass(frozen=True)
 class SolveReport:
     minimizer: Vector
     objective_value: float
@@ -145,17 +145,8 @@ def _project(x: Vector, box: Vector) -> Vector:
     return np.clip(x, box[:, 0], box[:, 1])
 
 
-def stationarity_residual(problem: FiniteSubproblem, x: Vector, multipliers=None) -> float:
-    """Norm of the projected KKT direction at x.
-
-    Uses the supplied constraint multipliers (zero when omitted): the
-    residual is || x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||.
-    """
-    _, grad, _, jac = problem.evaluate(x)
-    return _kkt_residual(x, grad, jac, multipliers, problem.box)
-
-
 def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
+    """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||, lambda zero when omitted."""
     if multipliers is not None and len(jac):
         grad = grad + jac.T @ np.asarray(multipliers)
     return float(np.linalg.norm(x - _project(x - grad, box)))
@@ -242,7 +233,7 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
     return MinimizeResult(x, nit, nfev)
 
 
-def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> float:
+def _feasibility_phase(problem: FiniteSubproblem) -> float:
     """Minimize the sum of squared violations; returns the residual max violation."""
 
     def fun_grad(x):
@@ -251,14 +242,12 @@ def _feasibility_phase(problem: FiniteSubproblem, tolerances: Tolerances) -> flo
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
         return 0.5 * float(pos @ pos), grad
 
-    x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, tolerances.max_inner).x
+    x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
     _, _, c, _ = problem.evaluate(x)
     return float(max(0.0, c.max())) if len(c) else 0.0
 
 
-def _kkt_satisfied(
-    x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_next: np.ndarray, box: Vector, tolerances: Tolerances
-) -> bool:
+def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_next: np.ndarray, box: Vector) -> bool:
     """The exit test: feasibility, the projected KKT residual and complementarity.
 
     ``lam_next`` are the updated multipliers.  Complementary slackness
@@ -269,14 +258,14 @@ def _kkt_satisfied(
     viol = float(max(0.0, c.max())) if len(c) else 0.0
     complementarity = float(np.max(lam_next * np.abs(c))) if len(c) else 0.0
     return (
-        viol <= tolerances.feasibility_tol
-        and _kkt_residual(x, grad, jac, lam_next, box) <= tolerances.stationarity_tol
-        and complementarity <= tolerances.stationarity_tol
+        viol <= FEASIBILITY_TOL
+        and _kkt_residual(x, grad, jac, lam_next, box) <= STATIONARITY_TOL
+        and complementarity <= STATIONARITY_TOL
     )
 
 
-def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> SolveReport:
-    """Solve the subproblem to the configured feasibility and stationarity tolerances.
+def solve(problem: FiniteSubproblem) -> SolveReport:
+    """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
     Deterministic: the start point is always the box center and every
     step is a pure function of the canonical input.
@@ -293,7 +282,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
     prev_viol = math.inf
     stalled = 0
 
-    for outer in range(1, tolerances.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
 
         def fun_grad(z, lam=lam, mu=mu):
             f, grad, c, jac = problem.evaluate(z)
@@ -303,7 +292,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
                 grad = grad + jac.T @ shifted
             return f, grad
 
-        x = minimize(fun_grad, x, problem.box, tolerances.max_inner).x
+        x = minimize(fun_grad, x, problem.box, MAX_INNER).x
 
         f, grad, c, jac = problem.evaluate(x)
         if n_cuts:
@@ -313,7 +302,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
             viol = 0.0
             lam_next = lam
 
-        if _kkt_satisfied(x, grad, c, jac, lam_next, problem.box, tolerances):
+        if _kkt_satisfied(x, grad, c, jac, lam_next, problem.box):
             return SolveReport(
                 minimizer=x,
                 objective_value=f,
@@ -324,7 +313,7 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
             )
 
         lam = lam_next
-        if viol > tolerances.feasibility_tol:
+        if viol > FEASIBILITY_TOL:
             if viol > 0.25 * prev_viol:
                 mu = min(mu * 10.0, mu_cap)
         else:
@@ -338,14 +327,14 @@ def solve(problem: FiniteSubproblem, tolerances: Tolerances = Tolerances()) -> S
             stalled = 0
         prev_viol = viol
 
-    residual_viol = _feasibility_phase(problem, tolerances)
+    residual_viol = _feasibility_phase(problem)
     status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
     f, _, c, _ = problem.evaluate(x)
     return SolveReport(
         minimizer=x,
         objective_value=f,
         max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
-        iterations=tolerances.max_outer,
+        iterations=MAX_OUTER,
         status=status,
         multipliers=lam,
     )

@@ -16,7 +16,7 @@ from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp, solve_llp_numeric
 from drcopt.problem import example1_constraint
 from drcopt.sim import RunParams, run
-from drcopt.solver import SolveStatus, Tolerances, build_subproblem, solve
+from drcopt.solver import SolveStatus, build_subproblem, solve
 from drcopt.termination import run_stopping_round
 
 from helpers import (

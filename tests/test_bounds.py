@@ -26,6 +26,8 @@ class TestMethod1:
             method1_accuracy(0, 0.01)
         with pytest.raises(ValueError):
             method1_accuracy(3, 0.0)
+        with pytest.raises(ValueError):
+            method1_accuracy(3, float("nan"))
 
 
 class TestWeights:
@@ -53,6 +55,11 @@ class TestMethod2:
     def test_cycle_closed_form(self):
         for m in range(2, 51):
             assert method2_accuracy(directed_cycle(m), EPS_F) == pytest.approx(m * EPS_F / 2)
+
+    @pytest.mark.parametrize("eps_f", [0.0, -1.0, float("nan")])
+    def test_invalid_eps_f(self, eps_f):
+        with pytest.raises(ValueError):
+            method2_accuracy(complete(3), eps_f)
 
     def test_single_agent(self):
         schedule = make_schedule(1, [set()])
@@ -101,13 +108,11 @@ class TestMethod2:
 
 class TestSweep:
     def test_rows_and_closed_forms(self):
-        rows = accuracy_sweep(
-            {"cycle": directed_cycle, "complete": complete}, range(2, 11), EPS_F
-        )
+        rows = accuracy_sweep("cycle", directed_cycle, range(2, 11), EPS_F)
+        rows += accuracy_sweep("complete", complete, range(2, 11), EPS_F)
         assert len(rows) == 18
         for row in rows:
             assert row.method1_bound == pytest.approx(row.m * EPS_F)
-            assert row.centralized == EPS_F
             if row.topology == "cycle":
                 assert row.method2_bound == pytest.approx(row.m * EPS_F / 2)
             else:

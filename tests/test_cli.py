@@ -26,6 +26,42 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def two_agent_instance(n=2, center=None, constraint=None):
+    """A two-agent instance config of the built-in kinds in dimension n."""
+    box = [[-2.0, 2.0], [-1.0, 1.0], [-1.0, 1.0]][:n]
+    return {
+        "n": n,
+        "m": 2,
+        "box": box,
+        "agents": [
+            {
+                "objective": {"kind": "quadratic-distance", "center": center or [0.0] * n},
+                "constraint": constraint or {"kind": "paper-quadratic", "v": v},
+            }
+            for v in (-0.5, 0.5)
+        ],
+    }
+
+
+MALFORMED_CONFIGS = {
+    "not-an-object": ([], "must hold a JSON object"),
+    "instance-not-an-object": ({"instance": "foo"}, "bad 'instance' section"),
+    "agents-a-string": ({"instance": {**two_agent_instance(), "agents": "xx"}}, "bad 'instance' section"),
+    "agents-not-objects": ({"instance": {**two_agent_instance(), "agents": [1, 2]}}, "bad 'instance' section"),
+    "n-1": ({"instance": two_agent_instance(n=1)}, "need n = 2"),
+    "n-3": ({"instance": two_agent_instance(n=3)}, "need n = 2"),
+    "v-nan": (
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": "nan"})},
+        "v must be finite",
+    ),
+    "center-inf": ({"instance": two_agent_instance(center=[0.0, "inf"])}, "center must be finite"),
+    "inverted-uncertainty-box": (
+        {"instance": two_agent_instance(constraint={"kind": "example1", "y_upper": -1})},
+        "y_upper must be positive and finite",
+    ),
+}
+
+
 class TestRun:
     def test_successful_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -86,6 +122,16 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad run parameter:") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_instance_config_exits_1(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_numeric_llp_matches_analytic(self, tmp_path, capsys):
@@ -276,6 +322,13 @@ class TestFig3:
     def test_m_max_validated(self, tmp_path, capsys):
         assert main(["fig3", "--out", str(tmp_path), "--m-max", "2"]) == 1
 
+    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan"])
+    def test_eps_f_validated(self, tmp_path, capsys, eps_f):
+        out = tmp_path / "f3"
+        assert main(["fig3", "--out", str(out), "--m-max", "6", "--eps-f", eps_f]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --eps-f:")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_csv_only(self, tmp_path):
@@ -287,3 +340,10 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         # cycle and complete start at m=2, customized at m=3
         assert len(rows) == 7 + 7 + 6
+
+    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan"])
+    def test_eps_f_validated(self, tmp_path, capsys, eps_f):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), "--m-max", "8", "--eps-f", eps_f]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --eps-f:")
+        assert not out.exists()

@@ -78,9 +78,9 @@ class TestConsensusSolve:
         calls = []
         real_solve = consensus.solve
 
-        def counting_solve(problem, tolerances):
+        def counting_solve(problem):
             calls.append(problem)
-            return real_solve(problem, tolerances)
+            return real_solve(problem)
 
         monkeypatch.setattr(consensus, "solve", counting_solve)
         states = initial_states(case_study, 0.01)

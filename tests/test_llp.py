@@ -48,17 +48,13 @@ class TestCaseStudyLLP:
 
 class TestVerdict:
     def test_violated(self):
-        assert feasibility_verdict(0.5625, 0.0) is Verdict.VIOLATED
+        assert feasibility_verdict(0.5625) is Verdict.VIOLATED
 
     def test_boundary_counts_feasible(self):
-        assert feasibility_verdict(0.0, 0.0) is Verdict.FEASIBLE
+        assert feasibility_verdict(0.0) is Verdict.FEASIBLE
 
     def test_clearly_feasible(self):
-        assert feasibility_verdict(-0.75, 0.0) is Verdict.FEASIBLE
-
-    def test_tolerance_knob(self):
-        assert feasibility_verdict(1e-12, 1e-9) is Verdict.FEASIBLE
-        assert feasibility_verdict(2e-9, 1e-9) is Verdict.VIOLATED
+        assert feasibility_verdict(-0.75) is Verdict.FEASIBLE
 
 
 class TestNumericPath:

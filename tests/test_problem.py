@@ -6,9 +6,7 @@ import pytest
 from drcopt.llp import solve_llp
 from drcopt.problem import (
     CASE_STUDY_V,
-    NonPositiveSlack,
     case_study_instance,
-    check_interior_point,
     example1_constraint,
     instance_from_config,
 )
@@ -100,26 +98,6 @@ class TestExample1:
         g = example1_constraint(y_upper=1.0)
         assert g.uncertainty_box[0, 1] == 1.0
         assert g.analytic_argmax(np.array([1.5, 0.0]))[0] == 1.0
-
-
-class TestInteriorPoint:
-    def test_origin_slack(self, case_study):
-        slack = check_interior_point(case_study, np.array([0.0, 0.0]), solve_llp)
-        assert slack == pytest.approx(0.4375)
-
-    def test_infeasible_point_rejected(self, case_study):
-        with pytest.raises(NonPositiveSlack) as err:
-            check_interior_point(case_study, np.array([0.0, 1.0]), solve_llp)
-        assert err.value.slack == pytest.approx(-0.5625)
-
-    def test_boundary_point_rejected(self, case_study):
-        x_star, _ = case_study.known_optimum
-        with pytest.raises(NonPositiveSlack):
-            check_interior_point(case_study, x_star, solve_llp)
-
-    def test_point_outside_box_rejected(self, case_study):
-        with pytest.raises(ValueError):
-            check_interior_point(case_study, np.array([0.0, 5.0]), solve_llp)
 
 
 class TestConfig:

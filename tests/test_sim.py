@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from drcopt import solver
 from drcopt.graph import complete, directed_cycle
 from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure
 from drcopt.sim import PLOT_CEILING, ConfigError, RunParams, run, trace
-from drcopt.solver import Tolerances
 
 from helpers import F_STAR, X_STAR
 
@@ -92,10 +92,10 @@ class TestParameterHandling:
         with pytest.raises(ConfigError):
             run(case_study, directed_cycle(6), RunParams(eps0=10.0))
 
-    def test_iteration_limit_is_a_numerical_failure(self, case_study):
-        params = RunParams(tolerances=Tolerances(max_outer=1))
+    def test_iteration_limit_is_a_numerical_failure(self, case_study, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_OUTER", 1)
         with pytest.raises(NumericalFailure, match="lower subproblem solve hit the iteration limit"):
-            run(case_study, directed_cycle(6), params)
+            run(case_study, directed_cycle(6), RunParams())
 
     def test_method_validated(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from drcopt import solver
 from drcopt.problem import example1_constraint
-from drcopt.solver import (
-    SolveStatus,
-    Tolerances,
-    build_subproblem,
-    minimize,
-    solve,
-    stationarity_residual,
-)
+from drcopt.solver import SolveStatus, build_subproblem, minimize, solve
 
 from helpers import case_study_grid_min, subproblem_cut_view
 
@@ -102,6 +95,11 @@ class TestHandDerivedSubproblems:
         problem = build_subproblem(case_study, all_agent_cuts(1.0, -10.0))
         report = solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
+
+
+def stationarity_residual(problem, x, multipliers=None):
+    _, grad, _, jac = problem.evaluate(x)
+    return solver._kkt_residual(x, grad, jac, multipliers, problem.box)
 
 
 class TestStationarity:
@@ -320,7 +318,6 @@ class TestMinimize:
 
 class TestExitTest:
     def test_stale_multiplier_on_a_slack_cut_is_refused(self, case_study):
-        tolerances = Tolerances()
         # The optimum of the tighter problem (cuts at rhs -0.05) with its
         # multipliers: the objective's gradient is cancelled by them.
         tight = solve(build_subproblem(case_study, all_agent_cuts(1.0, -0.05)))
@@ -332,9 +329,9 @@ class TestExitTest:
         _, grad, c, jac = loose.evaluate(x)
         assert np.all(c < -0.04) and np.max(lam) > 1e-3
         # Feasibility and the projected KKT residual alone would accept it.
-        assert max(0.0, c.max()) <= tolerances.feasibility_tol
-        assert solver._kkt_residual(x, grad, jac, lam, loose.box) <= tolerances.stationarity_tol
-        assert not solver._kkt_satisfied(x, grad, c, jac, lam, loose.box, tolerances)
+        assert max(0.0, c.max()) <= solver.FEASIBILITY_TOL
+        assert solver._kkt_residual(x, grad, jac, lam, loose.box) <= solver.STATIONARITY_TOL
+        assert not solver._kkt_satisfied(x, grad, c, jac, lam, loose.box)
         # The solve itself moves on to the looser problem's optimum.
         report = solve(loose)
         assert report.objective_value < tight.objective_value - 1e-3
@@ -343,4 +340,4 @@ class TestExitTest:
         problem = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
         _, grad, c, jac = problem.evaluate(report.minimizer)
-        assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box, Tolerances())
+        assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box)
