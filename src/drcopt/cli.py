@@ -72,7 +72,7 @@ def _build_from_config(config: dict):
             r=float(config.get("r", 2.0)),
             eps_f=float(config.get("eps_f", 0.01)),
             method=str(config.get("method", "I")),
-            max_iter=int(config.get("max_iter", 500)),
+            max_iter=config.get("max_iter", 500),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run parameter: {exc}") from None

@@ -53,13 +53,16 @@ def consensus_solve(
     payloads: list[frozenset[Cut]],
     schedule: GraphSchedule,
     start_slot: int = 0,
+    start: SolveReport | None = None,
 ) -> tuple[SolveReport, int]:
     """Flood the cut tuples, then solve the subproblem every agent now holds.
 
     Flooding leaves every agent with the same tuple set (it raises
     otherwise) and the canonical ordering makes the solver input bitwise
     identical, so the deterministic solver runs once and its report is
-    every agent's.
+    every agent's.  ``start``, the warm start of :func:`drcopt.solver.solve`,
+    is such a report from an earlier phase, which every agent already
+    holds, so the warm-started solve is still one common computation.
     """
     held, slots_used = flood_constraints(payloads, schedule, start_slot)
-    return solve(build_subproblem(instance, held[0])), slots_used
+    return solve(build_subproblem(instance, held[0]), start), slots_used

@@ -10,6 +10,7 @@ exercised across phases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,8 @@ class RunParams:
             raise ValueError(f"r must exceed 1, got {self.r}")
         if not self.eps_f > 0.0:
             raise ValueError(f"eps_f must be positive, got {self.eps_f}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -109,21 +112,24 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     records: list[IterationRecord] = []
     slot = 0
     prev_lower = -math.inf
+    # Each side's solve starts from that side's previous report (see
+    # drcopt.solver.solve); every agent holds it, so consensus holds.
+    lower_report = upper_report = None
 
     for k in range(1, params.max_iter + 1):
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        report, used = consensus_solve(instance, payloads, schedule, slot)
+        lower_report, used = consensus_solve(instance, payloads, schedule, slot, start=lower_report)
         slot += used
-        _check_solver_status(report, "lower")
-        g_max_lower = tuple(agents.dlbd_oracle(s, instance, report.minimizer)[1] for s in states)
+        _check_solver_status(lower_report, "lower")
+        g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        report, used = consensus_solve(instance, payloads, schedule, slot)
+        upper_report, used = consensus_solve(instance, payloads, schedule, slot, start=upper_report)
         slot += used
-        _check_solver_status(report, "upper")
-        g_max_upper = tuple(agents.dubd_oracle(s, instance, report.minimizer, params.r)[1] for s in states)
+        _check_solver_status(upper_report, "upper")
+        g_max_upper = tuple(agents.dubd_oracle(s, instance, upper_report.minimizer, params.r)[1] for s in states)
 
         lower, upper = bound_values(states, instance)
         if lower < prev_lower - 1e-9:

@@ -4,8 +4,14 @@ Minimizes the sum of the agents' objectives over the shared box subject
 to a finite, canonically ordered list of scenario cuts
 g_a(x, y) <= rhs.  Method: augmented Lagrangian on the inequality
 constraints with a box-constrained projected Newton inner solve
-(:func:`minimize`), started from the box center so identical inputs
-always yield identical outputs.
+(:func:`minimize`).  The first solve on each side (lower, upper) of a
+run starts from the box center with zero multipliers; every later one
+starts from the previous report on the same side (:func:`solve`'s
+``start``): its minimizer, and its multipliers for the cuts the new
+problem still holds unchanged.  After flooding every agent holds that
+report, so the start is a function of the agents' common history; every
+step is a pure function of the problem and the start, so consensus and
+bitwise repeatability hold as with a fixed start.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problem import LocalObjective, ProblemInstance, SemiInfiniteConstraint, Vector
+from .problem import LocalObjective, NumericalFailure, ProblemInstance, SemiInfiniteConstraint, Vector
 
 # (agent_id, insertion_index, scenario coords, rhs); the first two fields
 # define the canonical ordering shared by every agent after flooding.
@@ -139,6 +145,7 @@ class SolveReport:
     iterations: int
     status: SolveStatus
     multipliers: np.ndarray = field(default=None, repr=False)
+    cuts: tuple[Cut, ...] = field(default=(), repr=False)  # the canonical cuts solved on
 
 
 def _project(x: Vector, box: Vector) -> Vector:
@@ -166,6 +173,13 @@ def _projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
+def _require_finite(f: float, grad: Vector, where: str) -> None:
+    # Non-finite values spread into the Newton direction, and a NaN trial
+    # point never equals x and fails every test, so halving would not end.
+    if not (math.isfinite(f) and np.isfinite(grad).all()):
+        raise NumericalFailure(f"non-finite objective or gradient {where}")
+
+
 def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
     """Minimize a smooth convex ``fun_grad(x) -> (f, grad)`` over a box.
 
@@ -182,11 +196,14 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
     Stops when ``max|x - P(x - grad)| <= 1e-12``, or when a step can no
     longer change ``x`` or ``f`` at float resolution, or after
     ``max_iter`` steps.  Every operation is a fixed function of the
-    input, so repeated calls agree bit for bit.
+    input, so repeated calls agree bit for bit.  A non-finite ``f`` or
+    gradient at the start or at an accepted iterate, or a non-finite
+    difference Hessian, raises :class:`NumericalFailure`.
     """
     lo, hi = box[:, 0], box[:, 1]
     x = _project(np.asarray(x0, dtype=float), box)
     f, grad = fun_grad(x)
+    _require_finite(f, grad, "at the start point")
     nit, nfev = 0, 1
     while nit < max_iter:
         pg = _projected_gradient(x, grad, box)
@@ -205,6 +222,8 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
                 xh[j] += h if x[j] + h <= hi[j] else -h
                 hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
             nfev += len(free)
+            if not np.isfinite(hessian).all():
+                raise NumericalFailure("non-finite difference Hessian")
             w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
             w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
             d[free] = -(v @ ((v.T @ grad[free]) / w))
@@ -228,6 +247,7 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
             alpha *= 0.5
         if not accepted:
             break
+        _require_finite(f_new, grad_new, "at an accepted iterate")
         x, f, grad = x_new, f_new, grad_new
         nit += 1
     return MinimizeResult(x, nit, nfev)
@@ -264,20 +284,41 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     )
 
 
-def solve(problem: FiniteSubproblem) -> SolveReport:
+def _carried_multipliers(start: SolveReport, cuts: tuple[Cut, ...]) -> np.ndarray:
+    """Each cut's multiplier in ``start`` if ``start.cuts`` holds an equal cut, else 0."""
+    carried = dict(zip(start.cuts, start.multipliers))
+    return np.array([carried.get(cut, 0.0) for cut in cuts])
+
+
+def solve(problem: FiniteSubproblem, start: SolveReport | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
-    Deterministic: the start point is always the box center and every
-    step is a pure function of the canonical input.
+    Without ``start`` the augmented-Lagrangian iteration starts from the
+    box center with zero multipliers.  With ``start``, the report of an
+    earlier solve, it starts from ``start.minimizer``, and a cut's
+    multiplier is carried over only when ``start.cuts`` holds a cut equal
+    to it in all four fields (agent, index, scenario, rhs); every other
+    cut starts at zero, so a cut whose scenario or rhs changed (an upper
+    cut whose ``eps_i`` shrank) brings no stale multiplier.
+    Deterministic: every step is a pure function of the canonical input
+    and the start.  :func:`drcopt.sim.run` passes the previous report on
+    the same side, which every agent holds, so every agent would compute
+    the same solve and repeated runs agree bit for bit.
     """
-    x = problem.box.mean(axis=1)
     n_cuts = len(problem.cuts)
-    lam = np.zeros(n_cuts)
-    # The penalty moves in both directions: growth speeds the multiplier
-    # iteration while the iterate is infeasible, but a large mu leaves the
-    # inner problem too ill-conditioned to polish stationarity, so it
-    # decays back to the base value once the violation is within tolerance.
-    mu_base, mu_cap = 10.0, 1e8
+    if start is None:
+        x = problem.box.mean(axis=1)
+        lam = np.zeros(n_cuts)
+    else:
+        x = start.minimizer
+        lam = _carried_multipliers(start, problem.cuts)
+    # The multiplier iteration converges linearly, faster as mu grows
+    # (Bertsekas 1982; Nocedal & Wright, ch. 17).  The Newton inner solve
+    # builds the penalty's curvature into its Hessian, so a base of 1000
+    # costs it few extra steps.  The penalty grows while the iterate stays
+    # infeasible and decays back to the base once the violation is within
+    # tolerance, which bounds the curvature while stationarity is polished.
+    mu_base, mu_cap = 1000.0, 1e8
     mu = mu_base
     prev_viol = math.inf
     stalled = 0
@@ -310,6 +351,7 @@ def solve(problem: FiniteSubproblem) -> SolveReport:
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
+                cuts=problem.cuts,
             )
 
         lam = lam_next
@@ -337,4 +379,5 @@ def solve(problem: FiniteSubproblem) -> SolveReport:
         iterations=MAX_OUTER,
         status=status,
         multipliers=lam,
+        cuts=problem.cuts,
     )

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from drcopt.graph import GraphSchedule, NotUniformlyConnected, make_schedule
-from drcopt.problem import CASE_STUDY_V
+from drcopt.problem import CASE_STUDY_V, ProblemInstance, paper_quadratic_constraint, quadratic_distance
 from drcopt.solver import FiniteSubproblem
 
 F_STAR = 38.68774606680623
@@ -60,6 +60,23 @@ def case_study_grid_min(cuts, step=1e-3, refine=True):
         if val2 < val:
             val, pt = val2, pt2
     return val, pt
+
+
+def scaled_case_study(m: int, seed: int) -> ProblemInstance:
+    """The case-study recipe at m agents.
+
+    Centers uniform in [-1, 1]^2 with every 6th x2 set to 6, offsets
+    v = linspace(-0.75, 0.75, m), on the case-study box.
+    """
+    centers = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, 2))
+    centers[::6, 1] = 6.0
+    return ProblemInstance(
+        n=2,
+        m=m,
+        objectives=tuple(quadratic_distance(c) for c in centers),
+        constraints=tuple(paper_quadratic_constraint(float(v)) for v in np.linspace(-0.75, 0.75, m)),
+        box=np.array([[-2.0, 2.0], [-1.0, 1.0]]),
+    )
 
 
 def subproblem_cut_view(problem: FiniteSubproblem):

@@ -114,7 +114,17 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("eps0", 0), ("eps0", -0.01), ("r", 1.0), ("r", 0.5), ("eps_f", 0), ("eps_f", -1.0), ("max_iter", 0)],
+        [
+            ("eps0", 0),
+            ("eps0", -0.01),
+            ("r", 1.0),
+            ("r", 0.5),
+            ("eps_f", 0),
+            ("eps_f", -1.0),
+            ("max_iter", 0),
+            ("max_iter", 2.5),
+            ("max_iter", True),
+        ],
     )
     def test_bad_run_parameter_exits_1(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "cfg.json", **{field: value})
@@ -165,6 +175,12 @@ class TestRun:
         assert not summary["terminated"]
         assert summary["x_opt"] is None
         assert summary["final_upper"] is None  # +inf serialized as null
+
+    def test_integral_max_iter_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", max_iter=3)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert json.loads((out / "results.json").read_text())["iterations"] == 3
 
 
 NUMERICAL_FAILURES = {

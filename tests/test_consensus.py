@@ -78,9 +78,9 @@ class TestConsensusSolve:
         calls = []
         real_solve = consensus.solve
 
-        def counting_solve(problem):
+        def counting_solve(problem, start=None):
             calls.append(problem)
-            return real_solve(problem)
+            return real_solve(problem, start)
 
         monkeypatch.setattr(consensus, "solve", counting_solve)
         states = initial_states(case_study, 0.01)

@@ -9,7 +9,7 @@ from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure
 from drcopt.sim import PLOT_CEILING, ConfigError, RunParams, run, trace
 
-from helpers import F_STAR, X_STAR
+from helpers import F_STAR, X_STAR, scaled_case_study
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,31 @@ class TestDeterminism:
         for a, b in zip(again.records, cycle_run.records):
             assert a == b
 
+    def test_warm_started_runs_are_bitwise_equal(self, case_study):
+        # Every solve after the first on each side starts from that side's
+        # previous report; two runs must still agree bit for bit (repr
+        # round-trips floats exactly and tells -0.0 from 0.0).
+        a, b = (run(case_study, complete(6), RunParams(method="II")) for _ in range(2))
+        assert repr(a.records) == repr(b.records)
+        assert [x.tobytes() for x in a.x_opt] == [x.tobytes() for x in b.x_opt]
+
+
+class TestScaledInstance:
+    @pytest.mark.parametrize(
+        "seed, iterations, lower, upper",
+        [
+            (0, 8, 136.7658506, 136.7737032),
+            (1, 8, 135.3607708, 135.3688697),
+            (2, 5, 135.5539232, 135.5621502),
+        ],
+    )
+    def test_cycle_of_24_terminates(self, seed, iterations, lower, upper):
+        result = run(scaled_case_study(24, seed), directed_cycle(24), RunParams(method="I"))
+        assert result.terminated
+        assert result.iterations == iterations
+        assert result.final_lower == pytest.approx(lower, abs=1e-7)
+        assert result.final_upper == pytest.approx(upper, abs=1e-7)
+
 
 class TestParameterHandling:
     def test_loose_eps_f_stops_early(self, case_study, cycle_run):
@@ -100,6 +125,14 @@ class TestParameterHandling:
     def test_method_validated(self):
         with pytest.raises(ValueError):
             RunParams(method="III")
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            RunParams(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert RunParams(max_iter=np.int64(3)).max_iter == 3
 
     def test_agent_count_mismatch(self, case_study):
         with pytest.raises(ValueError):

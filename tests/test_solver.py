@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from drcopt import solver
-from drcopt.problem import example1_constraint
+from drcopt import consensus, solver
+from drcopt.graph import directed_cycle
+from drcopt.problem import NumericalFailure, example1_constraint, quadratic_distance
+from drcopt.sim import RunParams, run
 from drcopt.solver import SolveStatus, build_subproblem, minimize, solve
 
 from helpers import case_study_grid_min, subproblem_cut_view
@@ -341,3 +343,86 @@ class TestExitTest:
         report = solve(problem)
         _, grad, c, jac = problem.evaluate(report.minimizer)
         assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box)
+
+
+@pytest.fixture(scope="module")
+def table2_solves(case_study):
+    """(problem, start, report) of every consensus solve of one table2 run."""
+    calls = []
+    real_solve = consensus.solve
+
+    def recording_solve(problem, start=None):
+        report = real_solve(problem, start)
+        calls.append((problem, start, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "solve", recording_solve)
+        run(case_study, directed_cycle(6), RunParams(method="I"))
+    return calls
+
+
+class TestWarmStart:
+    def test_every_later_solve_is_warm_started(self, table2_solves):
+        assert len(table2_solves) == 16
+        assert [start is None for _, start, _ in table2_solves] == [True, True] + [False] * 14
+        # Each side starts from its own previous report.
+        for i, (_, start, _) in enumerate(table2_solves[2:], start=2):
+            assert start is table2_solves[i - 2][2]
+
+    def test_warm_reports_agree_with_cold_solves(self, table2_solves):
+        for problem, start, warm in table2_solves:
+            cold = solve(problem)
+            assert warm.status is SolveStatus.OPTIMAL and cold.status is SolveStatus.OPTIMAL
+            assert abs(warm.max_violation - cold.max_violation) <= solver.FEASIBILITY_TOL
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+            assert warm.cuts == problem.cuts
+
+    def test_warm_solve_is_bitwise_repeatable(self, table2_solves):
+        problem, start, report = table2_solves[-1]
+        assert_reports_bitwise_equal(solve(problem, start), report)
+
+    def test_multipliers_carry_over_only_for_equal_cuts(self, case_study):
+        cuts = all_agent_cuts(1.0, 0.0)
+        start = dataclasses.replace(
+            solve(build_subproblem(case_study, cuts)), multipliers=np.arange(1.0, 7.0)
+        )
+        changed = [
+            cuts[0],
+            (1, 1, (0.5,), 0.0),  # added
+            (2, 0, (1.0,), -0.01),  # rhs changed
+            (3, 0, (0.5,), 0.0),  # scenario changed
+            *cuts[3:],
+        ]
+        problem = build_subproblem(case_study, changed)
+        lam = solver._carried_multipliers(start, problem.cuts)
+        assert lam.tolist() == [1.0, 0.0, 0.0, 0.0, 4.0, 5.0, 6.0]
+        report = solve(problem, start)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.objective_value == pytest.approx(solve(problem).objective_value, abs=1e-8)
+
+
+class TestNonFinite:
+    def test_infinite_objective_center_raises(self, case_study):
+        instance = dataclasses.replace(
+            case_study, objectives=(quadratic_distance([0.0, np.inf]),) + case_study.objectives[1:]
+        )
+        problem = build_subproblem(instance, all_agent_cuts(1.0, 0.0))
+        with pytest.raises(NumericalFailure, match="at the start point"):
+            solve(problem)
+
+    def test_non_finite_accepted_iterate_raises(self):
+        def fun_grad(x):
+            return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x
+
+        with pytest.raises(NumericalFailure, match="at an accepted iterate"):
+            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
+
+    def test_non_finite_difference_hessian_raises(self):
+        x0 = np.array([1.0, 1.0])
+
+        def fun_grad(x):
+            return float(x @ x), 2.0 * x if np.array_equal(x, x0) else np.full(2, np.nan)
+
+        with pytest.raises(NumericalFailure, match="Hessian"):
+            minimize(fun_grad, x0, np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
