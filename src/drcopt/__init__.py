@@ -15,7 +15,7 @@ from .problem import (
     case_study_instance,
     example1_constraint,
 )
-from .sim import RunParams, RunResult, run, trace
+from .sim import RunParams, RunResult, run
 from .solver import FiniteSubproblem, SolveReport, solve
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "run",
     "solve",
     "solve_llp",
-    "trace",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .bounds import accuracy_sweep, method1_accuracy
 from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
 from .llp import solve_llp
 from .problem import NumericalFailure, case_study_instance, instance_from_config, with_numeric_llp
-from .sim import ConfigError, RunParams, RunResult, run, trace
+from .sim import ConfigError, RunParams, RunResult, run
 from .solver import FEASIBILITY_TOL
 
 METHODS = ("I", "II")
@@ -83,8 +83,9 @@ def _write_trace_csv(path: Path, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "lower", "upper"])
-        for k, lower, upper in trace(result):
-            writer.writerow([k, f"{lower:.10f}", f"{upper:.10f}"])
+        # An iteration without a finite upper bound writes "inf".
+        for rec in result.records:
+            writer.writerow([rec.k, f"{rec.lower:.10f}", f"{rec.upper:.10f}"])
 
 
 def _result_summary(result: RunResult) -> dict:
@@ -128,12 +129,13 @@ def cmd_run(args) -> int:
     _write_results(out, _result_summary(result))
     _write_trace_csv(out / "trace.csv", result)
     if args.plot:
-        curve = trace(result)
+        records = result.records
+        uppers = [(rec.k, rec.upper) for rec in records if math.isfinite(rec.upper)]
         svgplot.write_line_chart(
             out / "trace.svg",
             [
-                svgplot.Series("lower", [(k, lo) for k, lo, _ in curve], "black"),
-                svgplot.Series("upper", [(k, up) for k, _, up in curve], "blue", dash="4 2"),
+                svgplot.Series("lower", [(rec.k, rec.lower) for rec in records], "black"),
+                svgplot.Series("upper", uppers, "blue", dash="4 2"),
             ],
             x_label="iteration",
             y_label="objective bounds",

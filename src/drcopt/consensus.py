@@ -10,8 +10,8 @@ averaging dynamics.
 from __future__ import annotations
 
 from .graph import GraphSchedule
-from .problem import NumericalFailure, ProblemInstance
-from .solver import Cut, SolveReport, build_subproblem, solve
+from .problem import NumericalFailure, ProblemInstance, Vector
+from .solver import Cut, FiniteSubproblem, SolveReport, solve
 
 
 def flood_slots(schedule: GraphSchedule) -> int:
@@ -53,16 +53,16 @@ def consensus_solve(
     payloads: list[frozenset[Cut]],
     schedule: GraphSchedule,
     start_slot: int = 0,
-    start: SolveReport | None = None,
+    x0: Vector | None = None,
 ) -> tuple[SolveReport, int]:
     """Flood the cut tuples, then solve the subproblem every agent now holds.
 
     Flooding leaves every agent with the same tuple set (it raises
     otherwise) and the canonical ordering makes the solver input bitwise
     identical, so the deterministic solver runs once and its report is
-    every agent's.  ``start``, the warm start of :func:`drcopt.solver.solve`,
-    is such a report from an earlier phase, which every agent already
-    holds, so the warm-started solve is still one common computation.
+    every agent's.  ``x0``, the start point of :func:`drcopt.solver.solve`,
+    is a minimizer from an earlier phase, which every agent already
+    holds, so the solve from it is still one common computation.
     """
     held, slots_used = flood_constraints(payloads, schedule, start_slot)
-    return solve(build_subproblem(instance, held[0]), start), slots_used
+    return solve(FiniteSubproblem(instance, held[0]), x0), slots_used

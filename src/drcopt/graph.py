@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .problem import require_integer
+
 Edge = tuple[int, int]
 
 
@@ -102,7 +104,9 @@ def make_schedule(m: int, slots) -> GraphSchedule:
         raise InvalidSize("node count must be >= 1")
     clean = []
     for edges in slots:
-        es = frozenset((int(j), int(i)) for j, i in edges)
+        es = frozenset(
+            (require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")) for j, i in edges
+        )
         for j, i in es:
             if not (1 <= j <= m and 1 <= i <= m):
                 raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
@@ -149,7 +153,7 @@ TOPOLOGIES = {
 def schedule_from_config(config: dict) -> GraphSchedule:
     """Schedule from {"topology": ..., "m": int, "slots": [[[j,i],...],...]}."""
     topology = config["topology"]
-    m = int(config["m"])
+    m = require_integer(config["m"], "m")
     if topology == "explicit":
         return make_schedule(m, config["slots"])
     try:

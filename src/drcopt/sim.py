@@ -10,7 +10,6 @@ exercised across phases.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +20,9 @@ from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import solve_llp
-from .problem import NumericalFailure, ProblemInstance, Vector
+from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
 from .solver import FEASIBILITY_TOL, SolveStatus
 from .termination import run_stopping_round
-
-PLOT_CEILING = 39.0  # stand-in for +inf upper bounds when plotting
 
 
 class ConfigError(Exception):
@@ -44,14 +41,13 @@ class RunParams:
         if self.method not in ("I", "II"):
             raise ValueError("method must be 'I' or 'II'")
         # Negated comparisons so that NaN is rejected too.
-        if not self.eps0 > 0.0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if not self.r > 1.0:
-            raise ValueError(f"r must exceed 1, got {self.r}")
-        if not self.eps_f > 0.0:
-            raise ValueError(f"eps_f must be positive, got {self.eps_f}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
+        if not 1.0 < self.r < math.inf:
+            raise ValueError(f"r must exceed 1 and be finite, got {self.r}")
+        if not 0.0 < self.eps_f < math.inf:
+            raise ValueError(f"eps_f must be positive and finite, got {self.eps_f}")
+        require_integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -112,23 +108,25 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     records: list[IterationRecord] = []
     slot = 0
     prev_lower = -math.inf
-    # Each side's solve starts from that side's previous report (see
+    # Each side's solve starts from that side's previous minimizer (see
     # drcopt.solver.solve); every agent holds it, so consensus holds.
-    lower_report = upper_report = None
+    lower_x = upper_x = None
 
     for k in range(1, params.max_iter + 1):
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        lower_report, used = consensus_solve(instance, payloads, schedule, slot, start=lower_report)
+        lower_report, used = consensus_solve(instance, payloads, schedule, slot, lower_x)
         slot += used
         _check_solver_status(lower_report, "lower")
+        lower_x = lower_report.minimizer
         g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        upper_report, used = consensus_solve(instance, payloads, schedule, slot, start=upper_report)
+        upper_report, used = consensus_solve(instance, payloads, schedule, slot, upper_x)
         slot += used
         _check_solver_status(upper_report, "upper")
+        upper_x = upper_report.minimizer
         g_max_upper = tuple(agents.dubd_oracle(s, instance, upper_report.minimizer, params.r)[1] for s in states)
 
         lower, upper = bound_values(states, instance)
@@ -186,11 +184,3 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         accuracy_bound=bound,
         final_states=states,
     )
-
-
-def trace(result: RunResult) -> list[tuple[int, float, float]]:
-    """Per-iteration (k, lower, upper) with +inf rendered as ``PLOT_CEILING``."""
-    return [
-        (rec.k, rec.lower, rec.upper if math.isfinite(rec.upper) else PLOT_CEILING)
-        for rec in result.records
-    ]

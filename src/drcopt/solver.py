@@ -1,17 +1,16 @@
 """Deterministic solver for the finite convex subproblems.
 
 Minimizes the sum of the agents' objectives over the shared box subject
-to a finite, canonically ordered list of scenario cuts
-g_a(x, y) <= rhs.  Method: augmented Lagrangian on the inequality
-constraints with a box-constrained projected Newton inner solve
-(:func:`minimize`).  The first solve on each side (lower, upper) of a
-run starts from the box center with zero multipliers; every later one
-starts from the previous report on the same side (:func:`solve`'s
-``start``): its minimizer, and its multipliers for the cuts the new
-problem still holds unchanged.  After flooding every agent holds that
-report, so the start is a function of the agents' common history; every
-step is a pure function of the problem and the start, so consensus and
-bitwise repeatability hold as with a fixed start.
+to a finite list of scenario cuts g_a(x, y) <= rhs, kept in canonical
+order.  Method: augmented Lagrangian on the inequality constraints with
+a box-constrained projected Newton inner solve (:func:`minimize`).
+Every solve starts with zero multipliers, from the point ``x0`` given to
+:func:`solve`: the box center for the first solve on each side (lower,
+upper) of a run, the previous minimizer on the same side for every later
+one.  After flooding every agent holds that minimizer, so the start is a
+function of the agents' common history; every step is a pure function
+of the problem and the start, so consensus and bitwise repeatability
+hold as with a fixed start.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .problem import LocalObjective, NumericalFailure, ProblemInstance, SemiInfiniteConstraint, Vector
+from .problem import NumericalFailure, ProblemInstance, Vector
 
 # (agent_id, insertion_index, scenario coords, rhs); the first two fields
 # define the canonical ordering shared by every agent after flooding.
@@ -76,41 +75,34 @@ def _cut_terms(constraints, scenarios, n: int):
     )
 
 
-@dataclass(frozen=True)
 class FiniteSubproblem:
     """Canonical finite convex program: sum of objectives + box + cuts.
 
-    On construction the objectives' and the cuts' data are gathered into
-    arrays once.  :meth:`evaluate` computes each family (the objectives,
-    the cuts) with one kernel call when its members share one ``batch``
-    function, and with one scalar call per member otherwise.  Both paths
-    give bitwise equal results (see the ``batch`` contract in
-    :mod:`drcopt.problem`).
+    Built from an instance and any iterable of cuts, which it sorts into
+    canonical order.  On construction the objectives' and the cuts' data
+    are gathered into arrays once.  :meth:`evaluate` computes each family
+    (the objectives, the cuts) with one kernel call when its members
+    share one ``batch`` function, and with one scalar call per member
+    otherwise.  Both paths give bitwise equal results (see the ``batch``
+    contract in :mod:`drcopt.problem`).
     """
 
-    objectives: tuple[LocalObjective, ...]
-    constraint_functions: tuple[SemiInfiniteConstraint, ...]
-    box: Vector
-    cuts: tuple[Cut, ...]
-    _objective_terms: Callable = field(init=False, repr=False, compare=False)
-    _cut_terms: Callable = field(init=False, repr=False, compare=False)
-    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if tuple(sorted(self.cuts)) != self.cuts:
-            raise ValueError("cuts must be in canonical (agent_id, index) order")
-        for agent_id, _, scenario, rhs in self.cuts:
-            if rhs > 0.0:
-                raise ValueError("cut right-hand sides must be <= 0")
-            y_box = self.constraint_functions[agent_id - 1].uncertainty_box
-            y = np.asarray(scenario)
+    def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
+        self.box = instance.box
+        self.cuts = tuple(sorted(cuts))
+        constraints = [instance.constraints[agent_id - 1] for agent_id, _, _, _ in self.cuts]
+        scenarios = [np.asarray(scenario, dtype=float) for _, _, scenario, _ in self.cuts]
+        self._rhs = np.array([rhs for _, _, _, rhs in self.cuts], dtype=float)
+        if np.any(self._rhs > 0.0):
+            raise ValueError("cut right-hand sides must be <= 0")
+        if scenarios:
+            # One row per scenario coordinate, so agents may differ in n_y.
+            y = np.concatenate(scenarios)
+            y_box = np.concatenate([g.uncertainty_box for g in constraints])
             if np.any(y < y_box[:, 0] - 1e-12) or np.any(y > y_box[:, 1] + 1e-12):
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
-        constraints = [self.constraint_functions[agent_id - 1] for agent_id, _, _, _ in self.cuts]
-        scenarios = [np.asarray(scenario, dtype=float) for _, _, scenario, _ in self.cuts]
-        object.__setattr__(self, "_objective_terms", _objective_terms(self.objectives))
-        object.__setattr__(self, "_cut_terms", _cut_terms(constraints, scenarios, self.n))
-        object.__setattr__(self, "_rhs", np.array([rhs for _, _, _, rhs in self.cuts], dtype=float))
+        self._objective_terms = _objective_terms(instance.objectives)
+        self._cut_terms = _cut_terms(constraints, scenarios, self.n)
 
     @property
     def n(self) -> int:
@@ -128,15 +120,6 @@ class FiniteSubproblem:
         return float(f_values.sum()), f_grads.sum(axis=0), g_values - self._rhs, g_grads
 
 
-def build_subproblem(instance: ProblemInstance, cuts: Sequence[Cut]) -> FiniteSubproblem:
-    return FiniteSubproblem(
-        objectives=instance.objectives,
-        constraint_functions=instance.constraints,
-        box=instance.box,
-        cuts=tuple(sorted(cuts)),
-    )
-
-
 @dataclass(frozen=True)
 class SolveReport:
     minimizer: Vector
@@ -144,8 +127,7 @@ class SolveReport:
     max_violation: float
     iterations: int
     status: SolveStatus
-    multipliers: np.ndarray = field(default=None, repr=False)
-    cuts: tuple[Cut, ...] = field(default=(), repr=False)  # the canonical cuts solved on
+    multipliers: np.ndarray = field(repr=False)
 
 
 def _project(x: Vector, box: Vector) -> Vector:
@@ -284,34 +266,22 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     )
 
 
-def _carried_multipliers(start: SolveReport, cuts: tuple[Cut, ...]) -> np.ndarray:
-    """Each cut's multiplier in ``start`` if ``start.cuts`` holds an equal cut, else 0."""
-    carried = dict(zip(start.cuts, start.multipliers))
-    return np.array([carried.get(cut, 0.0) for cut in cuts])
-
-
-def solve(problem: FiniteSubproblem, start: SolveReport | None = None) -> SolveReport:
+def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
-    Without ``start`` the augmented-Lagrangian iteration starts from the
-    box center with zero multipliers.  With ``start``, the report of an
-    earlier solve, it starts from ``start.minimizer``, and a cut's
-    multiplier is carried over only when ``start.cuts`` holds a cut equal
-    to it in all four fields (agent, index, scenario, rhs); every other
-    cut starts at zero, so a cut whose scenario or rhs changed (an upper
-    cut whose ``eps_i`` shrank) brings no stale multiplier.
+    The augmented-Lagrangian iteration starts from ``x0``, or from the box
+    center when it is None, with zero multipliers.  Multipliers are not
+    carried between solves: near convergence a new cut nearly repeats an
+    old one, and nearly parallel active cuts have no unique multipliers.
     Deterministic: every step is a pure function of the canonical input
-    and the start.  :func:`drcopt.sim.run` passes the previous report on
-    the same side, which every agent holds, so every agent would compute
-    the same solve and repeated runs agree bit for bit.
+    and ``x0``.  :func:`drcopt.sim.run` passes the
+    previous minimizer on the same side, which every agent holds, so
+    every agent would compute the same solve and repeated runs agree bit
+    for bit.
     """
     n_cuts = len(problem.cuts)
-    if start is None:
-        x = problem.box.mean(axis=1)
-        lam = np.zeros(n_cuts)
-    else:
-        x = start.minimizer
-        lam = _carried_multipliers(start, problem.cuts)
+    x = problem.box.mean(axis=1) if x0 is None else x0
+    lam = np.zeros(n_cuts)
     # The multiplier iteration converges linearly, faster as mu grows
     # (Bertsekas 1982; Nocedal & Wright, ch. 17).  The Newton inner solve
     # builds the penalty's curvature into its Hessian, so a base of 1000
@@ -351,7 +321,6 @@ def solve(problem: FiniteSubproblem, start: SolveReport | None = None) -> SolveR
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
-                cuts=problem.cuts,
             )
 
         lam = lam_next
@@ -379,5 +348,4 @@ def solve(problem: FiniteSubproblem, start: SolveReport | None = None) -> SolveR
         iterations=MAX_OUTER,
         status=status,
         multipliers=lam,
-        cuts=problem.cuts,
     )

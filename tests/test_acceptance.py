@@ -16,7 +16,7 @@ from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp, solve_llp_numeric
 from drcopt.problem import example1_constraint
 from drcopt.sim import RunParams, run
-from drcopt.solver import SolveStatus, build_subproblem, solve
+from drcopt.solver import FiniteSubproblem, SolveStatus, solve
 from drcopt.termination import run_stopping_round
 
 from helpers import (
@@ -165,10 +165,10 @@ def test_criterion_09_llp_equivalence(case_study, rng):
 
 def test_criterion_10_solver_equivalence(case_study, rng):
     ok = True
-    report = solve(build_subproblem(case_study, ()))
+    report = solve(FiniteSubproblem(case_study, ()))
     ok &= bool(np.all(np.abs(report.minimizer - [0.0, 1.0]) <= 1e-6))
     single_scenario = [(a, a - 1, (1.0,), 0.0) for a in range(1, 7)]
-    report = solve(build_subproblem(case_study, single_scenario))
+    report = solve(FiniteSubproblem(case_study, single_scenario))
     ok &= bool(np.all(np.abs(report.minimizer - [0.0, 0.71875]) <= 1e-6))
     for _ in range(20):
         n_cuts = int(rng.integers(1, 7))
@@ -183,7 +183,7 @@ def test_criterion_10_solver_equivalence(case_study, rng):
                 for k in range(n_cuts)
             )
         )
-        problem = build_subproblem(case_study, cuts)
+        problem = FiniteSubproblem(case_study, cuts)
         report = solve(problem)
         ok &= report.status is SolveStatus.OPTIMAL
         _, grid_point = case_study_grid_min(subproblem_cut_view(problem))

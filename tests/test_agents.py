@@ -12,7 +12,7 @@ from drcopt.agents import (
     upper_cuts,
 )
 from drcopt.llp import Verdict
-from drcopt.solver import build_subproblem
+from drcopt.solver import FiniteSubproblem
 
 from helpers import F_STAR, X_STAR
 
@@ -73,7 +73,7 @@ class TestUpperOracle:
 
 
 def build_from(states, instance, side_cuts):
-    return build_subproblem(instance, [cut for state in states for cut in side_cuts(state)])
+    return FiniteSubproblem(instance, [cut for state in states for cut in side_cuts(state)])
 
 
 class TestSubproblemBuilders:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ MALFORMED_CONFIGS = {
         {"instance": two_agent_instance(constraint={"kind": "example1", "y_upper": -1})},
         "y_upper must be positive and finite",
     ),
+    "n-float": ({"instance": {**two_agent_instance(), "n": 2.0}}, "n must be an integer, got 2.0"),
+    "m-float": ({"instance": {**two_agent_instance(), "m": 2.7}}, "m must be an integer, got 2.7"),
+    "m-string": ({"instance": {**two_agent_instance(), "m": "2"}}, "m must be an integer, got '2'"),
+    "m-bool": ({"instance": {**two_agent_instance(), "m": True}}, "m must be an integer, got True"),
 }
 
 
@@ -101,8 +106,23 @@ class TestRun:
             ({"topology": "explicit", "m": 6, "slots": [[[1, 2]]]}, "no window of length"),
             ({"topology": "ring", "m": 6}, "unknown topology 'ring'"),
             ({"topology": "cycle", "m": 5}, "the schedule has 5 agents, the instance 6"),
+            ({"topology": "cycle", "m": 6.7}, "m must be an integer, got 6.7"),
+            ({"topology": "cycle", "m": "6"}, "m must be an integer, got '6'"),
+            ({"topology": "cycle", "m": True}, "m must be an integer, got True"),
+            (
+                {"topology": "explicit", "m": 6, "slots": [[[1.9, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]]},
+                "edge endpoint must be an integer, got 1.9",
+            ),
         ],
-        ids=["not-uniformly-connected", "unknown-name", "agent-count-mismatch"],
+        ids=[
+            "not-uniformly-connected",
+            "unknown-name",
+            "agent-count-mismatch",
+            "m-float",
+            "m-string",
+            "m-bool",
+            "edge-endpoint-float",
+        ],
     )
     def test_bad_topology_object_exits_1(self, tmp_path, capsys, topology, message):
         cfg = write_config(tmp_path / "cfg.json", topology=topology)
@@ -124,6 +144,9 @@ class TestRun:
             ("max_iter", 0),
             ("max_iter", 2.5),
             ("max_iter", True),
+            ("eps0", float("inf")),
+            ("r", float("inf")),
+            ("eps_f", float("inf")),
         ],
     )
     def test_bad_run_parameter_exits_1(self, tmp_path, capsys, field, value):
@@ -181,6 +204,39 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
         assert json.loads((out / "results.json").read_text())["iterations"] == 3
+
+
+class TestTraceFiles:
+    def test_missing_upper_bound_is_written_as_inf(self, tmp_path, capsys):
+        # Far from the feasible set the first iteration has no upper bound
+        # and a lower bound of 162, above any stand-in constant.
+        far = {
+            **two_agent_instance(center=[0.0, 10.0]),
+            "agents": [
+                {
+                    "objective": {"kind": "quadratic-distance", "center": [0.0, 10.0]},
+                    "constraint": {"kind": "paper-quadratic", "v": v},
+                }
+                for v in (-0.25, 0.25)
+            ],
+        }
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", instance=far), "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows[0] == ["1", "162.0000000000", "inf"]
+        for _, lower, upper in rows:
+            assert upper == "inf" or float(upper) >= float(lower)
+
+    def test_plot_without_a_finite_upper_bound(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", max_iter=1), "--out", str(out), "--plot"]) == 2
+        with open(out / "trace.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1][2] == "inf"
+        svg = ElementTree.parse(out / "trace.svg").getroot()
+        lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
+        assert [line.get("points").count(",") for line in lines] == [1, 0]
+        assert "inf" not in (out / "trace.svg").read_text()
 
 
 NUMERICAL_FAILURES = {
@@ -266,6 +322,9 @@ class TestTable2:
             assert lower <= F_STAR + 1e-9 <= upper + 2e-9
             assert upper - lower <= 0.06 + 1e-9
 
+    def test_large_r_exits_0(self, tmp_path, capsys):
+        assert main(["table2", "--out", str(tmp_path / "t2"), "--r", "1e10"]) == 0
+
     def test_budget_exhaustion_writes_rows_without_coordinates_and_exits_2(self, tmp_path, capsys):
         out = tmp_path / "t2"
         assert main(["table2", "--out", str(out), "--max-iter", "2"]) == 2
@@ -279,6 +338,14 @@ class TestTable2:
             assert len(row) == len(rows[0])
             assert row[2] == "2" and row[5] == "False"
             assert row[6:] == [""] * 12
+
+    @pytest.mark.parametrize("flag, field", [("--eps0", "eps0"), ("--r", "r"), ("--eps-f", "eps_f")])
+    def test_infinite_run_parameter_exits_1(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out), flag, "inf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad run parameter: {field} must") and err.endswith("finite, got inf\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps0, message", [("0", "eps0 must be positive"), ("10", "choose a smaller eps0")])
     def test_bad_eps0_exits_1(self, tmp_path, capsys, eps0, message):

@@ -78,9 +78,9 @@ class TestConsensusSolve:
         calls = []
         real_solve = consensus.solve
 
-        def counting_solve(problem, start=None):
+        def counting_solve(problem, x0=None):
             calls.append(problem)
-            return real_solve(problem, start)
+            return real_solve(problem, x0)
 
         monkeypatch.setattr(consensus, "solve", counting_solve)
         states = initial_states(case_study, 0.01)
@@ -100,5 +100,5 @@ class TestConsensusSolve:
         for s in states:
             s.lower_scenarios.append((1.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]
-        with pytest.raises(AssertionError, match="missed tuples"):
+        with pytest.raises(NumericalFailure, match="missed tuples"):
             consensus_solve(case_study, payloads, schedule)

@@ -7,7 +7,7 @@ from drcopt import solver
 from drcopt.graph import complete, directed_cycle
 from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure
-from drcopt.sim import PLOT_CEILING, ConfigError, RunParams, run, trace
+from drcopt.sim import ConfigError, RunParams, run
 
 from helpers import F_STAR, X_STAR, scaled_case_study
 
@@ -122,6 +122,14 @@ class TestParameterHandling:
         with pytest.raises(NumericalFailure, match="lower subproblem solve hit the iteration limit"):
             run(case_study, directed_cycle(6), RunParams())
 
+    @pytest.mark.parametrize("r", [10.0, 1e2, 1e4, 1e6, 1e8, 3e9, 1e10])
+    def test_large_r_terminates(self, case_study, r):
+        # At r = 3e9 and 1e10 the lower cuts gather near-duplicate
+        # scenarios, whose active cuts have no unique multipliers.
+        result = run(case_study, directed_cycle(6), RunParams(r=r))
+        assert result.terminated
+        assert result.final_lower <= F_STAR + 1e-9 <= result.final_upper + 1e-9
+
     def test_method_validated(self):
         with pytest.raises(ValueError):
             RunParams(method="III")
@@ -138,15 +146,3 @@ class TestParameterHandling:
         with pytest.raises(ValueError):
             run(case_study, directed_cycle(4), RunParams())
 
-
-class TestTrace:
-    def test_infinite_upper_clipped_to_ceiling(self, cycle_run):
-        rows = trace(cycle_run)
-        assert len(rows) == cycle_run.iterations
-        for rec, (k, lower, upper) in zip(cycle_run.records, rows):
-            assert k == rec.k and lower == rec.lower
-            if math.isfinite(rec.upper):
-                assert upper == rec.upper
-            else:
-                assert upper == PLOT_CEILING
-        assert any(upper == PLOT_CEILING for _, _, upper in rows)

@@ -7,9 +7,9 @@ from scipy.optimize import minimize as scipy_minimize
 
 from drcopt import consensus, solver
 from drcopt.graph import directed_cycle
-from drcopt.problem import NumericalFailure, example1_constraint, quadratic_distance
+from drcopt.problem import NumericalFailure, SemiInfiniteConstraint, example1_constraint, quadratic_distance
 from drcopt.sim import RunParams, run
-from drcopt.solver import SolveStatus, build_subproblem, minimize, solve
+from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
 
 from helpers import case_study_grid_min, subproblem_cut_view
 
@@ -81,20 +81,20 @@ def assert_reports_bitwise_equal(a, b):
 
 class TestHandDerivedSubproblems:
     def test_unconstrained_minimizer(self, case_study):
-        report = solve(build_subproblem(case_study, []))
+        report = solve(FiniteSubproblem(case_study, []))
         assert report.status is SolveStatus.OPTIMAL
         assert np.allclose(report.minimizer, [0.0, 1.0], atol=1e-8)
         assert report.objective_value == pytest.approx(38.0, abs=1e-8)
 
     def test_single_cut_minimizer(self, case_study):
-        report = solve(build_subproblem(case_study, all_agent_cuts(1.0, 0.0)))
+        report = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0)))
         assert report.status is SolveStatus.OPTIMAL
         assert np.allclose(report.minimizer, [0.0, 0.71875], atol=1e-6)
         assert report.objective_value == pytest.approx(38.474609375, abs=1e-6)
         assert report.max_violation <= 1e-9
 
     def test_empty_feasible_set_detected(self, case_study):
-        problem = build_subproblem(case_study, all_agent_cuts(1.0, -10.0))
+        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, -10.0))
         report = solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
 
@@ -106,15 +106,15 @@ def stationarity_residual(problem, x, multipliers=None):
 
 class TestStationarity:
     def test_zero_at_unconstrained_minimum(self, case_study):
-        problem = build_subproblem(case_study, [])
+        problem = FiniteSubproblem(case_study, [])
         assert stationarity_residual(problem, np.array([0.0, 1.0])) <= 1e-12
 
     def test_positive_away_from_minimum(self, case_study):
-        problem = build_subproblem(case_study, [])
+        problem = FiniteSubproblem(case_study, [])
         assert stationarity_residual(problem, np.array([0.5, 0.5])) > 0.1
 
     def test_small_at_constrained_minimum_with_multipliers(self, case_study):
-        problem = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
         residual = stationarity_residual(problem, report.minimizer, report.multipliers)
         assert residual <= 1e-8
@@ -122,7 +122,7 @@ class TestStationarity:
 
 class TestProperties:
     def test_determinism_bitwise(self, case_study):
-        problem = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         a = solve(problem)
         b = solve(problem)
         assert np.array_equal(a.minimizer, b.minimizer)
@@ -137,36 +137,50 @@ class TestProperties:
         for size in range(len(pool) + 1):
             cuts = sorted(pool[:size])
             cuts = [(a, k, y, r) for k, (a, _, y, r) in enumerate(cuts)]
-            values.append(solve(build_subproblem(case_study, cuts)).objective_value)
+            values.append(solve(FiniteSubproblem(case_study, cuts)).objective_value)
         for earlier, later in zip(values, values[1:]):
             # slack: the feasibility tolerance lets the optimum dip by
             # roughly multiplier * 1e-9 per active cut
             assert later >= earlier - 1e-8
 
-    def test_canonical_order_enforced(self, case_study):
-        from drcopt.solver import FiniteSubproblem
+    def test_unsorted_cuts_build_the_same_subproblem_as_sorted_ones(self, case_study, rng):
+        cuts = random_cuts(rng)
+        shuffled = [cuts[i] for i in rng.permutation(len(cuts))]
+        assert shuffled != cuts
+        problem = FiniteSubproblem(case_study, shuffled)
+        assert problem.cuts == tuple(cuts)
+        assert_reports_bitwise_equal(solve(problem), solve(FiniteSubproblem(case_study, cuts)))
 
-        with pytest.raises(ValueError, match="canonical"):
-            FiniteSubproblem(
-                objectives=case_study.objectives,
-                constraint_functions=case_study.constraints,
-                box=case_study.box,
-                cuts=((2, 0, (0.5,), 0.0), (1, 0, (0.5,), 0.0)),
-            )
+    def test_mixed_scenario_dimensions(self, case_study):
+        # Agent 1 has a two-dimensional uncertainty box [0, 1]^2, the
+        # others the case study's [-1, 1].
+        plane = SemiInfiniteConstraint(
+            evaluate=lambda x, y: float(x[1] + y[0] * y[1] - 1.0),
+            x_gradient=lambda x, y: np.array([0.0, 1.0]),
+            uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        mixed = dataclasses.replace(case_study, constraints=(plane,) + case_study.constraints[1:])
+        report = solve(FiniteSubproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (-0.9,), 0.0)]))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.minimizer[1] == pytest.approx(0.55, abs=1e-8)
+        with pytest.raises(ValueError, match="uncertainty box"):
+            FiniteSubproblem(mixed, [(1, 0, (0.5, -0.5), 0.0), (2, 0, (-0.9,), 0.0)])
+        with pytest.raises(ValueError, match="uncertainty box"):
+            FiniteSubproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (1.5,), 0.0)])
 
     def test_positive_rhs_rejected(self, case_study):
         with pytest.raises(ValueError, match="<= 0"):
-            build_subproblem(case_study, [(1, 0, (0.5,), 0.1)])
+            FiniteSubproblem(case_study, [(1, 0, (0.5,), 0.1)])
 
     def test_scenario_outside_box_rejected(self, case_study):
         with pytest.raises(ValueError, match="uncertainty box"):
-            build_subproblem(case_study, [(1, 0, (1.5,), 0.0)])
+            FiniteSubproblem(case_study, [(1, 0, (1.5,), 0.0)])
 
 
 class TestGridOracle:
     def test_hand_cases_match_grid(self, case_study):
         for cuts in ([], all_agent_cuts(1.0, 0.0)):
-            report = solve(build_subproblem(case_study, cuts))
+            report = solve(FiniteSubproblem(case_study, cuts))
             grid_val, grid_pt = case_study_grid_min(
                 [(a, y, r) for a, _, y, r in cuts]
             )
@@ -185,7 +199,7 @@ class TestGridOracle:
                 )
                 for k in range(n_cuts)
             )
-            problem = build_subproblem(case_study, cuts)
+            problem = FiniteSubproblem(case_study, cuts)
             report = solve(problem)
             assert report.status is SolveStatus.OPTIMAL
             grid_val, _ = case_study_grid_min(subproblem_cut_view(problem))
@@ -211,25 +225,25 @@ class TestFusedEvaluation:
         scalar_only = without_batch(case_study)
         for _ in range(10):
             cuts = random_cuts(rng)
-            fused = build_subproblem(case_study, cuts)
-            looped = build_subproblem(scalar_only, cuts)
+            fused = FiniteSubproblem(case_study, cuts)
+            looped = FiniteSubproblem(scalar_only, cuts)
             for x in random_points(rng, 20):
                 for a, b in zip(fused.evaluate(x), looped.evaluate(x)):
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_case_study_solve_bitwise_equal_per_cut_loop(self, case_study, rng):
         cuts = random_cuts(rng)
-        fused = solve(build_subproblem(case_study, cuts))
-        assert_reports_bitwise_equal(fused, solve(build_subproblem(without_batch(case_study), cuts)))
+        fused = solve(FiniteSubproblem(case_study, cuts))
+        assert_reports_bitwise_equal(fused, solve(FiniteSubproblem(without_batch(case_study), cuts)))
 
     def test_case_study_solve_calls_no_scalar_closure(self, case_study):
         cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
         calls = Counter()
-        report = solve(build_subproblem(counting(case_study, calls), cuts))
+        report = solve(FiniteSubproblem(counting(case_study, calls), cuts))
         assert report.status is SolveStatus.OPTIMAL
         assert calls == Counter()
         # The same counters do see the per-cut loop once the hooks are gone.
-        solve(build_subproblem(counting(without_batch(case_study), calls), cuts))
+        solve(FiniteSubproblem(counting(without_batch(case_study), calls), cuts))
         assert calls["evaluate"] and calls["gradient"] and calls["x_gradient"]
 
     def test_mixed_family_takes_the_per_cut_loop(self, case_study):
@@ -239,9 +253,9 @@ class TestFusedEvaluation:
         cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
         calls = Counter()
-        report = solve(build_subproblem(counting(mixed, calls), cuts))
+        report = solve(FiniteSubproblem(counting(mixed, calls), cuts))
         assert calls["x_gradient"] > 0
-        assert_reports_bitwise_equal(report, solve(build_subproblem(without_batch(mixed), cuts)))
+        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(without_batch(mixed), cuts)))
 
 
 def box_quadratic(rng, n: int, case: str):
@@ -322,11 +336,11 @@ class TestExitTest:
     def test_stale_multiplier_on_a_slack_cut_is_refused(self, case_study):
         # The optimum of the tighter problem (cuts at rhs -0.05) with its
         # multipliers: the objective's gradient is cancelled by them.
-        tight = solve(build_subproblem(case_study, all_agent_cuts(1.0, -0.05)))
+        tight = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -0.05)))
         assert tight.status is SolveStatus.OPTIMAL
         # The same point and multipliers on the looser problem (rhs 0):
         # every cut is slack by 0.05, so the multipliers are stale.
-        loose = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        loose = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         x, lam = tight.minimizer, tight.multipliers
         _, grad, c, jac = loose.evaluate(x)
         assert np.all(c < -0.04) and np.max(lam) > 1e-3
@@ -339,7 +353,7 @@ class TestExitTest:
         assert report.objective_value < tight.objective_value - 1e-3
 
     def test_accepts_the_solver_optimum(self, case_study):
-        problem = build_subproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
         _, grad, c, jac = problem.evaluate(report.minimizer)
         assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box)
@@ -347,13 +361,13 @@ class TestExitTest:
 
 @pytest.fixture(scope="module")
 def table2_solves(case_study):
-    """(problem, start, report) of every consensus solve of one table2 run."""
+    """(problem, x0, report) of every consensus solve of one table2 run."""
     calls = []
     real_solve = consensus.solve
 
-    def recording_solve(problem, start=None):
-        report = real_solve(problem, start)
-        calls.append((problem, start, report))
+    def recording_solve(problem, x0=None):
+        report = real_solve(problem, x0)
+        calls.append((problem, x0, report))
         return report
 
     with pytest.MonkeyPatch.context() as mp:
@@ -365,41 +379,21 @@ def table2_solves(case_study):
 class TestWarmStart:
     def test_every_later_solve_is_warm_started(self, table2_solves):
         assert len(table2_solves) == 16
-        assert [start is None for _, start, _ in table2_solves] == [True, True] + [False] * 14
-        # Each side starts from its own previous report.
-        for i, (_, start, _) in enumerate(table2_solves[2:], start=2):
-            assert start is table2_solves[i - 2][2]
+        assert [x0 is None for _, x0, _ in table2_solves] == [True, True] + [False] * 14
+        # Each side starts from its own previous minimizer.
+        for i, (_, x0, _) in enumerate(table2_solves[2:], start=2):
+            assert x0 is table2_solves[i - 2][2].minimizer
 
     def test_warm_reports_agree_with_cold_solves(self, table2_solves):
-        for problem, start, warm in table2_solves:
+        for problem, _, warm in table2_solves:
             cold = solve(problem)
             assert warm.status is SolveStatus.OPTIMAL and cold.status is SolveStatus.OPTIMAL
             assert abs(warm.max_violation - cold.max_violation) <= solver.FEASIBILITY_TOL
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
-            assert warm.cuts == problem.cuts
 
     def test_warm_solve_is_bitwise_repeatable(self, table2_solves):
-        problem, start, report = table2_solves[-1]
-        assert_reports_bitwise_equal(solve(problem, start), report)
-
-    def test_multipliers_carry_over_only_for_equal_cuts(self, case_study):
-        cuts = all_agent_cuts(1.0, 0.0)
-        start = dataclasses.replace(
-            solve(build_subproblem(case_study, cuts)), multipliers=np.arange(1.0, 7.0)
-        )
-        changed = [
-            cuts[0],
-            (1, 1, (0.5,), 0.0),  # added
-            (2, 0, (1.0,), -0.01),  # rhs changed
-            (3, 0, (0.5,), 0.0),  # scenario changed
-            *cuts[3:],
-        ]
-        problem = build_subproblem(case_study, changed)
-        lam = solver._carried_multipliers(start, problem.cuts)
-        assert lam.tolist() == [1.0, 0.0, 0.0, 0.0, 4.0, 5.0, 6.0]
-        report = solve(problem, start)
-        assert report.status is SolveStatus.OPTIMAL
-        assert report.objective_value == pytest.approx(solve(problem).objective_value, abs=1e-8)
+        problem, x0, report = table2_solves[-1]
+        assert_reports_bitwise_equal(solve(problem, x0), report)
 
 
 class TestNonFinite:
@@ -407,7 +401,7 @@ class TestNonFinite:
         instance = dataclasses.replace(
             case_study, objectives=(quadratic_distance([0.0, np.inf]),) + case_study.objectives[1:]
         )
-        problem = build_subproblem(instance, all_agent_cuts(1.0, 0.0))
+        problem = FiniteSubproblem(instance, all_agent_cuts(1.0, 0.0))
         with pytest.raises(NumericalFailure, match="at the start point"):
             solve(problem)
 
