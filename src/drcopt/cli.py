@@ -15,7 +15,7 @@ from . import svgplot
 from .bounds import accuracy_sweep, method1_accuracy
 from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
 from .llp import solve_llp
-from .problem import NumericalFailure, case_study_instance, instance_from_config, with_numeric_llp
+from .problem import NumericalFailure, case_study_instance, instance_from_config, require_real, with_numeric_llp
 from .sim import ConfigError, RunParams, RunResult, run
 from .solver import FEASIBILITY_TOL
 
@@ -68,9 +68,9 @@ def _build_from_config(config: dict):
         )
     try:
         params = RunParams(
-            eps0=float(config.get("eps0", 0.01)),
-            r=float(config.get("r", 2.0)),
-            eps_f=float(config.get("eps_f", 0.01)),
+            eps0=require_real(config.get("eps0", 0.01), "eps0"),
+            r=require_real(config.get("r", 2.0), "r"),
+            eps_f=require_real(config.get("eps_f", 0.01), "eps_f"),
             method=str(config.get("method", "I")),
             max_iter=config.get("max_iter", 500),
         )

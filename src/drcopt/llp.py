@@ -52,7 +52,7 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     """Grid search plus local refinement, ignoring any analytic maximizer.
 
     The grid is evaluated in one ``batch`` call when the constraint has
-    one, else point by point.  Concave constraints get a
+    one (only its values are used), else point by point.  Concave constraints get a
     single golden-section refinement around the best grid cell; otherwise
     the top five grid cells are each refined locally and the best result
     wins.
@@ -64,7 +64,7 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     lo, hi = constraint.uncertainty_box[0]
     ys = np.linspace(lo, hi, GRID_POINTS)
     if constraint.batch is not None:
-        vals, _ = constraint.batch(x, constraint.coefficients[None, :], ys[:, None])
+        vals = constraint.batch(x, constraint.coefficients[None, :], ys[:, None])[0]
     else:
         vals = np.array([constraint.evaluate(x, np.array([y])) for y in ys])
 

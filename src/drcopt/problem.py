@@ -7,6 +7,7 @@ uncertainty box Y_i, plus a shared bounded box on the decision vector.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -33,30 +34,71 @@ def require_integer(value, name: str) -> int:
     return int(value)
 
 
+def require_real(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number (``bool`` and ``str`` are not)."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _require_reals(values, name: str) -> np.ndarray:
+    """A (nested) list of real numbers as a float array; ValueError on any other entry."""
+    array = np.asarray(values, dtype=object)
+    for value in array.flat:
+        require_real(value, name)
+    return array.astype(float)
+
+
+@functools.cache
+def _constant_hessian(diagonal: tuple[float, ...]) -> np.ndarray:
+    """The Hessian diag(diagonal), one shared read-only array."""
+    hessian = np.diag(diagonal)
+    hessian.flags.writeable = False
+    return hessian
+
+
+@functools.lru_cache(maxsize=256)
+def _constant_hessians(k: int, diagonal: tuple[float, ...]) -> np.ndarray:
+    """k rows of diag(diagonal) as one read-only broadcast view: no memory per row.
+
+    Cached, because ``np.broadcast_to`` costs about 5 us a call and the
+    solver asks for the same k at every point.
+    """
+    return np.broadcast_to(_constant_hessian(diagonal), (k, len(diagonal), len(diagonal)))
+
+
 @dataclass(frozen=True)
 class LocalObjective:
     """Convex local objective with an analytic gradient.
 
+    ``hessian``, when present, maps x to the (n, n) Hessian; the solver's
+    Newton steps then use it instead of differences of the gradient.
+
     ``batch``, when present, is a function shared by a whole family of
     objectives, told apart by their ``coefficients`` (a 1-D array).  It
     takes (x, P), with P holding one member's coefficients per row, and
-    returns the values (k,) and gradients (k, n) of those k members at x.
-    Row j must equal ``evaluate`` and ``gradient`` of the member with
-    coefficients P[j] bit for bit: compute each term as the scalar closures
-    do, with the same operations in the same order.  The solver then
-    evaluates all objectives of a subproblem in one call when they share
-    one ``batch``, and its results do not depend on which path it took.
+    returns the values (k,), gradients (k, n) and Hessians (k, n, n) of
+    those k members at x (the Hessians None for a family without
+    ``hessian``).  Row j must equal ``evaluate``, ``gradient`` and
+    ``hessian`` of the member with coefficients P[j] bit for bit: compute
+    each term as the scalar closures do, with the same operations in the
+    same order.  A constant Hessian may be a read-only ``np.broadcast_to``
+    view of one array.  The solver then evaluates all objectives of a
+    subproblem in one call when they share one ``batch``, and its results
+    do not depend on which path it took.
     """
 
     evaluate: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
-    batch: Optional[Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    batch: Optional[Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]] = None
     coefficients: Optional[np.ndarray] = None
+    hessian: Optional[Callable[[Vector], np.ndarray]] = None
 
 
-def _quadratic_distance_batch(x: Vector, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadratic_distance_batch(x: Vector, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = x - centers
-    return (d * d).sum(axis=1), 2.0 * d
+    k, n = centers.shape
+    return (d * d).sum(axis=1), 2.0 * d, _constant_hessians(k, (2.0,) * n)
 
 
 def quadratic_distance(center) -> LocalObjective:
@@ -70,7 +112,12 @@ def quadratic_distance(center) -> LocalObjective:
     def gradient(x: Vector) -> Vector:
         return 2.0 * (np.asarray(x, dtype=float) - c)
 
-    return LocalObjective(evaluate, gradient, batch=_quadratic_distance_batch, coefficients=c)
+    def hessian(x: Vector) -> np.ndarray:
+        return _constant_hessian((2.0,) * c.size)
+
+    return LocalObjective(
+        evaluate, gradient, batch=_quadratic_distance_batch, coefficients=c, hessian=hessian
+    )
 
 
 @dataclass(frozen=True)
@@ -78,21 +125,27 @@ class SemiInfiniteConstraint:
     """Constraint g(x, y) <= 0 for all y in a compact box.
 
     ``evaluate`` and ``x_gradient`` take (x, y) with y a 1-D array of
-    length n_y.  ``analytic_argmax``, when present, maps x to the global
-    maximizer of g(x, .) over the uncertainty box.
+    length n_y.  ``x_hessian``, when present, takes (x, y) too and
+    returns the (n, n) Hessian of g(., y) at x; without it the solver's
+    Newton steps difference the gradients.  ``analytic_argmax``, when
+    present, maps x to the global maximizer of g(x, .) over the
+    uncertainty box.
 
     ``batch``, when present, is a function shared by a whole family of
     constraints, told apart by their ``coefficients`` (a 1-D array).  It
     takes (x, P, Y), with P of shape (k, p) holding one member's
     coefficients per row (or a single row for all k) and Y of shape
-    (k, n_y), and returns the values g_j(x, Y[j]) (k,) and x-gradients
-    (k, n) of those k pairs.  Row j must equal ``evaluate`` and
-    ``x_gradient`` of the member with coefficients P[j] at Y[j] bit for
-    bit: compute each term as the scalar closures do, with the same
-    operations in the same order.  The solver evaluates all cuts of a
-    subproblem in one call when their constraints share one ``batch``,
-    and the numeric lower-level problem scans its grid in one call; the
-    results do not depend on which path was taken.
+    (k, n_y), and returns the values g_j(x, Y[j]) (k,), x-gradients
+    (k, n) and x-Hessians (k, n, n) of those k pairs (the Hessians None
+    for a family without ``x_hessian``).  Row j must equal ``evaluate``,
+    ``x_gradient`` and ``x_hessian`` of the member with coefficients P[j]
+    at Y[j] bit for bit: compute each term as the scalar closures do, with
+    the same operations in the same order.  A constant Hessian may be a
+    read-only ``np.broadcast_to`` view of one array, which costs nothing
+    per row.  The solver evaluates all cuts of a subproblem in one call
+    when their constraints share one ``batch``, and the numeric
+    lower-level problem scans its grid in one call; the results do not
+    depend on which path was taken.
     """
 
     evaluate: Callable[[Vector, Vector], float]
@@ -100,8 +153,11 @@ class SemiInfiniteConstraint:
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
     analytic_argmax: Optional[Callable[[Vector], Vector]] = None
-    batch: Optional[Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    batch: Optional[
+        Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    ] = None
     coefficients: Optional[np.ndarray] = None
+    x_hessian: Optional[Callable[[Vector, Vector], np.ndarray]] = None
 
     @property
     def n_y(self) -> int:
@@ -140,13 +196,13 @@ CASE_STUDY_V = (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75)
 
 def _paper_quadratic_batch(
     x: Vector, coefficients: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = x[0] - coefficients[:, 0]
     y = ys[:, 0]
     grads = np.empty((len(y), 2))
     grads[:, 0] = 2.0 * d
     grads[:, 1] = 2.0 * y
-    return d * d + 2.0 * y * x[1] - y * y - 1.0, grads
+    return d * d + 2.0 * y * x[1] - y * y - 1.0, grads, _constant_hessians(len(y), (2.0, 0.0))
 
 
 def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
@@ -166,6 +222,9 @@ def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
     def x_gradient(x: Vector, y: Vector) -> Vector:
         return np.array([2.0 * (float(x[0]) - v), 2.0 * float(y[0])])
 
+    def x_hessian(x: Vector, y: Vector) -> np.ndarray:
+        return _constant_hessian((2.0, 0.0))
+
     def analytic_argmax(x: Vector) -> Vector:
         return np.array([min(hi, max(lo, float(x[1])))])
 
@@ -177,6 +236,7 @@ def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
         analytic_argmax=analytic_argmax,
         batch=_paper_quadratic_batch,
         coefficients=np.array([float(v)]),
+        x_hessian=x_hessian,
     )
 
 
@@ -203,6 +263,14 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
         d1 = (2.0 * x1 - 2.0) * e + (x1 * x1 - 2.0 * x1) * e * (-2.0 * x1 - 2.0 * yy)
         return np.array([d1, 1.0])
 
+    def x_hessian(x: Vector, y: Vector) -> np.ndarray:
+        # e = exp(...) has d e / d x1 = e * u; only d^2 g / d x1^2 is nonzero.
+        x1, yy = float(x[0]), float(y[0])
+        e = math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        u = -2.0 * x1 - 2.0 * yy
+        d11 = e * (2.0 + 2.0 * (2.0 * x1 - 2.0) * u + (x1 * x1 - 2.0 * x1) * (u * u - 2.0))
+        return np.array([[d11, 0.0], [0.0, 0.0]])
+
     def analytic_argmax(x: Vector) -> Vector:
         x1 = float(x[0])
         if 0.0 <= x1 <= 2.0:
@@ -216,6 +284,7 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
         uncertainty_box=np.array([[0.0, y_upper]]),
         concave_in_y=False,
         analytic_argmax=analytic_argmax,
+        x_hessian=x_hessian,
     )
 
 
@@ -259,7 +328,7 @@ def instance_from_config(config: dict) -> ProblemInstance:
     if n != 2:
         raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
     m = require_integer(config["m"], "m")
-    box = np.asarray(config["box"], dtype=float)
+    box = _require_reals(config["box"], "box entry")
     agents = config["agents"]
     if len(agents) != m:
         raise ValueError(f"config declares m={m} but lists {len(agents)} agents")
@@ -269,7 +338,7 @@ def instance_from_config(config: dict) -> ProblemInstance:
         obj = spec["objective"]
         if obj["kind"] != "quadratic-distance":
             raise ValueError(f"unknown objective kind {obj['kind']!r}")
-        center = np.asarray(obj["center"], dtype=float)
+        center = _require_reals(obj["center"], "objective center entry")
         if center.shape != (n,):
             raise ValueError("objective center has wrong dimension")
         if not np.all(np.isfinite(center)):
@@ -277,9 +346,9 @@ def instance_from_config(config: dict) -> ProblemInstance:
         objectives.append(quadratic_distance(center))
         con = spec["constraint"]
         if con["kind"] == "paper-quadratic":
-            constraints.append(paper_quadratic_constraint(float(con["v"])))
+            constraints.append(paper_quadratic_constraint(require_real(con["v"], "paper-quadratic v")))
         elif con["kind"] == "example1":
-            constraints.append(example1_constraint(float(con.get("y_upper", 2.0))))
+            constraints.append(example1_constraint(require_real(con.get("y_upper", 2.0), "example1 y_upper")))
         else:
             raise ValueError(f"unknown constraint kind {con['kind']!r}")
     return ProblemInstance(

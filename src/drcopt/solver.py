@@ -50,29 +50,42 @@ def _shared_batch(members):
 
 
 def _objective_terms(objectives):
-    """x -> (values, gradients) of the objectives, one row per objective."""
+    """x -> (values, gradients, Hessians or None) of the objectives, one row per objective."""
     batch = _shared_batch(objectives)
     if batch is not None:
         coefficients = np.array([f.coefficients for f in objectives])
         return lambda x: batch(x, coefficients)
+    exact = all(f.hessian is not None for f in objectives)
     return lambda x: (
         np.array([f.evaluate(x) for f in objectives]),
         np.array([f.gradient(x) for f in objectives]),
+        np.array([f.hessian(x) for f in objectives]) if exact else None,
     )
 
 
 def _cut_terms(constraints, scenarios, n: int):
-    """x -> (values, x-gradients) of g_a(x, y_j), one row per cut."""
+    """x -> (values, x-gradients, x-Hessians or None) of g_a(x, y_j), one row per cut."""
     batch = _shared_batch(constraints)
     if batch is not None:
         coefficients = np.array([g.coefficients for g in constraints])
         ys = np.array(scenarios)
         return lambda x: batch(x, coefficients, ys)
     rows = tuple(zip(constraints, scenarios))
+    exact = all(g.x_hessian is not None for g in constraints)
     return lambda x: (
         np.array([g.evaluate(x, y) for g, y in rows]),
         np.array([g.x_gradient(x, y) for g, y in rows]).reshape(len(rows), n),
+        np.array([g.x_hessian(x, y) for g, y in rows]).reshape(len(rows), n, n) if exact else None,
     )
+
+
+def _read_only(a):
+    """A read-only view of ``a`` (None stays None); the caller's array keeps its flags."""
+    if a is None:
+        return None
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 class FiniteSubproblem:
@@ -84,7 +97,8 @@ class FiniteSubproblem:
     (the objectives, the cuts) with one kernel call when its members
     share one ``batch`` function, and with one scalar call per member
     otherwise.  Both paths give bitwise equal results (see the ``batch``
-    contract in :mod:`drcopt.problem`).
+    contract in :mod:`drcopt.problem`).  It remembers the last point it
+    evaluated: the solver asks for the same point several times in a row.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
@@ -103,21 +117,35 @@ class FiniteSubproblem:
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
         self._objective_terms = _objective_terms(instance.objectives)
         self._cut_terms = _cut_terms(constraints, scenarios, self.n)
+        self._memo_key, self._memo = None, None
 
     @property
     def n(self) -> int:
         return self.box.shape[0]
 
-    def evaluate(self, x: Vector) -> tuple[float, Vector, np.ndarray, np.ndarray]:
-        """(f, grad f, c, Jacobian of c) at x.
+    def evaluate(self, x: Vector):
+        """(f, grad f, c, Jacobian of c, Hessian of f, Hessians of c) at x.
 
         f is the sum of the objectives; c_j(x) = g_a(x, y_j) - rhs_j is cut
         j's value, violated when positive, and row j of the Jacobian its
-        gradient.
+        gradient.  The Hessians are (n, n) and (n_cuts, n, n), both None
+        unless every objective and every cut constraint has second
+        derivatives.  The arrays are read-only: a repeated call at the
+        same x returns the same ones.
         """
-        f_values, f_grads = self._objective_terms(x)
-        g_values, g_grads = self._cut_terms(x)
-        return float(f_values.sum()), f_grads.sum(axis=0), g_values - self._rhs, g_grads
+        key = x.tobytes()
+        if key != self._memo_key:
+            f_values, f_grads, f_hess = self._objective_terms(x)
+            g_values, g_grads, g_hess = self._cut_terms(x)
+            if f_hess is None or g_hess is None:
+                f_hess = g_hess = None
+            else:
+                f_hess = f_hess.sum(axis=0)
+            self._memo = (float(f_values.sum()),) + tuple(
+                _read_only(a) for a in (f_grads.sum(axis=0), g_values - self._rhs, g_grads, f_hess, g_hess)
+            )
+            self._memo_key = key
+        return self._memo
 
 
 @dataclass(frozen=True)
@@ -162,29 +190,43 @@ def _require_finite(f: float, grad: Vector, where: str) -> None:
         raise NumericalFailure(f"non-finite objective or gradient {where}")
 
 
+def _difference_hessian(fun_grad, x: Vector, grad: Vector, free: np.ndarray, hi: Vector) -> np.ndarray:
+    """Forward differences of ``fun_grad``'s gradient in the ``free`` variables."""
+    hessian = np.empty((len(free), len(free)))
+    for col, j in enumerate(free):
+        # Step into the box, so every evaluation point is feasible.
+        h = _FD_STEP * max(1.0, abs(x[j]))
+        xh = x.copy()
+        xh[j] += h if x[j] + h <= hi[j] else -h
+        hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
+    return hessian
+
+
 def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
-    """Minimize a smooth convex ``fun_grad(x) -> (f, grad)`` over a box.
+    """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box.
 
     Projected Newton method (Bertsekas, SIAM J. Control Optim. 1982).
     Each step splits the variables by an epsilon-active set: a variable
     within ``eps = min(1e-3, ||x - P(x - grad)||_inf)`` of a bound, with
     the gradient pushing it out, moves along the negative gradient; the
-    others take a Newton step with a Hessian built by forward differences
-    of ``fun_grad``, symmetrized and with its eigenvalues floored.  The
-    step ``P(x + alpha d)`` is halved until the Armijo test holds.  When
-    the predicted decrease is below the resolution of ``f``, the full
-    step is taken only if it shrinks the projected gradient.
+    others take a Newton step with the Hessian ``hess`` restricted to
+    them, symmetrized and with its eigenvalues floored.  When ``hess`` is
+    None (a gradient-only function), the Hessian is built by forward
+    differences of ``fun_grad`` instead.  The step ``P(x + alpha d)`` is
+    halved until the Armijo test holds.  When the predicted decrease is
+    below the resolution of ``f``, the full step is taken only if it
+    shrinks the projected gradient.
 
     Stops when ``max|x - P(x - grad)| <= 1e-12``, or when a step can no
     longer change ``x`` or ``f`` at float resolution, or after
     ``max_iter`` steps.  Every operation is a fixed function of the
     input, so repeated calls agree bit for bit.  A non-finite ``f`` or
     gradient at the start or at an accepted iterate, or a non-finite
-    difference Hessian, raises :class:`NumericalFailure`.
+    Hessian, raises :class:`NumericalFailure`.
     """
     lo, hi = box[:, 0], box[:, 1]
     x = _project(np.asarray(x0, dtype=float), box)
-    f, grad = fun_grad(x)
+    f, grad, hess = fun_grad(x)
     _require_finite(f, grad, "at the start point")
     nit, nfev = 0, 1
     while nit < max_iter:
@@ -196,16 +238,13 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
         free = np.flatnonzero(~active)
         d = -grad
         if len(free):
-            hessian = np.empty((len(free), len(free)))
-            for col, j in enumerate(free):
-                # Step into the box, so every evaluation point is feasible.
-                h = _FD_STEP * max(1.0, abs(x[j]))
-                xh = x.copy()
-                xh[j] += h if x[j] + h <= hi[j] else -h
-                hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
-            nfev += len(free)
+            if hess is None:
+                hessian = _difference_hessian(fun_grad, x, grad, free, hi)
+                nfev += len(free)
+            else:
+                hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
-                raise NumericalFailure("non-finite difference Hessian")
+                raise NumericalFailure("non-finite " + ("difference " if hess is None else "") + "Hessian")
             w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
             w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
             d[free] = -(v @ ((v.T @ grad[free]) / w))
@@ -214,7 +253,7 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
             x_new = _project(x + alpha * d, box)
             if np.array_equal(x_new, x):
                 break
-            f_new, grad_new = fun_grad(x_new)
+            f_new, grad_new, hess_new = fun_grad(x_new)
             nfev += 1
             armijo = f + 1e-4 * float(grad @ (x_new - x))
             if armijo < f:
@@ -230,22 +269,36 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
         if not accepted:
             break
         _require_finite(f_new, grad_new, "at an accepted iterate")
-        x, f, grad = x_new, f_new, grad_new
+        x, f, grad, hess = x_new, f_new, grad_new, hess_new
         nit += 1
     return MinimizeResult(x, nit, nfev)
+
+
+def _cut_curvature(jac: np.ndarray, cut_hess: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * J_A^T J_A + sum_j weights_j * cut_hess_j`` over A = {j : weights_j > 0}.
+
+    The generalized Hessian of ``sum_j phi(c_j)`` for a penalty phi whose
+    derivative is ``weights`` and whose second derivative is ``scale`` on
+    A and 0 off it.  The products are formed row by row before the sum,
+    so the result does not depend on the memory layout of ``cut_hess``.
+    """
+    on = weights > 0.0
+    rows = jac[on]
+    return scale * (rows.T @ rows) + (weights[on, None, None] * cut_hess[on]).sum(axis=0)
 
 
 def _feasibility_phase(problem: FiniteSubproblem) -> float:
     """Minimize the sum of squared violations; returns the residual max violation."""
 
     def fun_grad(x):
-        _, _, c, jac = problem.evaluate(x)
+        _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
-        return 0.5 * float(pos @ pos), grad
+        hess = None if cut_hess is None else _cut_curvature(jac, cut_hess, pos, 1.0)
+        return 0.5 * float(pos @ pos), grad, hess
 
     x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
-    _, _, c, _ = problem.evaluate(x)
+    c = problem.evaluate(x)[2]
     return float(max(0.0, c.max())) if len(c) else 0.0
 
 
@@ -273,11 +326,15 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
     center when it is None, with zero multipliers.  Multipliers are not
     carried between solves: near convergence a new cut nearly repeats an
     old one, and nearly parallel active cuts have no unique multipliers.
-    Deterministic: every step is a pure function of the canonical input
-    and ``x0``.  :func:`drcopt.sim.run` passes the
-    previous minimizer on the same side, which every agent holds, so
-    every agent would compute the same solve and repeated runs agree bit
-    for bit.
+    Each inner minimization gets the exact generalized Hessian of the
+    augmented Lagrangian, ``H_f + mu J_A^T J_A + sum_j s_j H_j`` with
+    ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, when every
+    objective and cut constraint has second derivatives; otherwise
+    :func:`minimize` differences the gradient.  Deterministic: every step
+    is a pure function of the canonical input and ``x0``.
+    :func:`drcopt.sim.run` passes the previous minimizer on the same side,
+    which every agent holds, so every agent would compute the same solve
+    and repeated runs agree bit for bit.
     """
     n_cuts = len(problem.cuts)
     x = problem.box.mean(axis=1) if x0 is None else x0
@@ -296,16 +353,18 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
     for outer in range(1, MAX_OUTER + 1):
 
         def fun_grad(z, lam=lam, mu=mu):
-            f, grad, c, jac = problem.evaluate(z)
+            f, grad, c, jac, hess, cut_hess = problem.evaluate(z)
             if n_cuts:
                 shifted = np.maximum(0.0, lam + mu * c)
                 f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
                 grad = grad + jac.T @ shifted
-            return f, grad
+                if hess is not None:
+                    hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
+            return f, grad, hess
 
         x = minimize(fun_grad, x, problem.box, MAX_INNER).x
 
-        f, grad, c, jac = problem.evaluate(x)
+        f, grad, c, jac, _, _ = problem.evaluate(x)
         if n_cuts:
             viol = float(max(0.0, c.max()))
             lam_next = np.maximum(0.0, lam + mu * c)
@@ -340,7 +399,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
 
     residual_viol = _feasibility_phase(problem)
     status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
-    f, _, c, _ = problem.evaluate(x)
+    f, _, c, _, _, _ = problem.evaluate(x)
     return SolveReport(
         minimizer=x,
         objective_value=f,

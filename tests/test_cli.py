@@ -51,11 +51,12 @@ MALFORMED_CONFIGS = {
     "agents-not-objects": ({"instance": {**two_agent_instance(), "agents": [1, 2]}}, "bad 'instance' section"),
     "n-1": ({"instance": two_agent_instance(n=1)}, "need n = 2"),
     "n-3": ({"instance": two_agent_instance(n=3)}, "need n = 2"),
+    # json.dumps writes NaN and Infinity, which json.load reads back as floats.
     "v-nan": (
-        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": "nan"})},
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": float("nan")})},
         "v must be finite",
     ),
-    "center-inf": ({"instance": two_agent_instance(center=[0.0, "inf"])}, "center must be finite"),
+    "center-inf": ({"instance": two_agent_instance(center=[0.0, float("inf")])}, "center must be finite"),
     "inverted-uncertainty-box": (
         {"instance": two_agent_instance(constraint={"kind": "example1", "y_upper": -1})},
         "y_upper must be positive and finite",
@@ -64,6 +65,34 @@ MALFORMED_CONFIGS = {
     "m-float": ({"instance": {**two_agent_instance(), "m": 2.7}}, "m must be an integer, got 2.7"),
     "m-string": ({"instance": {**two_agent_instance(), "m": "2"}}, "m must be an integer, got '2'"),
     "m-bool": ({"instance": {**two_agent_instance(), "m": True}}, "m must be an integer, got True"),
+    "v-bool": (
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": True})},
+        "v must be a real number, got True",
+    ),
+    "v-string": (
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": "0.5"})},
+        "v must be a real number, got '0.5'",
+    ),
+    "y-upper-bool": (
+        {"instance": two_agent_instance(constraint={"kind": "example1", "y_upper": True})},
+        "y_upper must be a real number, got True",
+    ),
+    "box-bool-and-string": (
+        {"instance": {**two_agent_instance(), "box": [[True, 2], ["-1", 1]]}},
+        "box entry must be a real number, got True",
+    ),
+    "box-string": (
+        {"instance": {**two_agent_instance(), "box": [[-2, 2], ["-1", 1]]}},
+        "box entry must be a real number, got '-1'",
+    ),
+    "center-bool-and-string": (
+        {"instance": two_agent_instance(center=[True, "1"])},
+        "center entry must be a real number, got True",
+    ),
+    "center-string": (
+        {"instance": two_agent_instance(center=[0.0, "1"])},
+        "center entry must be a real number, got '1'",
+    ),
 }
 
 
@@ -147,6 +176,12 @@ class TestRun:
             ("eps0", float("inf")),
             ("r", float("inf")),
             ("eps_f", float("inf")),
+            ("eps0", True),
+            ("r", True),
+            ("eps_f", True),
+            ("eps0", "0.01"),
+            ("r", "2"),
+            ("eps_f", "0.01"),
         ],
     )
     def test_bad_run_parameter_exits_1(self, tmp_path, capsys, field, value):

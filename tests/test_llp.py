@@ -127,7 +127,7 @@ class TestBatchedGrid:
         constraint = case_study.constraints[agent]
         for x in random_xs(rng, 40):
             scalar = np.array([constraint.evaluate(x, np.array([y])) for y in GRID])
-            values, _ = constraint.batch(x, constraint.coefficients[None, :], GRID[:, None])
+            values, _, _ = constraint.batch(x, constraint.coefficients[None, :], GRID[:, None])
             assert values.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("agent", range(6))

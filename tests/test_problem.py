@@ -23,6 +23,16 @@ def central_difference(f, x, h=1e-6):
     return grad
 
 
+def difference_jacobian(grad, x, h=1e-6):
+    """Central differences of a vector function: column i is d grad / d x_i."""
+    columns = []
+    for i in range(len(x)):
+        e = np.zeros_like(x, dtype=float)
+        e[i] = h
+        columns.append((grad(x + e) - grad(x - e)) / (2 * h))
+    return np.column_stack(columns)
+
+
 class TestCaseStudyInstance:
     def test_parameters(self, case_study):
         assert case_study.m == 6
@@ -63,6 +73,21 @@ class TestCaseStudyInstance:
                 num = central_difference(lambda z: g.evaluate(z, y), x)
                 assert np.allclose(g.x_gradient(x, y), num, rtol=1e-5, atol=1e-5)
 
+    def test_objective_hessians_match_finite_differences(self, case_study, rng):
+        for _ in range(100):
+            x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
+            for f in case_study.objectives:
+                num = difference_jacobian(f.gradient, x)
+                assert np.allclose(f.hessian(x), num, rtol=1e-5, atol=1e-5)
+
+    def test_constraint_x_hessians_match_finite_differences(self, case_study, rng):
+        for _ in range(50):
+            x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
+            y = np.array([rng.uniform(-1, 1)])
+            for g in case_study.constraints:
+                num = difference_jacobian(lambda z: g.x_gradient(z, y), x)
+                assert np.allclose(g.x_hessian(x, y), num, rtol=1e-5, atol=1e-5)
+
     def test_feasibility_matches_closed_form(self, case_study, rng):
         # x feasible for agent i iff (x1 - v_i)^2 + clamp(x2)^2 adjustments <= 1
         for _ in range(200):
@@ -78,6 +103,16 @@ class TestExample1:
         g = example1_constraint()
         val = g.evaluate(np.array([1.0, 0.5]), np.array([1.0]))
         assert val == pytest.approx(0.5 - math.exp(-2.0), abs=1e-12)
+
+    def test_x_derivatives_match_finite_differences(self, rng):
+        # x1 inside [0, 2], where g is concave in y, and on both sides of it.
+        g = example1_constraint()
+        for x1 in np.concatenate([rng.uniform(0.0, 2.0, 25), rng.uniform(-2.0, 0.0, 15), rng.uniform(2.0, 3.0, 10)]):
+            x, y = np.array([x1, rng.uniform(-1.0, 1.0)]), np.array([rng.uniform(0.0, 2.0)])
+            num = central_difference(lambda z: g.evaluate(z, y), x)
+            assert np.allclose(g.x_gradient(x, y), num, rtol=1e-5, atol=1e-5)
+            num = difference_jacobian(lambda z: g.x_gradient(z, y), x)
+            assert np.allclose(g.x_hessian(x, y), num, rtol=1e-5, atol=1e-5)
 
     def test_argmax_matches_grid_brute_force(self):
         g = example1_constraint()

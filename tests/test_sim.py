@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from drcopt import solver
 from drcopt.graph import complete, directed_cycle
 from drcopt.llp import solve_llp
-from drcopt.problem import NumericalFailure
+from drcopt.problem import NumericalFailure, example1_constraint
 from drcopt.sim import ConfigError, RunParams, run
 
 from helpers import F_STAR, X_STAR, scaled_case_study
@@ -91,6 +92,20 @@ class TestScaledInstance:
         assert result.iterations == iterations
         assert result.final_lower == pytest.approx(lower, abs=1e-7)
         assert result.final_upper == pytest.approx(upper, abs=1e-7)
+
+
+class TestScalarSecondDerivatives:
+    def test_mixed_constraint_families(self, case_study):
+        # Two constraint families share no batch kernel, so every solve
+        # takes the per-cut loop and example1's scalar x-Hessian.
+        mixed = dataclasses.replace(
+            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3, known_optimum=None
+        )
+        result = run(mixed, directed_cycle(6), RunParams())
+        assert result.terminated
+        assert result.iterations == 8
+        assert result.final_lower == pytest.approx(40.95057538, abs=1e-7)
+        assert result.final_upper == pytest.approx(40.95623231, abs=1e-7)
 
 
 class TestParameterHandling:

@@ -100,7 +100,7 @@ class TestHandDerivedSubproblems:
 
 
 def stationarity_residual(problem, x, multipliers=None):
-    _, grad, _, jac = problem.evaluate(x)
+    _, grad, _, jac, _, _ = problem.evaluate(x)
     return solver._kkt_residual(x, grad, jac, multipliers, problem.box)
 
 
@@ -213,13 +213,28 @@ class TestFusedEvaluation:
         coefficients = np.array([g.coefficients for g in constraints])
         for x in random_points(rng, 200):
             ys = rng.uniform(-1.0, 1.0, (6, 1))
-            values, grads = objectives[0].batch(x, centers)
+            values, grads, hessians = objectives[0].batch(x, centers)
             assert values.tobytes() == np.array([f.evaluate(x) for f in objectives]).tobytes()
             assert grads.tobytes() == np.array([f.gradient(x) for f in objectives]).tobytes()
-            values, grads = constraints[0].batch(x, coefficients, ys)
+            assert hessians.tobytes() == np.array([f.hessian(x) for f in objectives]).tobytes()
+            values, grads, hessians = constraints[0].batch(x, coefficients, ys)
             pairs = list(zip(constraints, ys))
             assert values.tobytes() == np.array([g.evaluate(x, y) for g, y in pairs]).tobytes()
             assert grads.tobytes() == np.array([g.x_gradient(x, y) for g, y in pairs]).tobytes()
+            assert hessians.tobytes() == np.array([g.x_hessian(x, y) for g, y in pairs]).tobytes()
+
+    def test_constant_hessians_are_read_only_views(self, case_study):
+        # The numeric lower-level problem scans 2001 grid points in one
+        # call: a constant Hessian must cost no memory per row.
+        g = case_study.constraints[0]
+        ys = np.linspace(-1.0, 1.0, 2001)[:, None]
+        hessians = g.batch(np.zeros(2), g.coefficients[None, :], ys)[2]
+        assert hessians.shape == (2001, 2, 2) and hessians.strides[0] == 0
+        assert not hessians.flags.writeable
+        with pytest.raises(ValueError):
+            g.x_hessian(np.zeros(2), ys[0])[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            case_study.objectives[0].hessian(np.zeros(2))[0, 0] = 1.0
 
     def test_fused_evaluation_bitwise_equal_per_cut_loop(self, case_study, rng):
         scalar_only = without_batch(case_study)
@@ -245,6 +260,79 @@ class TestFusedEvaluation:
         # The same counters do see the per-cut loop once the hooks are gone.
         solve(FiniteSubproblem(counting(without_batch(case_study), calls), cuts))
         assert calls["evaluate"] and calls["gradient"] and calls["x_gradient"]
+
+    def test_repeated_point_returns_the_same_read_only_arrays(self, case_study, rng):
+        problem = FiniteSubproblem(case_study, random_cuts(rng))
+        x = np.array([0.3, -0.2])
+        first = problem.evaluate(x)
+        second = problem.evaluate(x.copy())
+        assert [np.asarray(a).tobytes() for a in first] == [np.asarray(a).tobytes() for a in second]
+        assert all(a is b for a, b in zip(first, second))
+        for a in first[1:]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        # A new point is evaluated afresh, and the earlier arrays are untouched.
+        other = problem.evaluate(np.array([0.3, 0.2]))
+        assert other[2].tobytes() != first[2].tobytes()
+        assert [np.asarray(a).tobytes() for a in first] == [np.asarray(a).tobytes() for a in problem.evaluate(x)]
+
+    def test_case_study_solve_takes_no_difference_evaluations(self, case_study, monkeypatch):
+        cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
+        missing, results = Counter(), []
+        real_minimize = solver.minimize
+
+        def checking_minimize(fun_grad, x0, box, max_iter):
+            def checked(x):
+                f, grad, hess = fun_grad(x)
+                missing["calls"] += 1
+                missing["no hessian"] += hess is None
+                return f, grad, hess
+
+            results.append(real_minimize(checked, x0, box, max_iter))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "minimize", checking_minimize)
+        report = solve(FiniteSubproblem(case_study, cuts))
+        assert report.status is SolveStatus.OPTIMAL
+        # Every fun_grad call carries the exact Hessian and counts once.
+        assert missing["no hessian"] == 0
+        assert missing["calls"] == sum(r.nfev for r in results)
+        # A difference step would now be NaN, and the solve is unchanged.
+        monkeypatch.setattr(solver, "_FD_STEP", np.nan)
+        assert_reports_bitwise_equal(solve(FiniteSubproblem(case_study, cuts)), report)
+        # Without second derivatives the same solve differences its gradients.
+        gradient_only = dataclasses.replace(
+            case_study, constraints=tuple(dataclasses.replace(g, x_hessian=None, batch=None) for g in case_study.constraints)
+        )
+        with pytest.raises(NumericalFailure, match="difference Hessian"):
+            solve(FiniteSubproblem(gradient_only, cuts))
+
+    @pytest.mark.parametrize("rhs", [0.0, -10.0], ids=["feasible", "infeasible"])
+    def test_inner_hessians_match_differences_of_the_gradient(self, case_study, rng, monkeypatch, rhs):
+        # Every function minimize is given (the augmented Lagrangians, and
+        # the feasibility phase's squared violations when infeasible) has
+        # the exact Hessian of its gradient away from the kinks of max(0, .).
+        mixed = dataclasses.replace(
+            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3
+        )
+        cuts = [(i, 0, (0.5,), rhs) for i in range(1, 7)] + [(i, 1, (0.9,), rhs) for i in range(1, 7)]
+        functions = []
+        real_minimize = solver.minimize
+
+        def recording_minimize(fun_grad, x0, box, max_iter):
+            functions.append(fun_grad)
+            return real_minimize(fun_grad, x0, box, max_iter)
+
+        monkeypatch.setattr(solver, "minimize", recording_minimize)
+        solve(FiniteSubproblem(mixed, cuts))
+        assert len(functions) >= 2
+        h = 1e-6
+        for fun_grad in functions:
+            for x in rng.uniform([-1.9, -0.9], [1.9, 0.9], (10, 2)):
+                hess = fun_grad(x)[2]
+                columns = [(fun_grad(x + e)[1] - fun_grad(x - e)[1]) / (2 * h) for e in np.eye(2) * h]
+                assert np.allclose(hess, np.column_stack(columns), rtol=1e-5, atol=1e-4)
 
     def test_mixed_family_takes_the_per_cut_loop(self, case_study):
         mixed = dataclasses.replace(
@@ -279,16 +367,23 @@ def box_quadratic(rng, n: int, case: str):
     b = grad_star - q @ x_star
 
     def fun_grad(x):
-        return float(0.5 * x @ q @ x + b @ x), q @ x + b
+        return float(0.5 * x @ q @ x + b @ x), q @ x + b, q
 
     return fun_grad, np.array([[-1.0, 1.0]] * n), x_star
+
+
+def gradient_only(fun_grad):
+    """``fun_grad`` without its Hessian: :func:`minimize` then takes differences."""
+    return lambda x: fun_grad(x)[:2] + (None,)
 
 
 def lbfgsb(fun_grad, x0, box):
     """scipy's L-BFGS-B at the settings the solver used before its own minimizer."""
     bounds = [(float(lo), float(hi)) for lo, hi in box]
     options = {"maxiter": 500, "ftol": 1e-22, "gtol": 1e-12}
-    return scipy_minimize(fun_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options).x
+    return scipy_minimize(
+        lambda x: fun_grad(x)[:2], x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options
+    ).x
 
 
 class TestMinimize:
@@ -298,16 +393,18 @@ class TestMinimize:
         for _ in range(5):
             fun_grad, box, x_star = box_quadratic(rng, n, case)
             x0 = rng.uniform(-1.0, 1.0, n)
-            result = minimize(fun_grad, x0, box, 500)
             reference = lbfgsb(fun_grad, x0, box)
-            assert np.max(np.abs(result.x - reference)) <= 1e-8
-            assert np.max(np.abs(result.x - x_star)) <= 1e-8
-            # Newton steps: two on an interior quadratic (one, then a
-            # polish at rounding level), a few more to find the bounds.
-            assert result.nit <= (2 if case == "interior" else 6)
-            # No higher than the reference's, up to the rounding of f.
             f_reference = fun_grad(reference)[0]
-            assert fun_grad(result.x)[0] <= f_reference + 16 * np.spacing(abs(f_reference))
+            # The exact Hessian, and the difference one of a gradient-only function.
+            for fg in (fun_grad, gradient_only(fun_grad)):
+                result = minimize(fg, x0, box, 500)
+                assert np.max(np.abs(result.x - reference)) <= 1e-8
+                assert np.max(np.abs(result.x - x_star)) <= 1e-8
+                # Newton steps: two on an interior quadratic (one, then a
+                # polish at rounding level), a few more to find the bounds.
+                assert result.nit <= (2 if case == "interior" else 6)
+                # No higher than the reference's, up to the rounding of f.
+                assert fun_grad(result.x)[0] <= f_reference + 16 * np.spacing(abs(f_reference))
 
     def test_repeated_call_is_bitwise_equal(self, rng):
         fun_grad, box, _ = box_quadratic(rng, 4, "lower")
@@ -342,7 +439,7 @@ class TestExitTest:
         # every cut is slack by 0.05, so the multipliers are stale.
         loose = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         x, lam = tight.minimizer, tight.multipliers
-        _, grad, c, jac = loose.evaluate(x)
+        _, grad, c, jac, _, _ = loose.evaluate(x)
         assert np.all(c < -0.04) and np.max(lam) > 1e-3
         # Feasibility and the projected KKT residual alone would accept it.
         assert max(0.0, c.max()) <= solver.FEASIBILITY_TOL
@@ -355,7 +452,7 @@ class TestExitTest:
     def test_accepts_the_solver_optimum(self, case_study):
         problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
-        _, grad, c, jac = problem.evaluate(report.minimizer)
+        _, grad, c, jac, _, _ = problem.evaluate(report.minimizer)
         assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box)
 
 
@@ -407,7 +504,7 @@ class TestNonFinite:
 
     def test_non_finite_accepted_iterate_raises(self):
         def fun_grad(x):
-            return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x
+            return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x, 2.0 * np.eye(2)
 
         with pytest.raises(NumericalFailure, match="at an accepted iterate"):
             minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
@@ -416,7 +513,14 @@ class TestNonFinite:
         x0 = np.array([1.0, 1.0])
 
         def fun_grad(x):
-            return float(x @ x), 2.0 * x if np.array_equal(x, x0) else np.full(2, np.nan)
+            return float(x @ x), (2.0 * x if np.array_equal(x, x0) else np.full(2, np.nan)), None
 
-        with pytest.raises(NumericalFailure, match="Hessian"):
+        with pytest.raises(NumericalFailure, match="non-finite difference Hessian"):
             minimize(fun_grad, x0, np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
+
+    def test_non_finite_supplied_hessian_raises(self):
+        def fun_grad(x):
+            return float(x @ x), 2.0 * x, np.array([[2.0, np.inf], [np.inf, 2.0]])
+
+        with pytest.raises(NumericalFailure, match="non-finite Hessian"):
+            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
