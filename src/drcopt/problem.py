@@ -36,7 +36,7 @@ def require_integer(value, name: str) -> int:
 
 def require_real(value, name: str) -> float:
     """``value`` as a float; ValueError unless it is a real number (``bool`` and ``str`` are not)."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -358,7 +358,8 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
                 shifted = np.maximum(0.0, lam + mu * c)
                 f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
                 grad = grad + jac.T @ shifted
-                if hess is not None:
+                # With every cut slack the penalty adds no curvature.
+                if hess is not None and shifted.any():
                     hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
             return f, grad, hess
 
