@@ -24,15 +24,12 @@ def neighborhood_weights(schedule: GraphSchedule) -> list[int]:
     """w_j = sum over the first T slots of (1 + outdeg_j(t)).
 
     Counting appearances: at slot t, gap e_j shows up once in its own
-    closed neighborhood and once per out-neighbor, so the triple sum
-    over agents, slots and neighborhoods collapses to sum_j w_j * e_j.
+    closed neighborhood and once per out-neighbor (column j of
+    ``closed_in``), so the triple sum over agents, slots and
+    neighborhoods collapses to sum_j w_j * e_j.
     """
-    weights = [schedule.window] * schedule.m
-    for t in range(schedule.window):
-        for i in range(1, schedule.m + 1):
-            for j in schedule.in_neighbors(i, t):
-                weights[j - 1] += 1
-    return weights
+    phases = [t % schedule.period for t in range(schedule.window)]
+    return [int(w) for w in schedule.closed_in[phases].sum(axis=(0, 1))]
 
 
 def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:

@@ -4,10 +4,14 @@ In every slot each agent merges the tuple sets its in-neighbors held at
 the start of the slot into its own; after T*(m-1) synchronous slots each
 agent holds the global union and can solve the identical finite
 subproblem locally, giving exact (bitwise) consensus without any
-averaging dynamics.
+averaging dynamics.  Who holds whose payload depends only on the
+schedule, so the protocol is simulated on an m x m reachability matrix
+and each agent's set is built once at the end.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .graph import GraphSchedule
 from .problem import NumericalFailure, ProblemInstance, Vector
@@ -30,18 +34,18 @@ def flood_constraints(
     (identical across agents under uniform strong connectivity) and the
     slot count consumed.
     """
-    m = schedule.m
-    if len(payloads) != m:
+    if len(payloads) != schedule.m:
         raise ValueError("one payload per agent required")
-    held = [frozenset(p) for p in payloads]
     n_slots = flood_slots(schedule)
+    # reach[i, j] = 1 when agent i + 1 holds agent j + 1's payload.
+    reach = np.eye(schedule.m)
     for slot in range(start_slot, start_slot + n_slots):
-        snapshot = held
-        held = [
-            snapshot[i - 1].union(*(snapshot[j - 1] for j in schedule.in_neighbors(i, slot)))
-            for i in range(1, m + 1)
-        ]
-    union = frozenset().union(*held) if held else frozenset()
+        reach = np.minimum(schedule.closed_in[slot % schedule.period] @ reach, 1.0)
+    union = frozenset().union(*payloads)
+    held = [
+        union if row.all() else frozenset().union(*(payloads[j] for j in np.flatnonzero(row)))
+        for row in reach
+    ]
     for agent, merged in enumerate(held, start=1):
         if merged != union:
             raise NumericalFailure(f"agent {agent} missed tuples after flooding: schedule not connected?")

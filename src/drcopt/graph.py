@@ -2,13 +2,15 @@
 
 Edges are ordered pairs (j, i) meaning j sends to i.  Self-loops are
 implicit everywhere: protocols always operate on N_i^in(t) united with
-{i}, and stored edge sets never contain (i, i).
+{i} (``GraphSchedule.closed_in``), and stored edge sets never contain (i, i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .problem import require_integer
 
@@ -76,26 +78,21 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.slots)
 
-    def edges(self, t: int) -> frozenset[Edge]:
-        return self.slots[t % self.period]
-
     @cached_property
-    def _in_neighbor_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per slot of the period, each node's sorted in-neighbors (row node - 1).
+    def closed_in(self) -> np.ndarray:
+        """Closed in-neighborhoods per slot phase, shape (period, m, m), read-only.
 
-        Built on first use in one pass over the edges, so schedules that
-        are only constructed (and validated) never pay for it.
+        Entry [p, i-1, j-1] is 1.0 when j = i or j sends to i in phase p,
+        else 0.0: float64, so that products with it run in BLAS and stay
+        exact.  Built on first use, so merely validated schedules never pay.
         """
-        table = []
-        for edges in self.slots:
-            senders: list[list[int]] = [[] for _ in range(self.m)]
+        table = np.zeros((self.period, self.m, self.m))
+        table[:, range(self.m), range(self.m)] = 1.0
+        for p, edges in enumerate(self.slots):
             for j, i in edges:
-                senders[i - 1].append(j)
-            table.append(tuple(tuple(sorted(row)) for row in senders))
-        return tuple(table)
-
-    def in_neighbors(self, node: int, t: int) -> tuple[int, ...]:
-        return self._in_neighbor_table[t % self.period][node - 1]
+                table[p, i - 1, j - 1] = 1.0
+        table.flags.writeable = False
+        return table
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:

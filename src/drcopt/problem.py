@@ -253,20 +253,26 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
     if not 0.0 < y_upper < math.inf:
         raise ValueError(f"example1 y_upper must be positive and finite, got {y_upper}")
 
+    def exp_term(x1: float, yy: float) -> float:
+        try:
+            return math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        except OverflowError:
+            raise NumericalFailure(f"example1 constraint overflows at x1 = {x1!r}, y = {yy!r}") from None
+
     def evaluate(x: Vector, y: Vector) -> float:
         x1, x2, yy = float(x[0]), float(x[1]), float(y[0])
-        return x2 + (x1 * x1 - 2.0 * x1) * math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        return x2 + (x1 * x1 - 2.0 * x1) * exp_term(x1, yy)
 
     def x_gradient(x: Vector, y: Vector) -> Vector:
         x1, yy = float(x[0]), float(y[0])
-        e = math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        e = exp_term(x1, yy)
         d1 = (2.0 * x1 - 2.0) * e + (x1 * x1 - 2.0 * x1) * e * (-2.0 * x1 - 2.0 * yy)
         return np.array([d1, 1.0])
 
     def x_hessian(x: Vector, y: Vector) -> np.ndarray:
         # e = exp(...) has d e / d x1 = e * u; only d^2 g / d x1^2 is nonzero.
         x1, yy = float(x[0]), float(y[0])
-        e = math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        e = exp_term(x1, yy)
         u = -2.0 * x1 - 2.0 * yy
         d11 = e * (2.0 + 2.0 * (2.0 * x1 - 2.0) * u + (x1 * x1 - 2.0 * x1) * (u * u - 2.0))
         return np.array([[d11, 0.0], [0.0, 0.0]])

@@ -6,14 +6,16 @@ the minimum of min(h, c) over the closed in-neighborhood and certifies,
 once it reaches T*(m-1)+1, that the condition held network-wide.
 
 Method I's condition is per-agent gaps below the threshold; Method II
-bounds the closed-neighborhood gap sum instead.
+bounds the closed-neighborhood gap sum instead.  The gaps are fixed for
+a round, so each agent's condition depends only on the slot phase and is
+computed once per round; each slot is then two array operations.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import GraphSchedule
 from .problem import NumericalFailure
@@ -21,36 +23,8 @@ from .problem import NumericalFailure
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CounterState:
-    h: int = 0
-    c: int = 0
-    e: float = math.inf  # local gap, fixed within one outer iteration
-
-
 def stop_threshold(schedule: GraphSchedule) -> int:
     return schedule.window * (schedule.m - 1) + 1
-
-
-def step_counters(
-    counters: list[CounterState], schedule: GraphSchedule, slot: int, method: str, eps_f: float
-) -> list[CounterState]:
-    """One lock-step slot of the counter recursion.
-
-    Each agent looks at its closed in-neighborhood: h becomes the minimum
-    of min(h, c) there plus one, and c grows while the method's test
-    holds there (Method I: every gap at most eps_f; Method II: the gap
-    sum at most eps_f), else resets to 0.
-    """
-    out = []
-    for i in range(1, schedule.m + 1):
-        neighborhood = [counters[j - 1] for j in (i,) + schedule.in_neighbors(i, slot)]
-        gaps = [n.e for n in neighborhood]
-        ok = all(e <= eps_f for e in gaps) if method == "I" else sum(gaps) <= eps_f
-        own = counters[i - 1]
-        h = min(min(n.h, n.c) for n in neighborhood) + 1
-        out.append(CounterState(h=h, c=own.c + 1 if ok else 0, e=own.e))
-    return out
 
 
 def run_stopping_round(
@@ -59,23 +33,42 @@ def run_stopping_round(
     method: str,
     eps_f: float,
     start_slot: int = 0,
-) -> tuple[bool, int, list[CounterState]]:
+) -> tuple[bool, int, tuple[np.ndarray, np.ndarray]]:
     """Run one full stopping round of T*(m-1)+1 slots with counters reset.
 
-    Returns (stop, slots_used, final_counters); stop is declared when any
-    agent's h reaches the threshold.  Gaps are fixed for the round.
+    In each slot every agent looks at its closed in-neighborhood: h
+    becomes the minimum of min(h, c) there plus one, and c grows while the
+    method's test holds there (Method I: every gap at most eps_f; Method
+    II: the gap sum at most eps_f), else resets to 0.  Returns (stop,
+    slots_used, (h, c)) with h and c integer arrays indexed by agent - 1;
+    stop is declared when any agent's h reaches the threshold.
     """
     if len(gaps) != schedule.m:
         raise ValueError("one gap value per agent required")
     if method not in ("I", "II"):
         raise ValueError("method must be 'I' or 'II'")
     threshold = stop_threshold(schedule)
-    counters = [CounterState(e=e) for e in gaps]
-    for offset in range(threshold):
-        counters = step_counters(counters, schedule, start_slot + offset, method, eps_f)
-    stop = any(c.h >= threshold for c in counters)
-    if stop and not all(c.h >= threshold for c in counters):
+    closed_in = schedule.closed_in
+    if method == "I":
+        # No failing gap in the neighborhood; negated so that NaN fails.
+        ok = closed_in @ np.array([not e <= eps_f for e in gaps], dtype=float) == 0.0
+    else:
+        # A sum at eps_f can round either way, so the order is fixed: own
+        # gap first, then the in-neighbors ascending.
+        def closed_sum(i, row):
+            return sum([gaps[i]] + [gaps[j] for j in np.flatnonzero(row) if j != i])
+
+        ok = np.array([[closed_sum(i, row) <= eps_f for i, row in enumerate(phase)] for phase in closed_in])
+    h = np.zeros(schedule.m, dtype=int)
+    c = np.zeros(schedule.m, dtype=int)
+    for slot in range(start_slot, start_slot + threshold):
+        phase = slot % schedule.period
+        h = np.where(closed_in[phase] == 1.0, np.minimum(h, c), threshold).min(axis=1) + 1
+        c = np.where(ok[phase], c + 1, 0)
+    reached = h >= threshold
+    stop = bool(reached.any())
+    if stop and not reached.all():
         if method == "I":
             raise NumericalFailure("Method I stop must be simultaneous across agents")
         logger.warning("Method II stop was not simultaneous across agents")
-    return stop, threshold, counters
+    return stop, threshold, (h, c)

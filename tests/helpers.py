@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import itertools
+import logging
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from drcopt.consensus import flood_slots
 from drcopt.graph import GraphSchedule, NotUniformlyConnected, make_schedule
-from drcopt.problem import CASE_STUDY_V, ProblemInstance, paper_quadratic_constraint, quadratic_distance
-from drcopt.solver import FiniteSubproblem
+from drcopt.problem import (
+    CASE_STUDY_V,
+    NumericalFailure,
+    ProblemInstance,
+    paper_quadratic_constraint,
+    quadratic_distance,
+)
+from drcopt.solver import Cut, FiniteSubproblem
+from drcopt.termination import stop_threshold
+
+logger = logging.getLogger(__name__)
 
 F_STAR = 38.68774606680623
 X_STAR = np.array([0.0, np.sqrt(7.0) / 4.0])
@@ -106,7 +119,7 @@ def random_connected_schedule(rng: np.random.Generator, m_max=5, p_max=3) -> Gra
 
 def edge_scan_in_neighbors(schedule: GraphSchedule, node: int, t: int) -> tuple[int, ...]:
     """Sorted in-neighbors of node at slot t by a scan over every edge of the slot."""
-    return tuple(sorted(j for j, i in schedule.edges(t) if i == node))
+    return tuple(sorted(j for j, i in schedule.slots[t % schedule.period] if i == node))
 
 
 def aggregate_gap_load(schedule: GraphSchedule, gaps: list[float]) -> float:
@@ -138,3 +151,84 @@ def box_lp_vertex_max(weights, capacity, upper):
                 extra = min(upper, (capacity - used) / weights[j])
                 best = max(best, value + extra)
     return best
+
+
+# Per-agent, per-slot simulations of the flooding and stopping protocols,
+# as oracles for drcopt's array versions.  Each reads the schedule's edge
+# sets directly, not ``closed_in``.
+
+
+def per_slot_flood(
+    payloads: list[frozenset[Cut]],
+    schedule: GraphSchedule,
+    start_slot: int = 0,
+) -> tuple[list[frozenset[Cut]], int]:
+    """Flooding with one frozenset union per agent and slot."""
+    m = schedule.m
+    if len(payloads) != m:
+        raise ValueError("one payload per agent required")
+    held = [frozenset(p) for p in payloads]
+    n_slots = flood_slots(schedule)
+    for slot in range(start_slot, start_slot + n_slots):
+        snapshot = held
+        held = [
+            snapshot[i - 1].union(*(snapshot[j - 1] for j in edge_scan_in_neighbors(schedule, i, slot)))
+            for i in range(1, m + 1)
+        ]
+    union = frozenset().union(*held) if held else frozenset()
+    for agent, merged in enumerate(held, start=1):
+        if merged != union:
+            raise NumericalFailure(f"agent {agent} missed tuples after flooding: schedule not connected?")
+    return held, n_slots
+
+
+@dataclass(frozen=True)
+class CounterState:
+    h: int = 0
+    c: int = 0
+    e: float = math.inf  # local gap, fixed within one outer iteration
+
+
+def step_counters(
+    counters: list[CounterState], schedule: GraphSchedule, slot: int, method: str, eps_f: float
+) -> list[CounterState]:
+    """One lock-step slot of the counter recursion.
+
+    Each agent looks at its closed in-neighborhood: h becomes the minimum
+    of min(h, c) there plus one, and c grows while the method's test
+    holds there (Method I: every gap at most eps_f; Method II: the gap
+    sum at most eps_f), else resets to 0.
+    """
+    out = []
+    for i in range(1, schedule.m + 1):
+        neighborhood = [counters[j - 1] for j in (i,) + edge_scan_in_neighbors(schedule, i, slot)]
+        gaps = [n.e for n in neighborhood]
+        ok = all(e <= eps_f for e in gaps) if method == "I" else sum(gaps) <= eps_f
+        own = counters[i - 1]
+        h = min(min(n.h, n.c) for n in neighborhood) + 1
+        out.append(CounterState(h=h, c=own.c + 1 if ok else 0, e=own.e))
+    return out
+
+
+def per_slot_stopping_round(
+    gaps: list[float],
+    schedule: GraphSchedule,
+    method: str,
+    eps_f: float,
+    start_slot: int = 0,
+) -> tuple[bool, int, list[CounterState]]:
+    """One stopping round of T*(m-1)+1 slots of :func:`step_counters`."""
+    if len(gaps) != schedule.m:
+        raise ValueError("one gap value per agent required")
+    if method not in ("I", "II"):
+        raise ValueError("method must be 'I' or 'II'")
+    threshold = stop_threshold(schedule)
+    counters = [CounterState(e=e) for e in gaps]
+    for offset in range(threshold):
+        counters = step_counters(counters, schedule, start_slot + offset, method, eps_f)
+    stop = any(c.h >= threshold for c in counters)
+    if stop and not all(c.h >= threshold for c in counters):
+        if method == "I":
+            raise NumericalFailure("Method I stop must be simultaneous across agents")
+        logger.warning("Method II stop was not simultaneous across agents")
+    return stop, threshold, counters

@@ -23,6 +23,7 @@ from helpers import (
     F_STAR,
     box_lp_vertex_max,
     case_study_grid_min,
+    edge_scan_in_neighbors,
     random_connected_schedule,
     subproblem_cut_view,
 )
@@ -141,7 +142,7 @@ def test_criterion_08_termination_soundness(rng):
             holds = all(e <= EPS_F for e in gaps)
         else:
             holds = all(
-                sum(gaps[j - 1] for j in (i,) + schedule.in_neighbors(i, start + off))
+                sum(gaps[j - 1] for j in (i,) + edge_scan_in_neighbors(schedule, i, start + off))
                 <= EPS_F
                 for off in range(slots)
                 for i in range(1, schedule.m + 1)

@@ -37,6 +37,12 @@ class TestWeights:
         # customized(4): clique {1,2,3} + pendant 4 on node 3
         assert neighborhood_weights(customized(4)) == [3, 3, 4, 2]
 
+    def test_window_plus_out_degrees(self, rng):
+        for _ in range(30):
+            s = random_connected_schedule(rng)
+            sends = [j for t in range(s.window) for j, _ in s.slots[t % s.period]]
+            assert neighborhood_weights(s) == [s.window + sends.count(node) for node in range(1, s.m + 1)]
+
     def test_identity_against_triple_sum(self, rng):
         # w_j must equal the coefficient of e_j in the literal aggregate.
         for _ in range(30):

@@ -322,6 +322,16 @@ class TestNumericalFailure:
         assert capsys.readouterr().err == f"error: numerical failure: {message}\n"
         assert json.loads((out / "results.json").read_text())["error"] == message
 
+    @pytest.mark.parametrize("llp", ["analytic", "numeric"])
+    def test_example1_overflow_exits_3(self, tmp_path, capsys, llp):
+        # exp(y^2 - 2*x1*y - x1^2) overflows a float once y_upper is large.
+        instance = two_agent_instance(center=[-1.0, 0.0], constraint={"kind": "example1", "y_upper": 30})
+        cfg = write_config(tmp_path / "cfg.json", instance=instance, llp=llp)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: numerical failure: example1 constraint overflows at")
+        assert not json.loads((out / "results.json").read_text())["terminated"]
+
     @pytest.mark.parametrize("exc", [RuntimeError("bug"), AssertionError("bug")], ids=lambda e: type(e).__name__)
     def test_other_errors_are_not_numerical_failures(self, tmp_path, monkeypatch, exc):
         raise_from_run(monkeypatch, exc)

@@ -7,6 +7,8 @@ from drcopt.consensus import consensus_solve, flood_constraints, flood_slots
 from drcopt.graph import GraphSchedule, complete, directed_cycle, make_schedule
 from drcopt.problem import NumericalFailure
 
+from helpers import per_slot_flood, random_connected_schedule
+
 
 def single_tuple_payloads(m):
     return [frozenset({(i, 0, (float(i),), 0.0)}) for i in range(1, m + 1)]
@@ -102,3 +104,48 @@ class TestConsensusSolve:
         payloads = [frozenset(lower_cuts(s)) for s in states]
         with pytest.raises(NumericalFailure, match="missed tuples"):
             consensus_solve(case_study, payloads, schedule)
+
+
+def random_payloads(rng, m):
+    """Per-agent cut sets drawn from a small pool, so agents share cuts; some are empty."""
+    pool = [(int(a), 0, (float(y),), 0.0) for a in range(1, m + 1) for y in range(3)]
+    return [
+        frozenset(pool[k] for k in np.flatnonzero(rng.random(len(pool)) < rng.choice([0.0, 0.1, 0.4])))
+        for _ in range(m)
+    ]
+
+
+def flood_outcome(flood, payloads, schedule, start):
+    try:
+        return flood(payloads, schedule, start)
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+class TestMatchesPerSlotOracle:
+    """The reachability flood equals the per-slot frozenset flood."""
+
+    def test_random_schedules_and_start_slots(self, rng):
+        outcomes = {"complete": 0, "missed": 0}
+        for _ in range(300):
+            schedule = random_connected_schedule(rng, m_max=6, p_max=3)
+            # Claiming a shorter window than the true T floods fewer slots,
+            # so some agents miss payloads: the failure must match too.
+            window = int(rng.integers(1, schedule.window + 1))
+            schedule = GraphSchedule(m=schedule.m, slots=schedule.slots, window=window)
+            payloads = random_payloads(rng, schedule.m)
+            start = int(rng.integers(0, 3 * schedule.period))
+            got = flood_outcome(flood_constraints, payloads, schedule, start)
+            assert got == flood_outcome(per_slot_flood, payloads, schedule, start)
+            outcomes["missed" if isinstance(got, str) else "complete"] += 1
+        assert min(outcomes.values()) > 0
+
+    def test_a_missed_empty_payload_does_not_raise(self):
+        # Along the path 1 -> 2 -> ... -> 6 agent 1 hears nobody, but every
+        # other payload is empty, so agent 1 still holds the union.
+        path = frozenset((i, i + 1) for i in range(1, 6))
+        schedule = GraphSchedule(m=6, slots=(path,), window=1)
+        payloads = single_tuple_payloads(1) + [frozenset()] * 5
+        held, slots = flood_constraints(payloads, schedule)
+        assert (held, slots) == per_slot_flood(payloads, schedule)
+        assert held == [payloads[0]] * 6

@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from drcopt.graph import (
@@ -16,7 +17,12 @@ from helpers import edge_scan_in_neighbors, random_connected_schedule
 
 
 def out_neighbors(schedule, node, t):
-    return tuple(sorted(i for j, i in schedule.edges(t) if j == node))
+    return tuple(sorted(i for j, i in schedule.slots[t % schedule.period] if j == node))
+
+
+def closed_neighborhood(schedule, node, t):
+    """Sorted closed in-neighborhood of node at slot t, read off ``closed_in``."""
+    return tuple(int(j) + 1 for j in np.flatnonzero(schedule.closed_in[t % schedule.period, node - 1]))
 
 
 def nx_strongly_connected(m, edges):
@@ -52,7 +58,8 @@ class TestGenerators:
 
     def test_customized_6_pendant(self):
         s = customized(6)
-        assert s.in_neighbors(6, 0) == (5,)
+        assert edge_scan_in_neighbors(s, 6, 0) == (5,)
+        assert closed_neighborhood(s, 6, 0) == (5, 6)
         assert out_neighbors(s, 6, 0) == (5,)
         for i in range(1, 6):
             assert set(out_neighbors(s, i, 0)) >= {j for j in range(1, 6) if j != i}
@@ -85,7 +92,7 @@ class TestConnectivityWindow:
             for start in range(s.period):
                 union = set()
                 for t in range(start, start + s.window):
-                    union |= s.edges(t)
+                    union |= s.slots[t % s.period]
                 assert nx_strongly_connected(s.m, union)
 
     def test_window_is_minimal(self, rng):
@@ -96,7 +103,7 @@ class TestConnectivityWindow:
             shorter_ok = all(
                 nx_strongly_connected(
                     s.m,
-                    set().union(*(s.edges(t) for t in range(start, start + s.window - 1))),
+                    set().union(*(s.slots[t % s.period] for t in range(start, start + s.window - 1))),
                 )
                 for start in range(s.period)
             )
@@ -106,26 +113,45 @@ class TestConnectivityWindow:
 class TestNeighbors:
     def test_cycle_neighbors(self):
         s = directed_cycle(3)
-        assert s.in_neighbors(2, 0) == (1,)
+        assert closed_neighborhood(s, 2, 0) == (1, 2)
         assert out_neighbors(s, 2, 0) == (3,)
 
     def test_complete_neighbors(self):
         s = complete(3)
-        assert s.in_neighbors(1, 0) == (2, 3)
+        assert closed_neighborhood(s, 1, 0) == (1, 2, 3)
         assert out_neighbors(s, 1, 0) == (2, 3)
 
     def test_slot_index_wraps(self):
         s = make_schedule(2, [{(1, 2)}, {(2, 1)}])
-        assert s.in_neighbors(2, 0) == (1,)
-        assert s.in_neighbors(2, 1) == ()
-        assert s.in_neighbors(2, 2) == (1,)
+        assert closed_neighborhood(s, 2, 0) == (1, 2)
+        assert closed_neighborhood(s, 2, 1) == (2,)
+        assert closed_neighborhood(s, 2, 2) == (1, 2)
+
+    def test_single_agent(self):
+        assert make_schedule(1, [set()]).closed_in.tolist() == [[[1.0]]]
+
+    def test_read_only_zero_one_float64(self):
+        s = customized(5)
+        table = s.closed_in
+        assert table.shape == (1, 5, 5)
+        assert table.dtype == np.float64
+        assert set(np.unique(table)) == {0.0, 1.0}
+        with pytest.raises(ValueError):
+            table[0, 0, 1] = 1.0
+
+    def test_built_on_first_use_only(self):
+        s = directed_cycle(4)
+        assert "closed_in" not in vars(s)
+        assert s.closed_in is s.closed_in
 
     def test_table_matches_edge_scan(self, rng):
         for _ in range(50):
             s = random_connected_schedule(rng)
+            assert s.closed_in.shape == (s.period, s.m, s.m)
             for t in range(2 * s.period):
                 for node in range(1, s.m + 1):
-                    assert s.in_neighbors(node, t) == edge_scan_in_neighbors(s, node, t)
+                    expected = tuple(sorted((node,) + edge_scan_in_neighbors(s, node, t)))
+                    assert closed_neighborhood(s, node, t) == expected
 
 
 class TestValidation:

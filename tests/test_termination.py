@@ -1,12 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from drcopt import termination
 from drcopt.graph import complete, directed_cycle, make_schedule
-from drcopt.termination import CounterState, run_stopping_round, step_counters, stop_threshold
+from drcopt.problem import NumericalFailure
+from drcopt.termination import run_stopping_round, stop_threshold
 
-from helpers import random_connected_schedule
+from helpers import edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
 
 EPS_F = 0.01
 
@@ -19,70 +22,85 @@ def criterion_method2(gaps, schedule, eps_f, start_slot, n_slots):
     for offset in range(n_slots):
         slot = start_slot + offset
         for i in range(1, schedule.m + 1):
-            neighborhood = (i,) + schedule.in_neighbors(i, slot)
+            neighborhood = (i,) + edge_scan_in_neighbors(schedule, i, slot)
             if sum(gaps[j - 1] for j in neighborhood) > eps_f:
                 return False
     return True
 
 
+def final_counters(gaps, schedule, method, start_slot=0):
+    _, _, (h, c) = run_stopping_round(gaps, schedule, method, EPS_F, start_slot)
+    return h.tolist(), c.tolist()
+
+
 class TestStepMethod1:
     def test_counters_grow_when_gaps_small(self):
         schedule = make_schedule(2, [{(1, 2), (2, 1)}])
-        counters = [CounterState(e=0.005), CounterState(e=0.009)]
-        for t in range(2):
-            counters = step_counters(counters, schedule, t, "I", EPS_F)
-        assert all(c.h == 2 and c.c == 2 for c in counters)
         assert stop_threshold(schedule) == 2
+        assert final_counters([0.005, 0.009], schedule, "I") == ([2, 2], [2, 2])
 
     def test_infinite_gap_blocks_everyone(self):
         schedule = make_schedule(2, [{(1, 2), (2, 1)}])
-        counters = [CounterState(e=math.inf), CounterState(e=0.0)]
-        for t in range(10):
-            counters = step_counters(counters, schedule, t, "I", EPS_F)
-        assert counters[0].c == 0
-        assert counters[1].c == 0  # neighbor sees agent 1's bad gap
-        assert max(c.h for c in counters) <= 1
+        h, c = final_counters([math.inf, 0.0], schedule, "I")
+        assert c == [0, 0]  # agent 2 sees agent 1's bad gap
+        assert max(h) <= 1
+
+    def test_nan_gap_blocks_everyone(self):
+        schedule = make_schedule(2, [{(1, 2), (2, 1)}])
+        assert final_counters([math.nan, 0.0], schedule, "I")[1] == [0, 0]
+
+    def test_gap_at_threshold_passes(self):
+        schedule = directed_cycle(3)
+        assert final_counters([EPS_F] * 3, schedule, "I") == ([3, 3, 3], [3, 3, 3])
 
     def test_zero_gaps_identical_to_small_gaps(self):
         schedule = make_schedule(2, [{(1, 2), (2, 1)}])
-        a = [CounterState(e=0.0), CounterState(e=0.0)]
-        b = [CounterState(e=0.005), CounterState(e=0.009)]
-        for t in range(3):
-            a = step_counters(a, schedule, t, "I", EPS_F)
-            b = step_counters(b, schedule, t, "I", EPS_F)
-        assert [(c.h, c.c) for c in a] == [(c.h, c.c) for c in b]
+        assert final_counters([0.0, 0.0], schedule, "I") == final_counters([0.005, 0.009], schedule, "I")
+
+    def test_bad_gap_resets_only_its_closed_out_neighborhood(self):
+        # Cycle 1 -> 2 -> 3 -> 1: agent 2's gap fails agents 2 and 3 only.
+        h, c = final_counters([0.0, 0.02, 0.0], directed_cycle(3), "I")
+        assert c == [3, 0, 0]
+        assert h == [1, 1, 1]
+
+    def test_counters_are_integer_arrays(self):
+        _, _, (h, c) = run_stopping_round([0.0] * 3, directed_cycle(3), "I", EPS_F)
+        assert h.dtype.kind == c.dtype.kind == "i"
+        assert h.shape == c.shape == (3,)
 
 
 class TestStepMethod2:
     def test_neighborhood_sum_at_threshold_grows(self):
         schedule = complete(6)
-        counters = [CounterState(e=EPS_F / 6) for _ in range(6)]
-        for t in range(6):
-            counters = step_counters(counters, schedule, t, "II", EPS_F)
-        assert all(c.h == 6 for c in counters)
+        assert final_counters([EPS_F / 6] * 6, schedule, "II") == ([6] * 6, [6] * 6)
 
     def test_neighborhood_sum_above_threshold_resets(self):
-        schedule = complete(6)
-        counters = [CounterState(e=EPS_F / 3) for _ in range(6)]
-        for t in range(6):
-            counters = step_counters(counters, schedule, t, "II", EPS_F)
-        assert all(c.c == 0 for c in counters)
-        assert all(c.h <= 1 for c in counters)
+        h, c = final_counters([EPS_F / 3] * 6, complete(6), "II")
+        assert c == [0] * 6
+        assert max(h) <= 1
 
     def test_single_agent_reduces_to_local_test(self):
         schedule = make_schedule(1, [set()])
-        counters = [CounterState(e=0.009)]
-        counters = step_counters(counters, schedule, 0, "II", EPS_F)
-        assert counters[0].c == 1
+        assert final_counters([0.009], schedule, "II") == ([1], [1])
+        assert final_counters([0.011], schedule, "II") == ([1], [0])
+
+    def test_time_varying_neighborhood(self):
+        # Agent 2 hears agent 1 in even slots, agent 1 hears agent 2 in odd
+        # ones: whoever listens fails the sum 0.006 + 0.006 in that slot.
+        schedule = make_schedule(2, [{(1, 2)}, {(2, 1)}])
+        h, c = final_counters([0.006, 0.006], schedule, "II")
+        assert stop_threshold(schedule) == 3
+        assert c == [1, 0]  # slots 0, 1, 2: agent 1 fails in slot 1, agent 2 in slots 0 and 2
+        assert h == [1, 1]
 
 
 class TestStoppingRound:
     def test_method1_stop_on_cycle(self):
         schedule = directed_cycle(6)
-        stop, slots, counters = run_stopping_round([0.001] * 6, schedule, "I", EPS_F)
+        stop, slots, (h, _) = run_stopping_round([0.001] * 6, schedule, "I", EPS_F)
         assert stop
         assert slots == 6
-        assert all(c.h == 6 for c in counters)
+        assert h.tolist() == [6] * 6
 
     def test_method1_single_bad_gap_blocks(self):
         schedule = directed_cycle(6)
@@ -128,12 +146,102 @@ class TestRandomizedSoundness:
                 assert criterion_method2(gaps, schedule, EPS_F, start, slots)
         assert stops > 0
 
+    def test_method1_stops_exactly_when_every_gap_is_within_eps_f(self, rng):
+        # Over one round Method I is the global test itself, on any
+        # uniformly connected schedule and from any start slot.
+        outcomes = set()
+        for _ in range(200):
+            schedule = random_connected_schedule(rng)
+            gaps = list(EPS_F * rng.uniform(0, 1.2, size=schedule.m))
+            start = int(rng.integers(0, 2 * schedule.period))
+            stop, _, _ = run_stopping_round(gaps, schedule, "I", EPS_F, start)
+            assert stop == criterion_method1(gaps, EPS_F)
+            outcomes.add(stop)
+        assert outcomes == {True, False}
+
     def test_completeness_for_static_criteria(self, rng):
         # When the condition holds for every agent at every slot, the
         # counters must grow linearly and the round must stop.
         for _ in range(60):
             schedule = random_connected_schedule(rng)
             gaps = list(EPS_F * rng.uniform(0, 1, size=schedule.m))
-            stop, _, counters = run_stopping_round(gaps, schedule, "I", EPS_F)
+            stop, _, (h, _) = run_stopping_round(gaps, schedule, "I", EPS_F)
             assert stop
-            assert all(c.h >= stop_threshold(schedule) for c in counters)
+            assert (h >= stop_threshold(schedule)).all()
+
+    def test_method1_stop_that_is_not_simultaneous_raises(self, monkeypatch):
+        # Impossible with the true threshold; a threshold of 2 on the cycle
+        # 1 -> 2 -> 3 -> 4 -> 1 lets agent 2, two hops from agent 3's bad
+        # gap, stop alone.
+        monkeypatch.setattr(termination, "stop_threshold", lambda schedule: 2)
+        with pytest.raises(NumericalFailure, match="simultaneous"):
+            run_stopping_round([0.0, 0.0, 0.02, 0.0], directed_cycle(4), "I", EPS_F)
+
+    def test_method2_stop_need_not_be_simultaneous(self, caplog):
+        schedule = make_schedule(3, [{(2, 1)}, {(3, 1), (3, 2), (1, 3), (2, 1)}])
+        with caplog.at_level(logging.WARNING, logger="drcopt.termination"):
+            stop, _, (h, c) = run_stopping_round([0.005, 0.003, 0.003], schedule, "II", EPS_F, 2)
+        assert stop
+        assert h.tolist() == [1, 5, 3] and c.tolist() == [1, 5, 5]
+        assert "not simultaneous" in caplog.text
+
+
+def random_gaps(rng, schedule):
+    """Gaps that put closed-neighborhood tests on their edge.
+
+    Either one random closed neighborhood gets gaps eps_f * n_j / 10 with
+    the integers n_j summing to 10, so its sum is eps_f up to a rounding
+    that depends on the order of the terms, or each agent draws from
+    zero, eps_f itself, the next float above it, inf, NaN and uniform
+    values.
+    """
+    m = schedule.m
+    if rng.random() < 0.5:
+        gaps = [float(rng.uniform(0, EPS_F / m)) for _ in range(m)]
+        row = schedule.closed_in[rng.integers(schedule.period), rng.integers(m)]
+        members = np.flatnonzero(row)
+        tenths = np.bincount(rng.integers(0, len(members), size=10), minlength=len(members))
+        for j, n in zip(members, tenths):
+            gaps[j] = EPS_F * int(n) / 10
+        return gaps
+    edge = [0.0, EPS_F, float(np.nextafter(EPS_F, 1.0)), math.inf, math.nan, EPS_F / 2]
+    return [float(rng.choice(edge)) if rng.random() < 0.5 else float(rng.uniform(0, 2 * EPS_F)) for _ in range(m)]
+
+
+class TestMatchesPerSlotOracle:
+    """The round equals the per-agent CounterState recursion."""
+
+    @staticmethod
+    def assert_same_round(gaps, schedule, method, start):
+        stop, slots, (h, c) = run_stopping_round(gaps, schedule, method, EPS_F, start)
+        want_stop, want_slots, counters = per_slot_stopping_round(gaps, schedule, method, EPS_F, start)
+        assert (stop, slots) == (want_stop, want_slots)
+        assert h.tolist() == [k.h for k in counters]
+        assert c.tolist() == [k.c for k in counters]
+        return stop
+
+    def test_random_schedules_both_methods(self, rng):
+        outcomes = set()
+        sums_at_threshold = 0
+        for trial in range(400):
+            method = "I" if trial % 2 == 0 else "II"
+            schedule = random_connected_schedule(rng, m_max=6, p_max=3)
+            gaps = random_gaps(rng, schedule)
+            start = int(rng.integers(0, 3 * schedule.period))
+            outcomes.add((method, self.assert_same_round(gaps, schedule, method, start)))
+            if method == "II":
+                sums_at_threshold += any(
+                    sum(gaps[j - 1] for j in (i,) + edge_scan_in_neighbors(schedule, i, t)) == EPS_F
+                    for t in range(schedule.period)
+                    for i in range(1, schedule.m + 1)
+                )
+        assert outcomes == {("I", True), ("I", False), ("II", True), ("II", False)}
+        assert sums_at_threshold > 0
+
+    @pytest.mark.parametrize("method", ["I", "II"])
+    def test_complete_graphs_at_the_threshold(self, method):
+        # One closed neighborhood holds every agent, so Method II sums m
+        # copies of eps_f / m: at eps_f up to rounding in either direction.
+        for m in range(2, 10):
+            for start in range(2):
+                self.assert_same_round([EPS_F / m] * m, complete(m), method, start)
