@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import math
+import functools
 from enum import Enum
 
 import numpy as np
 
 from .problem import SemiInfiniteConstraint, Vector
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
-REFINE_TOL = 1e-10  # width in y at which golden-section refinement stops
 
 
 class UnsupportedDimension(Exception):
@@ -29,68 +26,66 @@ def feasibility_verdict(g_max: float) -> Verdict:
     return Verdict.VIOLATED if g_max > 0.0 else Verdict.FEASIBLE
 
 
-def golden_section_max(f, a: float, b: float) -> float:
-    """Maximizer of a unimodal f on [a, b] located to within ``REFINE_TOL``."""
-    if b - a <= REFINE_TOL:
-        return (a + b) / 2.0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > REFINE_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+@functools.lru_cache(maxsize=64)
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """The GRID_POINTS points spanning [lo, hi], built once per interval and read-only."""
+    ys = np.linspace(lo, hi, GRID_POINTS)
+    ys.flags.writeable = False
+    return ys
+
+
+def _vertex_offset(below: float, mid: float, above: float) -> float:
+    """Where in [-1, 1] the parabola through (-1, below), (0, mid), (1, above) peaks.
+
+    Without strict concavity it is the larger end, or 0 when the ends tie.
+    """
+    curvature = below - 2.0 * mid + above
+    if curvature < 0.0:
+        return min(1.0, max(-1.0, (below - above) / (2.0 * curvature)))
+    return 1.0 if above > below else -1.0 if below > above else 0.0
 
 
 def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:
-    """Grid search plus local refinement, ignoring any analytic maximizer.
+    """Grid search plus a parabola polish, ignoring any analytic maximizer.
 
-    The grid is evaluated in one ``batch`` call when the constraint has
-    one (only its values are used), else point by point.  Concave constraints get a
-    single golden-section refinement around the best grid cell; otherwise
-    the top five grid cells are each refined locally and the best result
-    wins.
+    Concave constraints start from the best grid point, others from each
+    of the five best.  For each start, the parabola through the grid
+    values at the three points centered on it (one grid cell inside the
+    box) gives a first vertex; a three-point stencil at the same spacing,
+    centered on that vertex, gives a second.  Near a maximum the values
+    locate y only to about the square root of the float resolution, but
+    a vertex is a ratio of value differences, exact for a quadratic.  The
+    best of the starts and the vertices wins.  Each stage evaluates its
+    points in one ``batch`` call when the constraint has one, else point
+    by point, with the same result.
     """
     if constraint.n_y != 1:
         raise UnsupportedDimension(
             "numeric LLP path requires n_y == 1; provide analytic_argmax instead"
         )
-    lo, hi = constraint.uncertainty_box[0]
-    ys = np.linspace(lo, hi, GRID_POINTS)
-    if constraint.batch is not None:
-        vals = constraint.batch(x, constraint.coefficients[None, :], ys[:, None])[0]
-    else:
-        vals = np.array([constraint.evaluate(x, np.array([y])) for y in ys])
+    lo, hi = constraint.uncertainty_box[0].tolist()
+    ys = _grid(lo, hi)
+    h = (hi - lo) / (GRID_POINTS - 1)
 
-    def f(y: float) -> float:
-        return constraint.evaluate(x, np.array([y]))
+    def values(points) -> np.ndarray:
+        if constraint.batch is not None:
+            return constraint.batch(x, constraint.coefficients[None, :], np.asarray(points)[:, None])[0]
+        return np.array([constraint.evaluate(x, np.array([y])) for y in points])
 
-    if constraint.concave_in_y:
-        seeds = [int(np.argmax(vals))]
-    else:
-        seeds = list(np.argsort(vals)[-5:])
+    def clamp(y: float) -> float:
+        return min(hi, max(lo, y))
 
-    best_y, best_g = None, -math.inf
-    # Box endpoints are candidates in their own right: when the maximum is
-    # attained on the boundary with a steep slope, golden-section stops a
-    # y-tolerance short, which is not a value-tolerance.
-    for idx in seeds:
-        a = ys[max(idx - 1, 0)]
-        b = ys[min(idx + 1, GRID_POINTS - 1)]
-        candidates = [golden_section_max(f, float(a), float(b))]
-        if idx in (0, GRID_POINTS - 1):
-            candidates.append(float(ys[idx]))
-        for y in candidates:
-            g = f(y)
-            if g > best_g:
-                best_y, best_g = y, g
-    return best_g, np.array([best_y])
+    vals = values(ys)
+    seeds = [int(np.argmax(vals))] if constraint.concave_in_y else np.argsort(vals)[-5:].tolist()
+    cells = [min(max(i, 1), GRID_POINTS - 2) for i in seeds]
+    first = [clamp(float(ys[k]) + h * _vertex_offset(*vals[k - 1 : k + 2].tolist())) for k in cells]
+    centers = [min(hi - h, max(lo + h, y)) for y in first]
+    stencil = values([clamp(y) for c in centers for y in (c - h, c, c + h)]).tolist()
+    second = [clamp(c + h * _vertex_offset(*stencil[3 * i : 3 * i + 3])) for i, c in enumerate(centers)]
+    candidates = second + first + [float(ys[i]) for i in seeds]
+    scores = np.concatenate([values(second + first), vals[seeds]])
+    best = int(np.argmax(scores))
+    return float(scores[best]), np.array([candidates[best]])
 
 
 def solve_llp(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:

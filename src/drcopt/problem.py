@@ -199,10 +199,11 @@ def _paper_quadratic_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = x[0] - coefficients[:, 0]
     y = ys[:, 0]
+    two_y = 2.0 * y  # the y-gradient, and the first factor of 2*y*x2
     grads = np.empty((len(y), 2))
     grads[:, 0] = 2.0 * d
-    grads[:, 1] = 2.0 * y
-    return d * d + 2.0 * y * x[1] - y * y - 1.0, grads, _constant_hessians(len(y), (2.0, 0.0))
+    grads[:, 1] = two_y
+    return d * d + two_y * x[1] - y * y - 1.0, grads, _constant_hessians(len(y), (2.0, 0.0))
 
 
 def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:

@@ -80,9 +80,9 @@ def _cut_terms(constraints, scenarios, n: int):
 
 
 def _read_only(a):
-    """A read-only view of ``a`` (None stays None); the caller's array keeps its flags."""
-    if a is None:
-        return None
+    """``a`` if it is None or read-only, else a read-only view; the caller's array keeps its flags."""
+    if a is None or not a.flags.writeable:
+        return a
     a = a.view()
     a.flags.writeable = False
     return a
@@ -107,13 +107,13 @@ class FiniteSubproblem:
         constraints = [instance.constraints[agent_id - 1] for agent_id, _, _, _ in self.cuts]
         scenarios = [np.asarray(scenario, dtype=float) for _, _, scenario, _ in self.cuts]
         self._rhs = np.array([rhs for _, _, _, rhs in self.cuts], dtype=float)
-        if np.any(self._rhs > 0.0):
+        if (self._rhs > 0.0).any():
             raise ValueError("cut right-hand sides must be <= 0")
         if scenarios:
             # One row per scenario coordinate, so agents may differ in n_y.
             y = np.concatenate(scenarios)
             y_box = np.concatenate([g.uncertainty_box for g in constraints])
-            if np.any(y < y_box[:, 0] - 1e-12) or np.any(y > y_box[:, 1] + 1e-12):
+            if (y < y_box[:, 0] - 1e-12).any() or (y > y_box[:, 1] + 1e-12).any():
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
         self._objective_terms = _objective_terms(instance.objectives)
         self._cut_terms = _cut_terms(constraints, scenarios, self.n)
@@ -131,7 +131,9 @@ class FiniteSubproblem:
         gradient.  The Hessians are (n, n) and (n_cuts, n, n), both None
         unless every objective and every cut constraint has second
         derivatives.  The arrays are read-only: a repeated call at the
-        same x returns the same ones.
+        same x returns the same ones.  The sums are new arrays, made
+        read-only in place; a kernel's arrays are wrapped in read-only
+        views unless they already are read-only.
         """
         key = x.tobytes()
         if key != self._memo_key:
@@ -141,9 +143,11 @@ class FiniteSubproblem:
                 f_hess = g_hess = None
             else:
                 f_hess = f_hess.sum(axis=0)
-            self._memo = (float(f_values.sum()),) + tuple(
-                _read_only(a) for a in (f_grads.sum(axis=0), g_values - self._rhs, g_grads, f_hess, g_hess)
-            )
+                f_hess.flags.writeable = False
+            grad = f_grads.sum(axis=0)
+            c = g_values - self._rhs
+            grad.flags.writeable = c.flags.writeable = False
+            self._memo = (float(f_values.sum()), grad, c, _read_only(g_grads), f_hess, _read_only(g_hess))
             self._memo_key = key
         return self._memo
 
@@ -159,14 +163,17 @@ class SolveReport:
 
 
 def _project(x: Vector, box: Vector) -> Vector:
-    return np.clip(x, box[:, 0], box[:, 1])
+    # The bytes np.clip gives with array bounds, without its Python-level dispatch.
+    return np.minimum(np.maximum(x, box[:, 0]), box[:, 1])
 
 
 def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
     """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||, lambda zero when omitted."""
     if multipliers is not None and len(jac):
-        grad = grad + jac.T @ np.asarray(multipliers)
-    return float(np.linalg.norm(x - _project(x - grad, box)))
+        grad = grad + jac.T.dot(multipliers)
+    # What np.linalg.norm computes for a vector, without its dispatch.
+    r = x - _project(x - grad, box)
+    return math.sqrt(float(r.dot(r)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ class MinimizeResult:
 
 
 def _projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
-    return float(np.max(np.abs(x - _project(x - grad, box))))
+    return float(abs(x - _project(x - grad, box)).max())
 
 
 _FD_STEP = math.sqrt(np.finfo(float).eps)
@@ -186,7 +193,8 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 def _require_finite(f: float, grad: Vector, where: str) -> None:
     # Non-finite values spread into the Newton direction, and a NaN trial
     # point never equals x and fails every test, so halving would not end.
-    if not (math.isfinite(f) and np.isfinite(grad).all()):
+    # Per element as Python floats: cheaper than a numpy reduction for a few variables.
+    if not (math.isfinite(f) and all(map(math.isfinite, grad.tolist()))):
         raise NumericalFailure(f"non-finite objective or gradient {where}")
 
 
@@ -235,27 +243,31 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
             break
         eps = min(1e-3, pg)
         active = ((x <= lo + eps) & (grad > 0.0)) | ((x >= hi - eps) & (grad < 0.0))
-        free = np.flatnonzero(~active)
+        free = (~active).nonzero()[0]
+        whole = len(free) == len(x)
         d = -grad
         if len(free):
             if hess is None:
                 hessian = _difference_hessian(fun_grad, x, grad, free, hi)
                 nfev += len(free)
             else:
-                hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
+                hessian = hess if whole else hess[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
                 raise NumericalFailure("non-finite " + ("difference " if hess is None else "") + "Hessian")
             w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
-            w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
-            d[free] = -(v @ ((v.T @ grad[free]) / w))
+            w = np.maximum(w, 1e-8 * max(1.0, float(abs(w).max())))
+            if whole:
+                d = -v.dot(v.T.dot(grad) / w)
+            else:
+                d[free] = -v.dot(v.T.dot(grad[free]) / w)
         alpha, accepted = 1.0, False
         while not accepted:
-            x_new = _project(x + alpha * d, box)
-            if np.array_equal(x_new, x):
+            x_new = _project(x + d if alpha == 1.0 else x + alpha * d, box)
+            if x_new.tolist() == x.tolist():  # elementwise ==, cheaper than numpy's for a few variables
                 break
             f_new, grad_new, hess_new = fun_grad(x_new)
             nfev += 1
-            armijo = f + 1e-4 * float(grad @ (x_new - x))
+            armijo = f + 1e-4 * float(grad.dot(x_new - x))
             if armijo < f:
                 accepted = f_new <= armijo
             elif armijo == f:
@@ -283,8 +295,9 @@ def _cut_curvature(jac: np.ndarray, cut_hess: np.ndarray, weights: np.ndarray, s
     so the result does not depend on the memory layout of ``cut_hess``.
     """
     on = weights > 0.0
-    rows = jac[on]
-    return scale * (rows.T @ rows) + (weights[on, None, None] * cut_hess[on]).sum(axis=0)
+    if np.count_nonzero(on) < len(on):
+        jac, weights, cut_hess = jac[on], weights[on], cut_hess[on]
+    return scale * jac.T.dot(jac) + (weights[:, None, None] * cut_hess).sum(axis=0)
 
 
 def _feasibility_phase(problem: FiniteSubproblem) -> float:
@@ -311,11 +324,10 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     point that is not optimal.
     """
     viol = float(max(0.0, c.max())) if len(c) else 0.0
-    complementarity = float(np.max(lam_next * np.abs(c))) if len(c) else 0.0
     return (
         viol <= FEASIBILITY_TOL
         and _kkt_residual(x, grad, jac, lam_next, box) <= STATIONARITY_TOL
-        and complementarity <= STATIONARITY_TOL
+        and (not len(c) or float((lam_next * abs(c)).max()) <= STATIONARITY_TOL)
     )
 
 
@@ -352,12 +364,12 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
 
     for outer in range(1, MAX_OUTER + 1):
 
-        def fun_grad(z, lam=lam, mu=mu):
+        def fun_grad(z, lam=lam, mu=mu, lam_sq=lam.dot(lam), two_mu=2.0 * mu):
             f, grad, c, jac, hess, cut_hess = problem.evaluate(z)
             if n_cuts:
                 shifted = np.maximum(0.0, lam + mu * c)
-                f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
-                grad = grad + jac.T @ shifted
+                f += float((shifted.dot(shifted) - lam_sq) / two_mu)
+                grad = grad + jac.T.dot(shifted)
                 # With every cut slack the penalty adds no curvature.
                 if hess is not None and shifted.any():
                     hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)

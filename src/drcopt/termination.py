@@ -13,7 +13,9 @@ computed once per round; each slot is then two array operations.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 
 import numpy as np
 
@@ -54,9 +56,10 @@ def run_stopping_round(
         ok = closed_in @ np.array([not e <= eps_f for e in gaps], dtype=float) == 0.0
     else:
         # A sum at eps_f can round either way, so the order is fixed: own
-        # gap first, then the in-neighbors ascending.
+        # gap first, then the in-neighbors ascending, added one at a time
+        # (builtin sum compensates from Python 3.12 on).
         def closed_sum(i, row):
-            return sum([gaps[i]] + [gaps[j] for j in np.flatnonzero(row) if j != i])
+            return functools.reduce(operator.add, [gaps[j] for j in np.flatnonzero(row) if j != i], gaps[i])
 
         ok = np.array([[closed_sum(i, row) <= eps_f for i, row in enumerate(phase)] for phase in closed_in])
     h = np.zeros(schedule.m, dtype=int)

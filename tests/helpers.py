@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +17,21 @@ from drcopt.problem import (
     CASE_STUDY_V,
     NumericalFailure,
     ProblemInstance,
+    Vector,
     paper_quadratic_constraint,
     quadratic_distance,
 )
-from drcopt.solver import Cut, FiniteSubproblem
+from drcopt.solver import (
+    FEASIBILITY_TOL,
+    MAX_INNER,
+    MAX_OUTER,
+    STATIONARITY_TOL,
+    Cut,
+    FiniteSubproblem,
+    MinimizeResult,
+    SolveReport,
+    SolveStatus,
+)
 from drcopt.termination import stop_threshold
 
 logger = logging.getLogger(__name__)
@@ -197,13 +210,14 @@ def step_counters(
     Each agent looks at its closed in-neighborhood: h becomes the minimum
     of min(h, c) there plus one, and c grows while the method's test
     holds there (Method I: every gap at most eps_f; Method II: the gap
-    sum at most eps_f), else resets to 0.
+    sum, a left fold from the own gap through the in-neighbors ascending,
+    at most eps_f), else resets to 0.
     """
     out = []
     for i in range(1, schedule.m + 1):
         neighborhood = [counters[j - 1] for j in (i,) + edge_scan_in_neighbors(schedule, i, slot)]
         gaps = [n.e for n in neighborhood]
-        ok = all(e <= eps_f for e in gaps) if method == "I" else sum(gaps) <= eps_f
+        ok = all(e <= eps_f for e in gaps) if method == "I" else functools.reduce(operator.add, gaps) <= eps_f
         own = counters[i - 1]
         h = min(min(n.h, n.c) for n in neighborhood) + 1
         out.append(CounterState(h=h, c=own.c + 1 if ok else 0, e=own.e))
@@ -232,3 +246,208 @@ def per_slot_stopping_round(
             raise NumericalFailure("Method I stop must be simultaneous across agents")
         logger.warning("Method II stop was not simultaneous across agents")
     return stop, threshold, counters
+
+
+# The solver's minimize and solve before their per-call numpy overhead was
+# trimmed, verbatim except for the names and shortened docstrings, as a
+# bitwise oracle: the trimmed solver must give the same iterates to the
+# last bit.
+
+
+def _ref_project(x: Vector, box: Vector) -> Vector:
+    return np.clip(x, box[:, 0], box[:, 1])
+
+
+def _ref_kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
+    """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||, lambda zero when omitted."""
+    if multipliers is not None and len(jac):
+        grad = grad + jac.T @ np.asarray(multipliers)
+    return float(np.linalg.norm(x - _ref_project(x - grad, box)))
+
+
+def _ref_projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
+    return float(np.max(np.abs(x - _ref_project(x - grad, box))))
+
+
+_REF_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _ref_require_finite(f: float, grad: Vector, where: str) -> None:
+    # Non-finite values spread into the Newton direction, and a NaN trial
+    # point never equals x and fails every test, so halving would not end.
+    if not (math.isfinite(f) and np.isfinite(grad).all()):
+        raise NumericalFailure(f"non-finite objective or gradient {where}")
+
+
+def _ref_difference_hessian(fun_grad, x: Vector, grad: Vector, free: np.ndarray, hi: Vector) -> np.ndarray:
+    """Forward differences of ``fun_grad``'s gradient in the ``free`` variables."""
+    hessian = np.empty((len(free), len(free)))
+    for col, j in enumerate(free):
+        # Step into the box, so every evaluation point is feasible.
+        h = _REF_FD_STEP * max(1.0, abs(x[j]))
+        xh = x.copy()
+        xh[j] += h if x[j] + h <= hi[j] else -h
+        hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
+    return hessian
+
+
+def reference_minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
+    """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box."""
+    lo, hi = box[:, 0], box[:, 1]
+    x = _ref_project(np.asarray(x0, dtype=float), box)
+    f, grad, hess = fun_grad(x)
+    _ref_require_finite(f, grad, "at the start point")
+    nit, nfev = 0, 1
+    while nit < max_iter:
+        pg = _ref_projected_gradient(x, grad, box)
+        if pg <= 1e-12:
+            break
+        eps = min(1e-3, pg)
+        active = ((x <= lo + eps) & (grad > 0.0)) | ((x >= hi - eps) & (grad < 0.0))
+        free = np.flatnonzero(~active)
+        d = -grad
+        if len(free):
+            if hess is None:
+                hessian = _ref_difference_hessian(fun_grad, x, grad, free, hi)
+                nfev += len(free)
+            else:
+                hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
+            if not np.isfinite(hessian).all():
+                raise NumericalFailure("non-finite " + ("difference " if hess is None else "") + "Hessian")
+            w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
+            w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
+            d[free] = -(v @ ((v.T @ grad[free]) / w))
+        alpha, accepted = 1.0, False
+        while not accepted:
+            x_new = _ref_project(x + alpha * d, box)
+            if np.array_equal(x_new, x):
+                break
+            f_new, grad_new, hess_new = fun_grad(x_new)
+            nfev += 1
+            armijo = f + 1e-4 * float(grad @ (x_new - x))
+            if armijo < f:
+                accepted = f_new <= armijo
+            elif armijo == f:
+                # The predicted decrease is invisible in f: take the full
+                # step only if it shrinks the projected gradient, else x
+                # is as good as floats allow.
+                accepted = alpha == 1.0 and _ref_projected_gradient(x_new, grad_new, box) < pg
+                if not accepted:
+                    break
+            alpha *= 0.5
+        if not accepted:
+            break
+        _ref_require_finite(f_new, grad_new, "at an accepted iterate")
+        x, f, grad, hess = x_new, f_new, grad_new, hess_new
+        nit += 1
+    return MinimizeResult(x, nit, nfev)
+
+
+def _ref_cut_curvature(jac: np.ndarray, cut_hess: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * J_A^T J_A + sum_j weights_j * cut_hess_j`` over A = {j : weights_j > 0}."""
+    on = weights > 0.0
+    rows = jac[on]
+    return scale * (rows.T @ rows) + (weights[on, None, None] * cut_hess[on]).sum(axis=0)
+
+
+def _ref_feasibility_phase(problem: FiniteSubproblem) -> float:
+    """Minimize the sum of squared violations; returns the residual max violation."""
+
+    def fun_grad(x):
+        _, _, c, jac, _, cut_hess = problem.evaluate(x)
+        pos = np.maximum(c, 0.0)
+        grad = jac.T @ pos if len(c) else np.zeros(problem.n)
+        hess = None if cut_hess is None else _ref_cut_curvature(jac, cut_hess, pos, 1.0)
+        return 0.5 * float(pos @ pos), grad, hess
+
+    x = reference_minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
+    c = problem.evaluate(x)[2]
+    return float(max(0.0, c.max())) if len(c) else 0.0
+
+
+def _ref_kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_next: np.ndarray, box: Vector) -> bool:
+    """The exit test: feasibility, the projected KKT residual and complementarity."""
+    viol = float(max(0.0, c.max())) if len(c) else 0.0
+    complementarity = float(np.max(lam_next * np.abs(c))) if len(c) else 0.0
+    return (
+        viol <= FEASIBILITY_TOL
+        and _ref_kkt_residual(x, grad, jac, lam_next, box) <= STATIONARITY_TOL
+        and complementarity <= STATIONARITY_TOL
+    )
+
+
+def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
+    """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``."""
+    n_cuts = len(problem.cuts)
+    x = problem.box.mean(axis=1) if x0 is None else x0
+    lam = np.zeros(n_cuts)
+    # The multiplier iteration converges linearly, faster as mu grows
+    # (Bertsekas 1982; Nocedal & Wright, ch. 17).  The Newton inner solve
+    # builds the penalty's curvature into its Hessian, so a base of 1000
+    # costs it few extra steps.  The penalty grows while the iterate stays
+    # infeasible and decays back to the base once the violation is within
+    # tolerance, which bounds the curvature while stationarity is polished.
+    mu_base, mu_cap = 1000.0, 1e8
+    mu = mu_base
+    prev_viol = math.inf
+    stalled = 0
+
+    for outer in range(1, MAX_OUTER + 1):
+
+        def fun_grad(z, lam=lam, mu=mu):
+            f, grad, c, jac, hess, cut_hess = problem.evaluate(z)
+            if n_cuts:
+                shifted = np.maximum(0.0, lam + mu * c)
+                f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
+                grad = grad + jac.T @ shifted
+                # With every cut slack the penalty adds no curvature.
+                if hess is not None and shifted.any():
+                    hess = hess + _ref_cut_curvature(jac, cut_hess, shifted, mu)
+            return f, grad, hess
+
+        x = reference_minimize(fun_grad, x, problem.box, MAX_INNER).x
+
+        f, grad, c, jac, _, _ = problem.evaluate(x)
+        if n_cuts:
+            viol = float(max(0.0, c.max()))
+            lam_next = np.maximum(0.0, lam + mu * c)
+        else:
+            viol = 0.0
+            lam_next = lam
+
+        if _ref_kkt_satisfied(x, grad, c, jac, lam_next, problem.box):
+            return SolveReport(
+                minimizer=x,
+                objective_value=f,
+                max_violation=viol,
+                iterations=outer,
+                status=SolveStatus.OPTIMAL,
+                multipliers=lam_next,
+            )
+
+        lam = lam_next
+        if viol > FEASIBILITY_TOL:
+            if viol > 0.25 * prev_viol:
+                mu = min(mu * 10.0, mu_cap)
+        else:
+            mu = max(mu / 10.0, mu_base)
+        # Penalty exhausted and no progress: candidate for infeasibility.
+        if mu >= mu_cap and viol >= prev_viol - 1e-12:
+            stalled += 1
+            if stalled >= 3:
+                break
+        else:
+            stalled = 0
+        prev_viol = viol
+
+    residual_viol = _ref_feasibility_phase(problem)
+    status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
+    f, _, c, _, _, _ = problem.evaluate(x)
+    return SolveReport(
+        minimizer=x,
+        objective_value=f,
+        max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
+        iterations=MAX_OUTER,
+        status=status,
+        multipliers=lam,
+    )

@@ -7,7 +7,6 @@ from drcopt.llp import (
     UnsupportedDimension,
     Verdict,
     feasibility_verdict,
-    golden_section_max,
     solve_llp,
     solve_llp_numeric,
 )
@@ -98,6 +97,18 @@ class TestNumericPath:
         assert y_star[0] == pytest.approx(1.7, abs=1e-6)
         assert g_max == pytest.approx(1.0, abs=1e-9)
 
+    def test_maximizer_moves_only_by_rounding(self, case_study, rng):
+        # Values locate a flat maximum only to about 1e-8 in y; a parabola
+        # vertex is a ratio of value differences, so a 1-ulp change in x2
+        # moves it by rounding alone, and it matches the closed form.
+        for _ in range(300):
+            x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
+            nudged = np.array([x[0], np.nextafter(x[1], np.inf)])
+            constraint = case_study.constraints[int(rng.integers(0, 6))]
+            _, y_star = solve_llp_numeric(constraint, x)
+            assert abs(y_star[0] - solve_llp_numeric(constraint, nudged)[1][0]) <= 1e-11
+            assert abs(y_star[0] - solve_llp(constraint, x)[1][0]) <= 1e-11
+
     def test_scalar_only_concave_constraint(self):
         constraint = SemiInfiniteConstraint(
             evaluate=lambda x, y: -((float(y[0]) - float(x[0])) ** 2),
@@ -139,12 +150,3 @@ class TestBatchedGrid:
             g_ref, y_ref = solve_llp_numeric(scalar_only, x)
             assert np.float64(g).tobytes() == np.float64(g_ref).tobytes()
             assert y.tobytes() == y_ref.tobytes()
-
-
-class TestGoldenSection:
-    def test_quadratic_maximum(self):
-        y = golden_section_max(lambda t: -((t - 0.37) ** 2), 0.0, 1.0)
-        assert y == pytest.approx(0.37, abs=1e-9)
-
-    def test_tiny_bracket(self):
-        assert golden_section_max(lambda t: t, 0.5, 0.5 + 1e-12) == pytest.approx(0.5)

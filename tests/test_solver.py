@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from drcopt.problem import NumericalFailure, SemiInfiniteConstraint, example1_co
 from drcopt.sim import RunParams, run
 from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
 
-from helpers import case_study_grid_min, subproblem_cut_view
+from helpers import case_study_grid_min, reference_minimize, reference_solve, subproblem_cut_view
 
 
 def all_agent_cuts(y, rhs):
@@ -24,6 +25,14 @@ def without_batch(instance):
         instance,
         objectives=tuple(dataclasses.replace(f, batch=None) for f in instance.objectives),
         constraints=tuple(dataclasses.replace(g, batch=None) for g in instance.constraints),
+    )
+
+
+def gradient_only_constraints(instance):
+    """The instance with every cut constraint's second derivatives and kernel stripped."""
+    return dataclasses.replace(
+        instance,
+        constraints=tuple(dataclasses.replace(g, x_hessian=None, batch=None) for g in instance.constraints),
     )
 
 
@@ -302,11 +311,8 @@ class TestFusedEvaluation:
         monkeypatch.setattr(solver, "_FD_STEP", np.nan)
         assert_reports_bitwise_equal(solve(FiniteSubproblem(case_study, cuts)), report)
         # Without second derivatives the same solve differences its gradients.
-        gradient_only = dataclasses.replace(
-            case_study, constraints=tuple(dataclasses.replace(g, x_hessian=None, batch=None) for g in case_study.constraints)
-        )
         with pytest.raises(NumericalFailure, match="difference Hessian"):
-            solve(FiniteSubproblem(gradient_only, cuts))
+            solve(FiniteSubproblem(gradient_only_constraints(case_study), cuts))
 
     @pytest.mark.parametrize("rhs", [0.0, -10.0], ids=["feasible", "infeasible"])
     def test_inner_hessians_match_differences_of_the_gradient(self, case_study, rng, monkeypatch, rhs):
@@ -530,3 +536,53 @@ class TestNonFinite:
 
         with pytest.raises(NumericalFailure, match="non-finite Hessian"):
             minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
+
+
+class TestReferenceSolver:
+    """The solver against :func:`helpers.reference_solve`, its untrimmed form, bit for bit."""
+
+    def test_random_case_study_subproblems(self, case_study, rng):
+        # Kernel path, per-cut loop with exact Hessians, and difference Hessians.
+        families = (case_study, without_batch(case_study), gradient_only_constraints(case_study))
+        for trial in range(200):
+            instance = families[trial % 3]
+            n_cuts = 0 if trial % 25 == 0 else int(rng.integers(1, 25))
+            cuts = [
+                (int(rng.integers(1, 7)), k, (rng.uniform(-1.0, 1.0),), 0.0 if k % 3 == 0 else -rng.uniform(0.0, 0.1))
+                for k in range(n_cuts)
+            ]
+            x0 = None if trial % 4 == 0 else rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
+            report = solve(FiniteSubproblem(instance, cuts), x0)
+            assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts), x0))
+
+    @pytest.mark.parametrize("family", ["kernel", "difference"])
+    def test_infeasible_cut_set_runs_the_feasibility_phase(self, case_study, rng, family):
+        instance = case_study if family == "kernel" else gradient_only_constraints(case_study)
+        cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, (rng.uniform(-1.0, 1.0),), -0.5) for i in range(1, 7)]
+        report = solve(FiniteSubproblem(instance, cuts))
+        assert report.status is SolveStatus.INFEASIBLE
+        assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts)))
+
+    @pytest.mark.parametrize("case", ["interior", "lower", "upper"])
+    def test_minimize_on_box_quadratics(self, rng, case):
+        for n in (2, 3, 5):
+            fun_grad, box, _ = box_quadratic(rng, n, case)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            for fg in (fun_grad, gradient_only(fun_grad)):
+                a, b = minimize(fg, x0, box, 500), reference_minimize(fg, x0, box, 500)
+                assert a.x.tobytes() == b.x.tobytes()
+                assert (a.nit, a.nfev) == (b.nit, b.nfev)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 729])
+    def test_projection_equals_clip_bytewise(self, n):
+        # Every (x, lower, upper) triple of signed zeros, infinities, NaN
+        # and finite values, in vectors of n entries: numpy picks its inner
+        # loop by length.  The bounds are box columns, as in the solver;
+        # np.clip with scalar bounds can differ in the sign of a zero.
+        values = [0.0, -0.0, 0.5, -0.5, 2.0, -2.0, np.inf, -np.inf, np.nan]
+        triples = np.array(list(itertools.product(values, repeat=3)))
+        for start in range(0, len(triples), n):
+            x, lo, hi = triples[start : start + n].T
+            box = np.column_stack([lo, hi])
+            assert solver._project(x, box).tobytes() == np.clip(x, box[:, 0], box[:, 1]).tobytes()
+

@@ -1,5 +1,7 @@
+import functools
 import logging
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ def criterion_method2(gaps, schedule, eps_f, start_slot, n_slots):
         slot = start_slot + offset
         for i in range(1, schedule.m + 1):
             neighborhood = (i,) + edge_scan_in_neighbors(schedule, i, slot)
-            if sum(gaps[j - 1] for j in neighborhood) > eps_f:
+            if functools.reduce(operator.add, (gaps[j - 1] for j in neighborhood)) > eps_f:
                 return False
     return True
 
@@ -83,6 +85,17 @@ class TestStepMethod2:
         schedule = make_schedule(1, [set()])
         assert final_counters([0.009], schedule, "II") == ([1], [1])
         assert final_counters([0.011], schedule, "II") == ([1], [0])
+
+    def test_gap_sum_is_a_left_fold_in_neighborhood_order(self):
+        # Own gap first, then the in-neighbors ascending: agents 1 and 2
+        # add up to 0.010000000000000002 and fail, agent 3's order
+        # 0.001 + 0.007 + 0.002 gives 0.01 and passes.  A compensated sum,
+        # as builtin sum is from Python 3.12 on, would pass all three.
+        gaps = [0.007, 0.002, 0.001]
+        assert final_counters(gaps, complete(3), "II") == ([1, 1, 1], [0, 0, 3])
+        stop, _, counters = per_slot_stopping_round(gaps, complete(3), "II", EPS_F)
+        assert not stop
+        assert [(n.h, n.c) for n in counters] == [(1, 0), (1, 0), (1, 3)]
 
     def test_time_varying_neighborhood(self):
         # Agent 2 hears agent 1 in even slots, agent 1 hears agent 2 in odd
