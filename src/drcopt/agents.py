@@ -8,7 +8,6 @@ its scenario set or (upper side) relaxes its restriction parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +27,6 @@ class AgentState:
     upper_scenarios: list[tuple[float, ...]] = field(default_factory=list)
     x_tilde: Vector | None = None
     x_bar: Vector | None = None  # None: no feasible upper candidate (f -> +inf)
-
-    def gap(self, instance: ProblemInstance) -> float:
-        """e_i = |f_i(x_bar) - f_i(x_tilde)|, +inf while there is no x_bar."""
-        if self.x_bar is None:
-            return math.inf
-        f = instance.objectives[self.agent_id - 1]
-        return abs(f.evaluate(self.x_bar) - f.evaluate(self.x_tilde))
 
 
 def initial_states(instance: ProblemInstance, eps0: float) -> list[AgentState]:
@@ -85,17 +77,3 @@ def lower_cuts(state: AgentState) -> list[Cut]:
 
 def upper_cuts(state: AgentState) -> list[Cut]:
     return [(state.agent_id, k, y, -state.epsilon) for k, y in enumerate(state.upper_scenarios)]
-
-
-def bound_values(states, instance: ProblemInstance) -> tuple[float, float]:
-    """(lower, upper) objective sums; upper is +inf while any agent has no x_bar."""
-    lower = 0.0
-    upper = 0.0
-    for state in states:
-        f = instance.objectives[state.agent_id - 1]
-        lower += f.evaluate(state.x_tilde)
-        if state.x_bar is None:
-            upper = math.inf
-        elif math.isfinite(upper):
-            upper += f.evaluate(state.x_bar)
-    return lower, upper

@@ -56,8 +56,7 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     locate y only to about the square root of the float resolution, but
     a vertex is a ratio of value differences, exact for a quadratic.  The
     best of the starts and the vertices wins.  Each stage evaluates its
-    points in one ``batch`` call when the constraint has one, else point
-    by point, with the same result.
+    points in one call of the constraint's kernel.
     """
     if constraint.n_y != 1:
         raise UnsupportedDimension(
@@ -68,9 +67,7 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     h = (hi - lo) / (GRID_POINTS - 1)
 
     def values(points) -> np.ndarray:
-        if constraint.batch is not None:
-            return constraint.batch(x, constraint.coefficients[None, :], np.asarray(points)[:, None])[0]
-        return np.array([constraint.evaluate(x, np.array([y])) for y in points])
+        return constraint.batch(x, constraint.coefficients[None, :], np.asarray(points)[:, None])[0]
 
     def clamp(y: float) -> float:
         return min(hi, max(lo, y))

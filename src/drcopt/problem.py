@@ -49,14 +49,6 @@ def _require_reals(values, name: str) -> np.ndarray:
     return array.astype(float)
 
 
-@functools.cache
-def _constant_hessian(diagonal: tuple[float, ...]) -> np.ndarray:
-    """The Hessian diag(diagonal), one shared read-only array."""
-    hessian = np.diag(diagonal)
-    hessian.flags.writeable = False
-    return hessian
-
-
 @functools.lru_cache(maxsize=256)
 def _constant_hessians(k: int, diagonal: tuple[float, ...]) -> np.ndarray:
     """k rows of diag(diagonal) as one read-only broadcast view: no memory per row.
@@ -64,35 +56,32 @@ def _constant_hessians(k: int, diagonal: tuple[float, ...]) -> np.ndarray:
     Cached, because ``np.broadcast_to`` costs about 5 us a call and the
     solver asks for the same k at every point.
     """
-    return np.broadcast_to(_constant_hessian(diagonal), (k, len(diagonal), len(diagonal)))
+    hessian = np.diag(diagonal)
+    hessian.flags.writeable = False
+    return np.broadcast_to(hessian, (k, len(diagonal), len(diagonal)))
 
 
 @dataclass(frozen=True)
 class LocalObjective:
-    """Convex local objective with an analytic gradient.
+    """Convex local objective, defined by its family's kernel and its own coefficients.
 
-    ``hessian``, when present, maps x to the (n, n) Hessian; the solver's
-    Newton steps then use it instead of differences of the gradient.
-
-    ``batch``, when present, is a function shared by a whole family of
-    objectives, told apart by their ``coefficients`` (a 1-D array).  It
-    takes (x, P), with P holding one member's coefficients per row, and
-    returns the values (k,), gradients (k, n) and Hessians (k, n, n) of
-    those k members at x (the Hessians None for a family without
-    ``hessian``).  Row j must equal ``evaluate``, ``gradient`` and
-    ``hessian`` of the member with coefficients P[j] bit for bit: compute
-    each term as the scalar closures do, with the same operations in the
-    same order.  A constant Hessian may be a read-only ``np.broadcast_to``
-    view of one array.  The solver then evaluates all objectives of a
-    subproblem in one call when they share one ``batch``, and its results
-    do not depend on which path it took.
+    ``batch`` is a function shared by a whole family of objectives, told
+    apart by their ``coefficients`` (a 1-D array).  It takes (x, P), with
+    P holding one member's coefficients per row, and returns the values
+    (k,), gradients (k, n) and Hessians (k, n, n) of those k members at
+    x, or None for the Hessians of a gradient-only family.  A constant
+    Hessian may be a read-only ``np.broadcast_to`` view of one array.
+    The solver evaluates all objectives of a subproblem in one call when
+    they share one ``batch``, and stacks each member's one-row call
+    otherwise; row j must not depend on the other rows.
     """
 
-    evaluate: Callable[[Vector], float]
-    gradient: Callable[[Vector], Vector]
-    batch: Optional[Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]] = None
-    coefficients: Optional[np.ndarray] = None
-    hessian: Optional[Callable[[Vector], np.ndarray]] = None
+    batch: Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    coefficients: np.ndarray
+
+    def evaluate(self, x: Vector) -> float:
+        """f(x): row 0 of the kernel at this member's coefficients."""
+        return float(self.batch(np.asarray(x, dtype=float), self.coefficients[None, :])[0][0])
 
 
 def _quadratic_distance_batch(x: Vector, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,65 +92,44 @@ def _quadratic_distance_batch(x: Vector, centers: np.ndarray) -> tuple[np.ndarra
 
 def quadratic_distance(center) -> LocalObjective:
     """Objective ||x - center||^2, the case-study form."""
-    c = np.asarray(center, dtype=float)
-
-    def evaluate(x: Vector) -> float:
-        d = np.asarray(x, dtype=float) - c
-        return float((d * d).sum())
-
-    def gradient(x: Vector) -> Vector:
-        return 2.0 * (np.asarray(x, dtype=float) - c)
-
-    def hessian(x: Vector) -> np.ndarray:
-        return _constant_hessian((2.0,) * c.size)
-
-    return LocalObjective(
-        evaluate, gradient, batch=_quadratic_distance_batch, coefficients=c, hessian=hessian
-    )
+    return LocalObjective(_quadratic_distance_batch, np.asarray(center, dtype=float))
 
 
 @dataclass(frozen=True)
 class SemiInfiniteConstraint:
-    """Constraint g(x, y) <= 0 for all y in a compact box.
+    """Constraint g(x, y) <= 0 for all y in a compact box, defined by its family's kernel.
 
-    ``evaluate`` and ``x_gradient`` take (x, y) with y a 1-D array of
-    length n_y.  ``x_hessian``, when present, takes (x, y) too and
-    returns the (n, n) Hessian of g(., y) at x; without it the solver's
-    Newton steps difference the gradients.  ``analytic_argmax``, when
+    ``batch`` is a function shared by a whole family of constraints, told
+    apart by their ``coefficients`` (a 1-D array).  It takes (x, P, Y),
+    with P of shape (k, p) holding one member's coefficients per row (or
+    a single row for all k) and Y of shape (k, n_y), and returns the
+    values g_j(x, Y[j]) (k,), x-gradients (k, n) and x-Hessians (k, n, n)
+    of those k pairs.  Row j must not depend on the other rows.  A kernel
+    that returns None for the Hessians marks a gradient-only constraint:
+    the solver's Newton steps then difference the gradients.  A constant
+    Hessian may be a read-only ``np.broadcast_to`` view of one array,
+    which costs nothing per row.  The solver evaluates all cuts of a
+    subproblem in one call when their constraints share one ``batch``
+    (else it stacks each cut's one-row call), and the numeric lower-level
+    problem scans its grid in one call.  ``analytic_argmax``, when
     present, maps x to the global maximizer of g(x, .) over the
     uncertainty box.
-
-    ``batch``, when present, is a function shared by a whole family of
-    constraints, told apart by their ``coefficients`` (a 1-D array).  It
-    takes (x, P, Y), with P of shape (k, p) holding one member's
-    coefficients per row (or a single row for all k) and Y of shape
-    (k, n_y), and returns the values g_j(x, Y[j]) (k,), x-gradients
-    (k, n) and x-Hessians (k, n, n) of those k pairs (the Hessians None
-    for a family without ``x_hessian``).  Row j must equal ``evaluate``,
-    ``x_gradient`` and ``x_hessian`` of the member with coefficients P[j]
-    at Y[j] bit for bit: compute each term as the scalar closures do, with
-    the same operations in the same order.  A constant Hessian may be a
-    read-only ``np.broadcast_to`` view of one array, which costs nothing
-    per row.  The solver evaluates all cuts of a subproblem in one call
-    when their constraints share one ``batch``, and the numeric
-    lower-level problem scans its grid in one call; the results do not
-    depend on which path was taken.
     """
 
-    evaluate: Callable[[Vector, Vector], float]
-    x_gradient: Callable[[Vector, Vector], Vector]
+    batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    coefficients: np.ndarray
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
     analytic_argmax: Optional[Callable[[Vector], Vector]] = None
-    batch: Optional[
-        Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
-    ] = None
-    coefficients: Optional[np.ndarray] = None
-    x_hessian: Optional[Callable[[Vector, Vector], np.ndarray]] = None
 
     @property
     def n_y(self) -> int:
         return self.uncertainty_box.shape[0]
+
+    def evaluate(self, x: Vector, y: Vector) -> float:
+        """g(x, y): row 0 of the kernel at this member's coefficients."""
+        ys = np.asarray(y, dtype=float)[None, :]
+        return float(self.batch(np.asarray(x, dtype=float), self.coefficients[None, :], ys)[0][0])
 
 
 @dataclass(frozen=True)
@@ -216,29 +184,38 @@ def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
         raise ValueError(f"paper-quadratic v must be finite, got {v}")
     lo, hi = -1.0, 1.0
 
-    def evaluate(x: Vector, y: Vector) -> float:
-        d, yy = float(x[0]) - v, float(y[0])
-        return d * d + 2.0 * yy * float(x[1]) - yy * yy - 1.0
-
-    def x_gradient(x: Vector, y: Vector) -> Vector:
-        return np.array([2.0 * (float(x[0]) - v), 2.0 * float(y[0])])
-
-    def x_hessian(x: Vector, y: Vector) -> np.ndarray:
-        return _constant_hessian((2.0, 0.0))
-
     def analytic_argmax(x: Vector) -> Vector:
         return np.array([min(hi, max(lo, float(x[1])))])
 
     return SemiInfiniteConstraint(
-        evaluate=evaluate,
-        x_gradient=x_gradient,
+        batch=_paper_quadratic_batch,
+        coefficients=np.array([float(v)]),
         uncertainty_box=np.array([[lo, hi]]),
         concave_in_y=True,
         analytic_argmax=analytic_argmax,
-        batch=_paper_quadratic_batch,
-        coefficients=np.array([float(v)]),
-        x_hessian=x_hessian,
     )
+
+
+def _example1_batch(x: Vector, coefficients: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Row by row in Python floats, so that math.exp reports an overflow.
+    x1, x2 = float(x[0]), float(x[1])
+    c = x1 * x1 - 2.0 * x1
+    rows = []
+    for yy in ys[:, 0].tolist():
+        try:
+            e = math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
+        except OverflowError:
+            raise NumericalFailure(f"example1 constraint overflows at x1 = {x1!r}, y = {yy!r}") from None
+        # e has d e / d x1 = e * u; only d^2 g / d x1^2 is nonzero.
+        u = -2.0 * x1 - 2.0 * yy
+        d11 = e * (2.0 + 2.0 * (2.0 * x1 - 2.0) * u + c * (u * u - 2.0))
+        rows.append((x2 + c * e, (2.0 * x1 - 2.0) * e + c * e * u, d11))
+    values, d1, d11 = np.array(rows, dtype=float).reshape(len(ys), 3).T
+    grads = np.ones((len(ys), 2))
+    grads[:, 0] = d1
+    hessians = np.zeros((len(ys), 2, 2))
+    hessians[:, 0, 0] = d11
+    return values, grads, hessians
 
 
 def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
@@ -248,50 +225,28 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
     c = x1^2 - 2*x1.  For x1 in [0, 2] the coefficient is nonpositive, g
     is concave in y and the maximizer is the clamp of x1 to the box; for
     c > 0 the exponential is convex, so the maximum sits at a box
-    endpoint.
+    endpoint.  An overflow of the exponential raises
+    :class:`NumericalFailure`.
     """
     # Negated comparison so that NaN is rejected too.
     if not 0.0 < y_upper < math.inf:
         raise ValueError(f"example1 y_upper must be positive and finite, got {y_upper}")
-
-    def exp_term(x1: float, yy: float) -> float:
-        try:
-            return math.exp(-x1 * x1 + yy * yy - 2.0 * x1 * yy)
-        except OverflowError:
-            raise NumericalFailure(f"example1 constraint overflows at x1 = {x1!r}, y = {yy!r}") from None
-
-    def evaluate(x: Vector, y: Vector) -> float:
-        x1, x2, yy = float(x[0]), float(x[1]), float(y[0])
-        return x2 + (x1 * x1 - 2.0 * x1) * exp_term(x1, yy)
-
-    def x_gradient(x: Vector, y: Vector) -> Vector:
-        x1, yy = float(x[0]), float(y[0])
-        e = exp_term(x1, yy)
-        d1 = (2.0 * x1 - 2.0) * e + (x1 * x1 - 2.0 * x1) * e * (-2.0 * x1 - 2.0 * yy)
-        return np.array([d1, 1.0])
-
-    def x_hessian(x: Vector, y: Vector) -> np.ndarray:
-        # e = exp(...) has d e / d x1 = e * u; only d^2 g / d x1^2 is nonzero.
-        x1, yy = float(x[0]), float(y[0])
-        e = exp_term(x1, yy)
-        u = -2.0 * x1 - 2.0 * yy
-        d11 = e * (2.0 + 2.0 * (2.0 * x1 - 2.0) * u + (x1 * x1 - 2.0 * x1) * (u * u - 2.0))
-        return np.array([[d11, 0.0], [0.0, 0.0]])
+    no_coefficients = np.zeros(0)
 
     def analytic_argmax(x: Vector) -> Vector:
         x1 = float(x[0])
         if 0.0 <= x1 <= 2.0:
             return np.array([min(y_upper, max(0.0, x1))])
-        lo, hi = np.array([0.0]), np.array([y_upper])
-        return lo if evaluate(x, lo) >= evaluate(x, hi) else hi
+        ends = np.array([[0.0], [y_upper]])
+        at_lo, at_hi = _example1_batch(x, no_coefficients, ends)[0].tolist()
+        return ends[0] if at_lo >= at_hi else ends[1]
 
     return SemiInfiniteConstraint(
-        evaluate=evaluate,
-        x_gradient=x_gradient,
+        batch=_example1_batch,
+        coefficients=no_coefficients,
         uncertainty_box=np.array([[0.0, y_upper]]),
         concave_in_y=False,
         analytic_argmax=analytic_argmax,
-        x_hessian=x_hessian,
     )
 
 

@@ -9,19 +9,21 @@ exercised across phases.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import agents
-from .agents import AgentState, bound_values, initial_states
+from .agents import AgentState, initial_states
 from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
-from .solver import FEASIBILITY_TOL, SolveStatus
+from .solver import FEASIBILITY_TOL, SolveStatus, objective_terms
 from .termination import run_stopping_round
 
 
@@ -90,6 +92,25 @@ def _check_solver_status(report, phase: str):
         raise NumericalFailure(f"{phase} subproblem solve hit the iteration limit")
 
 
+def _bounds_and_gaps(terms, states: list[AgentState], lower_x: Vector, upper_x: Vector):
+    """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
+
+    ``terms`` is :func:`drcopt.solver.objective_terms` of the agents'
+    objectives.  Every agent's ``x_tilde`` is ``lower_x``, and its
+    ``x_bar`` is ``upper_x`` or None.  lower and upper add the f_i over
+    the agents in order, a left fold from 0.0; upper is +inf while any
+    agent has no ``x_bar``.  The gap e_i = |f_i(x_bar) - f_i(x_tilde)| is
+    +inf for such an agent.
+    """
+    at_lower = terms(lower_x)[0].tolist()
+    at_upper = terms(upper_x)[0].tolist()
+    feasible = [state.x_bar is not None for state in states]
+    lower = functools.reduce(operator.add, at_lower, 0.0)
+    upper = functools.reduce(operator.add, at_upper, 0.0) if all(feasible) else math.inf
+    gaps = [abs(u - lo) if ok else math.inf for lo, u, ok in zip(at_lower, at_upper, feasible)]
+    return lower, upper, gaps
+
+
 def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = RunParams()) -> RunResult:
     """Run the algorithm until the stopping round fires or max_iter is reached.
 
@@ -100,6 +121,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
     states = initial_states(instance, params.eps0)
+    terms = objective_terms(instance.objectives)
     bound = (
         method1_accuracy(instance.m, params.eps_f)
         if params.method == "I"
@@ -129,14 +151,13 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         upper_x = upper_report.minimizer
         g_max_upper = tuple(agents.dubd_oracle(s, instance, upper_report.minimizer, params.r)[1] for s in states)
 
-        lower, upper = bound_values(states, instance)
+        lower, upper, gaps = _bounds_and_gaps(terms, states, lower_x, upper_x)
         if lower < prev_lower - 1e-9:
             raise NumericalFailure("lower bound decreased across iterations")
         if math.isfinite(upper) and upper < lower - 1e-9:
             raise NumericalFailure("upper bound fell below lower bound")
         prev_lower = lower
 
-        gaps = [s.gap(instance) for s in states]
         stop, used, _ = run_stopping_round(gaps, schedule, params.method, params.eps_f, slot)
         slot += used
 

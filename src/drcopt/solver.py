@@ -44,39 +44,48 @@ class SolveStatus(Enum):
 
 
 def _shared_batch(members):
-    """The ``batch`` function every member has, or None (no members, none, or several)."""
+    """The ``batch`` function every member has, or None (no members, or several kernels)."""
     kernels = {member.batch for member in members}
     return kernels.pop() if len(kernels) == 1 else None
 
 
-def _objective_terms(objectives):
+def _stacked(calls):
+    """x -> the one-row results of ``calls``, each (kernel, *args), stacked row by row.
+
+    The Hessians are None when any kernel returns None for them.
+    """
+
+    def terms(x):
+        rows = [kernel(x, *args) for kernel, *args in calls]
+        hessians = [h for _, _, h in rows]
+        return (
+            np.concatenate([v for v, _, _ in rows]),
+            np.concatenate([g for _, g, _ in rows]),
+            None if any(h is None for h in hessians) else np.concatenate(hessians),
+        )
+
+    return terms
+
+
+def objective_terms(objectives):
     """x -> (values, gradients, Hessians or None) of the objectives, one row per objective."""
     batch = _shared_batch(objectives)
     if batch is not None:
         coefficients = np.array([f.coefficients for f in objectives])
         return lambda x: batch(x, coefficients)
-    exact = all(f.hessian is not None for f in objectives)
-    return lambda x: (
-        np.array([f.evaluate(x) for f in objectives]),
-        np.array([f.gradient(x) for f in objectives]),
-        np.array([f.hessian(x) for f in objectives]) if exact else None,
-    )
+    return _stacked([(f.batch, f.coefficients[None, :]) for f in objectives])
 
 
 def _cut_terms(constraints, scenarios, n: int):
     """x -> (values, x-gradients, x-Hessians or None) of g_a(x, y_j), one row per cut."""
+    if not constraints:
+        return lambda x: (np.zeros(0), np.zeros((0, n)), np.zeros((0, n, n)))
     batch = _shared_batch(constraints)
     if batch is not None:
         coefficients = np.array([g.coefficients for g in constraints])
         ys = np.array(scenarios)
         return lambda x: batch(x, coefficients, ys)
-    rows = tuple(zip(constraints, scenarios))
-    exact = all(g.x_hessian is not None for g in constraints)
-    return lambda x: (
-        np.array([g.evaluate(x, y) for g, y in rows]),
-        np.array([g.x_gradient(x, y) for g, y in rows]).reshape(len(rows), n),
-        np.array([g.x_hessian(x, y) for g, y in rows]).reshape(len(rows), n, n) if exact else None,
-    )
+    return _stacked([(g.batch, g.coefficients[None, :], y[None, :]) for g, y in zip(constraints, scenarios)])
 
 
 def _read_only(a):
@@ -95,10 +104,10 @@ class FiniteSubproblem:
     canonical order.  On construction the objectives' and the cuts' data
     are gathered into arrays once.  :meth:`evaluate` computes each family
     (the objectives, the cuts) with one kernel call when its members
-    share one ``batch`` function, and with one scalar call per member
-    otherwise.  Both paths give bitwise equal results (see the ``batch``
-    contract in :mod:`drcopt.problem`).  It remembers the last point it
-    evaluated: the solver asks for the same point several times in a row.
+    share one ``batch`` function, and stacks each member's one-row call
+    of its own kernel otherwise (see the ``batch`` contract in
+    :mod:`drcopt.problem`).  It remembers the last point it evaluated:
+    the solver asks for the same point several times in a row.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
@@ -115,9 +124,10 @@ class FiniteSubproblem:
             y_box = np.concatenate([g.uncertainty_box for g in constraints])
             if (y < y_box[:, 0] - 1e-12).any() or (y > y_box[:, 1] + 1e-12).any():
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
-        self._objective_terms = _objective_terms(instance.objectives)
+        self._objective_terms = objective_terms(instance.objectives)
         self._cut_terms = _cut_terms(constraints, scenarios, self.n)
         self._memo_key, self._memo = None, None
+        self._hess_terms, self._hess_sum = None, None
 
     @property
     def n(self) -> int:
@@ -132,8 +142,10 @@ class FiniteSubproblem:
         unless every objective and every cut constraint has second
         derivatives.  The arrays are read-only: a repeated call at the
         same x returns the same ones.  The sums are new arrays, made
-        read-only in place; a kernel's arrays are wrapped in read-only
-        views unless they already are read-only.
+        read-only in place, except that the objectives' Hessian sum is
+        reused while their kernel returns the same read-only array; a
+        kernel's arrays are wrapped in read-only views unless they
+        already are read-only.
         """
         key = x.tobytes()
         if key != self._memo_key:
@@ -142,8 +154,13 @@ class FiniteSubproblem:
             if f_hess is None or g_hess is None:
                 f_hess = g_hess = None
             else:
-                f_hess = f_hess.sum(axis=0)
-                f_hess.flags.writeable = False
+                # A constant family Hessian comes back as the same read-only
+                # array at every point: sum it once.
+                if f_hess is not self._hess_terms or f_hess.flags.writeable:
+                    self._hess_sum = f_hess.sum(axis=0)
+                    self._hess_sum.flags.writeable = False
+                    self._hess_terms = f_hess
+                f_hess = self._hess_sum
             grad = f_grads.sum(axis=0)
             c = g_values - self._rhs
             grad.flags.writeable = c.flags.writeable = False

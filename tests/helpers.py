@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from drcopt.agents import AgentState
 from drcopt.consensus import flood_slots
 from drcopt.graph import GraphSchedule, NotUniformlyConnected, make_schedule
 from drcopt.problem import (
@@ -164,6 +165,33 @@ def box_lp_vertex_max(weights, capacity, upper):
                 extra = min(upper, (capacity - used) / weights[j])
                 best = max(best, value + extra)
     return best
+
+
+# The per-agent bounds and gaps that drcopt.sim.run computed before it
+# evaluated all objectives in one kernel call per consensus minimizer, as
+# a bitwise oracle for the batched form.
+
+
+def bound_values(states: list[AgentState], instance: ProblemInstance) -> tuple[float, float]:
+    """(lower, upper) objective sums; upper is +inf while any agent has no x_bar."""
+    lower = 0.0
+    upper = 0.0
+    for state in states:
+        f = instance.objectives[state.agent_id - 1]
+        lower += f.evaluate(state.x_tilde)
+        if state.x_bar is None:
+            upper = math.inf
+        elif math.isfinite(upper):
+            upper += f.evaluate(state.x_bar)
+    return lower, upper
+
+
+def agent_gap(state: AgentState, instance: ProblemInstance) -> float:
+    """e_i = |f_i(x_bar) - f_i(x_tilde)|, +inf while there is no x_bar."""
+    if state.x_bar is None:
+        return math.inf
+    f = instance.objectives[state.agent_id - 1]
+    return abs(f.evaluate(state.x_bar) - f.evaluate(state.x_tilde))
 
 
 # Per-agent, per-slot simulations of the flooding and stopping protocols,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from drcopt.agents import (
-    bound_values,
     dlbd_oracle,
     dubd_oracle,
     initial_states,
@@ -12,9 +11,10 @@ from drcopt.agents import (
     upper_cuts,
 )
 from drcopt.llp import Verdict
-from drcopt.solver import FiniteSubproblem
+from drcopt.sim import _bounds_and_gaps
+from drcopt.solver import FiniteSubproblem, objective_terms
 
-from helpers import F_STAR, X_STAR
+from helpers import F_STAR, X_STAR, agent_gap, bound_values
 
 
 @pytest.fixture
@@ -97,12 +97,20 @@ class TestSubproblemBuilders:
         assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)
 
 
+def assert_matches_oracle(states, instance, upper_x):
+    """drcopt.sim's (lower, upper, gaps), for states that share one x_tilde, against the per-agent oracle."""
+    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), states, states[0].x_tilde, upper_x)
+    expected = bound_values(states, instance) + tuple(agent_gap(s, instance) for s in states)
+    assert [v.hex() for v in (lower, upper, *gaps)] == [v.hex() for v in expected]
+    return lower, upper, gaps
+
+
 class TestBoundValues:
     def test_sentinel_makes_upper_infinite(self, case_study, states):
         for state in states:
             state.x_tilde = np.array([0.0, 0.71875])
             state.x_bar = None
-        lower, upper = bound_values(states, case_study)
+        lower, upper, _ = assert_matches_oracle(states, case_study, X_STAR)
         assert lower == pytest.approx(38.474609375)
         assert upper == math.inf
 
@@ -110,14 +118,20 @@ class TestBoundValues:
         for state in states:
             state.x_tilde = X_STAR
             state.x_bar = X_STAR
-        lower, upper = bound_values(states, case_study)
+        lower, upper, gaps = assert_matches_oracle(states, case_study, X_STAR)
         assert lower == pytest.approx(F_STAR)
         assert upper == pytest.approx(F_STAR)
+        assert gaps == [0.0] * 6
 
     def test_gap_is_infinite_for_sentinel(self, case_study, states):
-        states[0].x_tilde = X_STAR
+        z = np.array([0.0, 0.71875])
+        for state in states:
+            state.x_tilde = X_STAR
+            state.x_bar = z
         states[0].x_bar = None
-        assert states[0].gap(case_study) == math.inf
+        _, upper, gaps = assert_matches_oracle(states, case_study, z)
+        assert upper == math.inf
+        assert gaps[0] == math.inf and all(math.isfinite(e) for e in gaps[1:])
 
 
 class TestValidation:

@@ -12,7 +12,21 @@ from drcopt.llp import (
 )
 from drcopt.problem import SemiInfiniteConstraint, example1_constraint
 
-GRID = np.linspace(-1.0, 1.0, 2001)  # solve_llp_numeric's default grid on the case-study box
+
+def row_by_row(batch):
+    """A constraint kernel that calls ``batch`` once per row of Y and stacks the rows."""
+
+    def kernel(x, coefficients, ys):
+        coefficients = np.broadcast_to(coefficients, (len(ys), coefficients.shape[1]))
+        rows = [batch(x, coefficients[j : j + 1], ys[j : j + 1]) for j in range(len(ys))]
+        hessians = [h for _, _, h in rows]
+        return (
+            np.concatenate([v for v, _, _ in rows]),
+            np.concatenate([g for _, g, _ in rows]),
+            None if hessians[0] is None else np.concatenate(hessians),
+        )
+
+    return kernel
 
 
 def random_xs(rng, k):
@@ -83,13 +97,13 @@ class TestNumericPath:
 
     def test_nonconcave_flag_uses_multistart(self):
         # Two-bump function: global maximum near y = 1.7, local bump near 0.3.
-        def evaluate(x, y):
-            yy = float(y[0])
-            return 0.8 * np.exp(-60 * (yy - 0.3) ** 2) + np.exp(-60 * (yy - 1.7) ** 2)
+        def two_bumps(x, coefficients, ys):
+            y = ys[:, 0]
+            return 0.8 * np.exp(-60 * (y - 0.3) ** 2) + np.exp(-60 * (y - 1.7) ** 2), np.zeros((len(y), 2)), None
 
         constraint = SemiInfiniteConstraint(
-            evaluate=evaluate,
-            x_gradient=lambda x, y: np.zeros(2),
+            batch=two_bumps,
+            coefficients=np.zeros(0),
             uncertainty_box=np.array([[0.0, 2.0]]),
             concave_in_y=False,
         )
@@ -110,13 +124,17 @@ class TestNumericPath:
             assert abs(y_star[0] - solve_llp(constraint, x)[1][0]) <= 1e-11
 
     def test_scalar_only_concave_constraint(self):
+        # A custom kernel that computes its rows one by one in Python floats.
+        def kernel(x, coefficients, ys):
+            values = np.array([-((y - float(x[0])) ** 2) for y in ys[:, 0].tolist()])
+            return values, np.zeros((len(values), 2)), None
+
         constraint = SemiInfiniteConstraint(
-            evaluate=lambda x, y: -((float(y[0]) - float(x[0])) ** 2),
-            x_gradient=lambda x, y: np.zeros(2),
+            batch=kernel,
+            coefficients=np.zeros(0),
             uncertainty_box=np.array([[-1.0, 1.0]]),
             concave_in_y=True,
         )
-        assert constraint.batch is None
         for x0, y_expected in ((0.3, 0.3), (-0.8, -0.8), (1.7, 1.0)):
             g_max, y_star = solve_llp(constraint, np.array([x0, 0.0]))
             assert y_star[0] == pytest.approx(y_expected, abs=1e-6)
@@ -124,8 +142,8 @@ class TestNumericPath:
 
     def test_multidimensional_without_argmax_rejected(self):
         constraint = SemiInfiniteConstraint(
-            evaluate=lambda x, y: 0.0,
-            x_gradient=lambda x, y: np.zeros(2),
+            batch=lambda x, coefficients, ys: (np.zeros(len(ys)), np.zeros((len(ys), 2)), None),
+            coefficients=np.zeros(0),
             uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
         )
         with pytest.raises(UnsupportedDimension):
@@ -134,19 +152,12 @@ class TestNumericPath:
 
 class TestBatchedGrid:
     @pytest.mark.parametrize("agent", range(6))
-    def test_grid_values_bitwise_equal_scalar(self, case_study, rng, agent):
-        constraint = case_study.constraints[agent]
-        for x in random_xs(rng, 40):
-            scalar = np.array([constraint.evaluate(x, np.array([y])) for y in GRID])
-            values, _, _ = constraint.batch(x, constraint.coefficients[None, :], GRID[:, None])
-            assert values.tobytes() == scalar.tobytes()
-
-    @pytest.mark.parametrize("agent", range(6))
     def test_numeric_solve_bitwise_equal_without_kernel(self, case_study, rng, agent):
+        # Without the batched grid call: one kernel call per point.
         constraint = case_study.constraints[agent]
-        scalar_only = dataclasses.replace(constraint, batch=None)
+        one_by_one = dataclasses.replace(constraint, batch=row_by_row(constraint.batch))
         for x in random_xs(rng, 30):
             g, y = solve_llp_numeric(constraint, x)
-            g_ref, y_ref = solve_llp_numeric(scalar_only, x)
+            g_ref, y_ref = solve_llp_numeric(one_by_one, x)
             assert np.float64(g).tobytes() == np.float64(g_ref).tobytes()
             assert y.tobytes() == y_ref.tobytes()

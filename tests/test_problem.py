@@ -33,6 +33,18 @@ def difference_jacobian(grad, x, h=1e-6):
     return np.column_stack(columns)
 
 
+def objective_row(f, x):
+    """(value, gradient, Hessian) of objective f at x: row 0 of its kernel."""
+    values, grads, hessians = f.batch(x, f.coefficients[None, :])
+    return values[0], grads[0], hessians[0]
+
+
+def constraint_row(g, x, y):
+    """(value, x-gradient, x-Hessian) of constraint g at (x, y): row 0 of its kernel."""
+    values, grads, hessians = g.batch(x, g.coefficients[None, :], y[None, :])
+    return values[0], grads[0], hessians[0]
+
+
 class TestCaseStudyInstance:
     def test_parameters(self, case_study):
         assert case_study.m == 6
@@ -61,32 +73,31 @@ class TestCaseStudyInstance:
         for _ in range(100):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             for f in case_study.objectives:
-                num = central_difference(f.evaluate, x)
-                ana = f.gradient(x)
-                assert np.allclose(ana, num, rtol=1e-5, atol=1e-5)
+                num = central_difference(lambda z: objective_row(f, z)[0], x)
+                assert np.allclose(objective_row(f, x)[1], num, rtol=1e-5, atol=1e-5)
 
     def test_constraint_x_gradients_match_finite_differences(self, case_study, rng):
         for _ in range(50):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             y = np.array([rng.uniform(-1, 1)])
             for g in case_study.constraints:
-                num = central_difference(lambda z: g.evaluate(z, y), x)
-                assert np.allclose(g.x_gradient(x, y), num, rtol=1e-5, atol=1e-5)
+                num = central_difference(lambda z: constraint_row(g, z, y)[0], x)
+                assert np.allclose(constraint_row(g, x, y)[1], num, rtol=1e-5, atol=1e-5)
 
     def test_objective_hessians_match_finite_differences(self, case_study, rng):
         for _ in range(100):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             for f in case_study.objectives:
-                num = difference_jacobian(f.gradient, x)
-                assert np.allclose(f.hessian(x), num, rtol=1e-5, atol=1e-5)
+                num = difference_jacobian(lambda z: objective_row(f, z)[1], x)
+                assert np.allclose(objective_row(f, x)[2], num, rtol=1e-5, atol=1e-5)
 
     def test_constraint_x_hessians_match_finite_differences(self, case_study, rng):
         for _ in range(50):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             y = np.array([rng.uniform(-1, 1)])
             for g in case_study.constraints:
-                num = difference_jacobian(lambda z: g.x_gradient(z, y), x)
-                assert np.allclose(g.x_hessian(x, y), num, rtol=1e-5, atol=1e-5)
+                num = difference_jacobian(lambda z: constraint_row(g, z, y)[1], x)
+                assert np.allclose(constraint_row(g, x, y)[2], num, rtol=1e-5, atol=1e-5)
 
     def test_feasibility_matches_closed_form(self, case_study, rng):
         # x feasible for agent i iff (x1 - v_i)^2 + clamp(x2)^2 adjustments <= 1
@@ -109,10 +120,10 @@ class TestExample1:
         g = example1_constraint()
         for x1 in np.concatenate([rng.uniform(0.0, 2.0, 25), rng.uniform(-2.0, 0.0, 15), rng.uniform(2.0, 3.0, 10)]):
             x, y = np.array([x1, rng.uniform(-1.0, 1.0)]), np.array([rng.uniform(0.0, 2.0)])
-            num = central_difference(lambda z: g.evaluate(z, y), x)
-            assert np.allclose(g.x_gradient(x, y), num, rtol=1e-5, atol=1e-5)
-            num = difference_jacobian(lambda z: g.x_gradient(z, y), x)
-            assert np.allclose(g.x_hessian(x, y), num, rtol=1e-5, atol=1e-5)
+            num = central_difference(lambda z: constraint_row(g, z, y)[0], x)
+            assert np.allclose(constraint_row(g, x, y)[1], num, rtol=1e-5, atol=1e-5)
+            num = difference_jacobian(lambda z: constraint_row(g, z, y)[1], x)
+            assert np.allclose(constraint_row(g, x, y)[2], num, rtol=1e-5, atol=1e-5)
 
     def test_argmax_matches_grid_brute_force(self):
         g = example1_constraint()
@@ -133,6 +144,22 @@ class TestExample1:
         g = example1_constraint(y_upper=1.0)
         assert g.uncertainty_box[0, 1] == 1.0
         assert g.analytic_argmax(np.array([1.5, 0.0]))[0] == 1.0
+
+
+class TestOneDefinition:
+    def test_evaluate_is_row_zero_of_the_kernel(self, case_study, rng):
+        constraints = case_study.constraints + (example1_constraint(),)
+        for _ in range(50):
+            x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
+            for f in case_study.objectives:
+                value = f.evaluate(x)
+                assert type(value) is float
+                assert value.hex() == float(objective_row(f, x)[0]).hex()
+            for g in constraints:
+                y = rng.uniform(g.uncertainty_box[:, 0], g.uncertainty_box[:, 1])
+                value = g.evaluate(x, y)
+                assert type(value) is float
+                assert value.hex() == float(constraint_row(g, x, y)[0]).hex()
 
 
 class TestConfig:

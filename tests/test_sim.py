@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from drcopt import solver
-from drcopt.graph import complete, directed_cycle
+from drcopt import sim, solver
+from drcopt.agents import initial_states
+from drcopt.cli import METHODS, TABLE2_TOPOLOGIES
+from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure, example1_constraint
 from drcopt.sim import ConfigError, RunParams, run
+from drcopt.termination import run_stopping_round
 
-from helpers import F_STAR, X_STAR, scaled_case_study
+from helpers import F_STAR, X_STAR, agent_gap, bound_values, scaled_case_study
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,32 @@ class TestDeterminism:
         a, b = (run(case_study, complete(6), RunParams(method="II")) for _ in range(2))
         assert repr(a.records) == repr(b.records)
         assert [x.tobytes() for x in a.x_opt] == [x.tobytes() for x in b.x_opt]
+
+
+class TestBatchedBounds:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES)
+    def test_records_equal_the_per_agent_oracle(self, case_study, monkeypatch, method, topology):
+        # lower, upper and the gaps of every record, bit for bit, against
+        # the per-agent sums over the states the stopping round sees.
+        states, expected = [], []
+
+        def capturing_initial_states(instance, eps0):
+            states.extend(initial_states(instance, eps0))
+            return states
+
+        def checking_stopping_round(gaps, *args):
+            lower, upper = bound_values(states, case_study)
+            expected.append((lower, upper, *(agent_gap(s, case_study) for s in states)))
+            return run_stopping_round(gaps, *args)
+
+        monkeypatch.setattr(sim, "initial_states", capturing_initial_states)
+        monkeypatch.setattr(sim, "run_stopping_round", checking_stopping_round)
+        result = run(case_study, TOPOLOGIES[topology](6), RunParams(method=method))
+        assert result.terminated and len(expected) == len(result.records)
+        for record, oracle in zip(result.records, expected):
+            assert [v.hex() for v in (record.lower, record.upper, *record.gaps)] == [v.hex() for v in oracle]
+        assert math.isinf(result.records[0].upper) and math.isfinite(result.final_upper)
 
 
 class TestScaledInstance:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from collections import Counter
 
@@ -8,7 +9,13 @@ from scipy.optimize import minimize as scipy_minimize
 
 from drcopt import consensus, solver
 from drcopt.graph import directed_cycle
-from drcopt.problem import NumericalFailure, SemiInfiniteConstraint, example1_constraint, quadratic_distance
+from drcopt.problem import (
+    LocalObjective,
+    NumericalFailure,
+    SemiInfiniteConstraint,
+    example1_constraint,
+    quadratic_distance,
+)
 from drcopt.sim import RunParams, run
 from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
 
@@ -19,47 +26,51 @@ def all_agent_cuts(y, rhs):
     return [(i, 0, (y,), rhs) for i in range(1, 7)]
 
 
-def without_batch(instance):
-    """The instance with every ``batch`` hook stripped: the per-member loop only."""
+def per_member_kernels(instance):
+    """The instance with a distinct kernel object per member, so the solver stacks one-row calls."""
     return dataclasses.replace(
         instance,
-        objectives=tuple(dataclasses.replace(f, batch=None) for f in instance.objectives),
-        constraints=tuple(dataclasses.replace(g, batch=None) for g in instance.constraints),
+        objectives=tuple(dataclasses.replace(f, batch=functools.partial(f.batch)) for f in instance.objectives),
+        constraints=tuple(dataclasses.replace(g, batch=functools.partial(g.batch)) for g in instance.constraints),
     )
 
 
 def gradient_only_constraints(instance):
-    """The instance with every cut constraint's second derivatives and kernel stripped."""
+    """The instance with its constraint kernels returning no Hessians; members still share a kernel."""
+
+    @functools.cache
+    def gradient_only(batch):
+        def kernel(x, coefficients, ys):
+            return batch(x, coefficients, ys)[:2] + (None,)
+
+        return kernel
+
     return dataclasses.replace(
         instance,
-        constraints=tuple(dataclasses.replace(g, x_hessian=None, batch=None) for g in instance.constraints),
+        constraints=tuple(dataclasses.replace(g, batch=gradient_only(g.batch)) for g in instance.constraints),
     )
 
 
 def counting(instance, calls: Counter):
-    """The instance with each scalar closure counting its calls in ``calls``."""
+    """The instance with each kernel counting its calls and rows in ``calls``.
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    Members that share a kernel share its counting wrapper, so the solver
+    takes the same path as on ``instance``.
+    """
 
-        return wrapper
+    @functools.cache
+    def counted(kind, batch):
+        def kernel(x, coefficients, *ys):
+            calls[kind] += 1
+            calls[kind + " rows"] += len(ys[0]) if ys else len(coefficients)
+            return batch(x, coefficients, *ys)
+
+        return kernel
 
     return dataclasses.replace(
         instance,
-        objectives=tuple(
-            dataclasses.replace(
-                f, evaluate=counted("evaluate", f.evaluate), gradient=counted("gradient", f.gradient)
-            )
-            for f in instance.objectives
-        ),
-        constraints=tuple(
-            dataclasses.replace(
-                g, evaluate=counted("evaluate", g.evaluate), x_gradient=counted("x_gradient", g.x_gradient)
-            )
-            for g in instance.constraints
-        ),
+        objectives=tuple(dataclasses.replace(f, batch=counted("objective", f.batch)) for f in instance.objectives),
+        constraints=tuple(dataclasses.replace(g, batch=counted("constraint", g.batch)) for g in instance.constraints),
     )
 
 
@@ -163,10 +174,14 @@ class TestProperties:
     def test_mixed_scenario_dimensions(self, case_study):
         # Agent 1 has a two-dimensional uncertainty box [0, 1]^2, the
         # others the case study's [-1, 1].
+        # g(x, y) = x2 + y1 * y2 - 1, gradient-only: its kernel returns no Hessians.
+        def plane_batch(x, coefficients, ys):
+            grads = np.zeros((len(ys), 2))
+            grads[:, 1] = 1.0
+            return x[1] + ys[:, 0] * ys[:, 1] - 1.0, grads, None
+
         plane = SemiInfiniteConstraint(
-            evaluate=lambda x, y: float(x[1] + y[0] * y[1] - 1.0),
-            x_gradient=lambda x, y: np.array([0.0, 1.0]),
-            uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            batch=plane_batch, coefficients=np.zeros(0), uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]])
         )
         mixed = dataclasses.replace(case_study, constraints=(plane,) + case_study.constraints[1:])
         report = solve(FiniteSubproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (-0.9,), 0.0)]))
@@ -216,22 +231,6 @@ class TestGridOracle:
 
 
 class TestFusedEvaluation:
-    def test_kernels_bitwise_equal_scalar_closures(self, case_study, rng):
-        objectives, constraints = case_study.objectives, case_study.constraints
-        centers = np.array([f.coefficients for f in objectives])
-        coefficients = np.array([g.coefficients for g in constraints])
-        for x in random_points(rng, 200):
-            ys = rng.uniform(-1.0, 1.0, (6, 1))
-            values, grads, hessians = objectives[0].batch(x, centers)
-            assert values.tobytes() == np.array([f.evaluate(x) for f in objectives]).tobytes()
-            assert grads.tobytes() == np.array([f.gradient(x) for f in objectives]).tobytes()
-            assert hessians.tobytes() == np.array([f.hessian(x) for f in objectives]).tobytes()
-            values, grads, hessians = constraints[0].batch(x, coefficients, ys)
-            pairs = list(zip(constraints, ys))
-            assert values.tobytes() == np.array([g.evaluate(x, y) for g, y in pairs]).tobytes()
-            assert grads.tobytes() == np.array([g.x_gradient(x, y) for g, y in pairs]).tobytes()
-            assert hessians.tobytes() == np.array([g.x_hessian(x, y) for g, y in pairs]).tobytes()
-
     def test_constant_hessians_are_read_only_views(self, case_study):
         # The numeric lower-level problem scans 2001 grid points in one
         # call: a constant Hessian must cost no memory per row.
@@ -241,16 +240,18 @@ class TestFusedEvaluation:
         assert hessians.shape == (2001, 2, 2) and hessians.strides[0] == 0
         assert not hessians.flags.writeable
         with pytest.raises(ValueError):
-            g.x_hessian(np.zeros(2), ys[0])[0, 0] = 1.0
+            g.batch(np.zeros(2), g.coefficients[None, :], ys[:1])[2][0, 0, 0] = 1.0
+        f = case_study.objectives[0]
         with pytest.raises(ValueError):
-            case_study.objectives[0].hessian(np.zeros(2))[0, 0] = 1.0
+            f.batch(np.zeros(2), f.coefficients[None, :])[2][0, 0, 0] = 1.0
 
     def test_fused_evaluation_bitwise_equal_per_cut_loop(self, case_study, rng):
-        scalar_only = without_batch(case_study)
+        # One kernel call per family against one stacked call per member.
+        stacked = per_member_kernels(case_study)
         for _ in range(10):
             cuts = random_cuts(rng)
             fused = FiniteSubproblem(case_study, cuts)
-            looped = FiniteSubproblem(scalar_only, cuts)
+            looped = FiniteSubproblem(stacked, cuts)
             for x in random_points(rng, 20):
                 for a, b in zip(fused.evaluate(x), looped.evaluate(x)):
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -258,17 +259,28 @@ class TestFusedEvaluation:
     def test_case_study_solve_bitwise_equal_per_cut_loop(self, case_study, rng):
         cuts = random_cuts(rng)
         fused = solve(FiniteSubproblem(case_study, cuts))
-        assert_reports_bitwise_equal(fused, solve(FiniteSubproblem(without_batch(case_study), cuts)))
+        assert_reports_bitwise_equal(fused, solve(FiniteSubproblem(per_member_kernels(case_study), cuts)))
 
-    def test_case_study_solve_calls_no_scalar_closure(self, case_study):
+    def test_case_study_solve_calls_no_scalar_closure(self, case_study, monkeypatch):
+        # The one-row ``evaluate`` views are never called, and each point
+        # takes one call of each family's kernel.
+        def refuse(*args):
+            raise AssertionError("one-row evaluate called by the solver")
+
+        monkeypatch.setattr(LocalObjective, "evaluate", refuse)
+        monkeypatch.setattr(SemiInfiniteConstraint, "evaluate", refuse)
         cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
         calls = Counter()
         report = solve(FiniteSubproblem(counting(case_study, calls), cuts))
         assert report.status is SolveStatus.OPTIMAL
-        assert calls == Counter()
-        # The same counters do see the per-cut loop once the hooks are gone.
-        solve(FiniteSubproblem(counting(without_batch(case_study), calls), cuts))
-        assert calls["evaluate"] and calls["gradient"] and calls["x_gradient"]
+        points = calls["objective"]
+        assert points > 0 and calls["constraint"] == points
+        assert calls["objective rows"] == 6 * points and calls["constraint rows"] == 12 * points
+        # With a kernel per member the same points take one-row calls.
+        calls.clear()
+        solve(FiniteSubproblem(counting(per_member_kernels(case_study), calls), cuts))
+        assert calls["objective"] == calls["objective rows"] == 6 * points
+        assert calls["constraint"] == calls["constraint rows"] == 12 * points
 
     def test_repeated_point_returns_the_same_read_only_arrays(self, case_study, rng):
         problem = FiniteSubproblem(case_study, random_cuts(rng))
@@ -285,6 +297,26 @@ class TestFusedEvaluation:
         other = problem.evaluate(np.array([0.3, 0.2]))
         assert other[2].tobytes() != first[2].tobytes()
         assert [np.asarray(a).tobytes() for a in first] == [np.asarray(a).tobytes() for a in problem.evaluate(x)]
+
+    def test_objective_hessian_sum_is_reused_only_for_the_same_array(self, case_study):
+        # The quadratic-distance kernel returns one cached read-only array.
+        problem = FiniteSubproblem(case_study, [])
+        first = problem.evaluate(np.array([0.3, -0.2]))[4]
+        assert problem.evaluate(np.array([0.1, 0.4]))[4] is first
+        assert first.tobytes() == np.diag([12.0, 12.0]).tobytes()
+
+        # A kernel with new Hessians at each point: f(x) = sum_i (x_i - c_i)^4.
+        def quartic(x, centers):
+            d = x - centers
+            hessians = np.zeros((len(centers), 2, 2))
+            hessians[:, [0, 1], [0, 1]] = 12.0 * d * d
+            return (d**4).sum(axis=1), 4.0 * d**3, hessians
+
+        quartics = tuple(LocalObjective(quartic, f.coefficients) for f in case_study.objectives)
+        problem = FiniteSubproblem(dataclasses.replace(case_study, objectives=quartics), [])
+        for x in (np.array([0.3, -0.2]), np.array([0.1, 0.4])):
+            expected = quartic(x, np.array([f.coefficients for f in quartics]))[2].sum(axis=0)
+            assert problem.evaluate(x)[4].tobytes() == expected.tobytes()
 
     def test_case_study_solve_takes_no_difference_evaluations(self, case_study, monkeypatch):
         cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
@@ -341,6 +373,7 @@ class TestFusedEvaluation:
                 assert np.allclose(hess, np.column_stack(columns), rtol=1e-5, atol=1e-4)
 
     def test_mixed_family_takes_the_per_cut_loop(self, case_study):
+        # Two constraint kernels: every cut is a one-row call of its own.
         mixed = dataclasses.replace(
             case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3
         )
@@ -348,8 +381,8 @@ class TestFusedEvaluation:
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
         calls = Counter()
         report = solve(FiniteSubproblem(counting(mixed, calls), cuts))
-        assert calls["x_gradient"] > 0
-        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(without_batch(mixed), cuts)))
+        assert calls["constraint"] == calls["constraint rows"] == 9 * calls["objective"] > 0
+        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(per_member_kernels(mixed), cuts)))
 
 
 def box_quadratic(rng, n: int, case: str):
@@ -542,8 +575,8 @@ class TestReferenceSolver:
     """The solver against :func:`helpers.reference_solve`, its untrimmed form, bit for bit."""
 
     def test_random_case_study_subproblems(self, case_study, rng):
-        # Kernel path, per-cut loop with exact Hessians, and difference Hessians.
-        families = (case_study, without_batch(case_study), gradient_only_constraints(case_study))
+        # Shared kernels, one-row calls per member, and difference Hessians.
+        families = (case_study, per_member_kernels(case_study), gradient_only_constraints(case_study))
         for trial in range(200):
             instance = families[trial % 3]
             n_cuts = 0 if trial % 25 == 0 else int(rng.integers(1, 25))
