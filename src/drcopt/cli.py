@@ -15,7 +15,14 @@ from . import svgplot
 from .bounds import accuracy_sweep, method1_accuracy
 from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
 from .llp import solve_llp
-from .problem import NumericalFailure, case_study_instance, instance_from_config, require_real, with_numeric_llp
+from .problem import (
+    NumericalFailure,
+    case_study_instance,
+    instance_from_config,
+    require_integer,
+    require_real,
+    with_numeric_llp,
+)
 from .sim import ConfigError, RunParams, RunResult, run
 from .solver import FEASIBILITY_TOL
 
@@ -57,15 +64,15 @@ def _build_from_config(config: dict):
     if isinstance(topology, str):
         topology = {"topology": topology, "m": instance.m}
     try:
+        # Compare the agent counts before building: a schedule's size grows as m^2.
+        m = require_integer(topology["m"], "m")
+        if m != instance.m:
+            raise ConfigError(f"bad 'topology' field: the schedule has {m} agents, the instance {instance.m}")
         schedule = schedule_from_config(topology)
     except KeyError as exc:
         raise ConfigError(f"bad 'topology' field: missing key {exc}") from None
     except (TypeError, ValueError, InvalidSize, NotUniformlyConnected) as exc:
         raise ConfigError(f"bad 'topology' field: {exc}") from None
-    if schedule.m != instance.m:
-        raise ConfigError(
-            f"bad 'topology' field: the schedule has {schedule.m} agents, the instance {instance.m}"
-        )
     try:
         params = RunParams(
             eps0=require_real(config.get("eps0", 0.01), "eps0"),

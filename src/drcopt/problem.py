@@ -68,15 +68,15 @@ class LocalObjective:
     ``batch`` is a function shared by a whole family of objectives, told
     apart by their ``coefficients`` (a 1-D array).  It takes (x, P), with
     P holding one member's coefficients per row, and returns the values
-    (k,), gradients (k, n) and Hessians (k, n, n) of those k members at
-    x, or None for the Hessians of a gradient-only family.  A constant
-    Hessian may be a read-only ``np.broadcast_to`` view of one array.
-    The solver evaluates all objectives of a subproblem in one call when
-    they share one ``batch``, and stacks each member's one-row call
-    otherwise; row j must not depend on the other rows.
+    (k,), gradients (k, n) and exact, symmetric Hessians (k, n, n) of
+    those k members at x, never None.  A constant Hessian may be a
+    read-only ``np.broadcast_to`` view of one array.  The solver
+    evaluates all objectives of a subproblem in one call when they share
+    one ``batch``, and stacks each member's one-row call otherwise; row j
+    must not depend on the other rows.
     """
 
-    batch: Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    batch: Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     coefficients: np.ndarray
 
     def evaluate(self, x: Vector) -> float:
@@ -103,20 +103,19 @@ class SemiInfiniteConstraint:
     apart by their ``coefficients`` (a 1-D array).  It takes (x, P, Y),
     with P of shape (k, p) holding one member's coefficients per row (or
     a single row for all k) and Y of shape (k, n_y), and returns the
-    values g_j(x, Y[j]) (k,), x-gradients (k, n) and x-Hessians (k, n, n)
-    of those k pairs.  Row j must not depend on the other rows.  A kernel
-    that returns None for the Hessians marks a gradient-only constraint:
-    the solver's Newton steps then difference the gradients.  A constant
-    Hessian may be a read-only ``np.broadcast_to`` view of one array,
-    which costs nothing per row.  The solver evaluates all cuts of a
-    subproblem in one call when their constraints share one ``batch``
+    values g_j(x, Y[j]) (k,), x-gradients (k, n) and exact, symmetric
+    x-Hessians (k, n, n) of those k pairs, never None: the solver's Newton
+    steps use them as they are.  Row j must not depend on the other rows.
+    A constant Hessian may be a read-only ``np.broadcast_to`` view of one
+    array, which costs nothing per row.  The solver evaluates all cuts of
+    a subproblem in one call when their constraints share one ``batch``
     (else it stacks each cut's one-row call), and the numeric lower-level
     problem scans its grid in one call.  ``analytic_argmax``, when
     present, maps x to the global maximizer of g(x, .) over the
     uncertainty box.
     """
 
-    batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     coefficients: np.ndarray
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
@@ -134,18 +133,13 @@ class SemiInfiniteConstraint:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A DRCO instance in standard form.
-
-    ``known_optimum`` is optional test metadata (point, objective value);
-    the algorithm never reads it.
-    """
+    """A DRCO instance in standard form."""
 
     n: int
     m: int
     objectives: tuple[LocalObjective, ...]
     constraints: tuple[SemiInfiniteConstraint, ...]
     box: Vector  # shape (n, 2)
-    known_optimum: Optional[tuple[Vector, float]] = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -255,16 +249,7 @@ def case_study_instance() -> ProblemInstance:
     objectives = tuple(quadratic_distance(c) for c in CASE_STUDY_CENTERS)
     constraints = tuple(paper_quadratic_constraint(v) for v in CASE_STUDY_V)
     box = np.array([[-2.0, 2.0], [-1.0, 1.0]])
-    x_star = np.array([0.0, math.sqrt(7.0) / 4.0])
-    f_star = sum(f.evaluate(x_star) for f in objectives)
-    return ProblemInstance(
-        n=2,
-        m=6,
-        objectives=objectives,
-        constraints=constraints,
-        box=box,
-        known_optimum=(x_star, f_star),
-    )
+    return ProblemInstance(n=2, m=6, objectives=objectives, constraints=constraints, box=box)
 
 
 def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:

@@ -49,48 +49,47 @@ def _shared_batch(members):
     return kernels.pop() if len(kernels) == 1 else None
 
 
-def _stacked(calls):
-    """x -> the one-row results of ``calls``, each (kernel, *args), stacked row by row.
+def _exact(terms):
+    """A kernel's (values, gradients, Hessians), refused when the Hessians are missing."""
+    if terms[2] is None:
+        raise TypeError("a batch kernel must return the exact x-Hessians (k, n, n) as its third array, not None")
+    return terms
 
-    The Hessians are None when any kernel returns None for them.
-    """
+
+def _stacked(calls):
+    """x -> the one-row results of ``calls``, each (kernel, *args), stacked row by row."""
 
     def terms(x):
-        rows = [kernel(x, *args) for kernel, *args in calls]
-        hessians = [h for _, _, h in rows]
-        return (
-            np.concatenate([v for v, _, _ in rows]),
-            np.concatenate([g for _, g, _ in rows]),
-            None if any(h is None for h in hessians) else np.concatenate(hessians),
-        )
+        rows = [_exact(kernel(x, *args)) for kernel, *args in calls]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
 
     return terms
 
 
 def objective_terms(objectives):
-    """x -> (values, gradients, Hessians or None) of the objectives, one row per objective."""
+    """x -> (values, gradients, Hessians) of the objectives, one row per objective."""
     batch = _shared_batch(objectives)
     if batch is not None:
         coefficients = np.array([f.coefficients for f in objectives])
-        return lambda x: batch(x, coefficients)
+        return lambda x: _exact(batch(x, coefficients))
     return _stacked([(f.batch, f.coefficients[None, :]) for f in objectives])
 
 
 def _cut_terms(constraints, scenarios, n: int):
-    """x -> (values, x-gradients, x-Hessians or None) of g_a(x, y_j), one row per cut."""
+    """x -> (values, x-gradients, x-Hessians) of g_a(x, y_j), one row per cut."""
     if not constraints:
         return lambda x: (np.zeros(0), np.zeros((0, n)), np.zeros((0, n, n)))
     batch = _shared_batch(constraints)
     if batch is not None:
         coefficients = np.array([g.coefficients for g in constraints])
         ys = np.array(scenarios)
-        return lambda x: batch(x, coefficients, ys)
+        return lambda x: _exact(batch(x, coefficients, ys))
     return _stacked([(g.batch, g.coefficients[None, :], y[None, :]) for g, y in zip(constraints, scenarios)])
 
 
 def _read_only(a):
-    """``a`` if it is None or read-only, else a read-only view; the caller's array keeps its flags."""
-    if a is None or not a.flags.writeable:
+    """``a`` if it is read-only, else a read-only view; the caller's array keeps its flags."""
+    if not a.flags.writeable:
         return a
     a = a.view()
     a.flags.writeable = False
@@ -106,8 +105,10 @@ class FiniteSubproblem:
     (the objectives, the cuts) with one kernel call when its members
     share one ``batch`` function, and stacks each member's one-row call
     of its own kernel otherwise (see the ``batch`` contract in
-    :mod:`drcopt.problem`).  It remembers the last point it evaluated:
-    the solver asks for the same point several times in a row.
+    :mod:`drcopt.problem`; a kernel that returns None for the Hessians
+    raises ``TypeError`` at its first call).  It remembers the last point
+    it evaluated: the solver asks for the same point several times in a
+    row.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
@@ -138,33 +139,28 @@ class FiniteSubproblem:
 
         f is the sum of the objectives; c_j(x) = g_a(x, y_j) - rhs_j is cut
         j's value, violated when positive, and row j of the Jacobian its
-        gradient.  The Hessians are (n, n) and (n_cuts, n, n), both None
-        unless every objective and every cut constraint has second
-        derivatives.  The arrays are read-only: a repeated call at the
-        same x returns the same ones.  The sums are new arrays, made
-        read-only in place, except that the objectives' Hessian sum is
-        reused while their kernel returns the same read-only array; a
-        kernel's arrays are wrapped in read-only views unless they
-        already are read-only.
+        gradient.  The Hessians are (n, n) and (n_cuts, n, n), the exact
+        second derivatives the kernels return.  The arrays are read-only:
+        a repeated call at the same x returns the same ones.  The sums are
+        new arrays, made read-only in place, except that the objectives'
+        Hessian sum is reused while their kernel returns the same
+        read-only array; a kernel's arrays are wrapped in read-only views
+        unless they already are read-only.
         """
         key = x.tobytes()
         if key != self._memo_key:
             f_values, f_grads, f_hess = self._objective_terms(x)
             g_values, g_grads, g_hess = self._cut_terms(x)
-            if f_hess is None or g_hess is None:
-                f_hess = g_hess = None
-            else:
-                # A constant family Hessian comes back as the same read-only
-                # array at every point: sum it once.
-                if f_hess is not self._hess_terms or f_hess.flags.writeable:
-                    self._hess_sum = f_hess.sum(axis=0)
-                    self._hess_sum.flags.writeable = False
-                    self._hess_terms = f_hess
-                f_hess = self._hess_sum
+            # A constant family Hessian comes back as the same read-only
+            # array at every point: sum it once.
+            if f_hess is not self._hess_terms or f_hess.flags.writeable:
+                self._hess_sum = f_hess.sum(axis=0)
+                self._hess_sum.flags.writeable = False
+                self._hess_terms = f_hess
             grad = f_grads.sum(axis=0)
             c = g_values - self._rhs
             grad.flags.writeable = c.flags.writeable = False
-            self._memo = (float(f_values.sum()), grad, c, _read_only(g_grads), f_hess, _read_only(g_hess))
+            self._memo = (float(f_values.sum()), grad, c, _read_only(g_grads), self._hess_sum, _read_only(g_hess))
             self._memo_key = key
         return self._memo
 
@@ -197,14 +193,11 @@ def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Ve
 class MinimizeResult:
     x: Vector
     nit: int  # Newton steps taken
-    nfev: int  # fun_grad calls, finite differences included
+    nfev: int  # fun_grad calls: the start, then every trial point
 
 
 def _projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
     return float(abs(x - _project(x - grad, box)).max())
-
-
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 def _require_finite(f: float, grad: Vector, where: str) -> None:
@@ -215,32 +208,19 @@ def _require_finite(f: float, grad: Vector, where: str) -> None:
         raise NumericalFailure(f"non-finite objective or gradient {where}")
 
 
-def _difference_hessian(fun_grad, x: Vector, grad: Vector, free: np.ndarray, hi: Vector) -> np.ndarray:
-    """Forward differences of ``fun_grad``'s gradient in the ``free`` variables."""
-    hessian = np.empty((len(free), len(free)))
-    for col, j in enumerate(free):
-        # Step into the box, so every evaluation point is feasible.
-        h = _FD_STEP * max(1.0, abs(x[j]))
-        xh = x.copy()
-        xh[j] += h if x[j] + h <= hi[j] else -h
-        hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
-    return hessian
-
-
 def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
     """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box.
 
+    ``hess`` is the exact, symmetric Hessian of ``f`` at ``x``.
     Projected Newton method (Bertsekas, SIAM J. Control Optim. 1982).
     Each step splits the variables by an epsilon-active set: a variable
     within ``eps = min(1e-3, ||x - P(x - grad)||_inf)`` of a bound, with
     the gradient pushing it out, moves along the negative gradient; the
-    others take a Newton step with the Hessian ``hess`` restricted to
-    them, symmetrized and with its eigenvalues floored.  When ``hess`` is
-    None (a gradient-only function), the Hessian is built by forward
-    differences of ``fun_grad`` instead.  The step ``P(x + alpha d)`` is
-    halved until the Armijo test holds.  When the predicted decrease is
-    below the resolution of ``f``, the full step is taken only if it
-    shrinks the projected gradient.
+    others take a Newton step with ``hess`` restricted to them and its
+    eigenvalues floored.  The step ``P(x + alpha d)`` is halved until the
+    Armijo test holds.  When the predicted decrease is below the
+    resolution of ``f``, the full step is taken only if it shrinks the
+    projected gradient.
 
     Stops when ``max|x - P(x - grad)| <= 1e-12``, or when a step can no
     longer change ``x`` or ``f`` at float resolution, or after
@@ -264,14 +244,10 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
         whole = len(free) == len(x)
         d = -grad
         if len(free):
-            if hess is None:
-                hessian = _difference_hessian(fun_grad, x, grad, free, hi)
-                nfev += len(free)
-            else:
-                hessian = hess if whole else hess[np.ix_(free, free)]
+            hessian = hess if whole else hess[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
-                raise NumericalFailure("non-finite " + ("difference " if hess is None else "") + "Hessian")
-            w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
+                raise NumericalFailure("non-finite Hessian")
+            w, v = np.linalg.eigh(hessian)
             w = np.maximum(w, 1e-8 * max(1.0, float(abs(w).max())))
             if whole:
                 d = -v.dot(v.T.dot(grad) / w)
@@ -324,8 +300,7 @@ def _feasibility_phase(problem: FiniteSubproblem) -> float:
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
-        hess = None if cut_hess is None else _cut_curvature(jac, cut_hess, pos, 1.0)
-        return 0.5 * float(pos @ pos), grad, hess
+        return 0.5 * float(pos @ pos), grad, _cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
     c = problem.evaluate(x)[2]
@@ -357,9 +332,8 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
     old one, and nearly parallel active cuts have no unique multipliers.
     Each inner minimization gets the exact generalized Hessian of the
     augmented Lagrangian, ``H_f + mu J_A^T J_A + sum_j s_j H_j`` with
-    ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, when every
-    objective and cut constraint has second derivatives; otherwise
-    :func:`minimize` differences the gradient.  Deterministic: every step
+    ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
+    kernels' exact Hessians.  Deterministic: every step
     is a pure function of the canonical input and ``x0``.
     :func:`drcopt.sim.run` passes the previous minimizer on the same side,
     which every agent holds, so every agent would compute the same solve
@@ -388,7 +362,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
                 f += float((shifted.dot(shifted) - lam_sq) / two_mu)
                 grad = grad + jac.T.dot(shifted)
                 # With every cut slack the penalty adds no curvature.
-                if hess is not None and shifted.any():
+                if shifted.any():
                     hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
             return f, grad, hess
 

@@ -37,6 +37,7 @@ from drcopt.termination import stop_threshold
 
 logger = logging.getLogger(__name__)
 
+# The case study's robust optimum x* and its objective value f* = sum_i f_i(x*).
 F_STAR = 38.68774606680623
 X_STAR = np.array([0.0, np.sqrt(7.0) / 4.0])
 

@@ -12,6 +12,7 @@ import pytest
 
 import drcopt.agents
 import drcopt.cli
+import drcopt.graph
 from drcopt.cli import _build_from_config, main
 from drcopt.problem import NumericalFailure
 
@@ -160,6 +161,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: bad 'topology' field:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["complete", "explicit"])
+    def test_mismatched_agent_count_builds_no_schedule(self, tmp_path, capsys, monkeypatch, name):
+        # A schedule's arrays grow as m^2: a wrong m must be refused before any is built.
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built(args)
+
+        for topology in drcopt.graph.TOPOLOGIES:
+            monkeypatch.setitem(drcopt.graph.TOPOLOGIES, topology, refuse)
+        monkeypatch.setattr(drcopt.graph, "make_schedule", refuse)
+
+        def topology(m):
+            return {"topology": name, "m": m, "slots": [[[j, j % m + 1] for j in range(1, m + 1)]]}
+
+        out = tmp_path / "out"
+        for m in (300, 5):
+            assert main(["run", write_config(tmp_path / "cfg.json", topology=topology(m)), "--out", str(out)]) == 1
+            assert f"the schedule has {m} agents, the instance 6" in capsys.readouterr().err
+        assert not out.exists()
+        # The right count does reach the builders.
+        with pytest.raises(Built):
+            _build_from_config({"topology": topology(6)})
 
     @pytest.mark.parametrize(
         "field, value",

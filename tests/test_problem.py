@@ -58,15 +58,13 @@ class TestCaseStudyInstance:
         assert g.evaluate(np.array([0.0, 0.0]), np.array([0.0])) == pytest.approx(-0.4375)
 
     def test_known_optimum_value(self, case_study):
-        x_star, f_star = case_study.known_optimum
-        assert np.allclose(x_star, X_STAR)
-        assert f_star == pytest.approx(38.687746, abs=1e-5)
-        assert sum(f.evaluate(x_star) for f in case_study.objectives) == pytest.approx(F_STAR, abs=1e-9)
+        assert X_STAR.tolist() == [0.0, math.sqrt(7.0) / 4.0]
+        assert F_STAR == pytest.approx(38.687746, abs=1e-5)
+        assert sum(f.evaluate(X_STAR) for f in case_study.objectives) == pytest.approx(F_STAR, abs=1e-9)
 
     def test_known_optimum_feasible_all_agents(self, case_study):
-        x_star, _ = case_study.known_optimum
         for constraint in case_study.constraints:
-            g_max, _ = solve_llp(constraint, x_star)
+            g_max, _ = solve_llp(constraint, X_STAR)
             assert g_max <= 1e-10
 
     def test_objective_gradients_match_finite_differences(self, case_study, rng):

@@ -127,9 +127,7 @@ class TestScalarSecondDerivatives:
     def test_mixed_constraint_families(self, case_study):
         # Two constraint families share no batch kernel, so every solve
         # takes the per-cut loop and example1's scalar x-Hessian.
-        mixed = dataclasses.replace(
-            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3, known_optimum=None
-        )
+        mixed = dataclasses.replace(case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3)
         result = run(mixed, directed_cycle(6), RunParams())
         assert result.terminated
         assert result.iterations == 8

@@ -35,20 +35,15 @@ def per_member_kernels(instance):
     )
 
 
-def gradient_only_constraints(instance):
-    """The instance with its constraint kernels returning no Hessians; members still share a kernel."""
+def example1_mixed(instance):
+    """The case study with example1's constraint for agents 4-6: two constraint kernels."""
+    return dataclasses.replace(instance, constraints=instance.constraints[:3] + (example1_constraint(),) * 3)
 
-    @functools.cache
-    def gradient_only(batch):
-        def kernel(x, coefficients, ys):
-            return batch(x, coefficients, ys)[:2] + (None,)
 
-        return kernel
-
-    return dataclasses.replace(
-        instance,
-        constraints=tuple(dataclasses.replace(g, batch=gradient_only(g.batch)) for g in instance.constraints),
-    )
+def random_scenario(rng, instance, agent: int):
+    """A scenario drawn uniformly from the agent's one-dimensional uncertainty box."""
+    lo, hi = instance.constraints[agent - 1].uncertainty_box[0]
+    return (rng.uniform(lo, hi),)
 
 
 def counting(instance, calls: Counter):
@@ -174,11 +169,11 @@ class TestProperties:
     def test_mixed_scenario_dimensions(self, case_study):
         # Agent 1 has a two-dimensional uncertainty box [0, 1]^2, the
         # others the case study's [-1, 1].
-        # g(x, y) = x2 + y1 * y2 - 1, gradient-only: its kernel returns no Hessians.
+        # g(x, y) = x2 + y1 * y2 - 1, linear in x: its x-Hessians are zero.
         def plane_batch(x, coefficients, ys):
             grads = np.zeros((len(ys), 2))
             grads[:, 1] = 1.0
-            return x[1] + ys[:, 0] * ys[:, 1] - 1.0, grads, None
+            return x[1] + ys[:, 0] * ys[:, 1] - 1.0, grads, np.zeros((len(ys), 2, 2))
 
         plane = SemiInfiniteConstraint(
             batch=plane_batch, coefficients=np.zeros(0), uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -339,21 +334,29 @@ class TestFusedEvaluation:
         # Every fun_grad call carries the exact Hessian and counts once.
         assert missing["no hessian"] == 0
         assert missing["calls"] == sum(r.nfev for r in results)
-        # A difference step would now be NaN, and the solve is unchanged.
-        monkeypatch.setattr(solver, "_FD_STEP", np.nan)
-        assert_reports_bitwise_equal(solve(FiniteSubproblem(case_study, cuts)), report)
-        # Without second derivatives the same solve differences its gradients.
-        with pytest.raises(NumericalFailure, match="difference Hessian"):
-            solve(FiniteSubproblem(gradient_only_constraints(case_study), cuts))
+
+    @pytest.mark.parametrize("family", ["objectives", "constraints"])
+    @pytest.mark.parametrize("kernels", ["shared", "per-member"])
+    def test_kernel_without_hessians_is_refused(self, case_study, family, kernels):
+        @functools.cache
+        def no_hessians(batch):
+            return lambda x, *args: batch(x, *args)[:2] + (None,)
+
+        instance = case_study if kernels == "shared" else per_member_kernels(case_study)
+        members = tuple(dataclasses.replace(h, batch=no_hessians(h.batch)) for h in getattr(instance, family))
+        problem = FiniteSubproblem(dataclasses.replace(instance, **{family: members}), all_agent_cuts(1.0, 0.0))
+        # The first evaluation names the contract, and so does a solve.
+        with pytest.raises(TypeError, match="must return the exact x-Hessians"):
+            problem.evaluate(np.zeros(2))
+        with pytest.raises(TypeError, match="must return the exact x-Hessians"):
+            solve(problem)
 
     @pytest.mark.parametrize("rhs", [0.0, -10.0], ids=["feasible", "infeasible"])
     def test_inner_hessians_match_differences_of_the_gradient(self, case_study, rng, monkeypatch, rhs):
         # Every function minimize is given (the augmented Lagrangians, and
         # the feasibility phase's squared violations when infeasible) has
         # the exact Hessian of its gradient away from the kinks of max(0, .).
-        mixed = dataclasses.replace(
-            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3
-        )
+        mixed = example1_mixed(case_study)
         cuts = [(i, 0, (0.5,), rhs) for i in range(1, 7)] + [(i, 1, (0.9,), rhs) for i in range(1, 7)]
         functions = []
         real_minimize = solver.minimize
@@ -374,9 +377,7 @@ class TestFusedEvaluation:
 
     def test_mixed_family_takes_the_per_cut_loop(self, case_study):
         # Two constraint kernels: every cut is a one-row call of its own.
-        mixed = dataclasses.replace(
-            case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3
-        )
+        mixed = example1_mixed(case_study)
         cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
         calls = Counter()
@@ -411,11 +412,6 @@ def box_quadratic(rng, n: int, case: str):
     return fun_grad, np.array([[-1.0, 1.0]] * n), x_star
 
 
-def gradient_only(fun_grad):
-    """``fun_grad`` without its Hessian: :func:`minimize` then takes differences."""
-    return lambda x: fun_grad(x)[:2] + (None,)
-
-
 def lbfgsb(fun_grad, x0, box):
     """scipy's L-BFGS-B at the settings the solver used before its own minimizer."""
     bounds = [(float(lo), float(hi)) for lo, hi in box]
@@ -434,44 +430,44 @@ class TestMinimize:
             x0 = rng.uniform(-1.0, 1.0, n)
             reference = lbfgsb(fun_grad, x0, box)
             f_reference = fun_grad(reference)[0]
-            # The exact Hessian, and the difference one of a gradient-only function.
-            for fg in (fun_grad, gradient_only(fun_grad)):
-                result = minimize(fg, x0, box, 500)
-                assert np.max(np.abs(result.x - reference)) <= 1e-8
-                assert np.max(np.abs(result.x - x_star)) <= 1e-8
-                # Newton steps: two on an interior quadratic (one, then a
-                # polish at rounding level), a few more to find the bounds.
-                assert result.nit <= (2 if case == "interior" else 6)
-                # No higher than the reference's, up to the rounding of f.
-                assert fun_grad(result.x)[0] <= f_reference + 16 * np.spacing(abs(f_reference))
+            result = minimize(fun_grad, x0, box, 500)
+            assert np.max(np.abs(result.x - reference)) <= 1e-8
+            assert np.max(np.abs(result.x - x_star)) <= 1e-8
+            # Newton steps: two on an interior quadratic (one, then a
+            # polish at rounding level), a few more to find the bounds.
+            assert result.nit <= (2 if case == "interior" else 6)
+            # No higher than the reference's, up to the rounding of f.
+            assert fun_grad(result.x)[0] <= f_reference + 16 * np.spacing(abs(f_reference))
 
     def test_repeated_call_is_bitwise_equal(self, rng):
         fun_grad, box, _ = box_quadratic(rng, 4, "lower")
         x0 = rng.uniform(-1.0, 1.0, 4)
-        for fg in (fun_grad, gradient_only(fun_grad)):
-            a, b = minimize(fg, x0, box, 500), minimize(fg, x0, box, 500)
-            assert a.x.tobytes() == b.x.tobytes()
-            assert (a.nit, a.nfev) == (b.nit, b.nfev)
+        a, b = minimize(fun_grad, x0, box, 500), minimize(fun_grad, x0, box, 500)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.nit, a.nfev) == (b.nit, b.nfev)
 
     def test_counts_iterations_and_evaluations(self, rng):
         fun_grad, box, _ = box_quadratic(rng, 3, "upper")
-        exact = minimize(fun_grad, np.zeros(3), box, 500)
-        assert exact.nit >= 1 and exact.nfev >= 1
-        # Differences add a call per free variable to each Newton step, and
-        # the third variable stays free (its minimizer is interior).
-        differences = minimize(gradient_only(fun_grad), np.zeros(3), box, 500)
-        assert differences.nit >= 1 and differences.nfev >= 1 + 2 * differences.nit
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fun_grad(x)
+
+        result = minimize(counted, np.zeros(3), box, 500)
+        # nfev counts the start and every trial point, one per call; each
+        # accepted step took at least one trial.
+        assert result.nit >= 1 and result.nfev == len(calls) >= 1 + result.nit
 
     @pytest.mark.parametrize("case", ["interior", "lower", "upper"])
     def test_returns_at_once_from_the_optimum(self, rng, case):
         fun_grad, box, x_star = box_quadratic(rng, 2, case)
-        for fg in (fun_grad, gradient_only(fun_grad)):
-            # The constructed optimum only up to rounding: start from the
-            # minimizer's own answer, which passes the 1e-12 test.
-            x_opt = minimize(fg, x_star, box, 500).x
-            result = minimize(fg, x_opt, box, 500)
-            assert (result.nit, result.nfev) == (0, 1)
-            assert result.x.tobytes() == x_opt.tobytes()
+        # The constructed optimum only up to rounding: start from the
+        # minimizer's own answer, which passes the 1e-12 test.
+        x_opt = minimize(fun_grad, x_star, box, 500).x
+        result = minimize(fun_grad, x_opt, box, 500)
+        assert (result.nit, result.nfev) == (0, 1)
+        assert result.x.tobytes() == x_opt.tobytes()
 
 
 class TestExitTest:
@@ -554,15 +550,6 @@ class TestNonFinite:
         with pytest.raises(NumericalFailure, match="at an accepted iterate"):
             minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
 
-    def test_non_finite_difference_hessian_raises(self):
-        x0 = np.array([1.0, 1.0])
-
-        def fun_grad(x):
-            return float(x @ x), (2.0 * x if np.array_equal(x, x0) else np.full(2, np.nan)), None
-
-        with pytest.raises(NumericalFailure, match="non-finite difference Hessian"):
-            minimize(fun_grad, x0, np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
-
     def test_non_finite_supplied_hessian_raises(self):
         def fun_grad(x):
             return float(x @ x), 2.0 * x, np.array([[2.0, np.inf], [np.inf, 2.0]])
@@ -575,23 +562,26 @@ class TestReferenceSolver:
     """The solver against :func:`helpers.reference_solve`, its untrimmed form, bit for bit."""
 
     def test_random_case_study_subproblems(self, case_study, rng):
-        # Shared kernels, one-row calls per member, and difference Hessians.
-        families = (case_study, per_member_kernels(case_study), gradient_only_constraints(case_study))
+        # Shared kernels, one-row calls per member, and two constraint
+        # families, whose cuts take one-row calls with example1's
+        # point-dependent Hessians.
+        families = (case_study, per_member_kernels(case_study), example1_mixed(case_study))
         for trial in range(200):
             instance = families[trial % 3]
             n_cuts = 0 if trial % 25 == 0 else int(rng.integers(1, 25))
+            agents = rng.integers(1, 7, n_cuts).tolist()
             cuts = [
-                (int(rng.integers(1, 7)), k, (rng.uniform(-1.0, 1.0),), 0.0 if k % 3 == 0 else -rng.uniform(0.0, 0.1))
-                for k in range(n_cuts)
+                (a, k, random_scenario(rng, instance, a), 0.0 if k % 3 == 0 else -rng.uniform(0.0, 0.1))
+                for k, a in enumerate(agents)
             ]
             x0 = None if trial % 4 == 0 else rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             report = solve(FiniteSubproblem(instance, cuts), x0)
             assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts), x0))
 
-    @pytest.mark.parametrize("family", ["kernel", "difference"])
+    @pytest.mark.parametrize("family", ["kernel", "mixed"])
     def test_infeasible_cut_set_runs_the_feasibility_phase(self, case_study, rng, family):
-        instance = case_study if family == "kernel" else gradient_only_constraints(case_study)
-        cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, (rng.uniform(-1.0, 1.0),), -0.5) for i in range(1, 7)]
+        instance = case_study if family == "kernel" else example1_mixed(case_study)
+        cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, random_scenario(rng, instance, i), -0.5) for i in range(1, 7)]
         report = solve(FiniteSubproblem(instance, cuts))
         assert report.status is SolveStatus.INFEASIBLE
         assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts)))
@@ -601,10 +591,9 @@ class TestReferenceSolver:
         for n in (2, 3, 5):
             fun_grad, box, _ = box_quadratic(rng, n, case)
             x0 = rng.uniform(-1.0, 1.0, n)
-            for fg in (fun_grad, gradient_only(fun_grad)):
-                a, b = minimize(fg, x0, box, 500), reference_minimize(fg, x0, box, 500)
-                assert a.x.tobytes() == b.x.tobytes()
-                assert (a.nit, a.nfev) == (b.nit, b.nfev)
+            a, b = minimize(fun_grad, x0, box, 500), reference_minimize(fun_grad, x0, box, 500)
+            assert a.x.tobytes() == b.x.tobytes()
+            assert (a.nit, a.nfev) == (b.nit, b.nfev)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 729])
     def test_projection_equals_clip_bytewise(self, n):
