@@ -63,6 +63,8 @@ def _build_from_config(config: dict):
     topology = config.get("topology", "cycle")
     if isinstance(topology, str):
         topology = {"topology": topology, "m": instance.m}
+    elif not isinstance(topology, dict):
+        raise ConfigError(f"bad 'topology' field: {topology!r} is neither a topology name nor an object")
     try:
         # Compare the agent counts before building: a schedule's size grows as m^2.
         m = require_integer(topology["m"], "m")

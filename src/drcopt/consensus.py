@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import GraphSchedule
-from .problem import NumericalFailure, ProblemInstance, Vector
+from .problem import NumericalFailure, ProblemInstance
 from .solver import Cut, FiniteSubproblem, SolveReport, solve
 
 
@@ -52,21 +52,40 @@ def flood_constraints(
     return held, n_slots
 
 
+def carried_multipliers(start: SolveReport, cuts: tuple[Cut, ...]) -> np.ndarray:
+    """``start``'s multipliers on ``cuts``, matched by (agent_id, insertion_index).
+
+    A cut with no predecessor in ``start.cuts`` starts at 0.  An agent's
+    scenario list only grows and an upper cut's rhs follows its agent's
+    current ``eps_i``, so the pair names the same scenario from one
+    iteration to the next, and an upper cut whose ``eps_i`` shrank keeps
+    its multiplier.
+    """
+    previous = {cut[:2]: lam for cut, lam in zip(start.cuts, start.multipliers.tolist())}
+    return np.array([previous.get(cut[:2], 0.0) for cut in cuts])
+
+
 def consensus_solve(
     instance: ProblemInstance,
     payloads: list[frozenset[Cut]],
     schedule: GraphSchedule,
     start_slot: int = 0,
-    x0: Vector | None = None,
+    start: SolveReport | None = None,
 ) -> tuple[SolveReport, int]:
     """Flood the cut tuples, then solve the subproblem every agent now holds.
 
     Flooding leaves every agent with the same tuple set (it raises
     otherwise) and the canonical ordering makes the solver input bitwise
     identical, so the deterministic solver runs once and its report is
-    every agent's.  ``x0``, the start point of :func:`drcopt.solver.solve`,
-    is a minimizer from an earlier phase, which every agent already
-    holds, so the solve from it is still one common computation.
+    every agent's.  ``start`` is the report of an earlier solve on the
+    same side, which every agent already holds: :func:`drcopt.solver.solve`
+    starts from its minimizer and its :func:`carried_multipliers`, so the
+    solve from it is still one common computation.  Without ``start`` the
+    solve starts at the box center with zero multipliers.
     """
     held, slots_used = flood_constraints(payloads, schedule, start_slot)
-    return solve(FiniteSubproblem(instance, held[0]), x0), slots_used
+    problem = FiniteSubproblem(instance, held[0])
+    x0 = lam0 = None
+    if start is not None:
+        x0, lam0 = start.minimizer, carried_multipliers(start, problem.cuts)
+    return solve(problem, x0, lam0), slots_used

@@ -130,22 +130,22 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     records: list[IterationRecord] = []
     slot = 0
     prev_lower = -math.inf
-    # Each side's solve starts from that side's previous minimizer (see
-    # drcopt.solver.solve); every agent holds it, so consensus holds.
-    lower_x = upper_x = None
+    # Each side's solve starts from that side's previous report (see
+    # drcopt.consensus.consensus_solve); every agent holds it, so consensus holds.
+    lower_report = upper_report = None
 
     for k in range(1, params.max_iter + 1):
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        lower_report, used = consensus_solve(instance, payloads, schedule, slot, lower_x)
+        lower_report, used = consensus_solve(instance, payloads, schedule, slot, lower_report)
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
         g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        upper_report, used = consensus_solve(instance, payloads, schedule, slot, upper_x)
+        upper_report, used = consensus_solve(instance, payloads, schedule, slot, upper_report)
         slot += used
         _check_solver_status(upper_report, "upper")
         upper_x = upper_report.minimizer

@@ -4,13 +4,15 @@ Minimizes the sum of the agents' objectives over the shared box subject
 to a finite list of scenario cuts g_a(x, y) <= rhs, kept in canonical
 order.  Method: augmented Lagrangian on the inequality constraints with
 a box-constrained projected Newton inner solve (:func:`minimize`).
-Every solve starts with zero multipliers, from the point ``x0`` given to
-:func:`solve`: the box center for the first solve on each side (lower,
-upper) of a run, the previous minimizer on the same side for every later
-one.  After flooding every agent holds that minimizer, so the start is a
-function of the agents' common history; every step is a pure function
-of the problem and the start, so consensus and bitwise repeatability
-hold as with a fixed start.
+Every solve starts from the point ``x0`` and the multipliers ``lam0``
+given to :func:`solve`.  The first solve on each side (lower, upper) of
+a run starts at the box center with zero multipliers; every later one
+starts from the previous report on the same side, its minimizer and its
+multipliers carried onto the new cuts (see
+:func:`drcopt.consensus.consensus_solve`).  After flooding every agent
+holds that report, so the start is a function of the agents' common
+history; every step is a pure function of the problem and the start, so
+consensus and bitwise repeatability hold as with a fixed start.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class SolveReport:
     max_violation: float
     iterations: int
     status: SolveStatus
-    multipliers: np.ndarray = field(repr=False)
+    multipliers: np.ndarray = field(repr=False)  # one per cut of ``cuts``
+    cuts: tuple[Cut, ...] = field(repr=False)  # the canonical cuts solved on
 
 
 def _project(x: Vector, box: Vector) -> Vector:
@@ -323,25 +326,30 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     )
 
 
-def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
+def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
     The augmented-Lagrangian iteration starts from ``x0``, or from the box
-    center when it is None, with zero multipliers.  Multipliers are not
-    carried between solves: near convergence a new cut nearly repeats an
-    old one, and nearly parallel active cuts have no unique multipliers.
+    center when it is None, and from the multipliers ``lam0``, one
+    nonnegative value per cut of ``problem.cuts``, or zeros when it is
+    None.  A cold solve is this same iteration from zero multipliers.
+    Multipliers of a tighter problem cost only outer iterations: the
+    update ``max(0, lam + mu c)`` lowers them on slack cuts, and the exit
+    test requires complementarity, so none survives into an optimal report.
     Each inner minimization gets the exact generalized Hessian of the
     augmented Lagrangian, ``H_f + mu J_A^T J_A + sum_j s_j H_j`` with
     ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
     kernels' exact Hessians.  Deterministic: every step
-    is a pure function of the canonical input and ``x0``.
-    :func:`drcopt.sim.run` passes the previous minimizer on the same side,
+    is a pure function of the canonical input, ``x0`` and ``lam0``.
+    :func:`drcopt.sim.run` passes the previous report on the same side,
     which every agent holds, so every agent would compute the same solve
     and repeated runs agree bit for bit.
     """
     n_cuts = len(problem.cuts)
     x = problem.box.mean(axis=1) if x0 is None else x0
-    lam = np.zeros(n_cuts)
+    lam = np.zeros(n_cuts) if lam0 is None else np.asarray(lam0, dtype=float)
+    if lam.shape != (n_cuts,) or not (lam >= 0.0).all():
+        raise ValueError("lam0 needs one nonnegative multiplier per cut")
     # The multiplier iteration converges linearly, faster as mu grows
     # (Bertsekas 1982; Nocedal & Wright, ch. 17).  The Newton inner solve
     # builds the penalty's curvature into its Hessian, so a base of 1000
@@ -384,6 +392,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
+                cuts=problem.cuts,
             )
 
         lam = lam_next
@@ -411,4 +420,5 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
         iterations=MAX_OUTER,
         status=status,
         multipliers=lam,
+        cuts=problem.cuts,
     )

@@ -452,6 +452,7 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
+                cuts=problem.cuts,
             )
 
         lam = lam_next
@@ -479,4 +480,5 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
         iterations=MAX_OUTER,
         status=status,
         multipliers=lam,
+        cuts=problem.cuts,
     )

@@ -162,6 +162,15 @@ class TestRun:
         assert err.startswith("error: bad 'topology' field:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("topology", [5, [], None], ids=["int", "list", "null"])
+    def test_topology_neither_name_nor_object_exits_1(self, tmp_path, capsys, topology):
+        cfg = write_config(tmp_path / "cfg.json", topology=topology)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad 'topology' field: {topology!r} is neither a topology name nor an object")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["complete", "explicit"])
     def test_mismatched_agent_count_builds_no_schedule(self, tmp_path, capsys, monkeypatch, name):
         # A schedule's arrays grow as m^2: a wrong m must be refused before any is built.

@@ -3,9 +3,10 @@ import pytest
 
 from drcopt import consensus
 from drcopt.agents import initial_states, lower_cuts
-from drcopt.consensus import consensus_solve, flood_constraints, flood_slots
+from drcopt.consensus import carried_multipliers, consensus_solve, flood_constraints, flood_slots
 from drcopt.graph import GraphSchedule, complete, directed_cycle, make_schedule
 from drcopt.problem import NumericalFailure
+from drcopt.solver import SolveReport, SolveStatus
 
 from helpers import per_slot_flood, random_connected_schedule
 
@@ -80,9 +81,9 @@ class TestConsensusSolve:
         calls = []
         real_solve = consensus.solve
 
-        def counting_solve(problem, x0=None):
+        def counting_solve(problem, x0=None, lam0=None):
             calls.append(problem)
-            return real_solve(problem, x0)
+            return real_solve(problem, x0, lam0)
 
         monkeypatch.setattr(consensus, "solve", counting_solve)
         states = initial_states(case_study, 0.01)
@@ -92,6 +93,27 @@ class TestConsensusSolve:
         consensus_solve(case_study, payloads, directed_cycle(6))
         assert len(calls) == 1
         assert len(calls[0].cuts) == 6
+
+    def test_multipliers_carried_by_agent_and_index(self, case_study):
+        previous = SolveReport(
+            minimizer=np.zeros(2),
+            objective_value=0.0,
+            max_violation=0.0,
+            iterations=1,
+            status=SolveStatus.OPTIMAL,
+            multipliers=np.array([1.0, 2.0, 3.0]),
+            cuts=((1, 0, (0.5,), -0.01), (1, 1, (0.7,), -0.01), (3, 0, (0.2,), -0.01)),
+        )
+        # Agent 1's eps shrank, agent 2 and agent 1's third scenario are new.
+        cuts = (
+            (1, 0, (0.5,), -0.005),
+            (1, 1, (0.7,), -0.005),
+            (1, 2, (0.9,), -0.005),
+            (2, 0, (0.1,), -0.01),
+            (3, 0, (0.2,), -0.01),
+        )
+        assert carried_multipliers(previous, cuts).tolist() == [1.0, 2.0, 0.0, 0.0, 3.0]
+        assert carried_multipliers(previous, ()).shape == (0,)
 
     def test_disconnected_schedule_fails_the_flood_before_solving(self, case_study, monkeypatch):
         monkeypatch.setattr(consensus, "solve", lambda *args: pytest.fail("solve called"))
