@@ -25,7 +25,6 @@ class AgentState:
     epsilon: float
     lower_scenarios: list[tuple[float, ...]] = field(default_factory=list)
     upper_scenarios: list[tuple[float, ...]] = field(default_factory=list)
-    x_tilde: Vector | None = None
     x_bar: Vector | None = None  # None: no feasible upper candidate (f -> +inf)
 
 
@@ -43,11 +42,10 @@ def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
 
 
 def dlbd_oracle(state: AgentState, instance: ProblemInstance, x_new: Vector) -> tuple[Verdict, float]:
-    """Lower-side oracle: record the consensus point, cut if it is infeasible."""
+    """Lower-side oracle: cut if the consensus point is infeasible."""
     constraint = instance.constraints[state.agent_id - 1]
     g_max, y_star = solve_llp(constraint, x_new)
     verdict = feasibility_verdict(g_max)
-    state.x_tilde = np.array(x_new, dtype=float)
     if verdict is Verdict.VIOLATED:
         _append_scenario(state.lower_scenarios, y_star)
     return verdict, g_max

@@ -1,12 +1,14 @@
 """Constraint-parameter flooding over the time-varying digraph.
 
 In every slot each agent merges the tuple sets its in-neighbors held at
-the start of the slot into its own; after T*(m-1) synchronous slots each
-agent holds the global union and can solve the identical finite
+the start of the slot into its own.  When every T-slot window's union is
+strongly connected (``GraphSchedule.window``, checked when the schedule
+is built), each window adds at least one holder of every payload, so
+after T*(m-1) synchronous slots from any start slot every agent holds
+the global union.  Flooding therefore returns the union, without
+simulating the slots, and every agent solves the identical finite
 subproblem locally, giving exact (bitwise) consensus without any
-averaging dynamics.  Who holds whose payload depends only on the
-schedule, so the protocol is simulated on an m x m reachability matrix
-and each agent's set is built once at the end.
+averaging dynamics.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import GraphSchedule
-from .problem import NumericalFailure, ProblemInstance
+from .problem import ProblemInstance
 from .solver import Cut, FiniteSubproblem, SolveReport, solve
 
 
@@ -24,32 +26,17 @@ def flood_slots(schedule: GraphSchedule) -> int:
 
 
 def flood_constraints(
-    payloads: list[frozenset[Cut]],
-    schedule: GraphSchedule,
-    start_slot: int = 0,
+    payloads: list[frozenset[Cut]], schedule: GraphSchedule
 ) -> tuple[list[frozenset[Cut]], int]:
     """Run the flooding protocol from per-agent payloads.
 
-    Returns each agent's merged tuple set after exactly T*(m-1) slots
-    (identical across agents under uniform strong connectivity) and the
-    slot count consumed.
+    Returns each agent's merged tuple set after T*(m-1) slots, which is
+    the union of the payloads for every agent, and that slot count.
     """
     if len(payloads) != schedule.m:
         raise ValueError("one payload per agent required")
-    n_slots = flood_slots(schedule)
-    # reach[i, j] = 1 when agent i + 1 holds agent j + 1's payload.
-    reach = np.eye(schedule.m)
-    for slot in range(start_slot, start_slot + n_slots):
-        reach = np.minimum(schedule.closed_in[slot % schedule.period] @ reach, 1.0)
     union = frozenset().union(*payloads)
-    held = [
-        union if row.all() else frozenset().union(*(payloads[j] for j in np.flatnonzero(row)))
-        for row in reach
-    ]
-    for agent, merged in enumerate(held, start=1):
-        if merged != union:
-            raise NumericalFailure(f"agent {agent} missed tuples after flooding: schedule not connected?")
-    return held, n_slots
+    return [union] * schedule.m, flood_slots(schedule)
 
 
 def carried_multipliers(start: SolveReport, cuts: tuple[Cut, ...]) -> np.ndarray:
@@ -69,13 +56,13 @@ def consensus_solve(
     instance: ProblemInstance,
     payloads: list[frozenset[Cut]],
     schedule: GraphSchedule,
-    start_slot: int = 0,
     start: SolveReport | None = None,
 ) -> tuple[SolveReport, int]:
     """Flood the cut tuples, then solve the subproblem every agent now holds.
 
-    Flooding leaves every agent with the same tuple set (it raises
-    otherwise) and the canonical ordering makes the solver input bitwise
+    Flooding leaves every agent with the same tuple set, the union (the
+    schedule's connectivity window guarantees it, see the module
+    docstring), and the canonical ordering makes the solver input bitwise
     identical, so the deterministic solver runs once and its report is
     every agent's.  ``start`` is the report of an earlier solve on the
     same side, which every agent already holds: :func:`drcopt.solver.solve`
@@ -83,7 +70,7 @@ def consensus_solve(
     solve from it is still one common computation.  Without ``start`` the
     solve starts at the box center with zero multipliers.
     """
-    held, slots_used = flood_constraints(payloads, schedule, start_slot)
+    held, slots_used = flood_constraints(payloads, schedule)
     problem = FiniteSubproblem(instance, held[0])
     x0 = lam0 = None
     if start is not None:

@@ -7,7 +7,7 @@ implicit everywhere: protocols always operate on N_i^in(t) united with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,11 +68,21 @@ def compute_connectivity_window(m: int, slots: tuple[frozenset[Edge], ...]) -> i
 
 @dataclass(frozen=True)
 class GraphSchedule:
-    """Periodic sequence of directed edge sets over m nodes (1-based ids)."""
+    """Periodic sequence of directed edge sets over m nodes (1-based ids).
+
+    ``window`` is the connectivity window T of the slots, computed at
+    construction (also by ``dataclasses.replace``), so a schedule that is
+    not uniformly connected cannot be built: it raises
+    :class:`NotUniformlyConnected`.  Flooding rests on T alone (see
+    :mod:`drcopt.consensus`).
+    """
 
     m: int
     slots: tuple[frozenset[Edge], ...]
-    window: int  # T of uniform strong connectivity
+    window: int = field(init=False)  # T of uniform strong connectivity
+
+    def __post_init__(self):
+        object.__setattr__(self, "window", compute_connectivity_window(self.m, self.slots))
 
     @property
     def period(self) -> int:
@@ -84,7 +94,8 @@ class GraphSchedule:
 
         Entry [p, i-1, j-1] is 1.0 when j = i or j sends to i in phase p,
         else 0.0: float64, so that products with it run in BLAS and stay
-        exact.  Built on first use, so merely validated schedules never pay.
+        exact.  Only the stopping counters and the Method II weights read
+        it; built on first use, so merely validated schedules never pay.
         """
         table = np.zeros((self.period, self.m, self.m))
         table[:, range(self.m), range(self.m)] = 1.0
@@ -96,7 +107,7 @@ class GraphSchedule:
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:
-    """Validate edge sets and compute the connectivity window T."""
+    """A schedule from edge sets, after checking each edge's endpoints."""
     if m < 1:
         raise InvalidSize("node count must be >= 1")
     clean = []
@@ -110,8 +121,7 @@ def make_schedule(m: int, slots) -> GraphSchedule:
             if j == i:
                 raise ValueError("self-loops are implicit; do not store them")
         clean.append(es)
-    window = compute_connectivity_window(m, tuple(clean))
-    return GraphSchedule(m=m, slots=tuple(clean), window=window)
+    return GraphSchedule(m=m, slots=tuple(clean))
 
 
 def directed_cycle(m: int) -> GraphSchedule:

@@ -2,9 +2,12 @@
 
 Each outer iteration: flood + consensus-solve the lower subproblem, run
 every agent's lower oracle, flood + consensus-solve the upper subproblem,
-run the upper oracles, then one distributed stopping round.  The schedule
-slot pointer advances continuously so time-varying graphs are genuinely
-exercised across phases.
+run the upper oracles, then one distributed stopping round.  Flooding
+delivers the union of the cuts by the schedule's connectivity window, so
+it is not simulated, but its T*(m-1) slots still advance the schedule's
+slot pointer: each stopping round is simulated slot by slot from the
+slot where the flooding before it ended, so time-varying graphs are
+genuinely exercised.
 """
 
 from __future__ import annotations
@@ -96,11 +99,11 @@ def _bounds_and_gaps(terms, states: list[AgentState], lower_x: Vector, upper_x: 
     """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
 
     ``terms`` is :func:`drcopt.solver.objective_terms` of the agents'
-    objectives.  Every agent's ``x_tilde`` is ``lower_x``, and its
-    ``x_bar`` is ``upper_x`` or None.  lower and upper add the f_i over
-    the agents in order, a left fold from 0.0; upper is +inf while any
-    agent has no ``x_bar``.  The gap e_i = |f_i(x_bar) - f_i(x_tilde)| is
-    +inf for such an agent.
+    objectives.  ``lower_x`` is the lower consensus point every agent's
+    oracle checked, and each agent's ``x_bar`` is ``upper_x`` or None.
+    lower and upper add the f_i over the agents in order, a left fold from
+    0.0; upper is +inf while any agent has no ``x_bar``.  The gap
+    e_i = |f_i(x_bar) - f_i(lower_x)| is +inf for such an agent.
     """
     at_lower = terms(lower_x)[0].tolist()
     at_upper = terms(upper_x)[0].tolist()
@@ -138,14 +141,14 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         slots_at_start = slot
 
         payloads = [frozenset(agents.lower_cuts(s)) for s in states]
-        lower_report, used = consensus_solve(instance, payloads, schedule, slot, lower_report)
+        lower_report, used = consensus_solve(instance, payloads, schedule, lower_report)
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
         g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_report.minimizer)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
-        upper_report, used = consensus_solve(instance, payloads, schedule, slot, upper_report)
+        upper_report, used = consensus_solve(instance, payloads, schedule, upper_report)
         slot += used
         _check_solver_status(upper_report, "upper")
         upper_x = upper_report.minimizer

@@ -172,7 +172,7 @@ class SolveReport:
     minimizer: Vector
     objective_value: float
     max_violation: float
-    iterations: int
+    iterations: int  # outer iterations run, on every exit
     status: SolveStatus
     multipliers: np.ndarray = field(repr=False)  # one per cut of ``cuts``
     cuts: tuple[Cut, ...] = field(repr=False)  # the canonical cuts solved on
@@ -417,7 +417,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
         minimizer=x,
         objective_value=f,
         max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
-        iterations=MAX_OUTER,
+        iterations=outer,
         status=status,
         multipliers=lam,
         cuts=problem.cuts,

@@ -6,8 +6,9 @@ Run from the root of a checkout, with the package on the path::
 
 The runs are the six ``table2`` jobs and the four ``custom-llp`` jobs of
 ``perfbench/workloads.py``, and ``scaled_instance`` at seed 0 on
-``complete(48)``, ``directed_cycle(96)`` and ``period3_cycle(24)``, each
-with both methods.  The digest covers every field of every
+``complete(48)``, ``directed_cycle(96)``, ``period3_cycle(24)``,
+``directed_cycle(192)`` and ``period3_cycle(96)``, each with both
+methods.  The digest covers every field of every
 ``IterationRecord`` (floats as ``float.hex``), ``terminated``,
 ``iterations`` and the bytes of ``x_opt``; it is the one printed line.
 Runs are deterministic, so two processes print the same line, whatever
@@ -33,7 +34,13 @@ from drcopt.cli import METHODS  # noqa: E402
 from drcopt.graph import complete, directed_cycle  # noqa: E402
 from drcopt.sim import RunParams, run  # noqa: E402
 
-SCALED_SCHEDULES = ((complete, 48), (directed_cycle, 96), (period3_cycle, 24))
+SCALED_SCHEDULES = (
+    (complete, 48),
+    (directed_cycle, 96),
+    (period3_cycle, 24),
+    (directed_cycle, 192),
+    (period3_cycle, 96),
+)
 
 
 def runs():

@@ -30,7 +30,6 @@ class TestLowerOracle:
             assert verdict is Verdict.VIOLATED
             assert g_max > 0
             assert state.lower_scenarios == [(1.0,)]
-            assert np.array_equal(state.x_tilde, x_new)
 
     def test_feasible_point_leaves_set_unchanged(self, case_study, states):
         state = states[3]  # v = 0.25
@@ -38,7 +37,6 @@ class TestLowerOracle:
         assert verdict is Verdict.FEASIBLE
         assert g_max == pytest.approx(0.0625 + 7 / 16 - 1)
         assert state.lower_scenarios == []
-        assert np.array_equal(state.x_tilde, X_STAR)
 
 
 class TestUpperOracle:
@@ -97,10 +95,10 @@ class TestSubproblemBuilders:
         assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)
 
 
-def assert_matches_oracle(states, instance, upper_x):
-    """drcopt.sim's (lower, upper, gaps), for states that share one x_tilde, against the per-agent oracle."""
-    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), states, states[0].x_tilde, upper_x)
-    expected = bound_values(states, instance) + tuple(agent_gap(s, instance) for s in states)
+def assert_matches_oracle(states, instance, lower_x, upper_x):
+    """drcopt.sim's (lower, upper, gaps) against the per-agent oracle."""
+    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), states, lower_x, upper_x)
+    expected = bound_values(states, instance, lower_x) + tuple(agent_gap(s, instance, lower_x) for s in states)
     assert [v.hex() for v in (lower, upper, *gaps)] == [v.hex() for v in expected]
     return lower, upper, gaps
 
@@ -108,17 +106,15 @@ def assert_matches_oracle(states, instance, upper_x):
 class TestBoundValues:
     def test_sentinel_makes_upper_infinite(self, case_study, states):
         for state in states:
-            state.x_tilde = np.array([0.0, 0.71875])
             state.x_bar = None
-        lower, upper, _ = assert_matches_oracle(states, case_study, X_STAR)
+        lower, upper, _ = assert_matches_oracle(states, case_study, np.array([0.0, 0.71875]), X_STAR)
         assert lower == pytest.approx(38.474609375)
         assert upper == math.inf
 
     def test_identical_points_collapse_bounds(self, case_study, states):
         for state in states:
-            state.x_tilde = X_STAR
             state.x_bar = X_STAR
-        lower, upper, gaps = assert_matches_oracle(states, case_study, X_STAR)
+        lower, upper, gaps = assert_matches_oracle(states, case_study, X_STAR, X_STAR)
         assert lower == pytest.approx(F_STAR)
         assert upper == pytest.approx(F_STAR)
         assert gaps == [0.0] * 6
@@ -126,10 +122,9 @@ class TestBoundValues:
     def test_gap_is_infinite_for_sentinel(self, case_study, states):
         z = np.array([0.0, 0.71875])
         for state in states:
-            state.x_tilde = X_STAR
             state.x_bar = z
         states[0].x_bar = None
-        _, upper, gaps = assert_matches_oracle(states, case_study, z)
+        _, upper, gaps = assert_matches_oracle(states, case_study, X_STAR, z)
         assert upper == math.inf
         assert gaps[0] == math.inf and all(math.isfinite(e) for e in gaps[1:])
 

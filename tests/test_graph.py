@@ -1,8 +1,11 @@
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from drcopt.graph import (
+    GraphSchedule,
     InvalidSize,
     NotUniformlyConnected,
     complete,
@@ -84,6 +87,23 @@ class TestConnectivityWindow:
     def test_isolated_node_rejected(self):
         with pytest.raises(NotUniformlyConnected):
             make_schedule(3, [{(1, 2), (2, 1)}])
+
+    def test_disconnected_schedule_cannot_be_built(self):
+        # 1 -> 2 -> ... -> 6 without the closing edge: agent 1 never hears from the others.
+        path = frozenset((i, i + 1) for i in range(1, 6))
+        with pytest.raises(NotUniformlyConnected):
+            GraphSchedule(m=6, slots=(path,))
+
+    def test_window_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            GraphSchedule(m=2, slots=(frozenset({(1, 2), (2, 1)}),), window=1)
+
+    def test_replace_recomputes_the_window(self):
+        s = directed_cycle(3)
+        alternating = dataclasses.replace(s, slots=(frozenset({(1, 2), (2, 3)}), frozenset({(3, 1)})))
+        assert (s.window, alternating.window) == (1, 2)
+        with pytest.raises(NotUniformlyConnected):
+            dataclasses.replace(s, slots=(frozenset({(1, 2), (2, 3)}),))
 
     def test_random_schedules_window_verified_by_networkx(self, rng):
         for _ in range(40):

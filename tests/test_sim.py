@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drcopt import sim, solver
+from drcopt import agents, sim, solver
 from drcopt.agents import initial_states
 from drcopt.cli import METHODS, TABLE2_TOPOLOGIES
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
@@ -85,19 +85,27 @@ class TestBatchedBounds:
     @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES)
     def test_records_equal_the_per_agent_oracle(self, case_study, monkeypatch, method, topology):
         # lower, upper and the gaps of every record, bit for bit, against
-        # the per-agent sums over the states the stopping round sees.
-        states, expected = [], []
+        # the per-agent sums over the states the stopping round sees, at
+        # the lower point the agents' lower oracles last checked.
+        states, lower_points, expected = [], [], []
+        real_lower_oracle = agents.dlbd_oracle
 
         def capturing_initial_states(instance, eps0):
             states.extend(initial_states(instance, eps0))
             return states
 
+        def recording_lower_oracle(state, instance, x_new):
+            lower_points.append(x_new)
+            return real_lower_oracle(state, instance, x_new)
+
         def checking_stopping_round(gaps, *args):
-            lower, upper = bound_values(states, case_study)
-            expected.append((lower, upper, *(agent_gap(s, case_study) for s in states)))
+            lower_x = lower_points[-1]
+            lower, upper = bound_values(states, case_study, lower_x)
+            expected.append((lower, upper, *(agent_gap(s, case_study, lower_x) for s in states)))
             return run_stopping_round(gaps, *args)
 
         monkeypatch.setattr(sim, "initial_states", capturing_initial_states)
+        monkeypatch.setattr(agents, "dlbd_oracle", recording_lower_oracle)
         monkeypatch.setattr(sim, "run_stopping_round", checking_stopping_round)
         result = run(case_study, TOPOLOGIES[topology](6), RunParams(method=method))
         assert result.terminated and len(expected) == len(result.records)

@@ -533,6 +533,26 @@ class TestNearDuplicateCuts:
         assert solve(FiniteSubproblem(case_study, cuts)).status is SolveStatus.OPTIMAL
 
 
+class TestIterationCount:
+    """``SolveReport.iterations`` counts the outer iterations run, on every exit."""
+
+    def test_stall_exit(self, case_study):
+        cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
+        report = solve(FiniteSubproblem(case_study, cuts))
+        assert (report.status, report.iterations) == (SolveStatus.ITERATION_LIMIT, 10)
+
+    def test_infeasible_exit(self, case_study):
+        report = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -10.0)))
+        assert (report.status, report.iterations) == (SolveStatus.INFEASIBLE, 8)
+
+    def test_exhausted_loop(self, case_study, monkeypatch):
+        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        assert solve(problem).iterations == 4
+        monkeypatch.setattr(solver, "MAX_OUTER", 2)
+        report = solve(problem)
+        assert (report.status, report.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+
+
 @pytest.fixture(scope="module")
 def table2_solves(case_study):
     """(problem, x0, lam0, report) of every consensus solve of table2's I/cycle run, and the work counts."""
