@@ -21,17 +21,16 @@ SCENARIO_CAP = 10_000  # runaway guard per agent
 
 @dataclass
 class AgentState:
+    """What an agent holds between iterations: its scenario sets and its restriction ``epsilon``.
+
+    Whether its upper point is feasible is the upper oracle's verdict of
+    the iteration, which :func:`drcopt.sim.run` keeps.
+    """
+
     agent_id: int
     epsilon: float
     lower_scenarios: list[tuple[float, ...]] = field(default_factory=list)
     upper_scenarios: list[tuple[float, ...]] = field(default_factory=list)
-    x_bar: Vector | None = None  # None: no feasible upper candidate (f -> +inf)
-
-
-def initial_states(instance: ProblemInstance, eps0: float) -> list[AgentState]:
-    if eps0 <= 0.0:
-        raise ValueError("initial restriction parameter must be positive")
-    return [AgentState(agent_id=i + 1, epsilon=eps0) for i in range(instance.m)]
 
 
 def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
@@ -54,7 +53,11 @@ def dlbd_oracle(state: AgentState, instance: ProblemInstance, x_new: Vector) -> 
 def dubd_oracle(
     state: AgentState, instance: ProblemInstance, z_new: Vector, r: float
 ) -> tuple[Verdict, float]:
-    """Upper-side oracle: cut on violation, shrink epsilon by r on feasibility."""
+    """Upper-side oracle: cut on violation, shrink epsilon by r on feasibility.
+
+    The verdict is the caller's record of whether ``z_new`` is feasible
+    for this agent.
+    """
     if r <= 1.0:
         raise ValueError("reduction parameter r must exceed 1")
     constraint = instance.constraints[state.agent_id - 1]
@@ -62,10 +65,8 @@ def dubd_oracle(
     verdict = feasibility_verdict(g_max)
     if verdict is Verdict.VIOLATED:
         _append_scenario(state.upper_scenarios, y_star)
-        state.x_bar = None
     else:
         state.epsilon = state.epsilon / r
-        state.x_bar = np.array(z_new, dtype=float)
     return verdict, g_max
 
 

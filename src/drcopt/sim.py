@@ -17,14 +17,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import agents
-from .agents import AgentState, initial_states
+from .agents import AgentState
 from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
-from .llp import solve_llp
+from .llp import Verdict, solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
 from .solver import FEASIBILITY_TOL, SolveStatus, objective_terms
 from .termination import run_stopping_round
@@ -61,7 +59,7 @@ class RunParams:
 class IterationRecord:
     k: int
     lower: float
-    upper: float  # +inf while any agent has no feasible upper candidate
+    upper: float  # +inf unless every agent's upper oracle found the upper point feasible
     g_max_lower: tuple[float, ...]  # per agent, at the lower consensus point
     g_max_upper: tuple[float, ...]  # per agent, at the upper consensus point
     epsilons: tuple[float, ...]
@@ -95,19 +93,19 @@ def _check_solver_status(report, phase: str):
         raise NumericalFailure(f"{phase} subproblem solve hit the iteration limit")
 
 
-def _bounds_and_gaps(terms, states: list[AgentState], lower_x: Vector, upper_x: Vector):
+def _bounds_and_gaps(terms, feasible: list[bool], lower_x: Vector, upper_x: Vector):
     """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
 
     ``terms`` is :func:`drcopt.solver.objective_terms` of the agents'
-    objectives.  ``lower_x`` is the lower consensus point every agent's
-    oracle checked, and each agent's ``x_bar`` is ``upper_x`` or None.
-    lower and upper add the f_i over the agents in order, a left fold from
-    0.0; upper is +inf while any agent has no ``x_bar``.  The gap
-    e_i = |f_i(x_bar) - f_i(lower_x)| is +inf for such an agent.
+    objectives.  ``lower_x`` and ``upper_x`` are the consensus points
+    every agent's oracles checked, and ``feasible[i]`` is whether agent
+    i + 1's upper oracle found ``upper_x`` feasible.  lower and upper add
+    the f_i over the agents in order, a left fold from 0.0; upper is +inf
+    unless every agent found ``upper_x`` feasible.  The gap
+    e_i = |f_i(upper_x) - f_i(lower_x)| is +inf for an agent that did not.
     """
     at_lower = terms(lower_x)[0].tolist()
     at_upper = terms(upper_x)[0].tolist()
-    feasible = [state.x_bar is not None for state in states]
     lower = functools.reduce(operator.add, at_lower, 0.0)
     upper = functools.reduce(operator.add, at_upper, 0.0) if all(feasible) else math.inf
     gaps = [abs(u - lo) if ok else math.inf for lo, u, ok in zip(at_lower, at_upper, feasible)]
@@ -123,7 +121,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     """
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
-    states = initial_states(instance, params.eps0)
+    states = [AgentState(agent_id=i + 1, epsilon=params.eps0) for i in range(instance.m)]
     terms = objective_terms(instance.objectives)
     bound = (
         method1_accuracy(instance.m, params.eps_f)
@@ -145,16 +143,17 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
-        g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_report.minimizer)[1] for s in states)
+        g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_x)[1] for s in states)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
         upper_report, used = consensus_solve(instance, payloads, schedule, upper_report)
         slot += used
         _check_solver_status(upper_report, "upper")
         upper_x = upper_report.minimizer
-        g_max_upper = tuple(agents.dubd_oracle(s, instance, upper_report.minimizer, params.r)[1] for s in states)
+        verdicts, g_max_upper = zip(*(agents.dubd_oracle(s, instance, upper_x, params.r) for s in states))
+        feasible = [v is Verdict.FEASIBLE for v in verdicts]
 
-        lower, upper, gaps = _bounds_and_gaps(terms, states, lower_x, upper_x)
+        lower, upper, gaps = _bounds_and_gaps(terms, feasible, lower_x, upper_x)
         if lower < prev_lower - 1e-9:
             raise NumericalFailure("lower bound decreased across iterations")
         if math.isfinite(upper) and upper < lower - 1e-9:
@@ -178,32 +177,19 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         )
 
         if stop:
-            x_opt = []
-            for state in states:
-                if state.x_bar is None:
-                    raise NumericalFailure("stopping round fired with an infinite upper bound")
-                x_opt.append(np.array(state.x_bar))
-            for state, x in zip(states, x_opt):
-                g_max, _ = solve_llp(instance.constraints[state.agent_id - 1], x)
+            if not all(feasible):
+                raise NumericalFailure("stopping round fired with an infinite upper bound")
+            for constraint in instance.constraints:
+                g_max, _ = solve_llp(constraint, upper_x)
                 if g_max > FEASIBILITY_TOL:
                     raise NumericalFailure("terminal point is not locally feasible")
-                if not np.array_equal(x, x_opt[0]):
-                    raise NumericalFailure("terminal points are not in consensus")
-            return RunResult(
-                records=records,
-                terminated=True,
-                iterations=k,
-                x_opt=x_opt,
-                method=params.method,
-                accuracy_bound=bound,
-                final_states=states,
-            )
+            break
 
     return RunResult(
         records=records,
-        terminated=False,
-        iterations=params.max_iter,
-        x_opt=None,
+        terminated=stop,
+        iterations=len(records),
+        x_opt=[upper_x.copy() for _ in states] if stop else None,
         method=params.method,
         accuracy_bound=bound,
         final_states=states,

@@ -185,7 +185,7 @@ def _project(x: Vector, box: Vector) -> Vector:
 
 def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
     """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||, lambda zero when omitted."""
-    if multipliers is not None and len(jac):
+    if multipliers is not None:
         grad = grad + jac.T.dot(multipliers)
     # What np.linalg.norm computes for a vector, without its dispatch.
     r = x - _project(x - grad, box)
@@ -302,12 +302,11 @@ def _feasibility_phase(problem: FiniteSubproblem) -> float:
     def fun_grad(x):
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
-        grad = jac.T @ pos if len(c) else np.zeros(problem.n)
+        grad = jac.T @ pos
         return 0.5 * float(pos @ pos), grad, _cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
-    c = problem.evaluate(x)[2]
-    return float(max(0.0, c.max())) if len(c) else 0.0
+    return float(problem.evaluate(x)[2].max(initial=0.0))
 
 
 def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_next: np.ndarray, box: Vector) -> bool:
@@ -318,11 +317,10 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     multiplier on a slack cut could cancel the objective's gradient at a
     point that is not optimal.
     """
-    viol = float(max(0.0, c.max())) if len(c) else 0.0
     return (
-        viol <= FEASIBILITY_TOL
+        float(c.max(initial=0.0)) <= FEASIBILITY_TOL
         and _kkt_residual(x, grad, jac, lam_next, box) <= STATIONARITY_TOL
-        and (not len(c) or float((lam_next * abs(c)).max()) <= STATIONARITY_TOL)
+        and float((lam_next * abs(c)).max(initial=0.0)) <= STATIONARITY_TOL
     )
 
 
@@ -339,11 +337,13 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     Each inner minimization gets the exact generalized Hessian of the
     augmented Lagrangian, ``H_f + mu J_A^T J_A + sum_j s_j H_j`` with
     ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
-    kernels' exact Hessians.  Deterministic: every step
-    is a pure function of the canonical input, ``x0`` and ``lam0``.
-    :func:`drcopt.sim.run` passes the previous report on the same side,
-    which every agent holds, so every agent would compute the same solve
-    and repeated runs agree bit for bit.
+    kernels' exact Hessians.  A subproblem with no cuts takes the same
+    path: its empty arrays add no penalty, no violation and no
+    multiplier term.  Deterministic: every step is a pure function of
+    the canonical input, ``x0`` and ``lam0``.  :func:`drcopt.sim.run`
+    passes the previous report on the same side, which every agent
+    holds, so every agent would compute the same solve and repeated runs
+    agree bit for bit.
     """
     n_cuts = len(problem.cuts)
     x = problem.box.mean(axis=1) if x0 is None else x0
@@ -360,42 +360,29 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     mu = mu_base
     prev_viol = math.inf
     stalled = 0
+    status = None
 
     for outer in range(1, MAX_OUTER + 1):
 
         def fun_grad(z, lam=lam, mu=mu, lam_sq=lam.dot(lam), two_mu=2.0 * mu):
             f, grad, c, jac, hess, cut_hess = problem.evaluate(z)
-            if n_cuts:
-                shifted = np.maximum(0.0, lam + mu * c)
-                f += float((shifted.dot(shifted) - lam_sq) / two_mu)
-                grad = grad + jac.T.dot(shifted)
-                # With every cut slack the penalty adds no curvature.
-                if shifted.any():
-                    hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
+            shifted = np.maximum(0.0, lam + mu * c)
+            f += float((shifted.dot(shifted) - lam_sq) / two_mu)
+            grad = grad + jac.T.dot(shifted)
+            # With every cut slack the penalty adds no curvature.
+            if shifted.any():
+                hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
             return f, grad, hess
 
         x = minimize(fun_grad, x, problem.box, MAX_INNER).x
 
         f, grad, c, jac, _, _ = problem.evaluate(x)
-        if n_cuts:
-            viol = float(max(0.0, c.max()))
-            lam_next = np.maximum(0.0, lam + mu * c)
-        else:
-            viol = 0.0
-            lam_next = lam
+        viol = float(c.max(initial=0.0))
+        lam = np.maximum(0.0, lam + mu * c)
+        if _kkt_satisfied(x, grad, c, jac, lam, problem.box):
+            status = SolveStatus.OPTIMAL
+            break
 
-        if _kkt_satisfied(x, grad, c, jac, lam_next, problem.box):
-            return SolveReport(
-                minimizer=x,
-                objective_value=f,
-                max_violation=viol,
-                iterations=outer,
-                status=SolveStatus.OPTIMAL,
-                multipliers=lam_next,
-                cuts=problem.cuts,
-            )
-
-        lam = lam_next
         if viol > FEASIBILITY_TOL:
             if viol > 0.25 * prev_viol:
                 mu = min(mu * 10.0, mu_cap)
@@ -410,13 +397,12 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
             stalled = 0
         prev_viol = viol
 
-    residual_viol = _feasibility_phase(problem)
-    status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
-    f, _, c, _, _, _ = problem.evaluate(x)
+    if status is None:
+        status = SolveStatus.INFEASIBLE if _feasibility_phase(problem) > 1e-7 else SolveStatus.ITERATION_LIMIT
     return SolveReport(
         minimizer=x,
         objective_value=f,
-        max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
+        max_violation=viol,
         iterations=outer,
         status=status,
         multipliers=lam,

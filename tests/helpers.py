@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drcopt.agents import AgentState
 from drcopt.consensus import flood_slots
 from drcopt.graph import GraphSchedule, NotUniformlyConnected, make_schedule
 from drcopt.problem import (
@@ -173,26 +172,26 @@ def box_lp_vertex_max(weights, capacity, upper):
 # a bitwise oracle for the batched form.
 
 
-def bound_values(states: list[AgentState], instance: ProblemInstance, lower_x: Vector) -> tuple[float, float]:
-    """(lower, upper) objective sums at ``lower_x`` and the x_bar; upper is +inf while any agent has no x_bar."""
+def bound_values(
+    instance: ProblemInstance, feasible: list[bool], lower_x: Vector, upper_x: Vector
+) -> tuple[float, float]:
+    """(lower, upper) objective sums at ``lower_x`` and ``upper_x``; upper is +inf unless every agent is feasible."""
     lower = 0.0
     upper = 0.0
-    for state in states:
-        f = instance.objectives[state.agent_id - 1]
+    for f, ok in zip(instance.objectives, feasible):
         lower += f.evaluate(lower_x)
-        if state.x_bar is None:
+        if not ok:
             upper = math.inf
         elif math.isfinite(upper):
-            upper += f.evaluate(state.x_bar)
+            upper += f.evaluate(upper_x)
     return lower, upper
 
 
-def agent_gap(state: AgentState, instance: ProblemInstance, lower_x: Vector) -> float:
-    """e_i = |f_i(x_bar) - f_i(lower_x)|, +inf while there is no x_bar."""
-    if state.x_bar is None:
+def agent_gap(objective, feasible: bool, lower_x: Vector, upper_x: Vector) -> float:
+    """e_i = |f_i(upper_x) - f_i(lower_x)|, +inf when agent i found ``upper_x`` infeasible."""
+    if not feasible:
         return math.inf
-    f = instance.objectives[state.agent_id - 1]
-    return abs(f.evaluate(state.x_bar) - f.evaluate(lower_x))
+    return abs(objective.evaluate(upper_x) - objective.evaluate(lower_x))
 
 
 # Per-agent, per-slot simulations of the flooding and stopping protocols,
@@ -294,26 +293,11 @@ def _ref_projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
     return float(np.max(np.abs(x - _ref_project(x - grad, box))))
 
 
-_REF_FD_STEP = math.sqrt(np.finfo(float).eps)
-
-
 def _ref_require_finite(f: float, grad: Vector, where: str) -> None:
     # Non-finite values spread into the Newton direction, and a NaN trial
     # point never equals x and fails every test, so halving would not end.
     if not (math.isfinite(f) and np.isfinite(grad).all()):
         raise NumericalFailure(f"non-finite objective or gradient {where}")
-
-
-def _ref_difference_hessian(fun_grad, x: Vector, grad: Vector, free: np.ndarray, hi: Vector) -> np.ndarray:
-    """Forward differences of ``fun_grad``'s gradient in the ``free`` variables."""
-    hessian = np.empty((len(free), len(free)))
-    for col, j in enumerate(free):
-        # Step into the box, so every evaluation point is feasible.
-        h = _REF_FD_STEP * max(1.0, abs(x[j]))
-        xh = x.copy()
-        xh[j] += h if x[j] + h <= hi[j] else -h
-        hessian[:, col] = (fun_grad(xh)[1][free] - grad[free]) / (xh[j] - x[j])
-    return hessian
 
 
 def reference_minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
@@ -332,13 +316,9 @@ def reference_minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> Mini
         free = np.flatnonzero(~active)
         d = -grad
         if len(free):
-            if hess is None:
-                hessian = _ref_difference_hessian(fun_grad, x, grad, free, hi)
-                nfev += len(free)
-            else:
-                hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
+            hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
-                raise NumericalFailure("non-finite " + ("difference " if hess is None else "") + "Hessian")
+                raise NumericalFailure("non-finite Hessian")
             w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
             w = np.maximum(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
             d[free] = -(v @ ((v.T @ grad[free]) / w))
@@ -382,8 +362,7 @@ def _ref_feasibility_phase(problem: FiniteSubproblem) -> float:
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
-        hess = None if cut_hess is None else _ref_cut_curvature(jac, cut_hess, pos, 1.0)
-        return 0.5 * float(pos @ pos), grad, hess
+        return 0.5 * float(pos @ pos), grad, _ref_cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = reference_minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
     c = problem.evaluate(x)[2]
@@ -426,7 +405,7 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
                 f += float((shifted @ shifted - lam @ lam) / (2.0 * mu))
                 grad = grad + jac.T @ shifted
                 # With every cut slack the penalty adds no curvature.
-                if hess is not None and shifted.any():
+                if shifted.any():
                     hess = hess + _ref_cut_curvature(jac, cut_hess, shifted, mu)
             return f, grad, hess
 

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from drcopt.agents import (
-    dlbd_oracle,
-    dubd_oracle,
-    initial_states,
-    lower_cuts,
-    upper_cuts,
-)
+from drcopt.agents import AgentState, dlbd_oracle, dubd_oracle, lower_cuts, upper_cuts
 from drcopt.llp import Verdict
-from drcopt.sim import _bounds_and_gaps
+from drcopt.sim import RunParams, _bounds_and_gaps
 from drcopt.solver import FiniteSubproblem, objective_terms
 
 from helpers import F_STAR, X_STAR, agent_gap, bound_values
@@ -19,7 +13,7 @@ from helpers import F_STAR, X_STAR, agent_gap, bound_values
 
 @pytest.fixture
 def states(case_study):
-    return initial_states(case_study, eps0=0.01)
+    return [AgentState(agent_id=i + 1, epsilon=0.01) for i in range(case_study.m)]
 
 
 class TestLowerOracle:
@@ -41,13 +35,14 @@ class TestLowerOracle:
 
 class TestUpperOracle:
     def test_violation_sets_sentinel(self, case_study, states):
+        # The VIOLATED verdict is what makes the run's upper bound +inf.
         z = np.array([0.0, 1.0])
         for state in states:
-            verdict, _ = dubd_oracle(state, case_study, z, r=2.0)
+            verdict, g_max = dubd_oracle(state, case_study, z, r=2.0)
             assert verdict is Verdict.VIOLATED
+            assert g_max > 0
             assert state.upper_scenarios == [(1.0,)]
             assert state.epsilon == 0.01
-            assert state.x_bar is None
 
     def test_feasible_point_halves_epsilon(self, case_study, states):
         state = states[0]
@@ -56,7 +51,7 @@ class TestUpperOracle:
         assert verdict is Verdict.FEASIBLE
         assert state.epsilon == 0.005
         assert state.upper_scenarios == []
-        assert np.array_equal(state.x_bar, z)
+        assert state == AgentState(agent_id=1, epsilon=0.005)
 
     def test_two_feasible_verdicts_quarter_epsilon(self, case_study, states):
         state = states[0]
@@ -95,41 +90,38 @@ class TestSubproblemBuilders:
         assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)
 
 
-def assert_matches_oracle(states, instance, lower_x, upper_x):
+def assert_matches_oracle(instance, feasible, lower_x, upper_x):
     """drcopt.sim's (lower, upper, gaps) against the per-agent oracle."""
-    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), states, lower_x, upper_x)
-    expected = bound_values(states, instance, lower_x) + tuple(agent_gap(s, instance, lower_x) for s in states)
+    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), feasible, lower_x, upper_x)
+    expected = bound_values(instance, feasible, lower_x, upper_x) + tuple(
+        agent_gap(f, ok, lower_x, upper_x) for f, ok in zip(instance.objectives, feasible)
+    )
     assert [v.hex() for v in (lower, upper, *gaps)] == [v.hex() for v in expected]
     return lower, upper, gaps
 
 
 class TestBoundValues:
-    def test_sentinel_makes_upper_infinite(self, case_study, states):
-        for state in states:
-            state.x_bar = None
-        lower, upper, _ = assert_matches_oracle(states, case_study, np.array([0.0, 0.71875]), X_STAR)
+    def test_sentinel_makes_upper_infinite(self, case_study):
+        feasible = [False] * 6
+        lower, upper, _ = assert_matches_oracle(case_study, feasible, np.array([0.0, 0.71875]), X_STAR)
         assert lower == pytest.approx(38.474609375)
         assert upper == math.inf
 
-    def test_identical_points_collapse_bounds(self, case_study, states):
-        for state in states:
-            state.x_bar = X_STAR
-        lower, upper, gaps = assert_matches_oracle(states, case_study, X_STAR, X_STAR)
+    def test_identical_points_collapse_bounds(self, case_study):
+        lower, upper, gaps = assert_matches_oracle(case_study, [True] * 6, X_STAR, X_STAR)
         assert lower == pytest.approx(F_STAR)
         assert upper == pytest.approx(F_STAR)
         assert gaps == [0.0] * 6
 
-    def test_gap_is_infinite_for_sentinel(self, case_study, states):
-        z = np.array([0.0, 0.71875])
-        for state in states:
-            state.x_bar = z
-        states[0].x_bar = None
-        _, upper, gaps = assert_matches_oracle(states, case_study, X_STAR, z)
+    def test_gap_is_infinite_for_sentinel(self, case_study):
+        feasible = [False] + [True] * 5
+        _, upper, gaps = assert_matches_oracle(case_study, feasible, X_STAR, np.array([0.0, 0.71875]))
         assert upper == math.inf
         assert gaps[0] == math.inf and all(math.isfinite(e) for e in gaps[1:])
 
 
 class TestValidation:
-    def test_positive_eps0_required(self, case_study):
-        with pytest.raises(ValueError):
-            initial_states(case_study, eps0=0.0)
+    def test_positive_eps0_required(self):
+        # sim.run builds the agents' states from RunParams, which rejects the bad eps0.
+        with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+            RunParams(eps0=0.0)

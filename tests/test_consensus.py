@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from drcopt import consensus
-from drcopt.agents import initial_states, lower_cuts
+from drcopt.agents import AgentState, lower_cuts
 from drcopt.consensus import carried_multipliers, consensus_solve, flood_constraints, flood_slots
 from drcopt.graph import complete, directed_cycle, make_schedule
 from drcopt.solver import SolveReport, SolveStatus
 
 import helpers
 from helpers import per_slot_flood, random_connected_schedule
+
+
+def fresh_states(m):
+    return [AgentState(agent_id=i + 1, epsilon=0.01) for i in range(m)]
 
 
 def single_tuple_payloads(m):
@@ -57,14 +61,14 @@ class TestFlooding:
 
 class TestConsensusSolve:
     def test_first_iteration_lower_solution(self, case_study):
-        states = initial_states(case_study, 0.01)
+        states = fresh_states(case_study.m)
         payloads = [frozenset(lower_cuts(s)) for s in states]
         report, slots = consensus_solve(case_study, payloads, directed_cycle(6))
         assert slots == 5
         assert np.allclose(report.minimizer, [0.0, 1.0], atol=1e-8)
 
     def test_second_iteration_lower_solution(self, case_study):
-        states = initial_states(case_study, 0.01)
+        states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((1.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]
@@ -72,7 +76,7 @@ class TestConsensusSolve:
         assert np.allclose(report.minimizer, [0.0, 0.71875], atol=1e-6)
 
     def test_bitwise_consensus_across_topologies(self, case_study):
-        states = initial_states(case_study, 0.01)
+        states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((1.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]
@@ -89,7 +93,7 @@ class TestConsensusSolve:
             return real_solve(problem, x0, lam0)
 
         monkeypatch.setattr(consensus, "solve", counting_solve)
-        states = initial_states(case_study, 0.01)
+        states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((float(s.agent_id) / 6.0,))
         payloads = [frozenset(lower_cuts(s)) for s in states]

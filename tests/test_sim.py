@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from drcopt import agents, sim, solver
-from drcopt.agents import initial_states
 from drcopt.cli import METHODS, TABLE2_TOPOLOGIES
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
-from drcopt.llp import solve_llp
+from drcopt.llp import Verdict, solve_llp
 from drcopt.problem import NumericalFailure, example1_constraint
 from drcopt.sim import ConfigError, RunParams, run
 from drcopt.termination import run_stopping_round
@@ -85,33 +84,55 @@ class TestBatchedBounds:
     @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES)
     def test_records_equal_the_per_agent_oracle(self, case_study, monkeypatch, method, topology):
         # lower, upper and the gaps of every record, bit for bit, against
-        # the per-agent sums over the states the stopping round sees, at
-        # the lower point the agents' lower oracles last checked.
-        states, lower_points, expected = [], [], []
-        real_lower_oracle = agents.dlbd_oracle
-
-        def capturing_initial_states(instance, eps0):
-            states.extend(initial_states(instance, eps0))
-            return states
+        # the per-agent sums at the points the agents' oracles last checked,
+        # with each agent's feasibility read from its last upper verdict.
+        lower_points, upper_calls, expected = [], [], []
+        real_lower_oracle, real_upper_oracle = agents.dlbd_oracle, agents.dubd_oracle
 
         def recording_lower_oracle(state, instance, x_new):
             lower_points.append(x_new)
             return real_lower_oracle(state, instance, x_new)
 
+        def recording_upper_oracle(state, instance, z_new, r):
+            out = real_upper_oracle(state, instance, z_new, r)
+            upper_calls.append((z_new, out[0] is Verdict.FEASIBLE))
+            return out
+
         def checking_stopping_round(gaps, *args):
-            lower_x = lower_points[-1]
-            lower, upper = bound_values(states, case_study, lower_x)
-            expected.append((lower, upper, *(agent_gap(s, case_study, lower_x) for s in states)))
+            lower_x, (upper_x, _) = lower_points[-1], upper_calls[-1]
+            feasible = [ok for _, ok in upper_calls[-case_study.m :]]
+            lower, upper = bound_values(case_study, feasible, lower_x, upper_x)
+            gaps_oracle = (agent_gap(f, ok, lower_x, upper_x) for f, ok in zip(case_study.objectives, feasible))
+            expected.append((lower, upper, *gaps_oracle))
             return run_stopping_round(gaps, *args)
 
-        monkeypatch.setattr(sim, "initial_states", capturing_initial_states)
         monkeypatch.setattr(agents, "dlbd_oracle", recording_lower_oracle)
+        monkeypatch.setattr(agents, "dubd_oracle", recording_upper_oracle)
         monkeypatch.setattr(sim, "run_stopping_round", checking_stopping_round)
         result = run(case_study, TOPOLOGIES[topology](6), RunParams(method=method))
         assert result.terminated and len(expected) == len(result.records)
         for record, oracle in zip(result.records, expected):
             assert [v.hex() for v in (record.lower, record.upper, *record.gaps)] == [v.hex() for v in oracle]
         assert math.isinf(result.records[0].upper) and math.isfinite(result.final_upper)
+
+
+class TestRunExits:
+    def test_stop_with_infinite_upper_bound_raises(self, case_study, monkeypatch):
+        # At iteration 1 no agent has found the upper point feasible yet.
+        def stopping_at_once(gaps, *args):
+            assert math.inf in gaps
+            return (True, *run_stopping_round(gaps, *args)[1:])
+
+        monkeypatch.setattr(sim, "run_stopping_round", stopping_at_once)
+        with pytest.raises(NumericalFailure, match="stopping round fired with an infinite upper bound"):
+            run(case_study, directed_cycle(6), RunParams())
+
+    def test_infeasible_terminal_point_raises(self, case_study, monkeypatch):
+        # The terminal check is the run's own LLP solve at its exit point,
+        # apart from the upper oracles' verdicts.
+        monkeypatch.setattr(sim, "solve_llp", lambda constraint, x: (1e-6, np.zeros(1)))
+        with pytest.raises(NumericalFailure, match="terminal point is not locally feasible"):
+            run(case_study, directed_cycle(6), RunParams())
 
 
 class TestScaledInstance:
@@ -162,6 +183,8 @@ class TestParameterHandling:
         assert not result.terminated
         assert result.x_opt is None
         assert len(result.records) == 2
+        assert result.iterations == 2
+        assert len(result.final_states) == 6
 
     def test_inadmissible_restriction_raises(self, case_study):
         with pytest.raises(ConfigError):
