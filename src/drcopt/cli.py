@@ -77,11 +77,11 @@ def _build_from_config(config: dict):
         raise ConfigError(f"bad 'topology' field: {exc}") from None
     try:
         params = RunParams(
-            eps0=require_real(config.get("eps0", 0.01), "eps0"),
-            r=require_real(config.get("r", 2.0), "r"),
-            eps_f=require_real(config.get("eps_f", 0.01), "eps_f"),
-            method=str(config.get("method", "I")),
-            max_iter=config.get("max_iter", 500),
+            eps0=require_real(config.get("eps0", RunParams.eps0), "eps0"),
+            r=require_real(config.get("r", RunParams.r), "r"),
+            eps_f=require_real(config.get("eps_f", RunParams.eps_f), "eps_f"),
+            method=str(config.get("method", RunParams.method)),
+            max_iter=config.get("max_iter", RunParams.max_iter),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run parameter: {exc}") from None
@@ -290,22 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t2 = sub.add_parser("table2", help="run all 6 topology x method case-study combinations")
     p_t2.add_argument("--out", default="out")
-    p_t2.add_argument("--eps0", type=float, default=0.01)
-    p_t2.add_argument("--r", type=float, default=2.0)
-    p_t2.add_argument("--eps-f", dest="eps_f", type=float, default=0.01)
-    p_t2.add_argument("--max-iter", dest="max_iter", type=int, default=500)
+    p_t2.add_argument("--eps0", type=float, default=RunParams.eps0)
+    p_t2.add_argument("--r", type=float, default=RunParams.r)
+    p_t2.add_argument("--eps-f", dest="eps_f", type=float, default=RunParams.eps_f)
+    p_t2.add_argument("--max-iter", dest="max_iter", type=int, default=RunParams.max_iter)
     p_t2.set_defaults(func=cmd_table2)
 
     p_f3 = sub.add_parser("fig3", help="accuracy-vs-agents sweep with SVG plot")
     p_f3.add_argument("--out", default="out")
     p_f3.add_argument("--m-max", dest="m_max", type=int, default=50)
-    p_f3.add_argument("--eps-f", dest="eps_f", type=float, default=0.01)
+    p_f3.add_argument("--eps-f", dest="eps_f", type=float, default=RunParams.eps_f)
     p_f3.set_defaults(func=cmd_fig3)
 
     p_sw = sub.add_parser("sweep", help="accuracy sweep, CSV only")
     p_sw.add_argument("--out", default="out")
     p_sw.add_argument("--m-max", dest="m_max", type=int, default=50)
-    p_sw.add_argument("--eps-f", dest="eps_f", type=float, default=0.01)
+    p_sw.add_argument("--eps-f", dest="eps_f", type=float, default=RunParams.eps_f)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 

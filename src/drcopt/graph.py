@@ -70,19 +70,39 @@ def compute_connectivity_window(m: int, slots: tuple[frozenset[Edge], ...]) -> i
 class GraphSchedule:
     """Periodic sequence of directed edge sets over m nodes (1-based ids).
 
-    ``window`` is the connectivity window T of the slots, computed at
-    construction (also by ``dataclasses.replace``), so a schedule that is
-    not uniformly connected cannot be built: it raises
-    :class:`NotUniformlyConnected`.  Flooding rests on T alone (see
+    Construction (also by ``dataclasses.replace``) checks every edge,
+    stores each slot as a frozenset of int pairs, and computes ``window``,
+    the connectivity window T of the slots.  It raises ``ValueError``
+    for a non-integer ``m``, :class:`InvalidSize` for ``m < 1``,
+    ``ValueError`` for a non-integer endpoint, an endpoint outside 1..m
+    or a self-loop, and :class:`NotUniformlyConnected` for a schedule
+    that is not uniformly connected.  Flooding rests on T alone (see
     :mod:`drcopt.consensus`).
     """
 
     m: int
-    slots: tuple[frozenset[Edge], ...]
+    slots: tuple[frozenset[Edge], ...]  # any iterable of edge iterables on input
     window: int = field(init=False)  # T of uniform strong connectivity
 
     def __post_init__(self):
-        object.__setattr__(self, "window", compute_connectivity_window(self.m, self.slots))
+        m = require_integer(self.m, "node count")
+        if m < 1:
+            raise InvalidSize("node count must be >= 1")
+        slots = []
+        for edges in self.slots:
+            clean = set()
+            for j, i in edges:
+                j, i = require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")
+                if not (1 <= j <= m and 1 <= i <= m):
+                    raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
+                if j == i:
+                    raise ValueError("self-loops are implicit; do not store them")
+                clean.add((j, i))
+            slots.append(frozenset(clean))
+        slots = tuple(slots)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "window", compute_connectivity_window(m, slots))
 
     @property
     def period(self) -> int:
@@ -107,21 +127,8 @@ class GraphSchedule:
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:
-    """A schedule from edge sets, after checking each edge's endpoints."""
-    if m < 1:
-        raise InvalidSize("node count must be >= 1")
-    clean = []
-    for edges in slots:
-        es = frozenset(
-            (require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")) for j, i in edges
-        )
-        for j, i in es:
-            if not (1 <= j <= m and 1 <= i <= m):
-                raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
-            if j == i:
-                raise ValueError("self-loops are implicit; do not store them")
-        clean.append(es)
-    return GraphSchedule(m=m, slots=tuple(clean))
+    """A schedule from edge sets; :class:`GraphSchedule` checks each edge."""
+    return GraphSchedule(m=m, slots=slots)
 
 
 def directed_cycle(m: int) -> GraphSchedule:

@@ -28,7 +28,7 @@ class NumericalFailure(RuntimeError):
 def require_integer(value, name: str) -> int:
     """``value`` as an int; ValueError unless it is an integer (``bool`` is not one)."""
     # A plain int skips the ABC check, which costs about 0.5 us per call
-    # and make_schedule checks every edge endpoint.
+    # and a GraphSchedule checks every edge endpoint.
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -70,10 +70,9 @@ class LocalObjective:
     P holding one member's coefficients per row, and returns the values
     (k,), gradients (k, n) and exact, symmetric Hessians (k, n, n) of
     those k members at x, never None.  A constant Hessian may be a
-    read-only ``np.broadcast_to`` view of one array.  The solver
-    evaluates all objectives of a subproblem in one call when they share
-    one ``batch``, and stacks each member's one-row call otherwise; row j
-    must not depend on the other rows.
+    read-only ``np.broadcast_to`` view of one array.  Row j must not
+    depend on the other rows: :func:`drcopt.solver.family_terms` calls
+    the kernel once for a family and row by row for mixed objectives.
     """
 
     batch: Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -105,14 +104,13 @@ class SemiInfiniteConstraint:
     a single row for all k) and Y of shape (k, n_y), and returns the
     values g_j(x, Y[j]) (k,), x-gradients (k, n) and exact, symmetric
     x-Hessians (k, n, n) of those k pairs, never None: the solver's Newton
-    steps use them as they are.  Row j must not depend on the other rows.
-    A constant Hessian may be a read-only ``np.broadcast_to`` view of one
-    array, which costs nothing per row.  The solver evaluates all cuts of
-    a subproblem in one call when their constraints share one ``batch``
-    (else it stacks each cut's one-row call), and the numeric lower-level
-    problem scans its grid in one call.  ``analytic_argmax``, when
-    present, maps x to the global maximizer of g(x, .) over the
-    uncertainty box.
+    steps use them as they are.  A constant Hessian may be a read-only
+    ``np.broadcast_to`` view of one array, which costs nothing per row.
+    Row j must not depend on the other rows: the solver evaluates a
+    subproblem's cuts through :func:`drcopt.solver.family_terms`, and the
+    numeric lower-level problem scans its grid in one call.
+    ``analytic_argmax``, when present, maps x to the global maximizer of
+    g(x, .) over the uncertainty box.
     """
 
     batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

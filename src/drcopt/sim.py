@@ -24,7 +24,7 @@ from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import Verdict, solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
-from .solver import FEASIBILITY_TOL, SolveStatus, objective_terms
+from .solver import FEASIBILITY_TOL, SolveStatus, family_terms
 from .termination import run_stopping_round
 
 
@@ -71,11 +71,14 @@ class IterationRecord:
 class RunResult:
     records: list[IterationRecord]
     terminated: bool
-    iterations: int
     x_opt: list[Vector] | None
     method: str
     accuracy_bound: float
-    final_states: list[AgentState] = field(repr=False, default=None)
+    final_states: list[AgentState] = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
 
     @property
     def final_lower(self) -> float:
@@ -96,7 +99,7 @@ def _check_solver_status(report, phase: str):
 def _bounds_and_gaps(terms, feasible: list[bool], lower_x: Vector, upper_x: Vector):
     """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
 
-    ``terms`` is :func:`drcopt.solver.objective_terms` of the agents'
+    ``terms`` is :func:`drcopt.solver.family_terms` of the agents'
     objectives.  ``lower_x`` and ``upper_x`` are the consensus points
     every agent's oracles checked, and ``feasible[i]`` is whether agent
     i + 1's upper oracle found ``upper_x`` feasible.  lower and upper add
@@ -122,7 +125,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
     states = [AgentState(agent_id=i + 1, epsilon=params.eps0) for i in range(instance.m)]
-    terms = objective_terms(instance.objectives)
+    terms = family_terms(instance.objectives)
     bound = (
         method1_accuracy(instance.m, params.eps_f)
         if params.method == "I"
@@ -188,7 +191,6 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     return RunResult(
         records=records,
         terminated=stop,
-        iterations=len(records),
         x_opt=[upper_x.copy() for _ in states] if stop else None,
         method=params.method,
         accuracy_bound=bound,

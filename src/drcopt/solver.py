@@ -45,12 +45,6 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
-def _shared_batch(members):
-    """The ``batch`` function every member has, or None (no members, or several kernels)."""
-    kernels = {member.batch for member in members}
-    return kernels.pop() if len(kernels) == 1 else None
-
-
 def _exact(terms):
     """A kernel's (values, gradients, Hessians), refused when the Hessians are missing."""
     if terms[2] is None:
@@ -58,35 +52,36 @@ def _exact(terms):
     return terms
 
 
-def _stacked(calls):
-    """x -> the one-row results of ``calls``, each (kernel, *args), stacked row by row."""
+def family_terms(members, *rows):
+    """x -> (values, gradients, Hessians) of a kernel family, one row per member.
+
+    ``members`` are objectives or constraints (see the ``batch`` contract
+    in :mod:`drcopt.problem`).  Each of ``rows`` holds one further kernel
+    argument per member, a 1-D array (a cut's scenario).  Members that
+    share one ``batch`` take one call with their coefficients and rows
+    stacked; mixed members take one one-row call each, stacked in order.
+    An empty family gives (0,), (0, n) and (0, n, n) arrays for an
+    n-vector x.  A kernel that returns None for the Hessians raises
+    ``TypeError`` at its first call.
+    """
+    kernels = {member.batch for member in members}
+    if len(kernels) == 1:
+        batch = kernels.pop()
+        args = [np.array([member.coefficients for member in members]), *map(np.array, rows)]
+        return lambda x: _exact(batch(x, *args))
+    calls = [
+        (member.batch, member.coefficients[None, :], *(row[None, :] for row in member_rows))
+        for member, *member_rows in zip(members, *rows)
+    ]
 
     def terms(x):
-        rows = [_exact(kernel(x, *args)) for kernel, *args in calls]
-        return tuple(np.concatenate(parts) for parts in zip(*rows))
+        if not calls:
+            n = len(x)
+            return np.zeros(0), np.zeros((0, n)), np.zeros((0, n, n))
+        parts = [_exact(kernel(x, *args)) for kernel, *args in calls]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     return terms
-
-
-def objective_terms(objectives):
-    """x -> (values, gradients, Hessians) of the objectives, one row per objective."""
-    batch = _shared_batch(objectives)
-    if batch is not None:
-        coefficients = np.array([f.coefficients for f in objectives])
-        return lambda x: _exact(batch(x, coefficients))
-    return _stacked([(f.batch, f.coefficients[None, :]) for f in objectives])
-
-
-def _cut_terms(constraints, scenarios, n: int):
-    """x -> (values, x-gradients, x-Hessians) of g_a(x, y_j), one row per cut."""
-    if not constraints:
-        return lambda x: (np.zeros(0), np.zeros((0, n)), np.zeros((0, n, n)))
-    batch = _shared_batch(constraints)
-    if batch is not None:
-        coefficients = np.array([g.coefficients for g in constraints])
-        ys = np.array(scenarios)
-        return lambda x: _exact(batch(x, coefficients, ys))
-    return _stacked([(g.batch, g.coefficients[None, :], y[None, :]) for g, y in zip(constraints, scenarios)])
 
 
 def _read_only(a):
@@ -103,14 +98,10 @@ class FiniteSubproblem:
 
     Built from an instance and any iterable of cuts, which it sorts into
     canonical order.  On construction the objectives' and the cuts' data
-    are gathered into arrays once.  :meth:`evaluate` computes each family
-    (the objectives, the cuts) with one kernel call when its members
-    share one ``batch`` function, and stacks each member's one-row call
-    of its own kernel otherwise (see the ``batch`` contract in
-    :mod:`drcopt.problem`; a kernel that returns None for the Hessians
-    raises ``TypeError`` at its first call).  It remembers the last point
-    it evaluated: the solver asks for the same point several times in a
-    row.
+    are gathered into arrays once, and :meth:`evaluate` computes each
+    family (the objectives, the cuts) through :func:`family_terms`.  It
+    remembers the last point it evaluated: the solver asks for the same
+    point several times in a row.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
@@ -127,8 +118,8 @@ class FiniteSubproblem:
             y_box = np.concatenate([g.uncertainty_box for g in constraints])
             if (y < y_box[:, 0] - 1e-12).any() or (y > y_box[:, 1] + 1e-12).any():
                 raise ValueError("cut scenario lies outside its agent's uncertainty box")
-        self._objective_terms = objective_terms(instance.objectives)
-        self._cut_terms = _cut_terms(constraints, scenarios, self.n)
+        self._f_terms = family_terms(instance.objectives)
+        self._g_terms = family_terms(constraints, scenarios)
         self._memo_key, self._memo = None, None
         self._hess_terms, self._hess_sum = None, None
 
@@ -151,8 +142,8 @@ class FiniteSubproblem:
         """
         key = x.tobytes()
         if key != self._memo_key:
-            f_values, f_grads, f_hess = self._objective_terms(x)
-            g_values, g_grads, g_hess = self._cut_terms(x)
+            f_values, f_grads, f_hess = self._f_terms(x)
+            g_values, g_grads, g_hess = self._g_terms(x)
             # A constant family Hessian comes back as the same read-only
             # array at every point: sum it once.
             if f_hess is not self._hess_terms or f_hess.flags.writeable:
@@ -183,10 +174,9 @@ def _project(x: Vector, box: Vector) -> Vector:
     return np.minimum(np.maximum(x, box[:, 0]), box[:, 1])
 
 
-def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers, box: Vector) -> float:
-    """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||, lambda zero when omitted."""
-    if multipliers is not None:
-        grad = grad + jac.T.dot(multipliers)
+def _kkt_residual(x: Vector, grad: Vector, jac: np.ndarray, multipliers: np.ndarray, box: Vector) -> float:
+    """|| x - proj_box(x - (grad f + sum lambda_j grad c_j)) ||."""
+    grad = grad + jac.T.dot(multipliers)
     # What np.linalg.norm computes for a vector, without its dispatch.
     r = x - _project(x - grad, box)
     return math.sqrt(float(r.dot(r)))
@@ -211,7 +201,7 @@ def _require_finite(f: float, grad: Vector, where: str) -> None:
         raise NumericalFailure(f"non-finite objective or gradient {where}")
 
 
-def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
+def minimize(fun_grad, x0: Vector, box: Vector) -> MinimizeResult:
     """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box.
 
     ``hess`` is the exact, symmetric Hessian of ``f`` at ``x``.
@@ -227,7 +217,7 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
 
     Stops when ``max|x - P(x - grad)| <= 1e-12``, or when a step can no
     longer change ``x`` or ``f`` at float resolution, or after
-    ``max_iter`` steps.  Every operation is a fixed function of the
+    ``MAX_INNER`` steps.  Every operation is a fixed function of the
     input, so repeated calls agree bit for bit.  A non-finite ``f`` or
     gradient at the start or at an accepted iterate, or a non-finite
     Hessian, raises :class:`NumericalFailure`.
@@ -237,7 +227,7 @@ def minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult
     f, grad, hess = fun_grad(x)
     _require_finite(f, grad, "at the start point")
     nit, nfev = 0, 1
-    while nit < max_iter:
+    while nit < MAX_INNER:
         pg = _projected_gradient(x, grad, box)
         if pg <= 1e-12:
             break
@@ -305,7 +295,7 @@ def _feasibility_phase(problem: FiniteSubproblem) -> float:
         grad = jac.T @ pos
         return 0.5 * float(pos @ pos), grad, _cut_curvature(jac, cut_hess, pos, 1.0)
 
-    x = minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
+    x = minimize(fun_grad, problem.box.mean(axis=1), problem.box).x
     return float(problem.evaluate(x)[2].max(initial=0.0))
 
 
@@ -374,7 +364,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
                 hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
             return f, grad, hess
 
-        x = minimize(fun_grad, x, problem.box, MAX_INNER).x
+        x = minimize(fun_grad, x, problem.box).x
 
         f, grad, c, jac, _, _ = problem.evaluate(x)
         viol = float(c.max(initial=0.0))

@@ -6,7 +6,7 @@ import pytest
 from drcopt.agents import AgentState, dlbd_oracle, dubd_oracle, lower_cuts, upper_cuts
 from drcopt.llp import Verdict
 from drcopt.sim import RunParams, _bounds_and_gaps
-from drcopt.solver import FiniteSubproblem, objective_terms
+from drcopt.solver import FiniteSubproblem, family_terms
 
 from helpers import F_STAR, X_STAR, agent_gap, bound_values
 
@@ -92,7 +92,7 @@ class TestSubproblemBuilders:
 
 def assert_matches_oracle(instance, feasible, lower_x, upper_x):
     """drcopt.sim's (lower, upper, gaps) against the per-agent oracle."""
-    lower, upper, gaps = _bounds_and_gaps(objective_terms(instance.objectives), feasible, lower_x, upper_x)
+    lower, upper, gaps = _bounds_and_gaps(family_terms(instance.objectives), feasible, lower_x, upper_x)
     expected = bound_values(instance, feasible, lower_x, upper_x) + tuple(
         agent_gap(f, ok, lower_x, upper_x) for f, ok in zip(instance.objectives, feasible)
     )

@@ -13,8 +13,9 @@ import pytest
 import drcopt.agents
 import drcopt.cli
 import drcopt.graph
-from drcopt.cli import _build_from_config, main
+from drcopt.cli import _build_from_config, build_parser, main
 from drcopt.problem import NumericalFailure
+from drcopt.sim import RunParams
 
 from helpers import F_STAR
 
@@ -382,6 +383,28 @@ class TestNumericalFailure:
         assert main(["run", cfg, "--out", str(out), "--plot"]) == 3
         assert sorted(path.name for path in out.iterdir()) == ["results.json"]
         assert not json.loads((out / "results.json").read_text())["terminated"]
+
+
+class TestRunDefaults:
+    """The command line and the config reader take their run defaults from RunParams."""
+
+    def test_table2_flags(self):
+        args = build_parser().parse_args(["table2"])
+        defaults = RunParams()
+        assert (args.eps0, args.r, args.eps_f, args.max_iter) == (
+            defaults.eps0,
+            defaults.r,
+            defaults.eps_f,
+            defaults.max_iter,
+        )
+
+    @pytest.mark.parametrize("command", ["fig3", "sweep"])
+    def test_sweep_eps_f(self, command):
+        assert build_parser().parse_args([command]).eps_f == RunParams().eps_f
+
+    def test_empty_config(self):
+        _, _, params = _build_from_config({})
+        assert params == RunParams()
 
 
 class TestTable2:

@@ -183,6 +183,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="range"):
             make_schedule(2, [{(1, 3), (2, 1)}])
 
+    # A GraphSchedule built directly runs the same checks as make_schedule.
+    def test_direct_out_of_range_endpoint_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1,5\) out of node range 1..3"):
+            GraphSchedule(m=3, slots=(frozenset({(1, 5)}),))
+
+    def test_direct_float_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+            GraphSchedule(m=2, slots=(frozenset({(1.0, 2.0), (2, 1)}),))
+
+    def test_direct_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="elf-loop"):
+            GraphSchedule(m=2, slots=(frozenset({(1, 1), (1, 2), (2, 1)}),))
+
+    def test_direct_zero_nodes_rejected(self):
+        with pytest.raises(InvalidSize, match="node count must be >= 1"):
+            GraphSchedule(m=0, slots=(frozenset(),))
+
+    @pytest.mark.parametrize("m", [True, 2.0])
+    def test_direct_non_integer_node_count_rejected(self, m):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            GraphSchedule(m=m, slots=(frozenset(),))
+
+    def test_slots_stored_as_frozensets_of_int_pairs(self):
+        s = GraphSchedule(m=2, slots=[[(np.int64(1), 2)], {(2, 1)}])
+        assert s.slots == (frozenset({(1, 2)}), frozenset({(2, 1)}))
+        assert all(type(v) is int for edges in s.slots for edge in edges for v in edge)
+        assert s == make_schedule(2, [{(1, 2)}, {(2, 1)}])
+
     def test_config_explicit(self):
         s = schedule_from_config({"topology": "explicit", "m": 2, "slots": [[[1, 2]], [[2, 1]]]})
         assert s.window == 2

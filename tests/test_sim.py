@@ -25,6 +25,10 @@ class TestCaseStudyRun:
         assert cycle_run.terminated
         assert 1 < cycle_run.iterations <= 50
 
+    def test_iterations_are_the_records(self, cycle_run):
+        assert cycle_run.iterations == len(cycle_run.records)
+        assert "iterations" not in {f.name for f in dataclasses.fields(sim.RunResult)}
+
     def test_final_bounds_sandwich_known_optimum(self, cycle_run):
         assert cycle_run.final_lower <= F_STAR + 1e-9
         assert cycle_run.final_upper >= F_STAR - 1e-9

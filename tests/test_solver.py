@@ -17,7 +17,7 @@ from drcopt.problem import (
     quadratic_distance,
 )
 from drcopt.sim import RunParams, run
-from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
+from drcopt.solver import FiniteSubproblem, SolveStatus, family_terms, minimize, solve
 
 from helpers import case_study_grid_min, reference_minimize, reference_solve, subproblem_cut_view
 
@@ -115,6 +115,9 @@ class TestHandDerivedSubproblems:
 
 
 def stationarity_residual(problem, x, multipliers=None):
+    """The projected KKT residual at x, with zero multipliers when none are given."""
+    if multipliers is None:
+        multipliers = np.zeros(len(problem.cuts))
     _, grad, _, jac, _, _ = problem.evaluate(x)
     return solver._kkt_residual(x, grad, jac, multipliers, problem.box)
 
@@ -318,14 +321,14 @@ class TestFusedEvaluation:
         missing, results = Counter(), []
         real_minimize = solver.minimize
 
-        def checking_minimize(fun_grad, x0, box, max_iter):
+        def checking_minimize(fun_grad, x0, box):
             def checked(x):
                 f, grad, hess = fun_grad(x)
                 missing["calls"] += 1
                 missing["no hessian"] += hess is None
                 return f, grad, hess
 
-            results.append(real_minimize(checked, x0, box, max_iter))
+            results.append(real_minimize(checked, x0, box))
             return results[-1]
 
         monkeypatch.setattr(solver, "minimize", checking_minimize)
@@ -361,9 +364,9 @@ class TestFusedEvaluation:
         functions = []
         real_minimize = solver.minimize
 
-        def recording_minimize(fun_grad, x0, box, max_iter):
+        def recording_minimize(fun_grad, x0, box):
             functions.append(fun_grad)
-            return real_minimize(fun_grad, x0, box, max_iter)
+            return real_minimize(fun_grad, x0, box)
 
         monkeypatch.setattr(solver, "minimize", recording_minimize)
         solve(FiniteSubproblem(mixed, cuts))
@@ -374,6 +377,10 @@ class TestFusedEvaluation:
                 hess = fun_grad(x)[2]
                 columns = [(fun_grad(x + e)[1] - fun_grad(x - e)[1]) / (2 * h) for e in np.eye(2) * h]
                 assert np.allclose(hess, np.column_stack(columns), rtol=1e-5, atol=1e-4)
+
+    def test_empty_family_has_zero_rows(self):
+        values, grads, hessians = family_terms([], [])(np.zeros(3))
+        assert (values.shape, grads.shape, hessians.shape) == ((0,), (0, 3), (0, 3, 3))
 
     def test_mixed_family_takes_the_per_cut_loop(self, case_study):
         # Two constraint kernels: every cut is a one-row call of its own.
@@ -430,7 +437,7 @@ class TestMinimize:
             x0 = rng.uniform(-1.0, 1.0, n)
             reference = lbfgsb(fun_grad, x0, box)
             f_reference = fun_grad(reference)[0]
-            result = minimize(fun_grad, x0, box, 500)
+            result = minimize(fun_grad, x0, box)
             assert np.max(np.abs(result.x - reference)) <= 1e-8
             assert np.max(np.abs(result.x - x_star)) <= 1e-8
             # Newton steps: two on an interior quadratic (one, then a
@@ -442,7 +449,7 @@ class TestMinimize:
     def test_repeated_call_is_bitwise_equal(self, rng):
         fun_grad, box, _ = box_quadratic(rng, 4, "lower")
         x0 = rng.uniform(-1.0, 1.0, 4)
-        a, b = minimize(fun_grad, x0, box, 500), minimize(fun_grad, x0, box, 500)
+        a, b = minimize(fun_grad, x0, box), minimize(fun_grad, x0, box)
         assert a.x.tobytes() == b.x.tobytes()
         assert (a.nit, a.nfev) == (b.nit, b.nfev)
 
@@ -454,7 +461,7 @@ class TestMinimize:
             calls.append(x)
             return fun_grad(x)
 
-        result = minimize(counted, np.zeros(3), box, 500)
+        result = minimize(counted, np.zeros(3), box)
         # nfev counts the start and every trial point, one per call; each
         # accepted step took at least one trial.
         assert result.nit >= 1 and result.nfev == len(calls) >= 1 + result.nit
@@ -464,8 +471,8 @@ class TestMinimize:
         fun_grad, box, x_star = box_quadratic(rng, 2, case)
         # The constructed optimum only up to rounding: start from the
         # minimizer's own answer, which passes the 1e-12 test.
-        x_opt = minimize(fun_grad, x_star, box, 500).x
-        result = minimize(fun_grad, x_opt, box, 500)
+        x_opt = minimize(fun_grad, x_star, box).x
+        result = minimize(fun_grad, x_opt, box)
         assert (result.nit, result.nfev) == (0, 1)
         assert result.x.tobytes() == x_opt.tobytes()
 
@@ -564,8 +571,8 @@ def table2_solves(case_study):
         calls.append((problem, x0, lam0, report))
         return report
 
-    def counting_minimize(fun_grad, x0, box, max_iter):
-        result = real_minimize(fun_grad, x0, box, max_iter)
+    def counting_minimize(fun_grad, x0, box):
+        result = real_minimize(fun_grad, x0, box)
         work["newton"] += result.nit
         work["fun_grad"] += result.nfev
         return result
@@ -656,14 +663,14 @@ class TestNonFinite:
             return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x, 2.0 * np.eye(2)
 
         with pytest.raises(NumericalFailure, match="at an accepted iterate"):
-            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
+            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]))
 
     def test_non_finite_supplied_hessian_raises(self):
         def fun_grad(x):
             return float(x @ x), 2.0 * x, np.array([[2.0, np.inf], [np.inf, 2.0]])
 
         with pytest.raises(NumericalFailure, match="non-finite Hessian"):
-            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]), 500)
+            minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]))
 
 
 class TestReferenceSolver:
@@ -699,7 +706,7 @@ class TestReferenceSolver:
         for n in (2, 3, 5):
             fun_grad, box, _ = box_quadratic(rng, n, case)
             x0 = rng.uniform(-1.0, 1.0, n)
-            a, b = minimize(fun_grad, x0, box, 500), reference_minimize(fun_grad, x0, box, 500)
+            a, b = minimize(fun_grad, x0, box), reference_minimize(fun_grad, x0, box, 500)
             assert a.x.tobytes() == b.x.tobytes()
             assert (a.nit, a.nfev) == (b.nit, b.nfev)
 
