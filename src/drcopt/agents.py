@@ -1,13 +1,16 @@
 """Per-agent algorithm state: scenario sets, restriction parameter, oracles.
 
-Each outer iteration an agent receives the consensus minimizer of the
+Each outer iteration every agent receives the consensus minimizer of the
 lower (respectively upper) subproblem, checks it against its own
 semi-infinite constraint via the lower-level problem, and either grows
-its scenario set or (upper side) relaxes its restriction parameter.
+its scenario set or (upper side) relaxes its restriction parameter.  All
+agents check the same point, so each oracle acts on a list of agents in
+one lower-level pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,34 +43,38 @@ def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
     scenarios.append(tuple(float(v) for v in np.atleast_1d(y)))
 
 
-def dlbd_oracle(state: AgentState, instance: ProblemInstance, x_new: Vector) -> tuple[Verdict, float]:
-    """Lower-side oracle: cut if the consensus point is infeasible."""
-    constraint = instance.constraints[state.agent_id - 1]
-    g_max, y_star = solve_llp(constraint, x_new)
-    verdict = feasibility_verdict(g_max)
-    if verdict is Verdict.VIOLATED:
-        _append_scenario(state.lower_scenarios, y_star)
-    return verdict, g_max
+def dlbd_oracle(states: list[AgentState], instance: ProblemInstance, x_new: Vector) -> tuple[list[Verdict], np.ndarray]:
+    """Lower-side oracles of ``states`` at the consensus point: each cuts if it is infeasible.
+
+    Returns the verdicts and the (len(states),) array of g_max.
+    """
+    g_max, y_star = solve_llp([instance.constraints[s.agent_id - 1] for s in states], x_new)
+    verdicts = [feasibility_verdict(g) for g in g_max.tolist()]
+    for state, verdict, y in zip(states, verdicts, y_star):
+        if verdict is Verdict.VIOLATED:
+            _append_scenario(state.lower_scenarios, y)
+    return verdicts, g_max
 
 
 def dubd_oracle(
-    state: AgentState, instance: ProblemInstance, z_new: Vector, r: float
-) -> tuple[Verdict, float]:
-    """Upper-side oracle: cut on violation, shrink epsilon by r on feasibility.
+    states: list[AgentState], instance: ProblemInstance, z_new: Vector, r: float
+) -> tuple[list[Verdict], np.ndarray]:
+    """Upper-side oracles of ``states``: each cuts on violation and shrinks its epsilon by r on feasibility.
 
-    The verdict is the caller's record of whether ``z_new`` is feasible
-    for this agent.
+    Returns the verdicts, the caller's record of whether ``z_new`` is
+    feasible for each agent, and the (len(states),) array of g_max.
     """
-    if r <= 1.0:
-        raise ValueError("reduction parameter r must exceed 1")
-    constraint = instance.constraints[state.agent_id - 1]
-    g_max, y_star = solve_llp(constraint, z_new)
-    verdict = feasibility_verdict(g_max)
-    if verdict is Verdict.VIOLATED:
-        _append_scenario(state.upper_scenarios, y_star)
-    else:
-        state.epsilon = state.epsilon / r
-    return verdict, g_max
+    # Negated comparison so that NaN is rejected too.
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"reduction parameter r must exceed 1 and be finite, got {r}")
+    g_max, y_star = solve_llp([instance.constraints[s.agent_id - 1] for s in states], z_new)
+    verdicts = [feasibility_verdict(g) for g in g_max.tolist()]
+    for state, verdict, y in zip(states, verdicts, y_star):
+        if verdict is Verdict.VIOLATED:
+            _append_scenario(state.upper_scenarios, y)
+        else:
+            state.epsilon = state.epsilon / r
+    return verdicts, g_max
 
 
 def lower_cuts(state: AgentState) -> list[Cut]:

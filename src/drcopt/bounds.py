@@ -8,6 +8,7 @@ in-neighborhood of one strongly connected window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import GraphSchedule
@@ -15,8 +16,8 @@ from .graph import GraphSchedule
 
 def method1_accuracy(m: int, eps_f: float) -> float:
     # Negated comparison so that NaN is rejected too.
-    if m < 1 or not eps_f > 0.0:
-        raise ValueError("need m >= 1 and eps_f > 0")
+    if m < 1 or not 0.0 < eps_f < math.inf:
+        raise ValueError("need m >= 1 and a positive, finite eps_f")
     return m * eps_f
 
 
@@ -39,8 +40,8 @@ def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:
     rule: fill variables to eps_f in ascending weight order, fractional
     last.
     """
-    if not eps_f > 0.0:
-        raise ValueError("eps_f must be positive")
+    if not 0.0 < eps_f < math.inf:
+        raise ValueError("eps_f must be positive and finite")
     weights = neighborhood_weights(schedule)
     capacity = schedule.m * schedule.window * eps_f
     total = 0.0

@@ -175,10 +175,10 @@ def cmd_table2(args) -> int:
             except NumericalFailure as exc:
                 _numerical_failure(exc)
                 return 3
-            # A run that hit --max-iter has no exit point to check.
-            feasible = result.terminated and all(
-                solve_llp(c, x)[0] <= FEASIBILITY_TOL
-                for c, x in zip(instance.constraints, result.x_opt)
+            # A run that hit --max-iter has no exit point to check; every
+            # agent of a terminated run holds the same point.
+            feasible = result.terminated and bool(
+                (solve_llp(instance.constraints, result.x_opt[0])[0] <= FEASIBILITY_TOL).all()
             )
             rows.append((method, topology, result, feasible))
 

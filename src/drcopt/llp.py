@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .problem import SemiInfiniteConstraint, Vector
+from .solver import family_terms
 
 GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
 
@@ -85,14 +87,27 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     return float(scores[best]), np.array([candidates[best]])
 
 
-def solve_llp(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:
-    """Return (g_max, y_star) with y_star a global maximizer of g(x, .).
+def solve_llp(constraints: Sequence[SemiInfiniteConstraint], x: Vector) -> tuple[np.ndarray, list[Vector]]:
+    """Return (g_max, y_star) for every constraint at the one point x.
 
-    Uses the constraint's analytic maximizer when available, otherwise
-    the numeric grid-and-refine path.
+    ``g_max`` is a (k,) array and ``y_star`` a list of k global
+    maximizers, member j's of g_j(x, .).  Members with an analytic
+    maximizer are evaluated there through one
+    :func:`drcopt.solver.family_terms` pass (one kernel call for members
+    that share a kernel, one one-row call each otherwise); since a
+    kernel's rows are independent, each value equals
+    ``constraint.evaluate(x, y_star)`` to the bit.  Each other member
+    takes the numeric grid-and-refine path.
     """
     x = np.asarray(x, dtype=float)
-    if constraint.analytic_argmax is not None:
-        y_star = np.asarray(constraint.analytic_argmax(x), dtype=float)
-        return constraint.evaluate(x, y_star), y_star
-    return solve_llp_numeric(constraint, x)
+    g_max = np.empty(len(constraints))
+    y_star, closed = [], []
+    for j, constraint in enumerate(constraints):
+        if constraint.analytic_argmax is None:
+            g_max[j], y = solve_llp_numeric(constraint, x)
+        else:
+            y = np.asarray(constraint.analytic_argmax(x), dtype=float)
+            closed.append(j)
+        y_star.append(y)
+    g_max[closed] = family_terms([constraints[j] for j in closed], [y_star[j] for j in closed])(x)[0]
+    return g_max, y_star

@@ -1,13 +1,13 @@
 """Sequential lock-step orchestration of the full distributed algorithm.
 
 Each outer iteration: flood + consensus-solve the lower subproblem, run
-every agent's lower oracle, flood + consensus-solve the upper subproblem,
-run the upper oracles, then one distributed stopping round.  Flooding
-delivers the union of the cuts by the schedule's connectivity window, so
-it is not simulated, but its T*(m-1) slots still advance the schedule's
-slot pointer: each stopping round is simulated slot by slot from the
-slot where the flooding before it ended, so time-varying graphs are
-genuinely exercised.
+the agents' lower oracles in one pass, flood + consensus-solve the upper
+subproblem, run the upper oracles in one pass, then one distributed
+stopping round.  Flooding delivers the union of the cuts by the
+schedule's connectivity window, so it is not simulated, but its T*(m-1)
+slots still advance the schedule's slot pointer: each stopping round is
+simulated slot by slot from the slot where the flooding before it ended,
+so time-varying graphs are genuinely exercised.
 """
 
 from __future__ import annotations
@@ -146,14 +146,14 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
-        g_max_lower = tuple(agents.dlbd_oracle(s, instance, lower_x)[1] for s in states)
+        _, g_max_lower = agents.dlbd_oracle(states, instance, lower_x)
 
         payloads = [frozenset(agents.upper_cuts(s)) for s in states]
         upper_report, used = consensus_solve(instance, payloads, schedule, upper_report)
         slot += used
         _check_solver_status(upper_report, "upper")
         upper_x = upper_report.minimizer
-        verdicts, g_max_upper = zip(*(agents.dubd_oracle(s, instance, upper_x, params.r) for s in states))
+        verdicts, g_max_upper = agents.dubd_oracle(states, instance, upper_x, params.r)
         feasible = [v is Verdict.FEASIBLE for v in verdicts]
 
         lower, upper, gaps = _bounds_and_gaps(terms, feasible, lower_x, upper_x)
@@ -171,8 +171,8 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
                 k=k,
                 lower=lower,
                 upper=upper,
-                g_max_lower=g_max_lower,
-                g_max_upper=g_max_upper,
+                g_max_lower=tuple(g_max_lower.tolist()),
+                g_max_upper=tuple(g_max_upper.tolist()),
                 epsilons=tuple(s.epsilon for s in states),
                 gaps=tuple(gaps),
                 slots_consumed=slot - slots_at_start,
@@ -182,10 +182,9 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
         if stop:
             if not all(feasible):
                 raise NumericalFailure("stopping round fired with an infinite upper bound")
-            for constraint in instance.constraints:
-                g_max, _ = solve_llp(constraint, upper_x)
-                if g_max > FEASIBILITY_TOL:
-                    raise NumericalFailure("terminal point is not locally feasible")
+            g_max, _ = solve_llp(instance.constraints, upper_x)
+            if (g_max > FEASIBILITY_TOL).any():
+                raise NumericalFailure("terminal point is not locally feasible")
             break
 
     return RunResult(

@@ -204,7 +204,10 @@ def _require_finite(f: float, grad: Vector, where: str) -> None:
 def minimize(fun_grad, x0: Vector, box: Vector) -> MinimizeResult:
     """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box.
 
-    ``hess`` is the exact, symmetric Hessian of ``f`` at ``x``.
+    ``hess`` takes no arguments and returns the exact, symmetric Hessian
+    of ``f`` at ``x``; it is called only at an iterate about to take a
+    Newton step, so a trial point that is rejected, or the point the
+    method stops at, never builds one.
     Projected Newton method (Bertsekas, SIAM J. Control Optim. 1982).
     Each step splits the variables by an epsilon-active set: a variable
     within ``eps = min(1e-3, ||x - P(x - grad)||_inf)`` of a bound, with
@@ -237,7 +240,7 @@ def minimize(fun_grad, x0: Vector, box: Vector) -> MinimizeResult:
         whole = len(free) == len(x)
         d = -grad
         if len(free):
-            hessian = hess if whole else hess[np.ix_(free, free)]
+            hessian = hess() if whole else hess()[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
                 raise NumericalFailure("non-finite Hessian")
             w, v = np.linalg.eigh(hessian)
@@ -293,7 +296,7 @@ def _feasibility_phase(problem: FiniteSubproblem) -> float:
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
         grad = jac.T @ pos
-        return 0.5 * float(pos @ pos), grad, _cut_curvature(jac, cut_hess, pos, 1.0)
+        return 0.5 * float(pos @ pos), grad, lambda: _cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = minimize(fun_grad, problem.box.mean(axis=1), problem.box).x
     return float(problem.evaluate(x)[2].max(initial=0.0))
@@ -359,10 +362,12 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
             shifted = np.maximum(0.0, lam + mu * c)
             f += float((shifted.dot(shifted) - lam_sq) / two_mu)
             grad = grad + jac.T.dot(shifted)
-            # With every cut slack the penalty adds no curvature.
-            if shifted.any():
-                hess = hess + _cut_curvature(jac, cut_hess, shifted, mu)
-            return f, grad, hess
+
+            def curvature():
+                # With every cut slack the penalty adds no curvature.
+                return hess + _cut_curvature(jac, cut_hess, shifted, mu) if shifted.any() else hess
+
+            return f, grad, curvature
 
         x = minimize(fun_grad, x, problem.box).x
 

@@ -301,7 +301,7 @@ def _ref_require_finite(f: float, grad: Vector, where: str) -> None:
 
 
 def reference_minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> MinimizeResult:
-    """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box."""
+    """Minimize a smooth convex ``fun_grad(x) -> (f, grad, hess)`` over a box; ``hess()`` is the Hessian."""
     lo, hi = box[:, 0], box[:, 1]
     x = _ref_project(np.asarray(x0, dtype=float), box)
     f, grad, hess = fun_grad(x)
@@ -316,7 +316,7 @@ def reference_minimize(fun_grad, x0: Vector, box: Vector, max_iter: int) -> Mini
         free = np.flatnonzero(~active)
         d = -grad
         if len(free):
-            hessian = hess if len(free) == len(x) else hess[np.ix_(free, free)]
+            hessian = hess() if len(free) == len(x) else hess()[np.ix_(free, free)]
             if not np.isfinite(hessian).all():
                 raise NumericalFailure("non-finite Hessian")
             w, v = np.linalg.eigh(0.5 * (hessian + hessian.T))
@@ -362,7 +362,7 @@ def _ref_feasibility_phase(problem: FiniteSubproblem) -> float:
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
         grad = jac.T @ pos if len(c) else np.zeros(problem.n)
-        return 0.5 * float(pos @ pos), grad, _ref_cut_curvature(jac, cut_hess, pos, 1.0)
+        return 0.5 * float(pos @ pos), grad, lambda: _ref_cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = reference_minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x
     c = problem.evaluate(x)[2]
@@ -406,8 +406,8 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
                 grad = grad + jac.T @ shifted
                 # With every cut slack the penalty adds no curvature.
                 if shifted.any():
-                    hess = hess + _ref_cut_curvature(jac, cut_hess, shifted, mu)
-            return f, grad, hess
+                    return f, grad, lambda: hess + _ref_cut_curvature(jac, cut_hess, shifted, mu)
+            return f, grad, lambda: hess
 
         x = reference_minimize(fun_grad, x, problem.box, MAX_INNER).x
 

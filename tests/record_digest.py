@@ -1,20 +1,24 @@
-"""One SHA-256 over the records of the benchmark's runs and of the scaled runs.
+"""SHA-256 digests over the records of the benchmark's runs, the scaled runs and a mixed-family instance.
 
 Run from the root of a checkout, with the package on the path::
 
     PYTHONPATH=src python tests/record_digest.py
 
-The runs are the six ``table2`` jobs and the four ``custom-llp`` jobs of
-``perfbench/workloads.py``, and ``scaled_instance`` at seed 0 on
-``complete(48)``, ``directed_cycle(96)``, ``period3_cycle(24)``,
-``directed_cycle(192)`` and ``period3_cycle(96)``, each with both
-methods.  The digest covers every field of every
-``IterationRecord`` (floats as ``float.hex``), ``terminated``,
-``iterations`` and the bytes of ``x_opt``; it is the one printed line.
-Runs are deterministic, so two processes print the same line, whatever
-their ``PYTHONHASHSEED``; a change that keeps every iterate to the bit
-prints the same line as its parent.  Not a test module: pytest does not
-collect it.
+The first printed line covers the six ``table2`` jobs and the four
+``custom-llp`` jobs of ``perfbench/workloads.py``, and
+``scaled_instance`` at seed 0 on ``complete(48)``,
+``directed_cycle(96)``, ``period3_cycle(24)``, ``directed_cycle(192)``
+and ``period3_cycle(96)``, each with both methods.  The second covers
+:func:`mixed_instance`, whose agents hold ``example1`` and
+paper-quadratic constraints, on ``directed_cycle(3)`` and ``complete(3)``
+with both methods, once with every closed-form maximizer, once with
+none, and once with only ``example1``'s, so that one lower-level pass
+mixes closed-form and numeric members.  A digest covers every field of
+every ``IterationRecord`` (floats as ``float.hex``), ``terminated``,
+``iterations`` and the bytes of ``x_opt``.  Runs are deterministic, so
+two processes print the same lines, whatever their ``PYTHONHASHSEED``; a
+change that keeps every iterate to the bit prints the same lines as its
+parent.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ from workloads import custom_llp_jobs, period3_cycle, scaled_instance, table2_jo
 
 from drcopt.cli import METHODS  # noqa: E402
 from drcopt.graph import complete, directed_cycle  # noqa: E402
+from drcopt.problem import (  # noqa: E402
+    ProblemInstance,
+    case_study_instance,
+    example1_constraint,
+    paper_quadratic_constraint,
+    with_numeric_llp,
+)
 from drcopt.sim import RunParams, run  # noqa: E402
 
 SCALED_SCHEDULES = (
@@ -54,6 +65,36 @@ def runs():
             yield f"{method}/{build.__name__}({m})", instance, schedule, RunParams(method=method)
 
 
+def mixed_instance() -> ProblemInstance:
+    """Three case-study objectives, centers (0, 6), (1, 1) and (-1, 1), with two constraint families.
+
+    Agent 2 holds ``example1``'s constraint, agents 1 and 3 the paper
+    quadratic with v = -0.5 and 0.5.  The first objective pulls x2 up, so
+    every constraint takes cuts.
+    """
+    case_study = case_study_instance()
+    return ProblemInstance(
+        n=2,
+        m=3,
+        objectives=tuple(case_study.objectives[i] for i in (0, 2, 5)),
+        constraints=(paper_quadratic_constraint(-0.5), example1_constraint(), paper_quadratic_constraint(0.5)),
+        box=case_study.box,
+    )
+
+
+def mixed_runs():
+    """(label, instance, schedule, params) of the mixed-family runs, in a fixed order."""
+    closed = mixed_instance()
+    numeric = with_numeric_llp(closed)
+    only_example1 = dataclasses.replace(
+        closed, constraints=(numeric.constraints[0], closed.constraints[1], numeric.constraints[2])
+    )
+    for llp, instance in (("analytic", closed), ("numeric", numeric), ("example1-analytic", only_example1)):
+        for build in (directed_cycle, complete):
+            for method in METHODS:
+                yield f"{method}/{build.__name__}(3)/{llp}", instance, build(3), RunParams(method=method)
+
+
 def encode(value) -> str:
     """A text form that tells every float apart by its bits."""
     if isinstance(value, float):
@@ -65,9 +106,9 @@ def encode(value) -> str:
     return repr(value)
 
 
-def digest() -> str:
+def digest(run_list) -> str:
     sha = hashlib.sha256()
-    for label, instance, schedule, params in runs():
+    for label, instance, schedule, params in run_list:
         result = run(instance, schedule, params)
         sha.update(label.encode())
         for record in result.records:
@@ -79,4 +120,5 @@ def digest() -> str:
 
 
 if __name__ == "__main__":
-    print(digest())
+    print(digest(runs()))
+    print(digest(mixed_runs()))

@@ -83,8 +83,8 @@ def test_criterion_04_local_feasibility(accepted_runs, case_study):
     ok = True
     for result, _, _ in accepted_runs.values():
         for constraint, x in zip(case_study.constraints, result.x_opt):
-            g_max, _ = solve_llp(constraint, x)
-            ok &= g_max <= 1e-9
+            g_max, _ = solve_llp([constraint], x)
+            ok &= g_max[0] <= 1e-9
     verdict(4, "analytic LLP feasibility at every exit point", ok)
 
 
@@ -156,11 +156,11 @@ def test_criterion_09_llp_equivalence(case_study, rng):
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
         constraint = case_study.constraints[int(rng.integers(0, 6))]
-        ok &= abs(solve_llp(constraint, x)[0] - solve_llp_numeric(constraint, x)[0]) <= 1e-8
+        ok &= abs(solve_llp([constraint], x)[0][0] - solve_llp_numeric(constraint, x)[0]) <= 1e-8
     example1 = example1_constraint()
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-        ok &= abs(solve_llp(example1, x)[0] - solve_llp_numeric(example1, x)[0]) <= 1e-8
+        ok &= abs(solve_llp([example1], x)[0][0] - solve_llp_numeric(example1, x)[0]) <= 1e-8
     verdict(9, "analytic vs grid+refine LLP within 1e-8 on 400 points", ok)
 
 

@@ -19,17 +19,17 @@ def states(case_study):
 class TestLowerOracle:
     def test_first_iteration_cuts_every_agent(self, case_study, states):
         x_new = np.array([0.0, 1.0])
+        verdicts, g_max = dlbd_oracle(states, case_study, x_new)
+        assert verdicts == [Verdict.VIOLATED] * 6
+        assert (g_max > 0).all()
         for state in states:
-            verdict, g_max = dlbd_oracle(state, case_study, x_new)
-            assert verdict is Verdict.VIOLATED
-            assert g_max > 0
             assert state.lower_scenarios == [(1.0,)]
 
     def test_feasible_point_leaves_set_unchanged(self, case_study, states):
         state = states[3]  # v = 0.25
-        verdict, g_max = dlbd_oracle(state, case_study, X_STAR)
-        assert verdict is Verdict.FEASIBLE
-        assert g_max == pytest.approx(0.0625 + 7 / 16 - 1)
+        verdicts, g_max = dlbd_oracle([state], case_study, X_STAR)
+        assert verdicts == [Verdict.FEASIBLE]
+        assert g_max[0] == pytest.approx(0.0625 + 7 / 16 - 1)
         assert state.lower_scenarios == []
 
 
@@ -37,18 +37,18 @@ class TestUpperOracle:
     def test_violation_sets_sentinel(self, case_study, states):
         # The VIOLATED verdict is what makes the run's upper bound +inf.
         z = np.array([0.0, 1.0])
+        verdicts, g_max = dubd_oracle(states, case_study, z, r=2.0)
+        assert verdicts == [Verdict.VIOLATED] * 6
+        assert (g_max > 0).all()
         for state in states:
-            verdict, g_max = dubd_oracle(state, case_study, z, r=2.0)
-            assert verdict is Verdict.VIOLATED
-            assert g_max > 0
             assert state.upper_scenarios == [(1.0,)]
             assert state.epsilon == 0.01
 
     def test_feasible_point_halves_epsilon(self, case_study, states):
         state = states[0]
         z = np.array([0.0, 0.0])
-        verdict, _ = dubd_oracle(state, case_study, z, r=2.0)
-        assert verdict is Verdict.FEASIBLE
+        verdicts, _ = dubd_oracle([state], case_study, z, r=2.0)
+        assert verdicts == [Verdict.FEASIBLE]
         assert state.epsilon == 0.005
         assert state.upper_scenarios == []
         assert state == AgentState(agent_id=1, epsilon=0.005)
@@ -56,13 +56,17 @@ class TestUpperOracle:
     def test_two_feasible_verdicts_quarter_epsilon(self, case_study, states):
         state = states[0]
         z = np.array([0.0, 0.0])
-        dubd_oracle(state, case_study, z, r=2.0)
-        dubd_oracle(state, case_study, z, r=2.0)
+        dubd_oracle([state], case_study, z, r=2.0)
+        dubd_oracle([state], case_study, z, r=2.0)
         assert state.epsilon == pytest.approx(0.01 / 4)
 
     def test_reduction_parameter_validated(self, case_study, states):
-        with pytest.raises(ValueError):
-            dubd_oracle(states[0], case_study, np.zeros(2), r=1.0)
+        # NaN fails every comparison: a bare r <= 1 test would let it
+        # through and make a feasible agent's epsilon NaN.
+        for r in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="r must exceed 1"):
+                dubd_oracle(states, case_study, np.zeros(2), r=r)
+            assert [s.epsilon for s in states] == [0.01] * 6
 
 
 def build_from(states, instance, side_cuts):
@@ -75,16 +79,14 @@ class TestSubproblemBuilders:
         assert build_from(states, case_study, upper_cuts).cuts == ()
 
     def test_lower_cuts_have_zero_rhs(self, case_study, states):
-        for state in states:
-            dlbd_oracle(state, case_study, np.array([0.0, 1.0]))
+        dlbd_oracle(states, case_study, np.array([0.0, 1.0]))
         problem = build_from(states, case_study, lower_cuts)
         assert len(problem.cuts) == 6
         assert all(rhs == 0.0 for _, _, _, rhs in problem.cuts)
         assert [a for a, _, _, _ in problem.cuts] == list(range(1, 7))
 
     def test_upper_cuts_carry_restriction(self, case_study, states):
-        for state in states:
-            dubd_oracle(state, case_study, np.array([0.0, 1.0]), r=2.0)
+        dubd_oracle(states, case_study, np.array([0.0, 1.0]), r=2.0)
         problem = build_from(states, case_study, upper_cuts)
         assert len(problem.cuts) == 6
         assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)

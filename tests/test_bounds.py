@@ -28,6 +28,8 @@ class TestMethod1:
             method1_accuracy(3, 0.0)
         with pytest.raises(ValueError):
             method1_accuracy(3, float("nan"))
+        with pytest.raises(ValueError):
+            method1_accuracy(3, float("inf"))
 
 
 class TestWeights:
@@ -62,7 +64,7 @@ class TestMethod2:
         for m in range(2, 51):
             assert method2_accuracy(directed_cycle(m), EPS_F) == pytest.approx(m * EPS_F / 2)
 
-    @pytest.mark.parametrize("eps_f", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("eps_f", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_eps_f(self, eps_f):
         with pytest.raises(ValueError):
             method2_accuracy(complete(3), eps_f)

@@ -508,7 +508,7 @@ class TestFig3:
     def test_m_max_validated(self, tmp_path, capsys):
         assert main(["fig3", "--out", str(tmp_path), "--m-max", "2"]) == 1
 
-    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan", "inf"])
     def test_eps_f_validated(self, tmp_path, capsys, eps_f):
         out = tmp_path / "f3"
         assert main(["fig3", "--out", str(out), "--m-max", "6", "--eps-f", eps_f]) == 1
@@ -527,7 +527,7 @@ class TestSweep:
         # cycle and complete start at m=2, customized at m=3
         assert len(rows) == 7 + 7 + 6
 
-    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("eps_f", ["0", "-1", "nan", "inf"])
     def test_eps_f_validated(self, tmp_path, capsys, eps_f):
         out = tmp_path / "sw"
         assert main(["sweep", "--out", str(out), "--m-max", "8", "--eps-f", eps_f]) == 1

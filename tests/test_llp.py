@@ -10,7 +10,7 @@ from drcopt.llp import (
     solve_llp,
     solve_llp_numeric,
 )
-from drcopt.problem import SemiInfiniteConstraint, example1_constraint
+from drcopt.problem import SemiInfiniteConstraint, example1_constraint, with_numeric_llp
 
 from helpers import X_STAR
 
@@ -31,6 +31,12 @@ def row_by_row(batch):
     return kernel
 
 
+def solve_one(constraint, x):
+    """``solve_llp`` for a single constraint: its g_max and maximizer."""
+    g_max, y_star = solve_llp([constraint], x)
+    return g_max[0], y_star[0]
+
+
 def random_xs(rng, k):
     """k decision points around the case-study box, half of them with |x2| > 1.
 
@@ -44,19 +50,19 @@ def random_xs(rng, k):
 
 class TestCaseStudyLLP:
     def test_maximizer_clamped_to_boundary(self, case_study):
-        g_max, y_star = solve_llp(case_study.constraints[0], np.array([0.0, 1.0]))
+        g_max, y_star = solve_one(case_study.constraints[0], np.array([0.0, 1.0]))
         assert g_max == pytest.approx(0.5625)
         assert y_star[0] == pytest.approx(1.0)
 
     def test_interior_stationary_point(self, case_study):
         # agent with v = 0.5 queried at the origin
-        g_max, y_star = solve_llp(case_study.constraints[4], np.array([0.0, 0.0]))
+        g_max, y_star = solve_one(case_study.constraints[4], np.array([0.0, 0.0]))
         assert g_max == pytest.approx(-0.75)
         assert y_star[0] == pytest.approx(0.0)
 
     def test_active_at_known_optimum(self, case_study):
         for idx in (0, 5):  # v = -0.75 and v = 0.75
-            g_max, _ = solve_llp(case_study.constraints[idx], X_STAR)
+            g_max, _ = solve_one(case_study.constraints[idx], X_STAR)
             assert abs(g_max) <= 1e-10
 
 
@@ -76,7 +82,7 @@ class TestNumericPath:
         for _ in range(200):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             constraint = case_study.constraints[int(rng.integers(0, 6))]
-            g_ana, _ = solve_llp(constraint, x)
+            g_ana, _ = solve_one(constraint, x)
             g_num, _ = solve_llp_numeric(constraint, x)
             assert g_num == pytest.approx(g_ana, abs=1e-8)
 
@@ -84,14 +90,14 @@ class TestNumericPath:
         constraint = example1_constraint()
         for _ in range(200):
             x = np.array([rng.uniform(0, 2), rng.uniform(0, 1)])
-            g_ana, _ = solve_llp(constraint, x)
+            g_ana, _ = solve_one(constraint, x)
             g_num, _ = solve_llp_numeric(constraint, x)
             assert g_num == pytest.approx(g_ana, abs=1e-8)
 
     def test_maximizer_dominates_random_samples(self, case_study, rng):
         constraint = case_study.constraints[2]
         for x in (np.array([0.3, 0.4]), np.array([-1.0, 0.9]), np.array([1.5, -0.6])):
-            g_max, y_star = solve_llp(constraint, x)
+            g_max, y_star = solve_one(constraint, x)
             ys = rng.uniform(-1, 1, size=10_000)
             vals = (x[0] - (-0.25)) ** 2 + 2 * ys * x[1] - ys**2 - 1
             assert g_max >= vals.max() - 1e-9
@@ -108,7 +114,7 @@ class TestNumericPath:
             uncertainty_box=np.array([[0.0, 2.0]]),
             concave_in_y=False,
         )
-        g_max, y_star = solve_llp(constraint, np.zeros(2))
+        g_max, y_star = solve_one(constraint, np.zeros(2))
         assert y_star[0] == pytest.approx(1.7, abs=1e-6)
         assert g_max == pytest.approx(1.0, abs=1e-9)
 
@@ -122,7 +128,7 @@ class TestNumericPath:
             constraint = case_study.constraints[int(rng.integers(0, 6))]
             _, y_star = solve_llp_numeric(constraint, x)
             assert abs(y_star[0] - solve_llp_numeric(constraint, nudged)[1][0]) <= 1e-11
-            assert abs(y_star[0] - solve_llp(constraint, x)[1][0]) <= 1e-11
+            assert abs(y_star[0] - solve_one(constraint, x)[1][0]) <= 1e-11
 
     def test_scalar_only_concave_constraint(self):
         # A custom kernel that computes its rows one by one in Python floats.
@@ -137,7 +143,7 @@ class TestNumericPath:
             concave_in_y=True,
         )
         for x0, y_expected in ((0.3, 0.3), (-0.8, -0.8), (1.7, 1.0)):
-            g_max, y_star = solve_llp(constraint, np.array([x0, 0.0]))
+            g_max, y_star = solve_one(constraint, np.array([x0, 0.0]))
             assert y_star[0] == pytest.approx(y_expected, abs=1e-6)
             assert g_max == pytest.approx(-((y_expected - x0) ** 2), abs=1e-9)
 
@@ -148,7 +154,7 @@ class TestNumericPath:
             uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
         )
         with pytest.raises(UnsupportedDimension):
-            solve_llp(constraint, np.zeros(2))
+            solve_one(constraint, np.zeros(2))
 
 
 class TestBatchedGrid:
@@ -162,3 +168,61 @@ class TestBatchedGrid:
             g_ref, y_ref = solve_llp_numeric(one_by_one, x)
             assert np.float64(g).tobytes() == np.float64(g_ref).tobytes()
             assert y.tobytes() == y_ref.tobytes()
+
+
+def bilinear(x, coefficients, ys):
+    """g(x, y) = a * (x1 y1 + x2 y2) - 1 over y in [-1, 1]^2, elementwise so that rows stay independent."""
+    a = coefficients[:, 0]
+    grads = a[:, None] * ys
+    return a * (ys[:, 0] * x[0] + ys[:, 1] * x[1]) - 1.0, grads, np.zeros((len(ys), 2, 2))
+
+
+def bilinear_constraint(a: float) -> SemiInfiniteConstraint:
+    """Linear in y, so the vertex with y_k = sign(a * x_k) maximizes it."""
+    return SemiInfiniteConstraint(
+        batch=bilinear,
+        coefficients=np.array([a]),
+        uncertainty_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        analytic_argmax=lambda x: np.where(a * np.asarray(x) >= 0.0, 1.0, -1.0),
+    )
+
+
+class TestPhasePass:
+    """One solve_llp call over a phase's constraints against per-member solves, bit for bit."""
+
+    @staticmethod
+    def assert_per_member(constraints, x):
+        g_max, y_star = solve_llp(constraints, x)
+        assert g_max.shape == (len(constraints),) and len(y_star) == len(constraints)
+        for constraint, g, y in zip(constraints, g_max.tolist(), y_star):
+            if constraint.analytic_argmax is None:
+                g_ref, y_ref = solve_llp_numeric(constraint, x)
+            else:
+                y_ref = np.asarray(constraint.analytic_argmax(x), dtype=float)
+                g_ref = constraint.evaluate(x, y_ref)
+            assert g.hex() == g_ref.hex()
+            assert y.tobytes() == y_ref.tobytes()
+
+    def test_case_study_and_numeric_llp(self, case_study, rng):
+        for instance in (case_study, with_numeric_llp(case_study)):
+            for x in random_xs(rng, 20):
+                self.assert_per_member(instance.constraints, x)
+
+    def test_mixed_families_and_mixed_llp_paths(self, case_study, rng):
+        # test_solver's example1_mixed: two kernels, so one one-row call per
+        # analytic member; then every other member on the numeric path.
+        mixed = case_study.constraints[:3] + (example1_constraint(),) * 3
+        half_numeric = tuple(c if j % 2 else dataclasses.replace(c, analytic_argmax=None) for j, c in enumerate(mixed))
+        for constraints in (mixed, half_numeric):
+            for x in rng.uniform(case_study.box[:, 0], case_study.box[:, 1], (20, 2)):
+                self.assert_per_member(constraints, x)
+
+    def test_two_dimensional_uncertainty(self, rng):
+        constraints = [bilinear_constraint(a) for a in (1.0, -2.0, 0.5)]
+        for x in rng.uniform(-2.0, 2.0, (20, 2)):
+            self.assert_per_member(constraints, x)
+            # The closed form is the maximum over the box's four vertices.
+            vertices = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+            g_max, _ = solve_llp(constraints, x)
+            brute = [max(c.evaluate(x, v) for v in vertices) for c in constraints]
+            assert g_max.tolist() == brute

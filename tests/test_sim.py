@@ -48,9 +48,8 @@ class TestCaseStudyRun:
         for x in cycle_run.x_opt:
             assert np.array_equal(x, cycle_run.x_opt[0])
         assert np.allclose(cycle_run.x_opt[0], X_STAR, atol=5e-2)
-        for constraint in case_study.constraints:
-            g_max, _ = solve_llp(constraint, cycle_run.x_opt[0])
-            assert g_max <= 1e-9
+        g_max, _ = solve_llp(case_study.constraints, cycle_run.x_opt[0])
+        assert (g_max <= 1e-9).all()
 
     def test_accuracy_bound_value(self, cycle_run):
         assert cycle_run.accuracy_bound == pytest.approx(0.06)
@@ -93,18 +92,17 @@ class TestBatchedBounds:
         lower_points, upper_calls, expected = [], [], []
         real_lower_oracle, real_upper_oracle = agents.dlbd_oracle, agents.dubd_oracle
 
-        def recording_lower_oracle(state, instance, x_new):
+        def recording_lower_oracle(states, instance, x_new):
             lower_points.append(x_new)
-            return real_lower_oracle(state, instance, x_new)
+            return real_lower_oracle(states, instance, x_new)
 
-        def recording_upper_oracle(state, instance, z_new, r):
-            out = real_upper_oracle(state, instance, z_new, r)
-            upper_calls.append((z_new, out[0] is Verdict.FEASIBLE))
+        def recording_upper_oracle(states, instance, z_new, r):
+            out = real_upper_oracle(states, instance, z_new, r)
+            upper_calls.append((z_new, [v is Verdict.FEASIBLE for v in out[0]]))
             return out
 
         def checking_stopping_round(gaps, *args):
-            lower_x, (upper_x, _) = lower_points[-1], upper_calls[-1]
-            feasible = [ok for _, ok in upper_calls[-case_study.m :]]
+            lower_x, (upper_x, feasible) = lower_points[-1], upper_calls[-1]
             lower, upper = bound_values(case_study, feasible, lower_x, upper_x)
             gaps_oracle = (agent_gap(f, ok, lower_x, upper_x) for f, ok in zip(case_study.objectives, feasible))
             expected.append((lower, upper, *gaps_oracle))
@@ -134,7 +132,9 @@ class TestRunExits:
     def test_infeasible_terminal_point_raises(self, case_study, monkeypatch):
         # The terminal check is the run's own LLP solve at its exit point,
         # apart from the upper oracles' verdicts.
-        monkeypatch.setattr(sim, "solve_llp", lambda constraint, x: (1e-6, np.zeros(1)))
+        monkeypatch.setattr(
+            sim, "solve_llp", lambda constraints, x: (np.full(len(constraints), 1e-6), [np.zeros(1)] * len(constraints))
+        )
         with pytest.raises(NumericalFailure, match="terminal point is not locally feasible"):
             run(case_study, directed_cycle(6), RunParams())
 

@@ -325,7 +325,7 @@ class TestFusedEvaluation:
             def checked(x):
                 f, grad, hess = fun_grad(x)
                 missing["calls"] += 1
-                missing["no hessian"] += hess is None
+                missing["no hessian"] += hess() is None
                 return f, grad, hess
 
             results.append(real_minimize(checked, x0, box))
@@ -374,7 +374,7 @@ class TestFusedEvaluation:
         h = 1e-6
         for fun_grad in functions:
             for x in rng.uniform([-1.9, -0.9], [1.9, 0.9], (10, 2)):
-                hess = fun_grad(x)[2]
+                hess = fun_grad(x)[2]()
                 columns = [(fun_grad(x + e)[1] - fun_grad(x - e)[1]) / (2 * h) for e in np.eye(2) * h]
                 assert np.allclose(hess, np.column_stack(columns), rtol=1e-5, atol=1e-4)
 
@@ -414,7 +414,7 @@ def box_quadratic(rng, n: int, case: str):
     b = grad_star - q @ x_star
 
     def fun_grad(x):
-        return float(0.5 * x @ q @ x + b @ x), q @ x + b, q
+        return float(0.5 * x @ q @ x + b @ x), q @ x + b, lambda: q
 
     return fun_grad, np.array([[-1.0, 1.0]] * n), x_star
 
@@ -562,12 +562,18 @@ class TestIterationCount:
 
 @pytest.fixture(scope="module")
 def table2_solves(case_study):
-    """(problem, x0, lam0, report) of every consensus solve of table2's I/cycle run, and the work counts."""
-    calls, work = [], Counter()
-    real_solve, real_minimize = consensus.solve, solver.minimize
+    """(problem, x0, lam0, report) of every consensus solve of table2's I/cycle run, and the work counts.
+
+    The kernels count their calls and rows (see :func:`counting`); the
+    counts are copied when the run ends, so later solves leave them alone.
+    """
+    calls, work, kernels = [], Counter(), Counter()
+    real_solve, real_minimize, real_curvature = consensus.solve, solver.minimize, solver._cut_curvature
 
     def recording_solve(problem, x0=None, lam0=None):
+        before = kernels["constraint"]
         report = real_solve(problem, x0, lam0)
+        work["solver constraint"] += kernels["constraint"] - before
         calls.append((problem, x0, lam0, report))
         return report
 
@@ -577,10 +583,16 @@ def table2_solves(case_study):
         work["fun_grad"] += result.nfev
         return result
 
+    def counting_curvature(*args):
+        work["curvature"] += 1
+        return real_curvature(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(consensus, "solve", recording_solve)
         mp.setattr(solver, "minimize", counting_minimize)
-        run(case_study, directed_cycle(6), RunParams(method="I"))
+        mp.setattr(solver, "_cut_curvature", counting_curvature)
+        run(counting(case_study, kernels), directed_cycle(6), RunParams(method="I"))
+    work.update(kernels)
     return calls, work
 
 
@@ -648,6 +660,22 @@ class TestWarmStart:
         assert sum(report.iterations for *_, report in calls) == 47
         assert (work["newton"], work["fun_grad"]) == (56, 117)
 
+    def test_curvature_only_before_newton_steps(self, table2_solves):
+        # minimize builds the penalty curvature only at an iterate about to
+        # take a Newton step; built at every fun_grad call, as it once was,
+        # the same run makes 111.
+        assert table2_solves[1]["curvature"] == 55
+
+    def test_constraint_kernel_calls(self, table2_solves):
+        # The lower-level problem checks all agents at the consensus point
+        # in one call of the shared kernel: 2 per iteration for 8
+        # iterations, and 1 for the exit check.  With one call per agent
+        # the same run makes 185 calls (102 from the lower-level problem)
+        # of the same 870 rows.
+        work = table2_solves[1]
+        assert (work["constraint"], work["constraint rows"]) == (100, 870)
+        assert work["constraint"] - work["solver constraint"] == 17
+
 
 class TestNonFinite:
     def test_infinite_objective_center_raises(self, case_study):
@@ -660,14 +688,14 @@ class TestNonFinite:
 
     def test_non_finite_accepted_iterate_raises(self):
         def fun_grad(x):
-            return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x, 2.0 * np.eye(2)
+            return (float(x @ x) if x[0] > 0.5 else -np.inf), 2.0 * x, lambda: 2.0 * np.eye(2)
 
         with pytest.raises(NumericalFailure, match="at an accepted iterate"):
             minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]))
 
     def test_non_finite_supplied_hessian_raises(self):
         def fun_grad(x):
-            return float(x @ x), 2.0 * x, np.array([[2.0, np.inf], [np.inf, 2.0]])
+            return float(x @ x), 2.0 * x, lambda: np.array([[2.0, np.inf], [np.inf, 2.0]])
 
         with pytest.raises(NumericalFailure, match="non-finite Hessian"):
             minimize(fun_grad, np.array([1.0, 1.0]), np.array([[-2.0, 2.0], [-2.0, 2.0]]))
