@@ -33,10 +33,14 @@ LLP_MODES = ("analytic", "numeric")
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path}: byte {exc.start} {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -109,8 +113,17 @@ def _result_summary(result: RunResult) -> dict:
     }
 
 
+def _out_dir(path) -> Path:
+    """The ``--out`` directory, created if missing; a file in its way is a :class:`ConfigError`."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {path}: {exc.strerror}") from None
+    return out
+
+
 def _write_results(out: Path, summary: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -124,17 +137,19 @@ def _numerical_failure(exc: Exception) -> str:
 
 
 def cmd_run(args) -> int:
-    out = Path(args.out)
     try:
         config = _load_config(args.config)
         instance, schedule, params = _build_from_config(config)
         result = run(instance, schedule, params)
     except NumericalFailure as exc:
+        message = _numerical_failure(exc)
+        out = _out_dir(args.out)
         # Leave no trace of an earlier run next to this run's error.
         (out / "trace.csv").unlink(missing_ok=True)
         (out / "trace.svg").unlink(missing_ok=True)
-        _write_results(out, {"terminated": False, "error": _numerical_failure(exc)})
+        _write_results(out, {"terminated": False, "error": message})
         return 3
+    out = _out_dir(args.out)
     _write_results(out, _result_summary(result))
     _write_trace_csv(out / "trace.csv", result)
     if args.plot:
@@ -193,8 +208,7 @@ def cmd_table2(args) -> int:
             f"{'yes' if feasible else 'NO':<9}{solution}"
         )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     with open(out / "table2.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -243,8 +257,7 @@ def _write_sweep_csv(path: Path, rows) -> None:
 
 def cmd_sweep(args) -> int:
     rows = _sweep_rows(args.m_max, args.eps_f)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_sweep_csv(out / "sweep.csv", rows)
     return 0
 
@@ -253,8 +266,7 @@ def cmd_fig3(args) -> int:
     if args.m_max < 3:
         raise ConfigError("fig3 needs --m-max >= 3")
     rows = _sweep_rows(args.m_max, args.eps_f)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_sweep_csv(out / "fig3.csv", rows)
 
     ms = sorted({row.m for row in rows})

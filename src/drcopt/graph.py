@@ -74,10 +74,10 @@ class GraphSchedule:
     stores each slot as a frozenset of int pairs, and computes ``window``,
     the connectivity window T of the slots.  It raises ``ValueError``
     for a non-integer ``m``, :class:`InvalidSize` for ``m < 1``,
-    ``ValueError`` for a non-integer endpoint, an endpoint outside 1..m
-    or a self-loop, and :class:`NotUniformlyConnected` for a schedule
-    that is not uniformly connected.  Flooding rests on T alone (see
-    :mod:`drcopt.consensus`).
+    ``ValueError`` for an empty slot list, an edge that is not a pair, a
+    non-integer endpoint, an endpoint outside 1..m or a self-loop, and
+    :class:`NotUniformlyConnected` for a schedule that is not uniformly
+    connected.  Flooding rests on T alone (see :mod:`drcopt.consensus`).
     """
 
     m: int
@@ -91,7 +91,11 @@ class GraphSchedule:
         slots = []
         for edges in self.slots:
             clean = set()
-            for j, i in edges:
+            for edge in edges:
+                try:  # a two-character string would unpack into two endpoints
+                    j, i = () if isinstance(edge, str) else edge
+                except (TypeError, ValueError):
+                    raise ValueError(f"edge {edge!r} is not a pair (j, i)") from None
                 j, i = require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")
                 if not (1 <= j <= m and 1 <= i <= m):
                     raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
@@ -99,6 +103,8 @@ class GraphSchedule:
                     raise ValueError("self-loops are implicit; do not store them")
                 clean.add((j, i))
             slots.append(frozenset(clean))
+        if not slots:
+            raise ValueError("a schedule needs at least one slot")
         slots = tuple(slots)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "slots", slots)

@@ -91,7 +91,11 @@ class RunResult:
 
 def _check_solver_status(report, phase: str):
     if report.status is SolveStatus.INFEASIBLE:
-        raise ConfigError(f"{phase} subproblem infeasible; choose a smaller eps0")
+        # Lower cuts have rhs 0, so the lower subproblem relaxes the robust
+        # problem; only the upper cuts' rhs -eps_i depends on eps0.
+        if phase == "lower":
+            raise ConfigError("lower subproblem infeasible: the robust problem has no feasible point")
+        raise ConfigError("upper subproblem infeasible; choose a smaller eps0")
     if report.status is not SolveStatus.OPTIMAL:
         raise NumericalFailure(f"{phase} subproblem solve hit the iteration limit")
 
@@ -119,7 +123,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     """Run the algorithm until the stopping round fires or max_iter is reached.
 
     A budget-exhausted run is returned with ``terminated=False`` rather
-    than raised; an infeasible upper subproblem raises :class:`ConfigError`,
+    than raised; an infeasible subproblem raises :class:`ConfigError`,
     and a solve limit or a failed invariant raises :class:`NumericalFailure`.
     """
     if schedule.m != instance.m:

@@ -332,7 +332,13 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
     kernels' exact Hessians.  A subproblem with no cuts takes the same
     path: its empty arrays add no penalty, no violation and no
-    multiplier term.  Deterministic: every step is a pure function of
+    multiplier term.  Infeasibility is decided once, by the problem and
+    not by the iterate's progress: the first outer iteration that ends
+    with a violation above ``FEASIBILITY_TOL`` and the penalty at its
+    cap runs the feasibility phase, and a residual violation above 1e-7
+    ends the solve ``INFEASIBLE``.  Otherwise the iteration goes on until
+    it is ``OPTIMAL``; ``ITERATION_LIMIT`` means it ran ``MAX_OUTER``
+    outer iterations.  Deterministic: every step is a pure function of
     the canonical input, ``x0`` and ``lam0``.  :func:`drcopt.sim.run`
     passes the previous report on the same side, which every agent
     holds, so every agent would compute the same solve and repeated runs
@@ -352,8 +358,8 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     mu_base, mu_cap = 1000.0, 1e8
     mu = mu_base
     prev_viol = math.inf
-    stalled = 0
-    status = None
+    status = SolveStatus.ITERATION_LIMIT
+    phase_run = False
 
     for outer in range(1, MAX_OUTER + 1):
 
@@ -381,19 +387,16 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
         if viol > FEASIBILITY_TOL:
             if viol > 0.25 * prev_viol:
                 mu = min(mu * 10.0, mu_cap)
+            # Still infeasible with the penalty at its cap: ask the problem, once.
+            if mu >= mu_cap and not phase_run:
+                if _feasibility_phase(problem) > 1e-7:
+                    status = SolveStatus.INFEASIBLE
+                    break
+                phase_run = True
         else:
             mu = max(mu / 10.0, mu_base)
-        # Penalty exhausted and no progress: candidate for infeasibility.
-        if mu >= mu_cap and viol >= prev_viol - 1e-12:
-            stalled += 1
-            if stalled >= 3:
-                break
-        else:
-            stalled = 0
         prev_viol = viol
 
-    if status is None:
-        status = SolveStatus.INFEASIBLE if _feasibility_phase(problem) > 1e-7 else SolveStatus.ITERATION_LIMIT
     return SolveReport(
         minimizer=x,
         objective_value=f,

@@ -394,7 +394,8 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
     mu_base, mu_cap = 1000.0, 1e8
     mu = mu_base
     prev_viol = math.inf
-    stalled = 0
+    status = SolveStatus.ITERATION_LIMIT
+    phase_run = False
 
     for outer in range(1, MAX_OUTER + 1):
 
@@ -434,19 +435,16 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
         if viol > FEASIBILITY_TOL:
             if viol > 0.25 * prev_viol:
                 mu = min(mu * 10.0, mu_cap)
+            # Still infeasible with the penalty at its cap: ask the problem, once.
+            if mu >= mu_cap and not phase_run:
+                if _ref_feasibility_phase(problem) > 1e-7:
+                    status = SolveStatus.INFEASIBLE
+                    break
+                phase_run = True
         else:
             mu = max(mu / 10.0, mu_base)
-        # Penalty exhausted and no progress: candidate for infeasibility.
-        if mu >= mu_cap and viol >= prev_viol - 1e-12:
-            stalled += 1
-            if stalled >= 3:
-                break
-        else:
-            stalled = 0
         prev_viol = viol
 
-    residual_viol = _ref_feasibility_phase(problem)
-    status = SolveStatus.INFEASIBLE if residual_viol > 1e-7 else SolveStatus.ITERATION_LIMIT
     f, _, c, _, _, _ = problem.evaluate(x)
     return SolveReport(
         minimizer=x,

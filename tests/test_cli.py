@@ -95,6 +95,23 @@ MALFORMED_CONFIGS = {
         {"instance": two_agent_instance(center=[0.0, "1"])},
         "center entry must be a real number, got '1'",
     ),
+    # On the box (x1 - 5)^2 >= 9, while 1 + y^2 - 2 y x2 <= 4 for every y in
+    # [-1, 1]: even the lower subproblem, a relaxation, has no feasible point.
+    "robust-infeasible": (
+        {
+            "instance": {
+                **two_agent_instance(),
+                "agents": [
+                    {
+                        "objective": {"kind": "quadratic-distance", "center": [0.0, 0.0]},
+                        "constraint": {"kind": "paper-quadratic", "v": v},
+                    }
+                    for v in (0.0, 5.0)
+                ],
+            }
+        },
+        "lower subproblem infeasible: the robust problem has no feasible point",
+    ),
 }
 
 
@@ -119,13 +136,17 @@ class TestRun:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
-        assert "not found" in capsys.readouterr().err
+        (tmp_path / "adir").mkdir()
+        for name, message in (("nope.json", "config file not found"), ("adir", "cannot read config file")):
+            assert main(["run", str(tmp_path / name), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        for text, message in ((b"{not json", "not valid JSON"), (b'{"eps0": "\xff"}', "not UTF-8 text")):
+            cfg.write_bytes(text)
+            assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_bad_topology_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", topology="torus")
@@ -275,6 +296,19 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
         assert json.loads((out / "results.json").read_text())["iterations"] == 3
+
+
+class TestOutArgument:
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        cfg = write_config(tmp_path / "cfg.json")
+        for argv in (["run", cfg], ["table2"], ["sweep", "--m-max", "4"], ["fig3", "--m-max", "4"]):
+            for out in (blocker, blocker / "out"):
+                assert main([*argv, "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert f"error: cannot create --out directory {out}: " in err
+        assert blocker.read_text() == "keep"
 
 
 class TestTraceFiles:

@@ -196,6 +196,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="elf-loop"):
             GraphSchedule(m=2, slots=(frozenset({(1, 1), (1, 2), (2, 1)}),))
 
+    def test_empty_slot_list_rejected(self):
+        with pytest.raises(ValueError, match="a schedule needs at least one slot"):
+            GraphSchedule(m=2, slots=())
+        with pytest.raises(ValueError, match="a schedule needs at least one slot"):
+            schedule_from_config({"topology": "explicit", "m": 2, "slots": []})
+
+    @pytest.mark.parametrize("edge", [[1, 2, 3], 5, "ab", [1]], ids=["triple", "int", "string", "single"])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        with pytest.raises(ValueError, match=r"edge .* is not a pair \(j, i\)"):
+            schedule_from_config({"topology": "explicit", "m": 2, "slots": [[[1, 2], edge, [2, 1]]]})
+
     def test_direct_zero_nodes_rejected(self):
         with pytest.raises(InvalidSize, match="node count must be >= 1"):
             GraphSchedule(m=0, slots=(frozenset(),))

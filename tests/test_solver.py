@@ -19,7 +19,7 @@ from drcopt.problem import (
 from drcopt.sim import RunParams, run
 from drcopt.solver import FiniteSubproblem, SolveStatus, family_terms, minimize, solve
 
-from helpers import case_study_grid_min, reference_minimize, reference_solve, subproblem_cut_view
+from helpers import case_study_grid_min, reference_minimize, reference_solve, scaled_case_study, subproblem_cut_view
 
 
 def all_agent_cuts(y, rhs):
@@ -525,15 +525,30 @@ class TestExitTest:
 
 
 class TestNearDuplicateCuts:
-    @pytest.mark.xfail(strict=True, reason="near-duplicate cuts stall the multiplier iteration (ROADMAP defects)")
     def test_near_duplicate_cuts_solve(self, case_study):
         # Near y = sqrt(0.4375) the two cuts of each agent bound x2 alike to
         # second order: one is slack by about 1e-9 while the other is active.
-        # The solve ends at its iteration limit with max_violation 2.3e-9,
-        # cold and from the box center; (0.6614, 0.6615) fails the same way.
+        # The violation stays flat while the multipliers move between them,
+        # which must not end the solve.
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
         report = solve(FiniteSubproblem(case_study, cuts))
         assert report.status is SolveStatus.OPTIMAL
+
+    def test_warm_near_parallel_pair_solve(self):
+        # The lower solve of iteration 5 of scaled_instance(2560, 0) on
+        # directed_cycle(2560), Method I, cut down to the two agents whose
+        # pairs are near-parallel (y = 0.66372 slack by 2.6e-6, y = 0.66144
+        # violated).  The carried multipliers sit on the slack cuts, and
+        # each outer iteration moves about mu |c| of them to the violated
+        # ones while x and the violation stay put.
+        instance = scaled_case_study(2560, 0)
+        ys = (1.0, 0.7187500000001887, 0.6637228260909734, 0.6614417610555782)
+        cuts = [(a, k, (y,), 0.0) for a in (1, 2560) for k, y in enumerate(ys)]
+        x0 = np.array([-1.8750912213070415e-13, 0.6614417610555782])
+        lam0 = np.zeros(len(cuts))
+        lam0[2], lam0[6] = 651.1825582681677, 670.1189914609281
+        report = solve(FiniteSubproblem(instance, cuts), x0, lam0)
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 11)
 
     def test_separated_cuts_solve(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.6613, 0.6615))]
@@ -543,14 +558,16 @@ class TestNearDuplicateCuts:
 class TestIterationCount:
     """``SolveReport.iterations`` counts the outer iterations run, on every exit."""
 
-    def test_stall_exit(self, case_study):
+    def test_near_duplicate_exit(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
         report = solve(FiniteSubproblem(case_study, cuts))
-        assert (report.status, report.iterations) == (SolveStatus.ITERATION_LIMIT, 10)
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 12)
 
     def test_infeasible_exit(self, case_study):
+        # mu reaches its cap at the end of iteration 6, whose feasibility
+        # phase finds the cuts infeasible.
         report = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -10.0)))
-        assert (report.status, report.iterations) == (SolveStatus.INFEASIBLE, 8)
+        assert (report.status, report.iterations) == (SolveStatus.INFEASIBLE, 6)
 
     def test_exhausted_loop(self, case_study, monkeypatch):
         problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
