@@ -7,6 +7,7 @@ implicit everywhere: protocols always operate on N_i^in(t) united with
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,8 +75,10 @@ class GraphSchedule:
     stores each slot as a frozenset of int pairs, and computes ``window``,
     the connectivity window T of the slots.  It raises ``ValueError``
     for a non-integer ``m``, :class:`InvalidSize` for ``m < 1``,
-    ``ValueError`` for an empty slot list, an edge that is not a pair, a
-    non-integer endpoint, an endpoint outside 1..m or a self-loop, and
+    ``ValueError`` for slots that are not iterable, an empty slot list, a
+    slot that is not a collection of edges (a string or a non-iterable),
+    an edge that is not a pair, a non-integer endpoint, an endpoint
+    outside 1..m or a self-loop, and
     :class:`NotUniformlyConnected` for a schedule that is not uniformly
     connected.  Flooding rests on T alone (see :mod:`drcopt.consensus`).
     """
@@ -88,8 +91,12 @@ class GraphSchedule:
         m = require_integer(self.m, "node count")
         if m < 1:
             raise InvalidSize("node count must be >= 1")
+        if not isinstance(self.slots, Iterable):
+            raise ValueError(f"slots must be a collection of slots, got {self.slots!r}")
         slots = []
-        for edges in self.slots:
+        for k, edges in enumerate(self.slots):
+            if isinstance(edges, str) or not isinstance(edges, Iterable):
+                raise ValueError(f"slot {k} is not a collection of edges")
             clean = set()
             for edge in edges:
                 try:  # a two-character string would unpack into two endpoints

@@ -3,7 +3,9 @@
 Minimizes the sum of the agents' objectives over the shared box subject
 to a finite list of scenario cuts g_a(x, y) <= rhs, kept in canonical
 order.  Method: augmented Lagrangian on the inequality constraints with
-a box-constrained projected Newton inner solve (:func:`minimize`).
+a box-constrained projected Newton inner solve (:func:`minimize`), and
+after each outer iteration an exact Newton finish on the KKT system of
+the cuts it found active (:func:`_active_set_finish`).
 Every solve starts from the point ``x0`` and the multipliers ``lam0``
 given to :func:`solve`.  The first solve on each side (lower, upper) of
 a run starts at the box center with zero multipliers; every later one
@@ -37,6 +39,10 @@ FEASIBILITY_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
 MAX_OUTER = 1000  # augmented-Lagrangian multiplier updates per solve
 MAX_INNER = 500  # Newton steps per inner minimization
+FINISH_STEPS = 3  # Newton steps per active-set finish
+# A cut joins the working set when the part of its gradient outside the
+# span of the cuts already kept is above this fraction of its norm.
+_INDEPENDENCE_TOL = 1e-6
 
 
 class SolveStatus(Enum):
@@ -317,6 +323,78 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
     )
 
 
+def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
+    """Newton's method on the KKT system of a working set; ``(x, lam)`` at an optimum, else None.
+
+    ``x`` is an augmented-Lagrangian iterate and ``lam`` its updated
+    multipliers.  The variables that :func:`minimize`'s epsilon-active
+    rule holds at a bound (for the Lagrangian's gradient) are fixed there;
+    the others are free.  The working set W takes the cuts with a positive
+    multiplier, most violated first, and keeps each one whose gradient on
+    the free variables is linearly independent of those already kept, up
+    to the number of free variables: of near-duplicate cuts it keeps the
+    more violated one.  Then at most ``FINISH_STEPS`` Newton steps on
+    ``[[H_f + sum_W lam_j H_j]_FF, J_WF^T; J_WF, 0]``, with the kernels'
+    exact Hessians, solve for the free variables and lam_W.  The result
+    is accepted once the iterate is in the box, lam_W >= 0 and
+    :func:`_kkt_satisfied` holds with lam zero off W; a step that leaves
+    the box, a negative lam_W or a singular system declines.  Nothing the
+    caller holds is changed, so a declined finish leaves the solve as it
+    was.
+    """
+    box = problem.box
+    lo, hi = box[:, 0], box[:, 1]
+    _, grad, c, jac, _, _ = problem.evaluate(x)
+    grad = grad + jac.T.dot(lam)
+    eps = min(1e-3, _projected_gradient(x, grad, box))
+    at_lo, at_hi = (x <= lo + eps) & (grad > 0.0), (x >= hi - eps) & (grad < 0.0)
+    free = (~(at_lo | at_hi)).nonzero()[0]
+    n_free = len(free)
+    if not n_free:
+        return None
+    whole = n_free == len(x)
+    if not whole:
+        x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    working, basis = [], []
+    violation = c.tolist()
+    for j in sorted(lam.nonzero()[0].tolist(), key=lambda j: -violation[j]):
+        row = jac[j] if whole else jac[j, free]
+        residual = row - sum(q.dot(row) * q for q in basis)
+        norm = math.sqrt(float(residual.dot(residual)))
+        if norm > _INDEPENDENCE_TOL * math.sqrt(float(row.dot(row))):
+            working.append(j)
+            basis.append(residual / norm)
+            if len(working) == n_free:
+                break
+    lam_w = lam[working]
+    kkt = np.zeros((n_free + len(working),) * 2)
+    for _ in range(FINISH_STEPS):
+        _, grad, c, jac, hess, cut_hess = problem.evaluate(x)
+        hess = hess + (lam_w[:, None, None] * cut_hess[working]).sum(axis=0)
+        jac_w = jac[working]
+        if not whole:
+            hess, jac_w, grad = hess[free][:, free], jac_w[:, free], grad[free]
+        kkt[:n_free, :n_free] = hess
+        kkt[n_free:, :n_free] = jac_w
+        kkt[:n_free, n_free:] = jac_w.T
+        try:
+            step = np.linalg.solve(kkt, -np.concatenate([grad, c[working]]))
+        except np.linalg.LinAlgError:
+            return None
+        x = x.copy()
+        x[free] += step[:n_free]
+        lam_w = step[n_free:]
+        # Elementwise as Python floats; NaN fails every comparison.
+        if x.tolist() != _project(x, box).tolist() or not all(v >= 0.0 for v in lam_w.tolist()):
+            return None
+        _, grad, c, jac, _, _ = problem.evaluate(x)
+        lam = np.zeros(len(lam))
+        lam[working] = lam_w
+        if _kkt_satisfied(x, grad, c, jac, lam, box):
+            return x, lam
+    return None
+
+
 def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
@@ -332,7 +410,12 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
     kernels' exact Hessians.  A subproblem with no cuts takes the same
     path: its empty arrays add no penalty, no violation and no
-    multiplier term.  Infeasibility is decided once, by the problem and
+    multiplier term.  After every outer iteration whose updated
+    multipliers fail the exit test, :func:`_active_set_finish` tries
+    Newton's method on the KKT system of the cuts those multipliers mark
+    active; when it is accepted the solve ends ``OPTIMAL`` with the
+    finish's point and multipliers, and otherwise it goes on from the
+    unchanged iterate.  Infeasibility is decided once, by the problem and
     not by the iterate's progress: the first outer iteration that ends
     with a violation above ``FEASIBILITY_TOL`` and the penalty at its
     cap runs the feasibility phase, and a residual violation above 1e-7
@@ -377,11 +460,15 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
 
         x = minimize(fun_grad, x, problem.box).x
 
-        f, grad, c, jac, _, _ = problem.evaluate(x)
+        _, grad, c, jac, _, _ = problem.evaluate(x)
         viol = float(c.max(initial=0.0))
         lam = np.maximum(0.0, lam + mu * c)
         if _kkt_satisfied(x, grad, c, jac, lam, problem.box):
             status = SolveStatus.OPTIMAL
+            break
+        finish = _active_set_finish(problem, x, lam)
+        if finish is not None:
+            (x, lam), status = finish, SolveStatus.OPTIMAL
             break
 
         if viol > FEASIBILITY_TOL:
@@ -397,10 +484,11 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
             mu = max(mu / 10.0, mu_base)
         prev_viol = viol
 
+    f, _, c, _, _, _ = problem.evaluate(x)
     return SolveReport(
         minimizer=x,
         objective_value=f,
-        max_violation=viol,
+        max_violation=float(c.max(initial=0.0)),
         iterations=outer,
         status=status,
         multipliers=lam,

@@ -23,6 +23,7 @@ from drcopt.problem import (
 )
 from drcopt.solver import (
     FEASIBILITY_TOL,
+    FINISH_STEPS,
     MAX_INNER,
     MAX_OUTER,
     STATIONARITY_TOL,
@@ -31,6 +32,7 @@ from drcopt.solver import (
     MinimizeResult,
     SolveReport,
     SolveStatus,
+    _INDEPENDENCE_TOL,
 )
 from drcopt.termination import stop_threshold
 
@@ -380,6 +382,55 @@ def _ref_kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, 
     )
 
 
+def _ref_active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
+    """Newton's method on the KKT system of a working set; ``(x, lam)`` at an optimum, else None."""
+    box = problem.box
+    lo, hi = box[:, 0], box[:, 1]
+    _, grad, c, jac, _, _ = problem.evaluate(x)
+    grad = grad + jac.T @ lam
+    eps = min(1e-3, _ref_projected_gradient(x, grad, box))
+    at_lo = (x <= lo + eps) & (grad > 0.0)
+    at_hi = (x >= hi - eps) & (grad < 0.0)
+    free = np.flatnonzero(~(at_lo | at_hi))
+    if len(free) == 0:
+        return None
+    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    # The cuts with a positive multiplier, most violated first; each one
+    # joins when its gradient on the free variables is independent of the
+    # cuts already kept, up to the number of free variables.
+    working, basis = [], []
+    for j in sorted(np.flatnonzero(lam > 0.0), key=lambda j: -c[j]):
+        row = jac[j, free]
+        residual = row - sum((q @ row) * q for q in basis)
+        norm = float(np.linalg.norm(residual))
+        if norm > _INDEPENDENCE_TOL * float(np.linalg.norm(row)):
+            working.append(int(j))
+            basis.append(residual / norm)
+            if len(working) == len(free):
+                break
+    lam_w = lam[working]
+    for _ in range(FINISH_STEPS):
+        _, grad, c, jac, hess, cut_hess = problem.evaluate(x)
+        lagrangian_hess = hess + np.sum(lam_w[:, None, None] * cut_hess[working], axis=0)
+        jac_w = jac[np.ix_(working, free)]
+        kkt = np.block([[lagrangian_hess[np.ix_(free, free)], jac_w.T], [jac_w, np.zeros((len(working),) * 2)]])
+        try:
+            step = np.linalg.solve(kkt, -np.concatenate([grad[free], c[working]]))
+        except np.linalg.LinAlgError:
+            return None
+        x = x.copy()
+        x[free] += step[: len(free)]
+        lam_w = step[len(free) :]
+        if not (np.all((x >= lo) & (x <= hi)) and np.all(lam_w >= 0.0)):
+            return None
+        _, grad, c, jac, _, _ = problem.evaluate(x)
+        lam_full = np.zeros(len(lam))
+        lam_full[working] = lam_w
+        if _ref_kkt_satisfied(x, grad, c, jac, lam_full, box):
+            return x, lam_full
+    return None
+
+
 def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``."""
     n_cuts = len(problem.cuts)
@@ -420,7 +471,14 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
             viol = 0.0
             lam_next = lam
 
-        if _ref_kkt_satisfied(x, grad, c, jac, lam_next, problem.box):
+        optimal = _ref_kkt_satisfied(x, grad, c, jac, lam_next, problem.box)
+        if not optimal:
+            finish = _ref_active_set_finish(problem, x, lam_next)
+            if finish is not None:
+                (x, lam_next), optimal = finish, True
+                f, _, c, _, _, _ = problem.evaluate(x)
+                viol = float(max(0.0, c.max())) if n_cuts else 0.0
+        if optimal:
             return SolveReport(
                 minimizer=x,
                 objective_value=f,

@@ -18,7 +18,10 @@ every ``IterationRecord`` (floats as ``float.hex``), ``terminated``,
 ``iterations`` and the bytes of ``x_opt``.  Runs are deterministic, so
 two processes print the same lines, whatever their ``PYTHONHASHSEED``; a
 change that keeps every iterate to the bit prints the same lines as its
-parent.  Not a test module: pytest does not collect it.
+parent.  ``tests/record_digest.expected`` holds the two lines of the
+current code, and CI compares the printed lines with it, so a change
+that moves an iterate must update that file.  Not a test module: pytest
+does not collect it.
 """
 
 from __future__ import annotations

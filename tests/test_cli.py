@@ -165,6 +165,9 @@ class TestRun:
                 {"topology": "explicit", "m": 6, "slots": [[[1.9, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]]},
                 "edge endpoint must be an integer, got 1.9",
             ),
+            ({"topology": "explicit", "m": 6, "slots": [5]}, "slot 0 is not a collection of edges"),
+            ({"topology": "explicit", "m": 6, "slots": "ab"}, "slot 0 is not a collection of edges"),
+            ({"topology": "explicit", "m": 6, "slots": 5}, "slots must be a collection of slots, got 5"),
         ],
         ids=[
             "not-uniformly-connected",
@@ -174,6 +177,9 @@ class TestRun:
             "m-string",
             "m-bool",
             "edge-endpoint-float",
+            "slot-int",
+            "slot-string",
+            "slots-int",
         ],
     )
     def test_bad_topology_object_exits_1(self, tmp_path, capsys, topology, message):

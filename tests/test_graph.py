@@ -207,6 +207,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"edge .* is not a pair \(j, i\)"):
             schedule_from_config({"topology": "explicit", "m": 2, "slots": [[[1, 2], edge, [2, 1]]]})
 
+    @pytest.mark.parametrize("slot", [5, "ab", None], ids=["int", "string", "null"])
+    def test_slot_that_is_not_a_collection_of_edges_rejected(self, slot):
+        with pytest.raises(ValueError, match="slot 1 is not a collection of edges"):
+            GraphSchedule(m=2, slots=[[(1, 2), (2, 1)], slot])
+
+    def test_slots_that_are_not_iterable_rejected(self):
+        with pytest.raises(ValueError, match="slots must be a collection of slots, got 5"):
+            GraphSchedule(m=2, slots=5)
+
     def test_direct_zero_nodes_rejected(self):
         with pytest.raises(InvalidSize, match="node count must be >= 1"):
             GraphSchedule(m=0, slots=(frozenset(),))

@@ -195,6 +195,9 @@ class TestParameterHandling:
             run(case_study, directed_cycle(6), RunParams(eps0=10.0))
 
     def test_iteration_limit_is_a_numerical_failure(self, case_study, monkeypatch):
+        # The active-set finish would end every solve in its first outer
+        # iteration; without it the multiplier iteration needs more.
+        monkeypatch.setattr(solver, "_active_set_finish", lambda problem, x, lam: None)
         monkeypatch.setattr(solver, "MAX_OUTER", 1)
         with pytest.raises(NumericalFailure, match="lower subproblem solve hit the iteration limit"):
             run(case_study, directed_cycle(6), RunParams())

@@ -19,6 +19,7 @@ from drcopt.problem import (
 from drcopt.sim import RunParams, run
 from drcopt.solver import FiniteSubproblem, SolveStatus, family_terms, minimize, solve
 
+import record_digest
 from helpers import case_study_grid_min, reference_minimize, reference_solve, scaled_case_study, subproblem_cut_view
 
 
@@ -83,6 +84,11 @@ def random_cuts(rng):
         for agent in range(1, 7)
         for k in range(2)
     ]
+
+
+def decline(problem, x, lam):
+    """An active-set finish that always declines: the solve is the multiplier iteration alone."""
+    return None
 
 
 def assert_reports_bitwise_equal(a, b):
@@ -359,6 +365,8 @@ class TestFusedEvaluation:
         # Every function minimize is given (the augmented Lagrangians, and
         # the feasibility phase's squared violations when infeasible) has
         # the exact Hessian of its gradient away from the kinks of max(0, .).
+        # The active-set finish declines, so that the feasible solve goes
+        # through several multiplier updates.
         mixed = example1_mixed(case_study)
         cuts = [(i, 0, (0.5,), rhs) for i in range(1, 7)] + [(i, 1, (0.9,), rhs) for i in range(1, 7)]
         functions = []
@@ -369,6 +377,7 @@ class TestFusedEvaluation:
             return real_minimize(fun_grad, x0, box)
 
         monkeypatch.setattr(solver, "minimize", recording_minimize)
+        monkeypatch.setattr(solver, "_active_set_finish", decline)
         solve(FiniteSubproblem(mixed, cuts))
         assert len(functions) >= 2
         h = 1e-6
@@ -548,7 +557,11 @@ class TestNearDuplicateCuts:
         lam0 = np.zeros(len(cuts))
         lam0[2], lam0[6] = 651.1825582681677, 670.1189914609281
         report = solve(FiniteSubproblem(instance, cuts), x0, lam0)
-        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 11)
+        # The active-set finish ends it after the first outer iteration
+        # (11 outer iterations without it).  Its working set is ordered by
+        # violation: ordered by multiplier it would keep the slack twins,
+        # which carry the large multipliers, and decline.
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
 
     def test_separated_cuts_solve(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.6613, 0.6615))]
@@ -561,7 +574,8 @@ class TestIterationCount:
     def test_near_duplicate_exit(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
         report = solve(FiniteSubproblem(case_study, cuts))
-        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 12)
+        # 12 without the active-set finish.
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
 
     def test_infeasible_exit(self, case_study):
         # mu reaches its cap at the end of iteration 6, whose feasibility
@@ -571,10 +585,86 @@ class TestIterationCount:
 
     def test_exhausted_loop(self, case_study, monkeypatch):
         problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        assert solve(problem).iterations == 1
+        # Without the active-set finish the multiplier iteration needs 4.
+        monkeypatch.setattr(solver, "_active_set_finish", decline)
         assert solve(problem).iterations == 4
         monkeypatch.setattr(solver, "MAX_OUTER", 2)
         report = solve(problem)
         assert (report.status, report.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+
+
+def recorded_finishes(monkeypatch):
+    """Patch ``solver._active_set_finish`` to record ``(x, lam, result)`` of every call; returns the list."""
+    finishes = []
+    real_finish = solver._active_set_finish
+
+    def recording_finish(problem, x, lam):
+        result = real_finish(problem, x, lam)
+        finishes.append((x, lam, result))
+        return result
+
+    monkeypatch.setattr(solver, "_active_set_finish", recording_finish)
+    return finishes
+
+
+class TestActiveSetFinish:
+    def test_near_duplicate_working_set_keeps_an_independent_subset(self, case_study, monkeypatch):
+        # Three near-duplicate cuts for each of agents 1 and 6: after the
+        # first outer iteration all six carry a positive multiplier, more
+        # than the two variables.  The finish keeps the most violated cut
+        # of each agent (the largest y), whose gradients are independent.
+        ys = (0.66137, 0.66140, 0.66144)
+        cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate(ys)]
+        problem = FiniteSubproblem(case_study, cuts)
+        finishes = recorded_finishes(monkeypatch)
+        report = solve(problem)
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
+        [(_, lam, result)] = finishes
+        assert np.count_nonzero(lam) == 6
+        x, multipliers = result
+        assert multipliers.tobytes() == report.multipliers.tobytes()
+        assert [cut[:3] for cut, m in zip(problem.cuts, multipliers) if m > 0.0] == [(1, 2, (0.66144,)), (6, 2, (0.66144,))]
+        val, _ = case_study_grid_min(subproblem_cut_view(problem))
+        assert report.objective_value <= val + 1e-6
+
+    def test_optimum_on_a_box_bound(self, case_study, monkeypatch):
+        # Every objective pulls to (0, 3), above the box, so x2 sits at its
+        # upper bound 1; the cut (x1 - 0.75)^2 + x2 - 1.25 <= 0 then holds
+        # x1 at 0.25 with multiplier 3.  The finish fixes x2 at the bound
+        # and solves for x1 and the multiplier.
+        instance = dataclasses.replace(case_study, objectives=(quadratic_distance([0.0, 3.0]),) * 6)
+        problem = FiniteSubproblem(instance, [(6, 0, (0.5,), 0.0)])
+        finishes = recorded_finishes(monkeypatch)
+        report = solve(problem)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.minimizer[1] == 1.0
+        assert report.minimizer[0] == pytest.approx(0.25, abs=1e-8)
+        assert report.multipliers[0] == pytest.approx(3.0, abs=1e-6)
+        [(_, _, result)] = finishes
+        assert result[0].tobytes() == report.minimizer.tobytes()
+
+    @pytest.mark.parametrize("family", ["kernel", "mixed"])
+    def test_infeasible_cut_set_declines_and_ends_infeasible(self, case_study, rng, monkeypatch, family):
+        # Every finish declines, so the solve is the multiplier iteration
+        # alone, bit for bit, and the feasibility phase decides.
+        instance = case_study if family == "kernel" else example1_mixed(case_study)
+        cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, random_scenario(rng, instance, i), -0.5) for i in range(1, 7)]
+        finishes = recorded_finishes(monkeypatch)
+        report = solve(FiniteSubproblem(instance, cuts))
+        assert report.status is SolveStatus.INFEASIBLE
+        assert finishes and all(result is None for *_, result in finishes)
+        monkeypatch.setattr(solver, "_active_set_finish", decline)
+        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(instance, cuts)))
+
+    def test_declining_finish_reproduces_the_multiplier_iteration(self, case_study, monkeypatch):
+        # The SHA-256 digest of table2's I/cycle run over every record
+        # field, terminated, iterations and x_opt (tests/record_digest.py),
+        # as the multiplier iteration alone computes it: a finish that
+        # declines must leave no trace.
+        monkeypatch.setattr(solver, "_active_set_finish", decline)
+        run_list = [("I/cycle", case_study, directed_cycle(6), RunParams(method="I"))]
+        assert record_digest.digest(run_list) == "4f762f5a73a214f0e77fa6bbb7fb5de39b57a540c6b61f5502904cafe68cd244"
 
 
 @pytest.fixture(scope="module")
@@ -669,28 +759,29 @@ class TestWarmStart:
         assert_reports_bitwise_equal(solve(problem, x0, lam0), report)
 
     def test_work_counts(self, table2_solves):
-        # Exact, so losing the warm start fails here and not only in timings:
-        # with cold multipliers the same run takes 68 outer iterations,
-        # 87 Newton steps and 187 fun_grad calls.
+        # Exact, so losing the warm start or the active-set finish fails
+        # here and not only in timings: with cold multipliers the same run
+        # takes 28 Newton steps and 73 fun_grad calls, and without the
+        # finish 47 outer iterations, 56 Newton steps and 117 fun_grad calls.
         calls, work = table2_solves
         assert len(calls) == 16
-        assert sum(report.iterations for *_, report in calls) == 47
-        assert (work["newton"], work["fun_grad"]) == (56, 117)
+        assert sum(report.iterations for *_, report in calls) == 16
+        assert (work["newton"], work["fun_grad"]) == (23, 52)
 
     def test_curvature_only_before_newton_steps(self, table2_solves):
         # minimize builds the penalty curvature only at an iterate about to
         # take a Newton step; built at every fun_grad call, as it once was,
-        # the same run makes 111.
-        assert table2_solves[1]["curvature"] == 55
+        # the same run makes 46.
+        assert table2_solves[1]["curvature"] == 19
 
     def test_constraint_kernel_calls(self, table2_solves):
         # The lower-level problem checks all agents at the consensus point
         # in one call of the shared kernel: 2 per iteration for 8
         # iterations, and 1 for the exit check.  With one call per agent
-        # the same run makes 185 calls (102 from the lower-level problem)
-        # of the same 870 rows.
+        # the same run makes 161 calls (102 from the lower-level problem)
+        # of the same 644 rows.
         work = table2_solves[1]
-        assert (work["constraint"], work["constraint rows"]) == (100, 870)
+        assert (work["constraint"], work["constraint rows"]) == (76, 644)
         assert work["constraint"] - work["solver constraint"] == 17
 
 
