@@ -123,18 +123,17 @@ class GraphSchedule:
 
     @cached_property
     def closed_in(self) -> np.ndarray:
-        """Closed in-neighborhoods per slot phase, shape (period, m, m), read-only.
+        """Closed in-neighborhoods per slot phase, shape (period, m, m), bool, read-only.
 
-        Entry [p, i-1, j-1] is 1.0 when j = i or j sends to i in phase p,
-        else 0.0: float64, so that products with it run in BLAS and stay
-        exact.  Only the stopping counters and the Method II weights read
-        it; built on first use, so merely validated schedules never pay.
+        Entry [p, i-1, j-1] is True when j = i or j sends to i in phase p.
+        Only the stopping counters and the Method II weights read it;
+        built on first use, so merely validated schedules never pay.
         """
-        table = np.zeros((self.period, self.m, self.m))
-        table[:, range(self.m), range(self.m)] = 1.0
+        table = np.zeros((self.period, self.m, self.m), dtype=bool)
+        table[:, range(self.m), range(self.m)] = True
         for p, edges in enumerate(self.slots):
             for j, i in edges:
-                table[p, i - 1, j - 1] = 1.0
+                table[p, i - 1, j - 1] = True
         table.flags.writeable = False
         return table
 

@@ -48,17 +48,17 @@ def _vertex_offset(below: float, mid: float, above: float) -> float:
 
 
 def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[float, Vector]:
-    """Grid search plus a parabola polish, ignoring any analytic maximizer.
+    """Grid search plus one parabola vertex per start, ignoring any analytic maximizer.
 
     Concave constraints start from the best grid point, others from each
     of the five best.  For each start, the parabola through the grid
     values at the three points centered on it (one grid cell inside the
-    box) gives a first vertex; a three-point stencil at the same spacing,
-    centered on that vertex, gives a second.  Near a maximum the values
-    locate y only to about the square root of the float resolution, but
-    a vertex is a ratio of value differences, exact for a quadratic.  The
-    best of the starts and the vertices wins.  Each stage evaluates its
-    points in one call of the constraint's kernel.
+    box) gives a vertex.  Near a maximum the values locate y only to
+    about the square root of the float resolution, but a vertex is a
+    ratio of value differences, exact for a quadratic.  The best of the
+    vertices and the starts wins; where g(x, .) is not concave a start
+    can beat every vertex.  The grid and the vertices are each scored in
+    one call of the constraint's kernel: two calls per solve.
     """
     if constraint.n_y != 1:
         raise UnsupportedDimension(
@@ -71,18 +71,12 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     def values(points) -> np.ndarray:
         return constraint.batch(x, constraint.coefficients[None, :], np.asarray(points)[:, None])[0]
 
-    def clamp(y: float) -> float:
-        return min(hi, max(lo, y))
-
     vals = values(ys)
     seeds = [int(np.argmax(vals))] if constraint.concave_in_y else np.argsort(vals)[-5:].tolist()
     cells = [min(max(i, 1), GRID_POINTS - 2) for i in seeds]
-    first = [clamp(float(ys[k]) + h * _vertex_offset(*vals[k - 1 : k + 2].tolist())) for k in cells]
-    centers = [min(hi - h, max(lo + h, y)) for y in first]
-    stencil = values([clamp(y) for c in centers for y in (c - h, c, c + h)]).tolist()
-    second = [clamp(c + h * _vertex_offset(*stencil[3 * i : 3 * i + 3])) for i, c in enumerate(centers)]
-    candidates = second + first + [float(ys[i]) for i in seeds]
-    scores = np.concatenate([values(second + first), vals[seeds]])
+    vertices = [min(hi, max(lo, float(ys[k]) + h * _vertex_offset(*vals[k - 1 : k + 2].tolist()))) for k in cells]
+    candidates = vertices + [float(ys[i]) for i in seeds]
+    scores = np.concatenate([values(vertices), vals[seeds]])
     best = int(np.argmax(scores))
     return float(scores[best]), np.array([candidates[best]])
 
@@ -97,7 +91,7 @@ def solve_llp(constraints: Sequence[SemiInfiniteConstraint], x: Vector) -> tuple
     that share a kernel, one one-row call each otherwise); since a
     kernel's rows are independent, each value equals
     ``constraint.evaluate(x, y_star)`` to the bit.  Each other member
-    takes the numeric grid-and-refine path.
+    takes the numeric grid-and-vertex path.
     """
     x = np.asarray(x, dtype=float)
     g_max = np.empty(len(constraints))

@@ -110,7 +110,9 @@ class SemiInfiniteConstraint:
     subproblem's cuts through :func:`drcopt.solver.family_terms`, and the
     numeric lower-level problem scans its grid in one call.
     ``analytic_argmax``, when present, maps x to the global maximizer of
-    g(x, .) over the uncertainty box.
+    g(x, .) over the uncertainty box.  Without it, ``concave_in_y`` tells
+    :func:`drcopt.llp.solve_llp_numeric` how many grid starts to polish:
+    one when g(x, .) is concave, the five best grid points otherwise.
     """
 
     batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

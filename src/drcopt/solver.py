@@ -438,6 +438,10 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     # costs it few extra steps.  The penalty grows while the iterate stays
     # infeasible and decays back to the base once the violation is within
     # tolerance, which bounds the curvature while stationarity is polished.
+    # The active-set finish ends every benchmark solve before the decay
+    # lowers mu, but without the finish the scaled runs on complete(12) and
+    # complete(48) need it: without the decay, or with a plain x10 while
+    # infeasible, they hit MAX_OUTER (pinned in tests/test_solver.py).
     mu_base, mu_cap = 1000.0, 1e8
     mu = mu_base
     prev_viol = math.inf

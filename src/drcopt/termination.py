@@ -53,7 +53,7 @@ def run_stopping_round(
     closed_in = schedule.closed_in
     if method == "I":
         # No failing gap in the neighborhood; negated so that NaN fails.
-        ok = closed_in @ np.array([not e <= eps_f for e in gaps], dtype=float) == 0.0
+        ok = ~(closed_in & np.array([not e <= eps_f for e in gaps])).any(axis=2)
     else:
         # A sum at eps_f can round either way, so the order is fixed: own
         # gap first, then the in-neighbors ascending, added one at a time
@@ -66,7 +66,7 @@ def run_stopping_round(
     c = np.zeros(schedule.m, dtype=int)
     for slot in range(start_slot, start_slot + threshold):
         phase = slot % schedule.period
-        h = np.where(closed_in[phase] == 1.0, np.minimum(h, c), threshold).min(axis=1) + 1
+        h = np.where(closed_in[phase], np.minimum(h, c), threshold).min(axis=1) + 1
         c = np.where(ok[phase], c + 1, 0)
     reached = h >= threshold
     stop = bool(reached.any())

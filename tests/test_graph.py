@@ -150,14 +150,14 @@ class TestNeighbors:
     def test_single_agent(self):
         assert make_schedule(1, [set()]).closed_in.tolist() == [[[1.0]]]
 
-    def test_read_only_zero_one_float64(self):
+    def test_read_only_bool_mask(self):
         s = customized(5)
         table = s.closed_in
         assert table.shape == (1, 5, 5)
-        assert table.dtype == np.float64
-        assert set(np.unique(table)) == {0.0, 1.0}
+        assert table.dtype == np.bool_
+        assert set(np.unique(table)) == {False, True}
         with pytest.raises(ValueError):
-            table[0, 0, 1] = 1.0
+            table[0, 0, 1] = True
 
     def test_built_on_first_use_only(self):
         s = directed_cycle(4)

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from drcopt import consensus, solver
-from drcopt.graph import directed_cycle
+from drcopt.graph import complete, directed_cycle
 from drcopt.problem import (
     LocalObjective,
     NumericalFailure,
@@ -592,6 +592,15 @@ class TestIterationCount:
         monkeypatch.setattr(solver, "MAX_OUTER", 2)
         report = solve(problem)
         assert (report.status, report.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+
+    @pytest.mark.parametrize("m, iterations", [(12, 6), (48, 8)])
+    def test_multiplier_iteration_alone_ends_the_scaled_runs(self, monkeypatch, m, iterations):
+        # The finish declines, so every solve rests on the penalty
+        # schedule: without its decay, or with a plain x10 while
+        # infeasible, a solve of these runs hits the iteration limit.
+        monkeypatch.setattr(solver, "_active_set_finish", decline)
+        result = run(scaled_case_study(m, 0), complete(m), RunParams())
+        assert (result.terminated, result.iterations) == (True, iterations)
 
 
 def recorded_finishes(monkeypatch):
