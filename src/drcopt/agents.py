@@ -61,8 +61,9 @@ def dubd_oracle(
 ) -> tuple[list[Verdict], np.ndarray]:
     """Upper-side oracles of ``states``: each cuts on violation and shrinks its epsilon by r on feasibility.
 
-    Returns the verdicts, the caller's record of whether ``z_new`` is
-    feasible for each agent, and the (len(states),) array of g_max.
+    Returns the verdicts, which are the caller's record of whether
+    ``z_new`` is feasible for each agent, and the (len(states),) array of
+    g_max.
     """
     # Negated comparison so that NaN is rejected too.
     if not 1.0 < r < math.inf:

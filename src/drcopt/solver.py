@@ -2,10 +2,12 @@
 
 Minimizes the sum of the agents' objectives over the shared box subject
 to a finite list of scenario cuts g_a(x, y) <= rhs, kept in canonical
-order.  Method: augmented Lagrangian on the inequality constraints with
-a box-constrained projected Newton inner solve (:func:`minimize`), and
-after each outer iteration an exact Newton finish on the KKT system of
-the cuts it found active (:func:`_active_set_finish`).
+order.  Method: an exact Newton finish on the KKT system of the cuts
+found active (:func:`_active_set_finish`), tried first at the start
+point and then after each outer iteration of an augmented Lagrangian on
+the inequality constraints with a box-constrained projected Newton inner
+solve (:func:`minimize`).  A warm start usually names the active set,
+so the finish at the start ends the solve without an outer iteration.
 Every solve starts from the point ``x0`` and the multipliers ``lam0``
 given to :func:`solve`.  The first solve on each side (lower, upper) of
 a run starts at the box center with zero multipliers; every later one
@@ -169,7 +171,7 @@ class SolveReport:
     minimizer: Vector
     objective_value: float
     max_violation: float
-    iterations: int  # outer iterations run, on every exit
+    iterations: int  # outer iterations run, on every exit; 0 when the finish at the start ends the solve
     status: SolveStatus
     multipliers: np.ndarray = field(repr=False)  # one per cut of ``cuts``
     cuts: tuple[Cut, ...] = field(repr=False)  # the canonical cuts solved on
@@ -326,21 +328,25 @@ def _kkt_satisfied(x: Vector, grad: Vector, c: np.ndarray, jac: np.ndarray, lam_
 def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
     """Newton's method on the KKT system of a working set; ``(x, lam)`` at an optimum, else None.
 
-    ``x`` is an augmented-Lagrangian iterate and ``lam`` its updated
-    multipliers.  The variables that :func:`minimize`'s epsilon-active
-    rule holds at a bound (for the Lagrangian's gradient) are fixed there;
-    the others are free.  The working set W takes the cuts with a positive
-    multiplier, most violated first, and keeps each one whose gradient on
-    the free variables is linearly independent of those already kept, up
-    to the number of free variables: of near-duplicate cuts it keeps the
-    more violated one.  Then at most ``FINISH_STEPS`` Newton steps on
-    ``[[H_f + sum_W lam_j H_j]_FF, J_WF^T; J_WF, 0]``, with the kernels'
-    exact Hessians, solve for the free variables and lam_W.  The result
-    is accepted once the iterate is in the box, lam_W >= 0 and
-    :func:`_kkt_satisfied` holds with lam zero off W; a step that leaves
-    the box, a negative lam_W or a singular system declines.  Nothing the
-    caller holds is changed, so a declined finish leaves the solve as it
-    was.
+    ``x`` and ``lam`` are the solve's start point and multipliers, or an
+    augmented-Lagrangian iterate and its updated multipliers.  The
+    variables that :func:`minimize`'s epsilon-active rule holds at a bound
+    (for the Lagrangian's gradient) are fixed there; the others are free.
+    The candidates for the working set W are the cuts with a positive
+    multiplier or a positive violation: at a warm start the carried active
+    cuts and the newly violated ones, after an update the cuts with a
+    positive ``max(0, lam + mu c)``, which include every violated one.
+    W takes the candidates, most violated first, and keeps each one whose
+    gradient on the free variables is linearly independent of those
+    already kept, up to the number of free variables: of near-duplicate
+    cuts it keeps the more violated one.  Then at most ``FINISH_STEPS``
+    Newton steps on ``[[H_f + sum_W lam_j H_j]_FF, J_WF^T; J_WF, 0]``,
+    with the kernels' exact Hessians, solve for the free variables and
+    lam_W.  The result is accepted once the iterate is in the box,
+    lam_W >= 0 and :func:`_kkt_satisfied` holds with lam zero off W; a
+    step that leaves the box, a negative lam_W or a singular system
+    declines.  Nothing the caller holds is changed, so a declined finish
+    leaves the solve as it was.
     """
     box = problem.box
     lo, hi = box[:, 0], box[:, 1]
@@ -357,7 +363,7 @@ def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
         x = np.where(at_lo, lo, np.where(at_hi, hi, x))
     working, basis = [], []
     violation = c.tolist()
-    for j in sorted(lam.nonzero()[0].tolist(), key=lambda j: -violation[j]):
+    for j in sorted(((lam > 0.0) | (c > 0.0)).nonzero()[0].tolist(), key=lambda j: -violation[j]):
         row = jac[j] if whole else jac[j, free]
         residual = row - sum(q.dot(row) * q for q in basis)
         norm = math.sqrt(float(residual.dot(residual)))
@@ -398,11 +404,15 @@ def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
 def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
-    The augmented-Lagrangian iteration starts from ``x0``, or from the box
-    center when it is None, and from the multipliers ``lam0``, one
-    nonnegative value per cut of ``problem.cuts``, or zeros when it is
-    None.  A cold solve is this same iteration from zero multipliers.
-    Multipliers of a tighter problem cost only outer iterations: the
+    The solve starts from ``x0``, or from the box center when it is None,
+    and from the multipliers ``lam0``, one nonnegative value per cut of
+    ``problem.cuts``, or zeros when it is None.  A cold solve is this same
+    solve from zero multipliers.  First :func:`_active_set_finish` tries
+    Newton's method on the KKT system of the cuts that the start marks
+    active, the carried active cuts and the newly violated ones; when it
+    is accepted the solve ends ``OPTIMAL`` with ``iterations`` 0, and
+    otherwise the augmented-Lagrangian iteration starts from the unchanged
+    start.  Multipliers of a tighter problem cost only outer iterations: the
     update ``max(0, lam + mu c)`` lowers them on slack cuts, and the exit
     test requires complementarity, so none survives into an optimal report.
     Each inner minimization gets the exact generalized Hessian of the
@@ -428,7 +438,7 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     agree bit for bit.
     """
     n_cuts = len(problem.cuts)
-    x = problem.box.mean(axis=1) if x0 is None else x0
+    x = problem.box.mean(axis=1) if x0 is None else np.asarray(x0, dtype=float)
     lam = np.zeros(n_cuts) if lam0 is None else np.asarray(lam0, dtype=float)
     if lam.shape != (n_cuts,) or not (lam >= 0.0).all():
         raise ValueError("lam0 needs one nonnegative multiplier per cut")
@@ -438,9 +448,8 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     # costs it few extra steps.  The penalty grows while the iterate stays
     # infeasible and decays back to the base once the violation is within
     # tolerance, which bounds the curvature while stationarity is polished.
-    # The active-set finish ends every benchmark solve before the decay
-    # lowers mu, but without the finish the scaled runs on complete(12) and
-    # complete(48) need it: without the decay, or with a plain x10 while
+    # Without the active-set finish the scaled runs on complete(12) and
+    # complete(48) need the decay: without it, or with a plain x10 while
     # infeasible, they hit MAX_OUTER (pinned in tests/test_solver.py).
     mu_base, mu_cap = 1000.0, 1e8
     mu = mu_base
@@ -448,7 +457,17 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     status = SolveStatus.ITERATION_LIMIT
     phase_run = False
 
-    for outer in range(1, MAX_OUTER + 1):
+    # No exit test on the start alone: a carried point meets its binding
+    # cuts only to FEASIBILITY_TOL, and the oracles read a violation that
+    # small as a new cut, which stalls the large-r runs of
+    # tests/test_sim.py.  The finish's Newton step makes them hold to
+    # rounding.
+    finish = _active_set_finish(problem, x, lam)
+    if finish is not None:
+        (x, lam), status = finish, SolveStatus.OPTIMAL
+    outer = 0
+    while status is SolveStatus.ITERATION_LIMIT and outer < MAX_OUTER:
+        outer += 1
 
         def fun_grad(z, lam=lam, mu=mu, lam_sq=lam.dot(lam), two_mu=2.0 * mu):
             f, grad, c, jac, hess, cut_hess = problem.evaluate(z)

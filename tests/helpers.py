@@ -395,11 +395,12 @@ def _ref_active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray
     if len(free) == 0:
         return None
     x = np.where(at_lo, lo, np.where(at_hi, hi, x))
-    # The cuts with a positive multiplier, most violated first; each one
-    # joins when its gradient on the free variables is independent of the
-    # cuts already kept, up to the number of free variables.
+    # The cuts with a positive multiplier or a positive violation, most
+    # violated first; each one joins when its gradient on the free
+    # variables is independent of the cuts already kept, up to the number
+    # of free variables.
     working, basis = [], []
-    for j in sorted(np.flatnonzero(lam > 0.0), key=lambda j: -c[j]):
+    for j in sorted(np.flatnonzero((lam > 0.0) | (c > 0.0)), key=lambda j: -c[j]):
         row = jac[j, free]
         residual = row - sum((q @ row) * q for q in basis)
         norm = float(np.linalg.norm(residual))
@@ -447,6 +448,21 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
     prev_viol = math.inf
     status = SolveStatus.ITERATION_LIMIT
     phase_run = False
+
+    # The finish at the start point, before any outer iteration.
+    finish = _ref_active_set_finish(problem, x, lam)
+    if finish is not None:
+        x, lam_next = finish
+        f, _, c, _, _, _ = problem.evaluate(x)
+        return SolveReport(
+            minimizer=x,
+            objective_value=f,
+            max_violation=float(max(0.0, c.max())) if n_cuts else 0.0,
+            iterations=0,
+            status=SolveStatus.OPTIMAL,
+            multipliers=lam_next,
+            cuts=problem.cuts,
+        )
 
     for outer in range(1, MAX_OUTER + 1):
 

@@ -466,7 +466,8 @@ class TestTable2:
             assert upper - lower <= 0.06 + 1e-9
 
     def test_large_r_exits_0(self, tmp_path, capsys):
-        assert main(["table2", "--out", str(tmp_path / "t2"), "--r", "1e10"]) == 0
+        for r in ("1e10", "1e12", "1e14"):
+            assert main(["table2", "--out", str(tmp_path / f"t2-{r}"), "--r", r]) == 0, r
 
     def test_budget_exhaustion_writes_rows_without_coordinates_and_exits_2(self, tmp_path, capsys):
         out = tmp_path / "t2"

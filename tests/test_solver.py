@@ -557,11 +557,13 @@ class TestNearDuplicateCuts:
         lam0 = np.zeros(len(cuts))
         lam0[2], lam0[6] = 651.1825582681677, 670.1189914609281
         report = solve(FiniteSubproblem(instance, cuts), x0, lam0)
-        # The active-set finish ends it after the first outer iteration
-        # (11 outer iterations without it).  Its working set is ordered by
-        # violation: ordered by multiplier it would keep the slack twins,
-        # which carry the large multipliers, and decline.
-        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
+        # The active-set finish ends it at the start point, before any
+        # outer iteration (after the first one when only a positive
+        # multiplier made a cut a candidate, 11 without the finish).  Its
+        # working set is ordered by violation: ordered by multiplier it
+        # would keep the slack twins, which carry the large multipliers,
+        # and decline.
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 0)
 
     def test_separated_cuts_solve(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.6613, 0.6615))]
@@ -603,6 +605,27 @@ class TestIterationCount:
         assert (result.terminated, result.iterations) == (True, iterations)
 
 
+def decline_at_start(monkeypatch):
+    """Patch the solver so that the finish at each solve's start point declines; returns the patched ``solve``.
+
+    The finishes after outer iterations run as before.  ``consensus.solve``
+    is patched too, so runs take the patched solve.
+    """
+    real_solve, real_finish = solver.solve, solver._active_set_finish
+    starting = []
+
+    def finish(problem, x, lam):
+        return None if starting and starting.pop() else real_finish(problem, x, lam)
+
+    def patched_solve(problem, x0=None, lam0=None):
+        starting[:] = [True]
+        return real_solve(problem, x0, lam0)
+
+    monkeypatch.setattr(solver, "_active_set_finish", finish)
+    monkeypatch.setattr(consensus, "solve", patched_solve)
+    return patched_solve
+
+
 def recorded_finishes(monkeypatch):
     """Patch ``solver._active_set_finish`` to record ``(x, lam, result)`` of every call; returns the list."""
     finishes = []
@@ -623,13 +646,16 @@ class TestActiveSetFinish:
         # first outer iteration all six carry a positive multiplier, more
         # than the two variables.  The finish keeps the most violated cut
         # of each agent (the largest y), whose gradients are independent.
+        # At the box center every cut is slack and no multiplier is
+        # positive, so the finish there has no working set and declines.
         ys = (0.66137, 0.66140, 0.66144)
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate(ys)]
         problem = FiniteSubproblem(case_study, cuts)
         finishes = recorded_finishes(monkeypatch)
         report = solve(problem)
         assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
-        [(_, lam, result)] = finishes
+        [(_, _, at_start), (_, lam, result)] = finishes
+        assert at_start is None
         assert np.count_nonzero(lam) == 6
         x, multipliers = result
         assert multipliers.tobytes() == report.multipliers.tobytes()
@@ -641,16 +667,18 @@ class TestActiveSetFinish:
         # Every objective pulls to (0, 3), above the box, so x2 sits at its
         # upper bound 1; the cut (x1 - 0.75)^2 + x2 - 1.25 <= 0 then holds
         # x1 at 0.25 with multiplier 3.  The finish fixes x2 at the bound
-        # and solves for x1 and the multiplier.
+        # and solves for x1 and the multiplier.  At the box center the cut
+        # is slack, so the finish there ignores it and declines.
         instance = dataclasses.replace(case_study, objectives=(quadratic_distance([0.0, 3.0]),) * 6)
         problem = FiniteSubproblem(instance, [(6, 0, (0.5,), 0.0)])
         finishes = recorded_finishes(monkeypatch)
         report = solve(problem)
-        assert report.status is SolveStatus.OPTIMAL
+        assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
         assert report.minimizer[1] == 1.0
         assert report.minimizer[0] == pytest.approx(0.25, abs=1e-8)
         assert report.multipliers[0] == pytest.approx(3.0, abs=1e-6)
-        [(_, _, result)] = finishes
+        [(_, _, at_start), (_, _, result)] = finishes
+        assert at_start is None
         assert result[0].tobytes() == report.minimizer.tobytes()
 
     @pytest.mark.parametrize("family", ["kernel", "mixed"])
@@ -675,41 +703,79 @@ class TestActiveSetFinish:
         run_list = [("I/cycle", case_study, directed_cycle(6), RunParams(method="I"))]
         assert record_digest.digest(run_list) == "4f762f5a73a214f0e77fa6bbb7fb5de39b57a540c6b61f5502904cafe68cd244"
 
+    def test_declining_start_finish_reproduces_the_finish_after_an_update(self, case_study, monkeypatch):
+        # The same digest as the solver computes it with the finish tried
+        # only after each outer iteration.  After a multiplier update
+        # max(0, lam + mu c) is positive on every violated cut, so counting
+        # a violated cut as a working-set candidate changes nothing there.
+        decline_at_start(monkeypatch)
+        run_list = [("I/cycle", case_study, directed_cycle(6), RunParams(method="I"))]
+        assert record_digest.digest(run_list) == "5c3d27e3e546249ca43f844833b0e4bc4c25e2735fe8858a0a2e2b34ceeb4815"
 
-@pytest.fixture(scope="module")
-def table2_solves(case_study):
+    def test_warm_solves_end_at_the_start(self, table2_solves, monkeypatch):
+        # The carried point and multipliers, with the newly violated cuts,
+        # name the active set: no outer iteration runs.  The solve that
+        # starts with an outer iteration reaches the same optimum.
+        declined_solve = decline_at_start(monkeypatch)
+        warm = [call for call in table2_solves[0] if call[1] is not None]
+        assert len(warm) == 14
+        for problem, x0, lam0, report in warm:
+            assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 0)
+            declined = declined_solve(problem, x0, lam0)
+            assert (declined.status, declined.iterations) == (SolveStatus.OPTIMAL, 1)
+            assert max(report.max_violation, declined.max_violation) <= solver.FEASIBILITY_TOL
+            assert np.abs(report.minimizer - declined.minimizer).max() <= solver.STATIONARITY_TOL
+            assert abs(report.objective_value - declined.objective_value) <= solver.STATIONARITY_TOL
+
+
+def table2_run(case_study, start_finish=True):
     """(problem, x0, lam0, report) of every consensus solve of table2's I/cycle run, and the work counts.
 
     The kernels count their calls and rows (see :func:`counting`); the
     counts are copied when the run ends, so later solves leave them alone.
+    Without ``start_finish`` the finish at each solve's start point
+    declines (see :func:`decline_at_start`).
     """
     calls, work, kernels = [], Counter(), Counter()
-    real_solve, real_minimize, real_curvature = consensus.solve, solver.minimize, solver._cut_curvature
-
-    def recording_solve(problem, x0=None, lam0=None):
-        before = kernels["constraint"]
-        report = real_solve(problem, x0, lam0)
-        work["solver constraint"] += kernels["constraint"] - before
-        calls.append((problem, x0, lam0, report))
-        return report
-
-    def counting_minimize(fun_grad, x0, box):
-        result = real_minimize(fun_grad, x0, box)
-        work["newton"] += result.nit
-        work["fun_grad"] += result.nfev
-        return result
-
-    def counting_curvature(*args):
-        work["curvature"] += 1
-        return real_curvature(*args)
-
     with pytest.MonkeyPatch.context() as mp:
+        if not start_finish:
+            decline_at_start(mp)
+        real_solve, real_minimize, real_curvature = consensus.solve, solver.minimize, solver._cut_curvature
+
+        def recording_solve(problem, x0=None, lam0=None):
+            before = kernels["constraint"]
+            report = real_solve(problem, x0, lam0)
+            work["solver constraint"] += kernels["constraint"] - before
+            calls.append((problem, x0, lam0, report))
+            return report
+
+        def counting_minimize(fun_grad, x0, box):
+            result = real_minimize(fun_grad, x0, box)
+            work["newton"] += result.nit
+            work["fun_grad"] += result.nfev
+            return result
+
+        def counting_curvature(*args):
+            work["curvature"] += 1
+            return real_curvature(*args)
+
         mp.setattr(consensus, "solve", recording_solve)
         mp.setattr(solver, "minimize", counting_minimize)
         mp.setattr(solver, "_cut_curvature", counting_curvature)
         run(counting(case_study, kernels), directed_cycle(6), RunParams(method="I"))
     work.update(kernels)
     return calls, work
+
+
+@pytest.fixture(scope="module")
+def table2_solves(case_study):
+    return table2_run(case_study)
+
+
+@pytest.fixture(scope="module")
+def table2_solves_declined_start(case_study):
+    """:func:`table2_run` with the finish at each solve's start point declining."""
+    return table2_run(case_study, start_finish=False)
 
 
 def expected_start(previous, cuts):
@@ -767,31 +833,36 @@ class TestWarmStart:
         problem, x0, lam0, report = table2_solves[0][-1]
         assert_reports_bitwise_equal(solve(problem, x0, lam0), report)
 
-    def test_work_counts(self, table2_solves):
+    def test_work_counts(self, table2_solves, table2_solves_declined_start):
         # Exact, so losing the warm start or the active-set finish fails
-        # here and not only in timings: with cold multipliers the same run
-        # takes 28 Newton steps and 73 fun_grad calls, and without the
-        # finish 47 outer iterations, 56 Newton steps and 117 fun_grad calls.
-        calls, work = table2_solves
-        assert len(calls) == 16
-        assert sum(report.iterations for *_, report in calls) == 16
-        assert (work["newton"], work["fun_grad"]) == (23, 52)
+        # here and not only in timings: every solve ends in the finish at
+        # its start point, so no outer iteration runs.  With cold
+        # multipliers the same run takes 5 outer iterations, 11 Newton
+        # steps and 52 fun_grad calls, and without the finish 47, 56 and
+        # 117.  With the start finish declining, each solve runs one outer
+        # iteration and then ends in the finish.
+        for (calls, work), counts in ((table2_solves, (0, 0, 0)), (table2_solves_declined_start, (16, 23, 52))):
+            assert len(calls) == 16
+            assert (sum(report.iterations for *_, report in calls), work["newton"], work["fun_grad"]) == counts
 
-    def test_curvature_only_before_newton_steps(self, table2_solves):
+    def test_curvature_only_before_newton_steps(self, table2_solves, table2_solves_declined_start):
         # minimize builds the penalty curvature only at an iterate about to
-        # take a Newton step; built at every fun_grad call, as it once was,
-        # the same run makes 46.
-        assert table2_solves[1]["curvature"] == 19
+        # take a Newton step.  The run takes none; with the start finish
+        # declining it takes 23 Newton steps and builds the curvature 19
+        # times (46 when built at every fun_grad call, as it once was).
+        assert (table2_solves[1]["curvature"], table2_solves_declined_start[1]["curvature"]) == (0, 19)
 
-    def test_constraint_kernel_calls(self, table2_solves):
+    def test_constraint_kernel_calls(self, table2_solves, table2_solves_declined_start):
         # The lower-level problem checks all agents at the consensus point
         # in one call of the shared kernel: 2 per iteration for 8
-        # iterations, and 1 for the exit check.  With one call per agent
-        # the same run makes 161 calls (102 from the lower-level problem)
+        # iterations, and 1 for the exit check.  The solver's calls are
+        # the finishes' evaluations alone; with the start finish declining
+        # they also serve the minimizations.  With one call per agent the
+        # declined run makes 161 calls (102 from the lower-level problem)
         # of the same 644 rows.
-        work = table2_solves[1]
-        assert (work["constraint"], work["constraint rows"]) == (76, 644)
-        assert work["constraint"] - work["solver constraint"] == 17
+        for (_, work), counts in ((table2_solves, (45, 382)), (table2_solves_declined_start, (76, 644))):
+            assert (work["constraint"], work["constraint rows"]) == counts
+            assert work["constraint"] - work["solver constraint"] == 17
 
 
 class TestNonFinite:
