@@ -40,7 +40,7 @@ def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
     if len(scenarios) >= SCENARIO_CAP:
         raise NumericalFailure(f"scenario set exceeded the cap of {SCENARIO_CAP}")
     # No dedup: re-appending a near-identical maximizer is harmless.
-    scenarios.append(tuple(float(v) for v in np.atleast_1d(y)))
+    scenarios.append(tuple(np.atleast_1d(y).tolist()))
 
 
 def dlbd_oracle(states: list[AgentState], instance: ProblemInstance, x_new: Vector) -> tuple[list[Verdict], np.ndarray]:

@@ -49,6 +49,10 @@ def _load_config(path: str) -> dict:
 
 
 def _build_from_config(config: dict):
+    keys = ("instance", "llp", "topology", "eps0", "r", "eps_f", "method", "max_iter")
+    unknown = [key for key in config if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; the keys are {', '.join(keys)}")
     instance_cfg = config.get("instance", "case-study")
     if instance_cfg == "case-study":
         instance = case_study_instance()
@@ -256,6 +260,8 @@ def _write_sweep_csv(path: Path, rows) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.m_max < 2:
+        raise ConfigError("sweep needs --m-max >= 2")
     rows = _sweep_rows(args.m_max, args.eps_f)
     out = _out_dir(args.out)
     _write_sweep_csv(out / "sweep.csv", rows)

@@ -13,6 +13,8 @@ averaging dynamics.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .graph import GraphSchedule
@@ -25,17 +27,17 @@ def flood_slots(schedule: GraphSchedule) -> int:
     return schedule.window * (schedule.m - 1)
 
 
-def flood_constraints(
-    payloads: list[frozenset[Cut]], schedule: GraphSchedule
-) -> tuple[list[frozenset[Cut]], int]:
+def flood_constraints(payloads: list[list[Cut]], schedule: GraphSchedule) -> tuple[list[list[Cut]], int]:
     """Run the flooding protocol from per-agent payloads.
 
-    Returns each agent's merged tuple set after T*(m-1) slots, which is
-    the union of the payloads for every agent, and that slot count.
+    Returns each agent's merged cut list after T*(m-1) slots, which is
+    the union of the payloads for every agent, and that slot count.  An
+    agent's payload holds its own cuts only, so the payloads are disjoint
+    by agent id and their union is their concatenation.
     """
     if len(payloads) != schedule.m:
         raise ValueError("one payload per agent required")
-    union = frozenset().union(*payloads)
+    union = [cut for payload in payloads for cut in payload]
     return [union] * schedule.m, flood_slots(schedule)
 
 
@@ -48,13 +50,14 @@ def carried_multipliers(start: SolveReport, cuts: tuple[Cut, ...]) -> np.ndarray
     iteration to the next, and an upper cut whose ``eps_i`` shrank keeps
     its multiplier.
     """
-    previous = {cut[:2]: lam for cut, lam in zip(start.cuts, start.multipliers.tolist())}
-    return np.array([previous.get(cut[:2], 0.0) for cut in cuts])
+    key = operator.itemgetter(0, 1)
+    previous = dict(zip(map(key, start.cuts), start.multipliers.tolist()))
+    return np.array([previous.get(k, 0.0) for k in map(key, cuts)])
 
 
 def consensus_solve(
     instance: ProblemInstance,
-    payloads: list[frozenset[Cut]],
+    payloads: list[list[Cut]],
     schedule: GraphSchedule,
     start: SolveReport | None = None,
 ) -> tuple[SolveReport, int]:

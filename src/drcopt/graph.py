@@ -7,6 +7,7 @@ implicit everywhere: protocols always operate on N_i^in(t) united with
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,21 +122,66 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.slots)
 
+    def _closed_pairs(self, phase: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, destinations) of phase ``phase``'s edges and of every self-loop, 0-based ids."""
+        edges = self.slots[phase]
+        pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)) - 1
+        own = np.arange(self.m)
+        return np.concatenate([own, pairs[0::2]]), np.concatenate([own, pairs[1::2]])
+
     @cached_property
     def closed_in(self) -> np.ndarray:
         """Closed in-neighborhoods per slot phase, shape (period, m, m), bool, read-only.
 
         Entry [p, i-1, j-1] is True when j = i or j sends to i in phase p.
-        Only the stopping counters and the Method II weights read it;
-        built on first use, so merely validated schedules never pay.
+        Only the Method II weights read it; built on first use, so merely
+        validated schedules never pay.
         """
         table = np.zeros((self.period, self.m, self.m), dtype=bool)
-        table[:, range(self.m), range(self.m)] = True
-        for p, edges in enumerate(self.slots):
-            for j, i in edges:
-                table[p, i - 1, j - 1] = True
+        for p in range(self.period):
+            sources, destinations = self._closed_pairs(p)
+            table[p, destinations, sources] = True
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def closed_in_lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Closed in-neighbor lists per slot phase: ``(sources, starts)``, int arrays, read-only.
+
+        In phase p, agent i's closed in-neighborhood is
+        ``sources[starts[i-1]:starts[i]]`` (``starts[m]`` is the length of
+        ``sources``) in 0-based ids: i itself first, then its in-neighbors
+        ascending.  O(m + edges) per phase, the form the stopping rounds
+        read; built on first use, as ``closed_in`` is.
+        """
+        lists = []
+        for p in range(self.period):
+            sources, destinations = self._closed_pairs(p)
+            # Own id first: a self-loop sorts before every in-neighbor.
+            order = np.lexsort((np.where(sources == destinations, -1, sources), destinations))
+            starts = np.concatenate([[0], np.cumsum(np.bincount(destinations, minlength=self.m))])
+            sources = sources[order]
+            sources.flags.writeable = starts.flags.writeable = False
+            lists.append((sources, starts))
+        return tuple(lists)
+
+    @cached_property
+    def closed_in_columns(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]:
+        """``closed_in_lists`` by position, for sums in list order: ``(by_length, columns)`` per phase.
+
+        ``by_length`` orders the agents by list length, longest first
+        (ties by id).  ``columns[k-1]`` holds term k >= 1 of the lists that
+        have one, which are the first ``len(columns[k-1])`` agents of
+        ``by_length``, in that order.  Built on first use.
+        """
+        out = []
+        for sources, starts in self.closed_in_lists:
+            lengths = np.diff(starts)
+            by_length = np.argsort(-lengths, kind="stable")
+            firsts = starts[by_length]
+            columns = tuple(sources[firsts[: np.count_nonzero(lengths > k)] + k] for k in range(1, lengths.max()))
+            out.append((by_length, columns))
+        return tuple(out)
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import functools
+import operator
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .problem import SemiInfiniteConstraint, Vector
-from .solver import family_terms
+from .problem import SemiInfiniteConstraint, Vector, families
 
 GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
 
@@ -85,23 +85,25 @@ def solve_llp(constraints: Sequence[SemiInfiniteConstraint], x: Vector) -> tuple
     """Return (g_max, y_star) for every constraint at the one point x.
 
     ``g_max`` is a (k,) array and ``y_star`` a list of k global
-    maximizers, member j's of g_j(x, .).  Members with an analytic
-    maximizer are evaluated there through one
-    :func:`drcopt.solver.family_terms` pass (one kernel call for members
-    that share a kernel, one one-row call each otherwise); since a
-    kernel's rows are independent, each value equals
-    ``constraint.evaluate(x, y_star)`` to the bit.  Each other member
-    takes the numeric grid-and-vertex path.
+    maximizers, member j's of g_j(x, .).  The members that share a
+    kernel and an ``analytic_argmax`` take one maximizer call and one
+    kernel call with their coefficients and boxes stacked; since a
+    family function's rows are independent, each value equals
+    ``constraint.evaluate(x, y_star)`` to the bit.  Each member without
+    an ``analytic_argmax`` takes the numeric grid-and-vertex path.
     """
     x = np.asarray(x, dtype=float)
     g_max = np.empty(len(constraints))
-    y_star, closed = [], []
-    for j, constraint in enumerate(constraints):
-        if constraint.analytic_argmax is None:
-            g_max[j], y = solve_llp_numeric(constraint, x)
-        else:
-            y = np.asarray(constraint.analytic_argmax(x), dtype=float)
-            closed.append(j)
-        y_star.append(y)
-    g_max[closed] = family_terms([constraints[j] for j in closed], [y_star[j] for j in closed])(x)[0]
+    y_star: list[Vector] = [None] * len(constraints)
+    for (batch, argmax), members in families(constraints, operator.attrgetter("batch", "analytic_argmax")):
+        if argmax is None:
+            for j in members:
+                g_max[j], y_star[j] = solve_llp_numeric(constraints[j], x)
+            continue
+        coefficients = np.array([constraints[j].coefficients for j in members])
+        boxes = np.array([constraints[j].uncertainty_box for j in members])
+        ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)
+        g_max[members] = batch(x, coefficients, ys)[0]
+        for j, y in zip(members, ys):
+            y_star[j] = y
     return g_max, y_star

@@ -10,7 +10,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +63,56 @@ def _constant_hessians(k: int, diagonal: tuple[float, ...]) -> np.ndarray:
     return np.broadcast_to(hessian, (k, len(diagonal), len(diagonal)))
 
 
+def families(members, key=operator.attrgetter("batch")) -> list[tuple[object, list[int]]]:
+    """``members``' positions grouped by ``key`` (by default the ``batch`` kernel), in first-appearance order."""
+    groups: dict = {}
+    for j, k in enumerate(map(key, members)):
+        groups.setdefault(k, []).append(j)
+    return list(groups.items())
+
+
+def _exact(terms):
+    """A kernel's (values, gradients, Hessians), refused when the Hessians are missing."""
+    if terms[2] is None:
+        raise TypeError("a batch kernel must return the exact x-Hessians (k, n, n) as its third array, not None")
+    return terms
+
+
+def stacked_terms(calls, k: int):
+    """x -> (values, gradients, Hessians) of k rows from kernel calls ``(batch, rows, *args)``.
+
+    Call j is ``batch(x, *args)`` and fills the rows ``rows`` (an index
+    array) of the result; together the calls fill every row once.  A
+    single call's arrays are returned as they are; with none, x gives
+    (0,), (0, n) and (0, n, n) arrays.  A kernel that returns None for
+    the Hessians raises ``TypeError`` at its first call.
+    """
+    if len(calls) == 1:
+        batch, _, *args = calls[0]
+        return lambda x: _exact(batch(x, *args))
+
+    def terms(x):
+        n = len(x)
+        out = np.empty(k), np.empty((k, n)), np.empty((k, n, n))
+        for batch, rows, *args in calls:
+            for whole, part in zip(out, _exact(batch(x, *args))):
+                whole[rows] = part
+        return out
+
+    return terms
+
+
+def family_terms(members):
+    """x -> (values, gradients, Hessians) of objectives, one row per member.
+
+    ``members`` are objectives (see the ``batch`` contract below).  The
+    members that share one ``batch`` form a family and take one call with
+    their coefficients stacked (see :func:`stacked_terms`).
+    """
+    calls = [(batch, np.array(js), np.array([members[j].coefficients for j in js])) for batch, js in families(members)]
+    return stacked_terms(calls, len(members))
+
+
 @dataclass(frozen=True)
 class LocalObjective:
     """Convex local objective, defined by its family's kernel and its own coefficients.
@@ -71,8 +123,8 @@ class LocalObjective:
     (k,), gradients (k, n) and exact, symmetric Hessians (k, n, n) of
     those k members at x, never None.  A constant Hessian may be a
     read-only ``np.broadcast_to`` view of one array.  Row j must not
-    depend on the other rows: :func:`drcopt.solver.family_terms` calls
-    the kernel once for a family and row by row for mixed objectives.
+    depend on the other rows: :func:`family_terms` calls the kernel once
+    for the members that share it, whatever the other members are.
     """
 
     batch: Callable[[Vector, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -106,11 +158,15 @@ class SemiInfiniteConstraint:
     x-Hessians (k, n, n) of those k pairs, never None: the solver's Newton
     steps use them as they are.  A constant Hessian may be a read-only
     ``np.broadcast_to`` view of one array, which costs nothing per row.
-    Row j must not depend on the other rows: the solver evaluates a
-    subproblem's cuts through :func:`drcopt.solver.family_terms`, and the
+    Row j must not depend on the other rows: a subproblem evaluates the
+    cuts of one family in one call (:class:`ConstraintTable`), and the
     numeric lower-level problem scans its grid in one call.
-    ``analytic_argmax``, when present, maps x to the global maximizer of
-    g(x, .) over the uncertainty box.  Without it, ``concave_in_y`` tells
+
+    ``analytic_argmax``, when present, is a family function too.  It
+    takes (x, P, B), with P of shape (k, p) holding members'
+    coefficients and B of shape (k, n_y, 2) their uncertainty boxes, and
+    returns the (k, n_y) global maximizers of g_j(x, .) over box j; row j
+    must not depend on the other rows.  Without it, ``concave_in_y`` tells
     :func:`drcopt.llp.solve_llp_numeric` how many grid starts to polish:
     one when g(x, .) is concave, the five best grid points otherwise.
     """
@@ -119,7 +175,7 @@ class SemiInfiniteConstraint:
     coefficients: np.ndarray
     uncertainty_box: Vector  # shape (n_y, 2)
     concave_in_y: bool = False
-    analytic_argmax: Optional[Callable[[Vector], Vector]] = None
+    analytic_argmax: Optional[Callable[[Vector, np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def n_y(self) -> int:
@@ -132,8 +188,29 @@ class SemiInfiniteConstraint:
 
 
 @dataclass(frozen=True)
+class ConstraintTable:
+    """An instance's constraints stacked by family, to gather cut data by agent id.
+
+    The constraints that share one ``batch`` kernel form family f, with
+    ``batches[f]`` its kernel and ``coefficients[f]`` (k_f, p) and
+    ``boxes[f]`` (k_f, n_y, 2) its members' data.  Agent a + 1's
+    constraint is row ``row[a]`` of family ``family[a]``.
+    """
+
+    batches: tuple[Callable, ...]
+    coefficients: tuple[np.ndarray, ...]
+    boxes: tuple[np.ndarray, ...]
+    family: np.ndarray  # (m,)
+    row: np.ndarray  # (m,)
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
-    """A DRCO instance in standard form."""
+    """A DRCO instance in standard form.
+
+    Its objectives' :func:`family_terms` and its :class:`ConstraintTable`
+    are built on first use and kept, so construction does no further work.
+    """
 
     n: int
     m: int
@@ -150,6 +227,24 @@ class ProblemInstance:
             raise ValueError("box must have shape (n, 2)")
         if not np.all(np.isfinite(self.box)) or np.any(self.box[:, 0] > self.box[:, 1]):
             raise ValueError("box must be bounded and nonempty")
+
+    @cached_property
+    def objective_terms(self):
+        """x -> (values, gradients, Hessians) of the objectives: their :func:`family_terms`."""
+        return family_terms(self.objectives)
+
+    @cached_property
+    def constraint_table(self) -> ConstraintTable:
+        """The constraints stacked by kernel family, to gather a cut's data by its agent id."""
+        family = np.empty(self.m, dtype=np.intp)
+        row = np.empty(self.m, dtype=np.intp)
+        batches, coefficients, boxes = [], [], []
+        for f, (batch, agents) in enumerate(families(self.constraints)):
+            family[agents], row[agents] = f, np.arange(len(agents))
+            batches.append(batch)
+            coefficients.append(np.array([self.constraints[a].coefficients for a in agents]))
+            boxes.append(np.array([self.constraints[a].uncertainty_box for a in agents]))
+        return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row)
 
 
 CASE_STUDY_CENTERS = ((0.0, 6.0), (0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
@@ -168,6 +263,10 @@ def _paper_quadratic_batch(
     return d * d + two_y * x[1] - y * y - 1.0, grads, _constant_hessians(len(y), (2.0, 0.0))
 
 
+def _paper_quadratic_argmax(x: Vector, coefficients: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    return np.minimum(boxes[:, :, 1], np.maximum(boxes[:, :, 0], x[1]))
+
+
 def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
     """g(x, y) = (x1 - v)^2 + 2*y*x2 - y^2 - 1 over y in [-1, 1].
 
@@ -176,17 +275,12 @@ def paper_quadratic_constraint(v: float) -> SemiInfiniteConstraint:
     """
     if not math.isfinite(v):
         raise ValueError(f"paper-quadratic v must be finite, got {v}")
-    lo, hi = -1.0, 1.0
-
-    def analytic_argmax(x: Vector) -> Vector:
-        return np.array([min(hi, max(lo, float(x[1])))])
-
     return SemiInfiniteConstraint(
         batch=_paper_quadratic_batch,
         coefficients=np.array([float(v)]),
-        uncertainty_box=np.array([[lo, hi]]),
+        uncertainty_box=np.array([[-1.0, 1.0]]),
         concave_in_y=True,
-        analytic_argmax=analytic_argmax,
+        analytic_argmax=_paper_quadratic_argmax,
     )
 
 
@@ -212,6 +306,17 @@ def _example1_batch(x: Vector, coefficients: np.ndarray, ys: np.ndarray) -> tupl
     return values, grads, hessians
 
 
+def _example1_argmax(x: Vector, coefficients: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    x1 = float(x[0])
+    y_upper = boxes[:, :, 1]
+    if 0.0 <= x1 <= 2.0:
+        return np.minimum(y_upper, max(0.0, x1))
+    # Both ends of every box in one call: the lower ends, then the upper.
+    ends = np.concatenate([np.zeros_like(y_upper), y_upper])
+    at_lo, at_hi = _example1_batch(x, np.concatenate([coefficients, coefficients]), ends)[0].reshape(2, -1)
+    return np.where((at_lo >= at_hi)[:, None], 0.0, y_upper)
+
+
 def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
     """g(x, y) = x2 + (x1^2 - 2*x1) * exp(-x1^2 + y^2 - 2*x1*y) over y in [0, y_upper].
 
@@ -225,22 +330,12 @@ def example1_constraint(y_upper: float = 2.0) -> SemiInfiniteConstraint:
     # Negated comparison so that NaN is rejected too.
     if not 0.0 < y_upper < math.inf:
         raise ValueError(f"example1 y_upper must be positive and finite, got {y_upper}")
-    no_coefficients = np.zeros(0)
-
-    def analytic_argmax(x: Vector) -> Vector:
-        x1 = float(x[0])
-        if 0.0 <= x1 <= 2.0:
-            return np.array([min(y_upper, max(0.0, x1))])
-        ends = np.array([[0.0], [y_upper]])
-        at_lo, at_hi = _example1_batch(x, no_coefficients, ends)[0].tolist()
-        return ends[0] if at_lo >= at_hi else ends[1]
-
     return SemiInfiniteConstraint(
         batch=_example1_batch,
-        coefficients=no_coefficients,
+        coefficients=np.zeros(0),
         uncertainty_box=np.array([[0.0, y_upper]]),
         concave_in_y=False,
-        analytic_argmax=analytic_argmax,
+        analytic_argmax=_example1_argmax,
     )
 
 

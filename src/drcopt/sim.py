@@ -5,9 +5,9 @@ the agents' lower oracles in one pass, flood + consensus-solve the upper
 subproblem, run the upper oracles in one pass, then one distributed
 stopping round.  Flooding delivers the union of the cuts by the
 schedule's connectivity window, so it is not simulated, but its T*(m-1)
-slots still advance the schedule's slot pointer: each stopping round is
-simulated slot by slot from the slot where the flooding before it ended,
-so time-varying graphs are genuinely exercised.
+slots still advance the schedule's slot pointer: each stopping round
+starts from the slot where the flooding before it ended, so on a
+time-varying graph its tests follow the phases of those slots.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .consensus import consensus_solve
 from .graph import GraphSchedule
 from .llp import Verdict, solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
-from .solver import FEASIBILITY_TOL, SolveStatus, family_terms
+from .solver import FEASIBILITY_TOL, SolveStatus
 from .termination import run_stopping_round
 
 
@@ -103,13 +103,13 @@ def _check_solver_status(report, phase: str):
 def _bounds_and_gaps(terms, feasible: list[bool], lower_x: Vector, upper_x: Vector):
     """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
 
-    ``terms`` is :func:`drcopt.solver.family_terms` of the agents'
-    objectives.  ``lower_x`` and ``upper_x`` are the consensus points
-    every agent's oracles checked, and ``feasible[i]`` is whether agent
-    i + 1's upper oracle found ``upper_x`` feasible.  lower and upper add
-    the f_i over the agents in order, a left fold from 0.0; upper is +inf
-    unless every agent found ``upper_x`` feasible.  The gap
-    e_i = |f_i(upper_x) - f_i(lower_x)| is +inf for an agent that did not.
+    ``terms`` is the instance's ``objective_terms``.  ``lower_x`` and
+    ``upper_x`` are the consensus points every agent's oracles checked,
+    and ``feasible[i]`` is whether agent i + 1's upper oracle found
+    ``upper_x`` feasible.  lower and upper add the f_i over the agents in
+    order, a left fold from 0.0; upper is +inf unless every agent found
+    ``upper_x`` feasible.  The gap e_i = |f_i(upper_x) - f_i(lower_x)| is
+    +inf for an agent that did not.
     """
     at_lower = terms(lower_x)[0].tolist()
     at_upper = terms(upper_x)[0].tolist()
@@ -129,7 +129,7 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
     states = [AgentState(agent_id=i + 1, epsilon=params.eps0) for i in range(instance.m)]
-    terms = family_terms(instance.objectives)
+    terms = instance.objective_terms
     bound = (
         method1_accuracy(instance.m, params.eps_f)
         if params.method == "I"
@@ -145,14 +145,14 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     for k in range(1, params.max_iter + 1):
         slots_at_start = slot
 
-        payloads = [frozenset(agents.lower_cuts(s)) for s in states]
+        payloads = [agents.lower_cuts(s) for s in states]
         lower_report, used = consensus_solve(instance, payloads, schedule, lower_report)
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
         _, g_max_lower = agents.dlbd_oracle(states, instance, lower_x)
 
-        payloads = [frozenset(agents.upper_cuts(s)) for s in states]
+        payloads = [agents.upper_cuts(s) for s in states]
         upper_report, used = consensus_solve(instance, payloads, schedule, upper_report)
         slot += used
         _check_solver_status(upper_report, "upper")

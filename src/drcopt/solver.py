@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .problem import NumericalFailure, ProblemInstance, Vector
+from .problem import NumericalFailure, ProblemInstance, Vector, stacked_terms
 
 # (agent_id, insertion_index, scenario coords, rhs); the first two fields
 # define the canonical ordering shared by every agent after flooding.
@@ -53,45 +53,6 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
-def _exact(terms):
-    """A kernel's (values, gradients, Hessians), refused when the Hessians are missing."""
-    if terms[2] is None:
-        raise TypeError("a batch kernel must return the exact x-Hessians (k, n, n) as its third array, not None")
-    return terms
-
-
-def family_terms(members, *rows):
-    """x -> (values, gradients, Hessians) of a kernel family, one row per member.
-
-    ``members`` are objectives or constraints (see the ``batch`` contract
-    in :mod:`drcopt.problem`).  Each of ``rows`` holds one further kernel
-    argument per member, a 1-D array (a cut's scenario).  Members that
-    share one ``batch`` take one call with their coefficients and rows
-    stacked; mixed members take one one-row call each, stacked in order.
-    An empty family gives (0,), (0, n) and (0, n, n) arrays for an
-    n-vector x.  A kernel that returns None for the Hessians raises
-    ``TypeError`` at its first call.
-    """
-    kernels = {member.batch for member in members}
-    if len(kernels) == 1:
-        batch = kernels.pop()
-        args = [np.array([member.coefficients for member in members]), *map(np.array, rows)]
-        return lambda x: _exact(batch(x, *args))
-    calls = [
-        (member.batch, member.coefficients[None, :], *(row[None, :] for row in member_rows))
-        for member, *member_rows in zip(members, *rows)
-    ]
-
-    def terms(x):
-        if not calls:
-            n = len(x)
-            return np.zeros(0), np.zeros((0, n)), np.zeros((0, n, n))
-        parts = [_exact(kernel(x, *args)) for kernel, *args in calls]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-
-    return terms
-
-
 def _read_only(a):
     """``a`` if it is read-only, else a read-only view; the caller's array keeps its flags."""
     if not a.flags.writeable:
@@ -105,29 +66,37 @@ class FiniteSubproblem:
     """Canonical finite convex program: sum of objectives + box + cuts.
 
     Built from an instance and any iterable of cuts, which it sorts into
-    canonical order.  On construction the objectives' and the cuts' data
-    are gathered into arrays once, and :meth:`evaluate` computes each
-    family (the objectives, the cuts) through :func:`family_terms`.  It
-    remembers the last point it evaluated: the solver asks for the same
-    point several times in a row.
+    canonical order.  On construction each cut's coefficients and
+    uncertainty box are gathered by agent id from the instance's
+    :class:`~drcopt.problem.ConstraintTable`, so :meth:`evaluate` makes
+    one kernel call per constraint family and uses the instance's
+    ``objective_terms`` for the objectives.  It remembers the last point
+    it evaluated: the solver asks for the same point several times in a
+    row.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
         self.box = instance.box
         self.cuts = tuple(sorted(cuts))
-        constraints = [instance.constraints[agent_id - 1] for agent_id, _, _, _ in self.cuts]
-        scenarios = [np.asarray(scenario, dtype=float) for _, _, scenario, _ in self.cuts]
-        self._rhs = np.array([rhs for _, _, _, rhs in self.cuts], dtype=float)
-        if (self._rhs > 0.0).any():
+        agent_ids, _, scenarios, rhs = zip(*self.cuts) if self.cuts else ((), (), (), ())
+        self._rhs = np.array(rhs, dtype=float)
+        if self._rhs.max(initial=0.0) > 0.0:
             raise ValueError("cut right-hand sides must be <= 0")
-        if scenarios:
-            # One row per scenario coordinate, so agents may differ in n_y.
-            y = np.concatenate(scenarios)
-            y_box = np.concatenate([g.uncertainty_box for g in constraints])
-            if (y < y_box[:, 0] - 1e-12).any() or (y > y_box[:, 1] + 1e-12).any():
-                raise ValueError("cut scenario lies outside its agent's uncertainty box")
-        self._f_terms = family_terms(instance.objectives)
-        self._g_terms = family_terms(constraints, scenarios)
+        table = instance.constraint_table
+        agents = np.array(agent_ids, dtype=np.intp) - 1
+        calls = []
+        for f, batch in enumerate(table.batches):
+            # With one family every cut is a member.
+            members = np.flatnonzero(table.family[agents] == f) if len(table.batches) > 1 else np.arange(len(agents))
+            if len(members):
+                rows = table.row[agents[members]]
+                y = np.array([scenarios[j] for j in members.tolist()], dtype=float)
+                y_box = table.boxes[f][rows]
+                if np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() > 1e-12:
+                    raise ValueError("cut scenario lies outside its agent's uncertainty box")
+                calls.append((batch, members, table.coefficients[f][rows], y))
+        self._f_terms = instance.objective_terms
+        self._g_terms = stacked_terms(calls, len(self.cuts))
         self._memo_key, self._memo = None, None
         self._hess_terms, self._hess_sum = None, None
 

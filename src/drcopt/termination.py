@@ -8,14 +8,15 @@ once it reaches T*(m-1)+1, that the condition held network-wide.
 Method I's condition is per-agent gaps below the threshold; Method II
 bounds the closed-neighborhood gap sum instead.  The gaps are fixed for
 a round, so each agent's condition depends only on the slot phase and is
-computed once per round; each slot is then two array operations.
+computed once per round, over the schedule's closed in-neighbor lists
+(``GraphSchedule.closed_in_lists``); each slot is then one reduction
+over those lists.  A round is decided as soon as its outcome is fixed,
+and it still counts the protocol's T*(m-1)+1 slots.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-import operator
 
 import numpy as np
 
@@ -29,45 +30,81 @@ def stop_threshold(schedule: GraphSchedule) -> int:
     return schedule.window * (schedule.m - 1) + 1
 
 
+def _closed_sums(gaps: np.ndarray, by_length: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each agent's closed-neighborhood gap sum, a left fold in list order.
+
+    A sum at eps_f can round either way, so the order is fixed: own gap
+    first, then the in-neighbors ascending, added one at a time.  The
+    arguments are one phase of ``GraphSchedule.closed_in_columns``: term
+    k of every list that has one is added in one array operation.
+    """
+    sums = gaps[by_length]
+    for column in columns:
+        sums[: len(column)] += gaps[column]
+    out = np.empty_like(sums)
+    out[by_length] = sums
+    return out
+
+
 def run_stopping_round(
     gaps: list[float],
     schedule: GraphSchedule,
     method: str,
     eps_f: float,
     start_slot: int = 0,
-) -> tuple[bool, int, tuple[np.ndarray, np.ndarray]]:
-    """Run one full stopping round of T*(m-1)+1 slots with counters reset.
+) -> tuple[bool, int, tuple[np.ndarray, np.ndarray] | None]:
+    """Decide one stopping round of T*(m-1)+1 slots with counters reset.
 
     In each slot every agent looks at its closed in-neighborhood: h
     becomes the minimum of min(h, c) there plus one, and c grows while the
     method's test holds there (Method I: every gap at most eps_f; Method
-    II: the gap sum at most eps_f), else resets to 0.  Returns (stop,
-    slots_used, (h, c)) with h and c integer arrays indexed by agent - 1;
-    stop is declared when any agent's h reaches the threshold.
+    II: the gap sum at most eps_f), else resets to 0.  stop is declared
+    when any agent's h reaches the threshold after the last slot.
+
+    Returns (stop, slots, counters); slots is always the protocol's
+    T*(m-1)+1.  The round is decided as soon as its outcome is fixed.
+    When every agent's test holds in every phase, h = c = threshold in
+    closed form.  A test that fails in the first slot (with m > 1) fixes
+    stop False: the agent's lag reaches every agent within the remaining
+    slots, as a flooded payload would.  Otherwise the slots are run, and
+    since h grows by at most one per slot, once every h is below the
+    number of slots run none can reach the threshold and the round ends
+    with stop False.  A round decided before its last slot returns
+    counters None; otherwise counters is (h, c) after the last slot,
+    integer arrays indexed by agent - 1.
     """
     if len(gaps) != schedule.m:
         raise ValueError("one gap value per agent required")
     if method not in ("I", "II"):
         raise ValueError("method must be 'I' or 'II'")
     threshold = stop_threshold(schedule)
-    closed_in = schedule.closed_in
+    lists = schedule.closed_in_lists
+    gaps = np.array(gaps, dtype=float)
     if method == "I":
         # No failing gap in the neighborhood; negated so that NaN fails.
-        ok = ~(closed_in & np.array([not e <= eps_f for e in gaps])).any(axis=2)
+        bad = ~(gaps <= eps_f)
+        ok = [~np.logical_or.reduceat(bad[sources], starts[:-1]) for sources, starts in lists]
     else:
-        # A sum at eps_f can round either way, so the order is fixed: own
-        # gap first, then the in-neighbors ascending, added one at a time
-        # (builtin sum compensates from Python 3.12 on).
-        def closed_sum(i, row):
-            return functools.reduce(operator.add, [gaps[j] for j in np.flatnonzero(row) if j != i], gaps[i])
-
-        ok = np.array([[closed_sum(i, row) <= eps_f for i, row in enumerate(phase)] for phase in closed_in])
+        ok = [_closed_sums(gaps, *columns) <= eps_f for columns in schedule.closed_in_columns]
+    if all(phase.all() for phase in ok):
+        return True, threshold, (np.full(schedule.m, threshold), np.full(schedule.m, threshold))
+    # An agent whose test fails in the first slot has c = 0 there, so from
+    # the second slot on its h, and that of every agent it reaches, lags
+    # the slot count.  When the remaining threshold - 1 slots flood that
+    # lag to every agent, as T*(m-1) slots do for m > 1, no h reaches the
+    # threshold.
+    floods = 1 < threshold and schedule.window * (schedule.m - 1) <= threshold - 1
+    if floods and not ok[start_slot % schedule.period].all():
+        return False, threshold, None
     h = np.zeros(schedule.m, dtype=int)
     c = np.zeros(schedule.m, dtype=int)
-    for slot in range(start_slot, start_slot + threshold):
+    for k, slot in enumerate(range(start_slot, start_slot + threshold), start=1):
         phase = slot % schedule.period
-        h = np.where(closed_in[phase], np.minimum(h, c), threshold).min(axis=1) + 1
+        sources, starts = lists[phase]
+        h = np.minimum.reduceat(np.minimum(h, c)[sources], starts[:-1]) + 1
         c = np.where(ok[phase], c + 1, 0)
+        if k < threshold and h.max() < k:
+            return False, threshold, None
     reached = h >= threshold
     stop = bool(reached.any())
     if stop and not reached.all():

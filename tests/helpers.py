@@ -18,6 +18,7 @@ from drcopt.problem import (
     NumericalFailure,
     ProblemInstance,
     Vector,
+    example1_constraint,
     paper_quadratic_constraint,
     quadratic_distance,
 )
@@ -106,6 +107,33 @@ def scaled_case_study(m: int, seed: int) -> ProblemInstance:
         constraints=tuple(paper_quadratic_constraint(float(v)) for v in np.linspace(-0.75, 0.75, m)),
         box=np.array([[-2.0, 2.0], [-1.0, 1.0]]),
     )
+
+
+def member_argmax(constraint, x: Vector) -> Vector:
+    """One constraint's maximizer at x: row 0 of its family's ``analytic_argmax``."""
+    return constraint.analytic_argmax(
+        np.asarray(x, dtype=float), constraint.coefficients[None, :], constraint.uncertainty_box[None]
+    )[0]
+
+
+# The per-member closed-form maximizers the constraint constructors
+# returned before ``analytic_argmax`` became a family function, verbatim
+# except for their names, as a bitwise oracle for the family functions.
+
+
+def former_paper_quadratic_argmax(x: Vector) -> Vector:
+    lo, hi = -1.0, 1.0
+    return np.array([min(hi, max(lo, float(x[1])))])
+
+
+def former_example1_argmax(x: Vector, y_upper: float) -> Vector:
+    no_coefficients = np.zeros(0)
+    x1 = float(x[0])
+    if 0.0 <= x1 <= 2.0:
+        return np.array([min(y_upper, max(0.0, x1))])
+    ends = np.array([[0.0], [y_upper]])
+    at_lo, at_hi = example1_constraint(y_upper).batch(x, no_coefficients, ends)[0].tolist()
+    return ends[0] if at_lo >= at_hi else ends[1]
 
 
 def subproblem_cut_view(problem: FiniteSubproblem):

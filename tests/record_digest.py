@@ -15,10 +15,12 @@ with both methods, once with every closed-form maximizer, once with
 none, and once with only ``example1``'s, so that one lower-level pass
 mixes closed-form and numeric members.  A digest covers every field of
 every ``IterationRecord`` (floats as ``float.hex``), ``terminated``,
-``iterations`` and the bytes of ``x_opt``.  Runs are deterministic, so
-two processes print the same lines, whatever their ``PYTHONHASHSEED``; a
-change that keeps every iterate to the bit prints the same lines as its
-parent.  ``tests/record_digest.expected`` holds the two lines of the
+``iterations`` and the bytes of ``x_opt``, after the run's label; a
+benchmark job's label names its workload (``table2/I/cycle``,
+``custom-llp/I/cycle``), so no two runs share one.  Runs are
+deterministic, so two processes print the same lines, whatever their
+``PYTHONHASHSEED``; a change that keeps every iterate to the bit prints
+the same lines as its parent.  ``tests/record_digest.expected`` holds the two lines of the
 current code, and CI compares the printed lines with it, so a change
 that moves an iterate must update that file.  Not a test module: pytest
 does not collect it.
@@ -59,8 +61,9 @@ SCALED_SCHEDULES = (
 
 def runs():
     """(label, instance, schedule, params) of every run the digest covers, in a fixed order."""
-    for job in table2_jobs(0) + custom_llp_jobs(0):
-        yield job.label, job.instance, job.schedule, job.params
+    for workload, jobs in (("table2", table2_jobs(0)), ("custom-llp", custom_llp_jobs(0))):
+        for job in jobs:
+            yield f"{workload}/{job.label}", job.instance, job.schedule, job.params
     for build, m in SCALED_SCHEDULES:
         instance = scaled_instance(m, 0)[0]
         schedule = build(m)

@@ -5,8 +5,9 @@ import pytest
 
 from drcopt.agents import AgentState, dlbd_oracle, dubd_oracle, lower_cuts, upper_cuts
 from drcopt.llp import Verdict
+from drcopt.problem import family_terms
 from drcopt.sim import RunParams, _bounds_and_gaps
-from drcopt.solver import FiniteSubproblem, family_terms
+from drcopt.solver import FiniteSubproblem
 
 from helpers import F_STAR, X_STAR, agent_gap, bound_values
 

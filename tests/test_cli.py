@@ -48,6 +48,8 @@ def two_agent_instance(n=2, center=None, constraint=None):
 
 MALFORMED_CONFIGS = {
     "not-an-object": ([], "must hold a JSON object"),
+    "misspelled-key": ({"eps_F": 0.5, "metod": "II"}, "unknown config key 'eps_F'"),
+    "instance-at-top-level": (two_agent_instance(), "unknown config key 'n'"),
     "instance-not-an-object": ({"instance": "foo"}, "bad 'instance' section"),
     "agents-a-string": ({"instance": {**two_agent_instance(), "agents": "xx"}}, "bad 'instance' section"),
     "agents-not-objects": ({"instance": {**two_agent_instance(), "agents": [1, 2]}}, "bad 'instance' section"),
@@ -567,6 +569,13 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         # cycle and complete start at m=2, customized at m=3
         assert len(rows) == 7 + 7 + 6
+
+    @pytest.mark.parametrize("m_max", ["1", "0"])
+    def test_m_max_validated(self, tmp_path, capsys, m_max):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), "--m-max", m_max]) == 1
+        assert capsys.readouterr().err == "error: sweep needs --m-max >= 2\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps_f", ["0", "-1", "nan", "inf"])
     def test_eps_f_validated(self, tmp_path, capsys, eps_f):

@@ -16,7 +16,7 @@ def fresh_states(m):
 
 
 def single_tuple_payloads(m):
-    return [frozenset({(i, 0, (float(i),), 0.0)}) for i in range(1, m + 1)]
+    return [[(i, 0, (float(i),), 0.0)] for i in range(1, m + 1)]
 
 
 class TestFlooding:
@@ -25,7 +25,7 @@ class TestFlooding:
         held, slots = flood_constraints(single_tuple_payloads(6), schedule)
         assert slots == 5  # T(m-1) even though diameter is 1
         union = frozenset().union(*single_tuple_payloads(6))
-        assert all(h == union for h in held)
+        assert all(len(h) == 6 and frozenset(h) == union for h in held)
 
     def test_cycle_delivery_takes_exactly_m_minus_1_hops(self, monkeypatch):
         schedule = directed_cycle(6)
@@ -33,7 +33,7 @@ class TestFlooding:
         held, slots = flood_constraints(payloads, schedule)
         assert slots == 5
         assert (1, 0, (1.0,), 0.0) in held[5]
-        assert per_slot_flood(payloads, schedule) == (held, slots)
+        assert per_slot_flood(payloads, schedule) == ([frozenset(h) for h in held], slots)
         # the hop chain 1->2->...->6 needs every one of the T(m-1) slots:
         # in the per-slot protocol one slot fewer leaves agent 6 without
         # agent 1's tuple
@@ -62,7 +62,7 @@ class TestFlooding:
 class TestConsensusSolve:
     def test_first_iteration_lower_solution(self, case_study):
         states = fresh_states(case_study.m)
-        payloads = [frozenset(lower_cuts(s)) for s in states]
+        payloads = [lower_cuts(s) for s in states]
         report, slots = consensus_solve(case_study, payloads, directed_cycle(6))
         assert slots == 5
         assert np.allclose(report.minimizer, [0.0, 1.0], atol=1e-8)
@@ -71,7 +71,7 @@ class TestConsensusSolve:
         states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((1.0,))
-        payloads = [frozenset(lower_cuts(s)) for s in states]
+        payloads = [lower_cuts(s) for s in states]
         report, _ = consensus_solve(case_study, payloads, complete(6))
         assert np.allclose(report.minimizer, [0.0, 0.71875], atol=1e-6)
 
@@ -79,7 +79,7 @@ class TestConsensusSolve:
         states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((1.0,))
-        payloads = [frozenset(lower_cuts(s)) for s in states]
+        payloads = [lower_cuts(s) for s in states]
         a, _ = consensus_solve(case_study, payloads, directed_cycle(6))
         b, _ = consensus_solve(case_study, payloads, complete(6))
         assert np.array_equal(a.minimizer, b.minimizer)
@@ -96,7 +96,7 @@ class TestConsensusSolve:
         states = fresh_states(case_study.m)
         for s in states:
             s.lower_scenarios.append((float(s.agent_id) / 6.0,))
-        payloads = [frozenset(lower_cuts(s)) for s in states]
+        payloads = [lower_cuts(s) for s in states]
         consensus_solve(case_study, payloads, directed_cycle(6))
         assert len(calls) == 1
         assert len(calls[0].cuts) == 6
@@ -149,5 +149,8 @@ class TestMatchesPerSlotOracle:
             start = int(rng.integers(0, 3 * schedule.period))
             held, slots = per_slot_flood(payloads, schedule, start)
             assert held == [frozenset().union(*payloads)] * schedule.m
-            assert (held, slots) == flood_constraints(payloads, schedule)
+            # The payloads share cuts here; the concatenation holds each
+            # payload's cuts, so as a set it is the union.
+            union, union_slots = flood_constraints(payloads, schedule)
+            assert ([frozenset(h) for h in union], union_slots) == (held, slots)
         assert max(windows) > 1

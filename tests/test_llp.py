@@ -13,7 +13,7 @@ from drcopt.llp import (
 )
 from drcopt.problem import SemiInfiniteConstraint, example1_constraint, with_numeric_llp
 
-from helpers import X_STAR
+from helpers import X_STAR, member_argmax
 
 
 def row_by_row(batch):
@@ -231,13 +231,18 @@ def bilinear(x, coefficients, ys):
     return a * (ys[:, 0] * x[0] + ys[:, 1] * x[1]) - 1.0, grads, np.zeros((len(ys), 2, 2))
 
 
+def bilinear_argmax(x, coefficients, boxes):
+    """Row j: the vertex of [-1, 1]^2 with y_k = sign(a_j * x_k)."""
+    return np.where(coefficients[:, :1] * x >= 0.0, 1.0, -1.0)
+
+
 def bilinear_constraint(a: float) -> SemiInfiniteConstraint:
     """Linear in y, so the vertex with y_k = sign(a * x_k) maximizes it."""
     return SemiInfiniteConstraint(
         batch=bilinear,
         coefficients=np.array([a]),
         uncertainty_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-        analytic_argmax=lambda x: np.where(a * np.asarray(x) >= 0.0, 1.0, -1.0),
+        analytic_argmax=bilinear_argmax,
     )
 
 
@@ -252,7 +257,7 @@ class TestPhasePass:
             if constraint.analytic_argmax is None:
                 g_ref, y_ref = solve_llp_numeric(constraint, x)
             else:
-                y_ref = np.asarray(constraint.analytic_argmax(x), dtype=float)
+                y_ref = member_argmax(constraint, x)
                 g_ref = constraint.evaluate(x, y_ref)
             assert g.hex() == g_ref.hex()
             assert y.tobytes() == y_ref.tobytes()
@@ -263,8 +268,9 @@ class TestPhasePass:
                 self.assert_per_member(instance.constraints, x)
 
     def test_mixed_families_and_mixed_llp_paths(self, case_study, rng):
-        # test_solver's example1_mixed: two kernels, so one one-row call per
-        # analytic member; then every other member on the numeric path.
+        # test_solver's example1_mixed: two kernels, so one maximizer call
+        # and one kernel call per family; then every other member on the
+        # numeric path.
         mixed = case_study.constraints[:3] + (example1_constraint(),) * 3
         half_numeric = tuple(c if j % 2 else dataclasses.replace(c, analytic_argmax=None) for j, c in enumerate(mixed))
         for constraints in (mixed, half_numeric):

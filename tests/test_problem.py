@@ -11,7 +11,8 @@ from drcopt.problem import (
     instance_from_config,
 )
 
-from helpers import F_STAR, X_STAR
+import helpers
+from helpers import F_STAR, X_STAR, member_argmax
 
 
 def central_difference(f, x, h=1e-6):
@@ -125,7 +126,7 @@ class TestExample1:
     def test_argmax_matches_grid_brute_force(self):
         g = example1_constraint()
         x = np.array([1.0, 0.5])
-        y_star = g.analytic_argmax(x)
+        y_star = member_argmax(g, x)
         assert y_star[0] == pytest.approx(1.0)
         ys = np.arange(0.0, 2.0 + 1e-9, 1e-4)
         vals = [g.evaluate(x, np.array([y])) for y in ys]
@@ -140,7 +141,45 @@ class TestExample1:
     def test_uncertainty_bound_parameter(self):
         g = example1_constraint(y_upper=1.0)
         assert g.uncertainty_box[0, 1] == 1.0
-        assert g.analytic_argmax(np.array([1.5, 0.0]))[0] == 1.0
+        assert member_argmax(g, np.array([1.5, 0.0]))[0] == 1.0
+
+
+class TestFamilyMaximizers:
+    """One family call of ``analytic_argmax`` against the former per-member closed forms, bit for bit."""
+
+    @staticmethod
+    def family_call(constraints, x):
+        coefficients = np.array([c.coefficients for c in constraints])
+        boxes = np.array([c.uncertainty_box for c in constraints])
+        (argmax,) = {c.analytic_argmax for c in constraints}
+        return argmax(x, coefficients, boxes)
+
+    @staticmethod
+    def points(rng):
+        # x1 inside [0, 2], on both sides of it and on its ends (signed
+        # zero included); x2 inside [-1, 1], outside it and on its ends.
+        edges = [(0.0, 1.0), (-0.0, -1.0), (2.0, 0.0), (0.5, -0.0), (-1e-300, 0.5), (2.0 + 1e-15, -0.5)]
+        return [np.array(x) for x in edges] + list(rng.uniform([-1.0, -2.0], [3.0, 2.0], (200, 2)))
+
+    def test_paper_quadratic(self, case_study, rng):
+        for x in self.points(rng):
+            ys = self.family_call(case_study.constraints, x)
+            assert ys.shape == (6, 1)
+            want = helpers.former_paper_quadratic_argmax(x)
+            assert all(y.tobytes() == want.tobytes() for y in ys)
+
+    def test_example1_with_mixed_uncertainty_bounds(self, rng):
+        uppers = (2.0, 0.5, 1.0, 3.0, 2.5)
+        constraints = [example1_constraint(u) for u in uppers]
+        inside = outside = 0
+        for x in self.points(rng):
+            ys = self.family_call(constraints, x)
+            assert ys.shape == (len(uppers), 1)
+            for y, upper in zip(ys, uppers):
+                assert y.tobytes() == helpers.former_example1_argmax(x, upper).tobytes()
+            inside += 0.0 <= x[0] <= 2.0
+            outside += not 0.0 <= x[0] <= 2.0
+        assert inside > 50 and outside > 50
 
 
 class TestOneDefinition:

@@ -156,6 +156,17 @@ class TestScaledInstance:
         assert result.final_upper == pytest.approx(upper, abs=1e-7)
 
 
+    def test_cycle_of_2048_terminates(self):
+        # Thousands of agents on a sparse schedule: the stopping rounds
+        # read the closed in-neighbor lists, not an m x m mask.
+        m = 2048
+        result = run(scaled_case_study(m, 0), directed_cycle(m), RunParams(method="I"))
+        assert result.terminated
+        assert result.iterations == 8
+        assert all(rec.slots_consumed == 3 * (m - 1) + 1 for rec in result.records)
+        assert result.final_upper - result.final_lower <= result.accuracy_bound
+
+
 class TestScalarSecondDerivatives:
     def test_mixed_constraint_families(self, case_study):
         # Two constraint families share no batch kernel, so every solve

@@ -14,10 +14,11 @@ from drcopt.problem import (
     NumericalFailure,
     SemiInfiniteConstraint,
     example1_constraint,
+    family_terms,
     quadratic_distance,
 )
 from drcopt.sim import RunParams, run
-from drcopt.solver import FiniteSubproblem, SolveStatus, family_terms, minimize, solve
+from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
 
 import record_digest
 from helpers import case_study_grid_min, reference_minimize, reference_solve, scaled_case_study, subproblem_cut_view
@@ -280,11 +281,12 @@ class TestFusedEvaluation:
         points = calls["objective"]
         assert points > 0 and calls["constraint"] == points
         assert calls["objective rows"] == 6 * points and calls["constraint rows"] == 12 * points
-        # With a kernel per member the same points take one-row calls.
+        # With a kernel per member each member is a family of its own: one
+        # call per objective, and one call per agent for its two cuts.
         calls.clear()
         solve(FiniteSubproblem(counting(per_member_kernels(case_study), calls), cuts))
         assert calls["objective"] == calls["objective rows"] == 6 * points
-        assert calls["constraint"] == calls["constraint rows"] == 12 * points
+        assert 2 * calls["constraint"] == calls["constraint rows"] == 12 * points
 
     def test_repeated_point_returns_the_same_read_only_arrays(self, case_study, rng):
         problem = FiniteSubproblem(case_study, random_cuts(rng))
@@ -388,17 +390,20 @@ class TestFusedEvaluation:
                 assert np.allclose(hess, np.column_stack(columns), rtol=1e-5, atol=1e-4)
 
     def test_empty_family_has_zero_rows(self):
-        values, grads, hessians = family_terms([], [])(np.zeros(3))
+        values, grads, hessians = family_terms([])(np.zeros(3))
         assert (values.shape, grads.shape, hessians.shape) == ((0,), (0, 3), (0, 3, 3))
 
-    def test_mixed_family_takes_the_per_cut_loop(self, case_study):
-        # Two constraint kernels: every cut is a one-row call of its own.
+    def test_mixed_family_takes_one_call_per_family(self, case_study):
+        # Two constraint kernels: the cuts of agents 1-3 and those of
+        # agents 4-6 each take one call per point, their rows interleaved
+        # by agent in canonical order.
         mixed = example1_mixed(case_study)
         cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
         calls = Counter()
         report = solve(FiniteSubproblem(counting(mixed, calls), cuts))
-        assert calls["constraint"] == calls["constraint rows"] == 9 * calls["objective"] > 0
+        assert calls["constraint"] == 2 * calls["objective"] > 0
+        assert calls["constraint rows"] == 9 * calls["objective"]
         assert_reports_bitwise_equal(report, solve(FiniteSubproblem(per_member_kernels(mixed), cuts)))
 
 

@@ -2,6 +2,8 @@ import functools
 import logging
 import math
 import operator
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,10 @@ from drcopt.problem import NumericalFailure
 from drcopt.termination import run_stopping_round, stop_threshold
 
 from helpers import edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import period3_cycle  # noqa: E402
 
 EPS_F = 0.01
 
@@ -31,8 +37,27 @@ def criterion_method2(gaps, schedule, eps_f, start_slot, n_slots):
 
 
 def final_counters(gaps, schedule, method, start_slot=0):
-    _, _, (h, c) = run_stopping_round(gaps, schedule, method, EPS_F, start_slot)
-    return h.tolist(), c.tolist()
+    """(h, c) after the round's last slot, from the per-slot oracle, once the round agrees with it."""
+    stop, slots, counters = per_slot_stopping_round(gaps, schedule, method, EPS_F, start_slot)
+    assert_same_outcome(gaps, schedule, method, start_slot, (stop, slots, counters))
+    return [n.h for n in counters], [n.c for n in counters]
+
+
+def assert_same_outcome(gaps, schedule, method, start_slot, oracle):
+    """``run_stopping_round`` gives the oracle's (stop, slots), and its (h, c) whenever it returns them.
+
+    Returns whether the round was decided before its last slot.
+    """
+    stop, slots, counters = run_stopping_round(gaps, schedule, method, EPS_F, start_slot)
+    want_stop, want_slots, want = oracle
+    assert (stop, slots) == (want_stop, want_slots)
+    if counters is None:
+        assert not stop
+        return True
+    h, c = counters
+    assert h.tolist() == [n.h for n in want]
+    assert c.tolist() == [n.c for n in want]
+    return False
 
 
 class TestStepMethod1:
@@ -66,9 +91,18 @@ class TestStepMethod1:
         assert h == [1, 1, 1]
 
     def test_counters_are_integer_arrays(self):
-        _, _, (h, c) = run_stopping_round([0.0] * 3, directed_cycle(3), "I", EPS_F)
-        assert h.dtype.kind == c.dtype.kind == "i"
-        assert h.shape == c.shape == (3,)
+        # Every test holds (closed form), or the round runs to its last
+        # slot (a Method II test that fails only in the second phase).
+        rounds = (
+            ([0.0] * 3, directed_cycle(3), "I", 0),
+            ([0.005, 0.003, 0.003], make_schedule(3, [{(2, 1)}, {(3, 1), (3, 2), (1, 3), (2, 1)}]), "II", 2),
+        )
+        for gaps, schedule, method, start in rounds:
+            _, _, (h, c) = run_stopping_round(gaps, schedule, method, EPS_F, start)
+            assert h.dtype.kind == c.dtype.kind == "i"
+            assert h.shape == c.shape == (schedule.m,)
+        # A round decided early returns no counters.
+        assert run_stopping_round([0.0, 0.02, 0.0], directed_cycle(3), "I", EPS_F) == (False, 3, None)
 
 
 class TestStepMethod2:
@@ -110,10 +144,11 @@ class TestStepMethod2:
 class TestStoppingRound:
     def test_method1_stop_on_cycle(self):
         schedule = directed_cycle(6)
-        stop, slots, (h, _) = run_stopping_round([0.001] * 6, schedule, "I", EPS_F)
+        stop, slots, _ = run_stopping_round([0.001] * 6, schedule, "I", EPS_F)
         assert stop
         assert slots == 6
-        assert h.tolist() == [6] * 6
+        _, _, counters = per_slot_stopping_round([0.001] * 6, schedule, "I", EPS_F)
+        assert [n.h for n in counters] == [6] * 6
 
     def test_method1_single_bad_gap_blocks(self):
         schedule = directed_cycle(6)
@@ -178,9 +213,10 @@ class TestRandomizedSoundness:
         for _ in range(60):
             schedule = random_connected_schedule(rng)
             gaps = list(EPS_F * rng.uniform(0, 1, size=schedule.m))
-            stop, _, (h, _) = run_stopping_round(gaps, schedule, "I", EPS_F)
+            stop, _, _ = run_stopping_round(gaps, schedule, "I", EPS_F)
             assert stop
-            assert (h >= stop_threshold(schedule)).all()
+            _, _, counters = per_slot_stopping_round(gaps, schedule, "I", EPS_F)
+            assert all(n.h >= stop_threshold(schedule) for n in counters)
 
     def test_method1_stop_that_is_not_simultaneous_raises(self, monkeypatch):
         # Impossible with the true threshold; a threshold of 2 on the cycle
@@ -193,10 +229,11 @@ class TestRandomizedSoundness:
     def test_method2_stop_need_not_be_simultaneous(self, caplog):
         schedule = make_schedule(3, [{(2, 1)}, {(3, 1), (3, 2), (1, 3), (2, 1)}])
         with caplog.at_level(logging.WARNING, logger="drcopt.termination"):
-            stop, _, (h, c) = run_stopping_round([0.005, 0.003, 0.003], schedule, "II", EPS_F, 2)
+            stop, _, _ = run_stopping_round([0.005, 0.003, 0.003], schedule, "II", EPS_F, 2)
         assert stop
-        assert h.tolist() == [1, 5, 3] and c.tolist() == [1, 5, 5]
         assert "not simultaneous" in caplog.text
+        _, _, counters = per_slot_stopping_round([0.005, 0.003, 0.003], schedule, "II", EPS_F, 2)
+        assert [(n.h, n.c) for n in counters] == [(1, 1), (5, 5), (3, 5)]
 
 
 def random_gaps(rng, schedule):
@@ -226,12 +263,9 @@ class TestMatchesPerSlotOracle:
 
     @staticmethod
     def assert_same_round(gaps, schedule, method, start):
-        stop, slots, (h, c) = run_stopping_round(gaps, schedule, method, EPS_F, start)
-        want_stop, want_slots, counters = per_slot_stopping_round(gaps, schedule, method, EPS_F, start)
-        assert (stop, slots) == (want_stop, want_slots)
-        assert h.tolist() == [k.h for k in counters]
-        assert c.tolist() == [k.c for k in counters]
-        return stop
+        oracle = per_slot_stopping_round(gaps, schedule, method, EPS_F, start)
+        assert_same_outcome(gaps, schedule, method, start, oracle)
+        return oracle[0]
 
     def test_random_schedules_both_methods(self, rng):
         outcomes = set()
@@ -258,3 +292,23 @@ class TestMatchesPerSlotOracle:
         for m in range(2, 10):
             for start in range(2):
                 self.assert_same_round([EPS_F / m] * m, complete(m), method, start)
+
+    def test_decided_rounds_on_cycles_complete_and_random_schedules(self, rng):
+        # Rounds decided early report the oracle's (stop, slots); the rest
+        # also its final (h, c).  Gaps include NaN and inf (random_gaps).
+        builders = (directed_cycle, complete, period3_cycle)
+        decided, outcomes = 0, set()
+        for trial in range(2400):
+            method = "I" if trial % 2 == 0 else "II"
+            kind = trial // 2 % 4
+            if kind < 3:
+                schedule = builders[kind](int(rng.integers(2 if kind < 2 else 3, 13)))
+            else:
+                schedule = random_connected_schedule(rng, m_max=7, p_max=3)
+            gaps = random_gaps(rng, schedule)
+            start = int(rng.integers(0, 8))
+            oracle = per_slot_stopping_round(gaps, schedule, method, EPS_F, start)
+            decided += assert_same_outcome(gaps, schedule, method, start, oracle)
+            outcomes.add((method, oracle[0]))
+        assert outcomes == {("I", True), ("I", False), ("II", True), ("II", False)}
+        assert 0 < decided < 2400
