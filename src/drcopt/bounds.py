@@ -25,12 +25,16 @@ def neighborhood_weights(schedule: GraphSchedule) -> list[int]:
     """w_j = sum over the first T slots of (1 + outdeg_j(t)).
 
     Counting appearances: at slot t, gap e_j shows up once in its own
-    closed neighborhood and once per out-neighbor (column j of
-    ``closed_in``), so the triple sum over agents, slots and
-    neighborhoods collapses to sum_j w_j * e_j.
+    closed neighborhood and once per out-neighbor, so the triple sum over
+    agents, slots and neighborhoods collapses to sum_j w_j * e_j.  The
+    window T is at most the period, so the first T slots are
+    ``slots[:T]``, and w_j counts agent j's sends there.
     """
-    phases = [t % schedule.period for t in range(schedule.window)]
-    return [int(w) for w in schedule.closed_in[phases].sum(axis=(0, 1))]
+    weights = [schedule.window] * schedule.m
+    for edges in schedule.slots[: schedule.window]:
+        for j, _ in edges:
+            weights[j - 1] += 1
+    return weights
 
 
 def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:

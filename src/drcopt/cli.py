@@ -73,6 +73,10 @@ def _build_from_config(config: dict):
         topology = {"topology": topology, "m": instance.m}
     elif not isinstance(topology, dict):
         raise ConfigError(f"bad 'topology' field: {topology!r} is neither a topology name nor an object")
+    keys = ("topology", "m", "slots") if topology.get("topology") == "explicit" else ("topology", "m")
+    unknown = [key for key in topology if key not in keys]
+    if unknown:
+        raise ConfigError(f"bad 'topology' field: unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
     try:
         # Compare the agent counts before building: a schedule's size grows as m^2.
         m = require_integer(topology["m"], "m")

@@ -2,13 +2,13 @@
 
 Edges are ordered pairs (j, i) meaning j sends to i.  Self-loops are
 implicit everywhere: protocols always operate on N_i^in(t) united with
-{i} (``GraphSchedule.closed_in``), and stored edge sets never contain (i, i).
+{i} (``GraphSchedule.closed_in_lists``), and stored edge sets never contain (i, i).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,10 +27,11 @@ class NotUniformlyConnected(Exception):
     pass
 
 
-def _is_strongly_connected(m: int, edges: frozenset[Edge]) -> bool:
-    fwd: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
-    bck: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
-    for j, i in edges:
+def _is_strongly_connected(m: int, edge_sets: Iterable[Iterable[Edge]]) -> bool:
+    """Whether the union of ``edge_sets`` is strongly connected, each set read once."""
+    fwd: list[list[int]] = [[] for _ in range(m + 1)]
+    bck: list[list[int]] = [[] for _ in range(m + 1)]
+    for j, i in itertools.chain.from_iterable(edge_sets):
         fwd[j].append(i)
         bck[i].append(j)
 
@@ -50,22 +51,36 @@ def _is_strongly_connected(m: int, edges: frozenset[Edge]) -> bool:
 def compute_connectivity_window(m: int, slots: tuple[frozenset[Edge], ...]) -> int:
     """Smallest T such that every length-T slot window has a strongly connected union.
 
-    Window starts are checked over one full period; the search is bounded
-    by P*m, past which a uniformly connected schedule must have succeeded.
+    Window starts are checked over one full period.  A window of P slots
+    (the period) holds every phase, and so does every longer one: they
+    all have the same union, so the search stops at T = P and checks
+    one start there.
     """
     period = len(slots)
-    for window in range(1, period * m + 1):
-        ok = True
-        for start in range(period):
-            union: set[Edge] = set()
-            for t in range(start, start + window):
-                union |= slots[t % period]
-            if not _is_strongly_connected(m, frozenset(union)):
-                ok = False
-                break
-        if ok:
+    doubled = slots + slots  # a window from any start is one slice
+    for window in range(1, period + 1):
+        starts = range(period if window < period else 1)
+        if all(_is_strongly_connected(m, doubled[s : s + window]) for s in starts):
             return window
-    raise NotUniformlyConnected(f"no window of length <= {period * m} is strongly connected")
+    raise NotUniformlyConnected(f"no window of length <= {period} is strongly connected")
+
+
+def _checked_edges(m: int, k: int, edges) -> Iterator[Edge]:
+    """Slot ``k``'s edges as int pairs, each checked as :class:`GraphSchedule` states."""
+    if isinstance(edges, str) or not isinstance(edges, Iterable):
+        raise ValueError(f"slot {k} is not a collection of edges")
+    for edge in edges:
+        try:  # a two-character string would unpack into two endpoints
+            j, i = () if isinstance(edge, str) else edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair (j, i)") from None
+        if type(j) is not int or type(i) is not int:  # plain ints skip two calls
+            j, i = require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")
+        if not (1 <= j <= m and 1 <= i <= m):
+            raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
+        if j == i:
+            raise ValueError("self-loops are implicit; do not store them")
+        yield j, i
 
 
 @dataclass(frozen=True)
@@ -94,26 +109,9 @@ class GraphSchedule:
             raise InvalidSize("node count must be >= 1")
         if not isinstance(self.slots, Iterable):
             raise ValueError(f"slots must be a collection of slots, got {self.slots!r}")
-        slots = []
-        for k, edges in enumerate(self.slots):
-            if isinstance(edges, str) or not isinstance(edges, Iterable):
-                raise ValueError(f"slot {k} is not a collection of edges")
-            clean = set()
-            for edge in edges:
-                try:  # a two-character string would unpack into two endpoints
-                    j, i = () if isinstance(edge, str) else edge
-                except (TypeError, ValueError):
-                    raise ValueError(f"edge {edge!r} is not a pair (j, i)") from None
-                j, i = require_integer(j, "edge endpoint"), require_integer(i, "edge endpoint")
-                if not (1 <= j <= m and 1 <= i <= m):
-                    raise ValueError(f"edge ({j},{i}) out of node range 1..{m}")
-                if j == i:
-                    raise ValueError("self-loops are implicit; do not store them")
-                clean.add((j, i))
-            slots.append(frozenset(clean))
+        slots = tuple(frozenset(_checked_edges(m, k, edges)) for k, edges in enumerate(self.slots))
         if not slots:
             raise ValueError("a schedule needs at least one slot")
-        slots = tuple(slots)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "window", compute_connectivity_window(m, slots))
@@ -121,28 +119,6 @@ class GraphSchedule:
     @property
     def period(self) -> int:
         return len(self.slots)
-
-    def _closed_pairs(self, phase: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, destinations) of phase ``phase``'s edges and of every self-loop, 0-based ids."""
-        edges = self.slots[phase]
-        pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)) - 1
-        own = np.arange(self.m)
-        return np.concatenate([own, pairs[0::2]]), np.concatenate([own, pairs[1::2]])
-
-    @cached_property
-    def closed_in(self) -> np.ndarray:
-        """Closed in-neighborhoods per slot phase, shape (period, m, m), bool, read-only.
-
-        Entry [p, i-1, j-1] is True when j = i or j sends to i in phase p.
-        Only the Method II weights read it; built on first use, so merely
-        validated schedules never pay.
-        """
-        table = np.zeros((self.period, self.m, self.m), dtype=bool)
-        for p in range(self.period):
-            sources, destinations = self._closed_pairs(p)
-            table[p, destinations, sources] = True
-        table.flags.writeable = False
-        return table
 
     @cached_property
     def closed_in_lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -152,11 +128,13 @@ class GraphSchedule:
         ``sources[starts[i-1]:starts[i]]`` (``starts[m]`` is the length of
         ``sources``) in 0-based ids: i itself first, then its in-neighbors
         ascending.  O(m + edges) per phase, the form the stopping rounds
-        read; built on first use, as ``closed_in`` is.
+        read; built on first use.
         """
         lists = []
-        for p in range(self.period):
-            sources, destinations = self._closed_pairs(p)
+        own = np.arange(self.m)
+        for edges in self.slots:
+            pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)) - 1
+            sources, destinations = np.concatenate([own, pairs[0::2]]), np.concatenate([own, pairs[1::2]])
             # Own id first: a self-loop sorts before every in-neighbor.
             order = np.lexsort((np.where(sources == destinations, -1, sources), destinations))
             starts = np.concatenate([[0], np.cumsum(np.bincount(destinations, minlength=self.m))])
@@ -193,26 +171,22 @@ def directed_cycle(m: int) -> GraphSchedule:
     """Static cycle 1 -> 2 -> ... -> m -> 1."""
     if m < 2:
         raise InvalidSize("directed cycle needs m >= 2")
-    edges = {(i, i % m + 1) for i in range(1, m + 1)}
-    return make_schedule(m, [edges])
+    return make_schedule(m, [((i, i % m + 1) for i in range(1, m + 1))])
 
 
 def complete(m: int) -> GraphSchedule:
     """Static complete digraph: all m(m-1) ordered pairs."""
     if m < 2:
         raise InvalidSize("complete graph needs m >= 2")
-    edges = {(j, i) for j in range(1, m + 1) for i in range(1, m + 1) if j != i}
-    return make_schedule(m, [edges])
+    return make_schedule(m, [((j, i) for j in range(1, m + 1) for i in range(1, m + 1) if j != i)])
 
 
 def customized(m: int) -> GraphSchedule:
     """Complete graph on nodes 1..m-1 plus a bidirectional pendant link {m-1, m}."""
     if m < 3:
         raise InvalidSize("customized graph needs m >= 3")
-    edges = {(j, i) for j in range(1, m) for i in range(1, m) if j != i}
-    edges.add((m - 1, m))
-    edges.add((m, m - 1))
-    return make_schedule(m, [edges])
+    clique = ((j, i) for j in range(1, m) for i in range(1, m) if j != i)
+    return make_schedule(m, [itertools.chain(clique, [(m - 1, m), (m, m - 1)])])
 
 
 TOPOLOGIES = {

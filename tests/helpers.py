@@ -166,6 +166,20 @@ def edge_scan_in_neighbors(schedule: GraphSchedule, node: int, t: int) -> tuple[
     return tuple(sorted(j for j, i in schedule.slots[t % schedule.period] if i == node))
 
 
+def closed_in(schedule: GraphSchedule) -> np.ndarray:
+    """Closed in-neighborhoods per slot phase, shape (period, m, m), bool.
+
+    Entry [p, i-1, j-1] is True when j = i or j sends to i in phase p,
+    set edge by edge from ``schedule.slots``.
+    """
+    table = np.zeros((schedule.period, schedule.m, schedule.m), dtype=bool)
+    for p, edges in enumerate(schedule.slots):
+        np.fill_diagonal(table[p], True)
+        for j, i in edges:
+            table[p, i - 1, j - 1] = True
+    return table
+
+
 def aggregate_gap_load(schedule: GraphSchedule, gaps: list[float]) -> float:
     """Literal triple sum over agents, the first T slots and closed in-neighborhoods."""
     total = 0.0
@@ -226,7 +240,7 @@ def agent_gap(objective, feasible: bool, lower_x: Vector, upper_x: Vector) -> fl
 
 # Per-agent, per-slot simulations of the flooding and stopping protocols,
 # as oracles for drcopt's union flood and array stopping round.  Each reads
-# the schedule's edge sets directly, not ``closed_in``.
+# the schedule's edge sets directly, not ``closed_in_lists``.
 
 
 def per_slot_flood(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -72,6 +74,25 @@ class TestMethod2:
     def test_single_agent(self):
         schedule = make_schedule(1, [set()])
         assert method2_accuracy(schedule, EPS_F) == pytest.approx(EPS_F)
+
+    def test_peak_memory_stays_below_one_mib(self):
+        # A random Hamiltonian cycle on 1024 agents, each edge in one of 16
+        # slots: a dense (period, m, m) bool mask alone would take 16 MiB.
+        m, period = 1024, 16
+        rng = np.random.default_rng(0)
+        order = [int(i) for i in rng.permutation(m) + 1]
+        slots = [set() for _ in range(period)]
+        for k, phase in enumerate(rng.integers(period, size=m)):
+            slots[phase].add((order[k], order[(k + 1) % m]))
+        schedule = make_schedule(m, slots)
+        assert schedule.window == period
+        tracemalloc.start()
+        try:
+            method2_accuracy(schedule, EPS_F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_customized_between_complete_and_cycle(self):
         for m in range(3, 20):

@@ -170,6 +170,8 @@ class TestRun:
             ({"topology": "explicit", "m": 6, "slots": [5]}, "slot 0 is not a collection of edges"),
             ({"topology": "explicit", "m": 6, "slots": "ab"}, "slot 0 is not a collection of edges"),
             ({"topology": "explicit", "m": 6, "slots": 5}, "slots must be a collection of slots, got 5"),
+            ({"topology": "cycle", "m": 6, "slots": [[[1, 2]]]}, "unknown key 'slots'; the keys are topology, m"),
+            ({"topology": "cycle", "m": 6, "window": 9}, "unknown key 'window'; the keys are topology, m"),
         ],
         ids=[
             "not-uniformly-connected",
@@ -182,6 +184,8 @@ class TestRun:
             "slot-int",
             "slot-string",
             "slots-int",
+            "slots-of-a-named-topology",
+            "unknown-key",
         ],
     )
     def test_bad_topology_object_exits_1(self, tmp_path, capsys, topology, message):
@@ -215,6 +219,8 @@ class TestRun:
         monkeypatch.setattr(drcopt.graph, "make_schedule", refuse)
 
         def topology(m):
+            if name == "complete":
+                return {"topology": name, "m": m}
             return {"topology": name, "m": m, "slots": [[[j, j % m + 1] for j in range(1, m + 1)]]}
 
         out = tmp_path / "out"
@@ -569,6 +575,12 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         # cycle and complete start at m=2, customized at m=3
         assert len(rows) == 7 + 7 + 6
+
+    def test_bytes_equal_the_expected_file(self, tmp_path):
+        # Pins every window and both bounds of each row to the byte.
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), "--m-max", "30"]) == 0
+        assert (out / "sweep.csv").read_bytes() == (ROOT / "tests" / "expected_sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("m_max", ["1", "0"])
     def test_m_max_validated(self, tmp_path, capsys, m_max):

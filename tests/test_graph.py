@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from drcopt import graph
 from drcopt.graph import (
     GraphSchedule,
     InvalidSize,
@@ -16,7 +17,7 @@ from drcopt.graph import (
     schedule_from_config,
 )
 
-from helpers import edge_scan_in_neighbors, random_connected_schedule
+from helpers import closed_in, edge_scan_in_neighbors, random_connected_schedule
 
 
 def out_neighbors(schedule, node, t):
@@ -24,8 +25,8 @@ def out_neighbors(schedule, node, t):
 
 
 def closed_neighborhood(schedule, node, t):
-    """Sorted closed in-neighborhood of node at slot t, read off ``closed_in``."""
-    return tuple(int(j) + 1 for j in np.flatnonzero(schedule.closed_in[t % schedule.period, node - 1]))
+    """Sorted closed in-neighborhood of node at slot t, read off the ``closed_in`` oracle."""
+    return tuple(int(j) + 1 for j in np.flatnonzero(closed_in(schedule)[t % schedule.period, node - 1]))
 
 
 def nx_strongly_connected(m, edges):
@@ -94,6 +95,21 @@ class TestConnectivityWindow:
         with pytest.raises(NotUniformlyConnected):
             GraphSchedule(m=6, slots=(path,))
 
+    def test_rejection_searches_windows_up_to_the_period(self, monkeypatch):
+        # A cycle on agents 1..m-1 split over P slots, agent m isolated.
+        # Every window of P slots or more has the same union, so at most
+        # P window lengths are tried, each from at most P starts.
+        m, period = 200, 4
+        slots = [set() for _ in range(period)]
+        for i in range(1, m):
+            slots[i % period].add((i, i % (m - 1) + 1))
+        calls = []
+        strongly_connected = graph._is_strongly_connected
+        monkeypatch.setattr(graph, "_is_strongly_connected", lambda *args: calls.append(args) or strongly_connected(*args))
+        with pytest.raises(NotUniformlyConnected, match=f"no window of length <= {period} is strongly connected"):
+            make_schedule(m, slots)
+        assert 0 < len(calls) <= period**2
+
     def test_window_is_not_an_argument(self):
         with pytest.raises(TypeError):
             GraphSchedule(m=2, slots=(frozenset({(1, 2), (2, 1)}),), window=1)
@@ -108,7 +124,7 @@ class TestConnectivityWindow:
     def test_random_schedules_window_verified_by_networkx(self, rng):
         for _ in range(40):
             s = random_connected_schedule(rng)
-            assert s.window <= s.period * s.m
+            assert s.window <= s.period
             for start in range(s.period):
                 union = set()
                 for t in range(start, start + s.window):
@@ -148,30 +164,30 @@ class TestNeighbors:
         assert closed_neighborhood(s, 2, 2) == (1, 2)
 
     def test_single_agent(self):
-        assert make_schedule(1, [set()]).closed_in.tolist() == [[[1.0]]]
+        s = make_schedule(1, [set()])
+        assert closed_neighborhood(s, 1, 0) == (1,)
+        assert [(sources.tolist(), starts.tolist()) for sources, starts in s.closed_in_lists] == [([0], [0, 1])]
 
-    def test_read_only_bool_mask(self):
+    def test_neighbor_lists_read_only_and_built_on_first_use(self):
         s = customized(5)
-        table = s.closed_in
-        assert table.shape == (1, 5, 5)
-        assert table.dtype == np.bool_
-        assert set(np.unique(table)) == {False, True}
+        assert "closed_in_lists" not in vars(s)
+        assert s.closed_in_lists is s.closed_in_lists
+        sources, starts = s.closed_in_lists[0]
         with pytest.raises(ValueError):
-            table[0, 0, 1] = True
-
-    def test_built_on_first_use_only(self):
-        s = directed_cycle(4)
-        assert "closed_in" not in vars(s)
-        assert s.closed_in is s.closed_in
+            sources[0] = 1
+        with pytest.raises(ValueError):
+            starts[0] = 1
 
     def test_table_matches_edge_scan(self, rng):
+        # The neighbor lists hold own id first, then the in-neighbors ascending.
         for _ in range(50):
             s = random_connected_schedule(rng)
-            assert s.closed_in.shape == (s.period, s.m, s.m)
             for t in range(2 * s.period):
+                sources, starts = s.closed_in_lists[t % s.period]
                 for node in range(1, s.m + 1):
-                    expected = tuple(sorted((node,) + edge_scan_in_neighbors(s, node, t)))
-                    assert closed_neighborhood(s, node, t) == expected
+                    expected = (node,) + edge_scan_in_neighbors(s, node, t)
+                    assert tuple(int(j) + 1 for j in sources[starts[node - 1] : starts[node]]) == expected
+                    assert closed_neighborhood(s, node, t) == tuple(sorted(expected))
 
 
 class TestValidation:

@@ -13,7 +13,7 @@ from drcopt.graph import complete, directed_cycle, make_schedule
 from drcopt.problem import NumericalFailure
 from drcopt.termination import run_stopping_round, stop_threshold
 
-from helpers import edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
+from helpers import closed_in, edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -248,7 +248,7 @@ def random_gaps(rng, schedule):
     m = schedule.m
     if rng.random() < 0.5:
         gaps = [float(rng.uniform(0, EPS_F / m)) for _ in range(m)]
-        row = schedule.closed_in[rng.integers(schedule.period), rng.integers(m)]
+        row = closed_in(schedule)[rng.integers(schedule.period), rng.integers(m)]
         members = np.flatnonzero(row)
         tenths = np.bincount(rng.integers(0, len(members), size=10), minlength=len(members))
         for j, n in zip(members, tenths):
