@@ -8,7 +8,7 @@ directed network, with finite-time distributed termination detection.
 from .agents import AgentState, dlbd_oracle, dubd_oracle
 from .bounds import method1_accuracy, method2_accuracy
 from .graph import GraphSchedule, complete, customized, directed_cycle
-from .llp import Verdict, feasibility_verdict, solve_llp
+from .llp import Verdict, solve_llp
 from .problem import (
     NumericalFailure,
     ProblemInstance,
@@ -35,7 +35,6 @@ __all__ = [
     "dlbd_oracle",
     "dubd_oracle",
     "example1_constraint",
-    "feasibility_verdict",
     "method1_accuracy",
     "method2_accuracy",
     "run",

@@ -1,86 +1,88 @@
-"""Per-agent algorithm state: scenario sets, restriction parameter, oracles.
+"""Agent state as arrays: one cut table per side, the restriction vector, the oracles.
 
-Each outer iteration every agent receives the consensus minimizer of the
-lower (respectively upper) subproblem, checks it against its own
-semi-infinite constraint via the lower-level problem, and either grows
-its scenario set or (upper side) relaxes its restriction parameter.  All
-agents check the same point, so each oracle acts on a list of agents in
-one lower-level pass.
+Every agent checks the same consensus minimizer against its own
+semi-infinite constraint, so each oracle is one lower-level pass over
+the instance: a violated agent adds a scenario cut, a row appended to
+its side's :class:`~drcopt.solver.CutTable`, and on the upper side a
+satisfied agent divides its entry of the (m,) vector ``eps`` by r.
+:class:`AgentState`, the per-agent view, is built once at the end of a
+run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .llp import Verdict, feasibility_verdict, solve_llp
-from .problem import NumericalFailure, ProblemInstance, Vector
-from .solver import Cut
+from .llp import solve_llp
+from .problem import ConstraintTable, NumericalFailure, ProblemInstance, Vector
+from .solver import CutTable
 
 SCENARIO_CAP = 10_000  # runaway guard per agent
 
 
 @dataclass
 class AgentState:
-    """What an agent holds between iterations: its scenario sets and its restriction ``epsilon``.
-
-    Whether its upper point is feasible is the upper oracle's verdict of
-    the iteration, which :func:`drcopt.sim.run` keeps.
-    """
+    """Agent ``agent_id``'s restriction and scenarios per side, (k, n_y) arrays in insertion order."""
 
     agent_id: int
     epsilon: float
-    lower_scenarios: list[tuple[float, ...]] = field(default_factory=list)
-    upper_scenarios: list[tuple[float, ...]] = field(default_factory=list)
+    lower_scenarios: np.ndarray
+    upper_scenarios: np.ndarray
 
 
-def _append_scenario(scenarios: list[tuple[float, ...]], y: Vector) -> None:
-    if len(scenarios) >= SCENARIO_CAP:
+def _with_cuts(cuts: CutTable, violated: np.ndarray, y_star) -> CutTable:
+    """``cuts`` with one row per violated agent, at its maximizer in ``y_star`` (see :func:`solve_llp`)."""
+    new = np.flatnonzero(violated)
+    if not len(new):
+        return cuts
+    # Counts grow by one per append, so only a violated agent can pass the cap.
+    count = cuts.count + violated
+    if count.max() > SCENARIO_CAP:
         raise NumericalFailure(f"scenario set exceeded the cap of {SCENARIO_CAP}")
     # No dedup: re-appending a near-identical maximizer is harmless.
-    scenarios.append(tuple(np.atleast_1d(y).tolist()))
+    scenarios = tuple(np.concatenate([old, ys[new]]) for old, ys in zip(cuts.scenarios, y_star))
+    return CutTable(np.concatenate([cuts.agent, new]), scenarios, count)
 
 
-def dlbd_oracle(states: list[AgentState], instance: ProblemInstance, x_new: Vector) -> tuple[list[Verdict], np.ndarray]:
-    """Lower-side oracles of ``states`` at the consensus point: each cuts if it is infeasible.
+def dlbd_oracle(cuts: CutTable, instance: ProblemInstance, x_new: Vector) -> tuple[np.ndarray, np.ndarray, CutTable]:
+    """Lower oracles at the consensus point: (violated mask, g_max, grown table).
 
-    Returns the verdicts and the (len(states),) array of g_max.
+    An agent is violated iff its g_max is positive: a boundary value counts feasible.
     """
-    g_max, y_star = solve_llp([instance.constraints[s.agent_id - 1] for s in states], x_new)
-    verdicts = [feasibility_verdict(g) for g in g_max.tolist()]
-    for state, verdict, y in zip(states, verdicts, y_star):
-        if verdict is Verdict.VIOLATED:
-            _append_scenario(state.lower_scenarios, y)
-    return verdicts, g_max
+    g_max, y_star = solve_llp(instance, x_new)
+    violated = g_max > 0.0
+    return violated, g_max, _with_cuts(cuts, violated, y_star)
 
 
 def dubd_oracle(
-    states: list[AgentState], instance: ProblemInstance, z_new: Vector, r: float
-) -> tuple[list[Verdict], np.ndarray]:
-    """Upper-side oracles of ``states``: each cuts on violation and shrinks its epsilon by r on feasibility.
+    cuts: CutTable, epsilon: np.ndarray, instance: ProblemInstance, z_new: Vector, r: float
+) -> tuple[np.ndarray, np.ndarray, CutTable, np.ndarray]:
+    """Upper oracles: (violated mask, g_max, grown table, eps with each feasible agent's divided by r).
 
-    Returns the verdicts, which are the caller's record of whether
-    ``z_new`` is feasible for each agent, and the (len(states),) array of
-    g_max.
+    The mask is the caller's record of which agents found ``z_new`` feasible.
     """
     # Negated comparison so that NaN is rejected too.
     if not 1.0 < r < math.inf:
         raise ValueError(f"reduction parameter r must exceed 1 and be finite, got {r}")
-    g_max, y_star = solve_llp([instance.constraints[s.agent_id - 1] for s in states], z_new)
-    verdicts = [feasibility_verdict(g) for g in g_max.tolist()]
-    for state, verdict, y in zip(states, verdicts, y_star):
-        if verdict is Verdict.VIOLATED:
-            _append_scenario(state.upper_scenarios, y)
-        else:
-            state.epsilon = state.epsilon / r
-    return verdicts, g_max
+    g_max, y_star = solve_llp(instance, z_new)
+    violated = g_max > 0.0
+    return violated, g_max, _with_cuts(cuts, violated, y_star), np.where(violated, epsilon, epsilon / r)
 
 
-def lower_cuts(state: AgentState) -> list[Cut]:
-    return [(state.agent_id, k, y, 0.0) for k, y in enumerate(state.lower_scenarios)]
-
-
-def upper_cuts(state: AgentState) -> list[Cut]:
-    return [(state.agent_id, k, y, -state.epsilon) for k, y in enumerate(state.upper_scenarios)]
+def final_states(lower: CutTable, upper: CutTable, epsilon: np.ndarray, table: ConstraintTable) -> list[AgentState]:
+    """The per-agent view of a run's state: per side one stable sort, then one split per family."""
+    sides = []
+    for cuts in (lower, upper):
+        order, out = np.argsort(cuts.agent, kind="stable"), [None] * len(epsilon)
+        for f, scenarios in enumerate(cuts.scenarios):
+            agents = np.flatnonzero(table.family == f)
+            ys = scenarios[order[table.family[cuts.agent[order]] == f]]
+            ends = np.cumsum(cuts.count[agents]).tolist()
+            # Slices, not np.split, which costs a swapaxes call per part.
+            for a, start, end in zip(agents.tolist(), [0] + ends, ends):
+                out[a] = ys[start:end]
+        sides.append(out)
+    return [AgentState(a + 1, *state) for a, state in enumerate(zip(epsilon.tolist(), *sides))]

@@ -201,7 +201,7 @@ def cmd_table2(args) -> int:
             # A run that hit --max-iter has no exit point to check; every
             # agent of a terminated run holds the same point.
             feasible = result.terminated and bool(
-                (solve_llp(instance.constraints, result.x_opt[0])[0] <= FEASIBILITY_TOL).all()
+                (solve_llp(instance, result.x_opt[0])[0] <= FEASIBILITY_TOL).all()
             )
             rows.append((method, topology, result, feasible))
 

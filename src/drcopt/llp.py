@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import functools
-import operator
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .problem import SemiInfiniteConstraint, Vector, families
+from .problem import ProblemInstance, SemiInfiniteConstraint, Vector, constraint_table
 
 GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
 
@@ -19,13 +17,10 @@ class UnsupportedDimension(Exception):
 
 
 class Verdict(Enum):
+    """An oracle's two verdicts; the oracles return them as a bool mask, True where ``g_max > 0``."""
+
     FEASIBLE = "feasible"
     VIOLATED = "violated"
-
-
-def feasibility_verdict(g_max: float) -> Verdict:
-    """Violated iff g_max is positive; boundary values count feasible."""
-    return Verdict.VIOLATED if g_max > 0.0 else Verdict.FEASIBLE
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,29 +76,32 @@ def solve_llp_numeric(constraint: SemiInfiniteConstraint, x: Vector) -> tuple[fl
     return float(scores[best]), np.array([candidates[best]])
 
 
-def solve_llp(constraints: Sequence[SemiInfiniteConstraint], x: Vector) -> tuple[np.ndarray, list[Vector]]:
+def solve_llp(constraints, x: Vector) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Return (g_max, y_star) for every constraint at the one point x.
 
-    ``g_max`` is a (k,) array and ``y_star`` a list of k global
-    maximizers, member j's of g_j(x, .).  The members that share a
-    kernel and an ``analytic_argmax`` take one maximizer call and one
-    kernel call with their coefficients and boxes stacked; since a
-    family function's rows are independent, each value equals
-    ``constraint.evaluate(x, y_star)`` to the bit.  Each member without
-    an ``analytic_argmax`` takes the numeric grid-and-vertex path.
+    ``constraints`` is a :class:`~drcopt.problem.ProblemInstance`, whose
+    :class:`~drcopt.problem.ConstraintTable` is kept, or a sequence of
+    constraints.  ``g_max`` is (k,); ``y_star`` holds one (k, n_y) array
+    per family of the table, in which member j's maximizer is row j (0
+    in the other families' arrays).  Each entry of the table's
+    ``maximizers`` takes one maximizer call and one kernel call; rows
+    are independent, so each value equals ``constraint.evaluate(x, y)``
+    to the bit.  A member without an ``analytic_argmax`` takes the
+    numeric grid-and-vertex path.
     """
+    if isinstance(constraints, ProblemInstance):
+        table, constraints = constraints.constraint_table, constraints.constraints
+    else:
+        table = constraint_table(constraints)
     x = np.asarray(x, dtype=float)
     g_max = np.empty(len(constraints))
-    y_star: list[Vector] = [None] * len(constraints)
-    for (batch, argmax), members in families(constraints, operator.attrgetter("batch", "analytic_argmax")):
+    y_star = tuple(np.zeros((len(constraints), boxes.shape[1])) for boxes in table.boxes)
+    for f, argmax, agents, coefficients, boxes in table.maximizers:
         if argmax is None:
-            for j in members:
-                g_max[j], y_star[j] = solve_llp_numeric(constraints[j], x)
+            for j in agents.tolist():
+                g_max[j], y_star[f][j] = solve_llp_numeric(constraints[j], x)
             continue
-        coefficients = np.array([constraints[j].coefficients for j in members])
-        boxes = np.array([constraints[j].uncertainty_box for j in members])
         ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)
-        g_max[members] = batch(x, coefficients, ys)[0]
-        for j, y in zip(members, ys):
-            y_star[j] = y
+        g_max[agents] = table.batches[f](x, coefficients, ys)[0]
+        y_star[f][agents] = ys
     return g_max, y_star

@@ -189,12 +189,15 @@ class SemiInfiniteConstraint:
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """An instance's constraints stacked by family, to gather cut data by agent id.
+    """Constraints stacked by family, to gather cut data by agent id.
 
     The constraints that share one ``batch`` kernel form family f, with
     ``batches[f]`` its kernel and ``coefficients[f]`` (k_f, p) and
     ``boxes[f]`` (k_f, n_y, 2) its members' data.  Agent a + 1's
-    constraint is row ``row[a]`` of family ``family[a]``.
+    constraint is row ``row[a]`` of family ``family[a]``.  Each entry
+    ``(f, argmax, agents, coefficients, boxes)`` of ``maximizers`` holds
+    the gathered data of the agents of family f that share one
+    ``analytic_argmax``, for :func:`drcopt.llp.solve_llp`.
     """
 
     batches: tuple[Callable, ...]
@@ -202,6 +205,22 @@ class ConstraintTable:
     boxes: tuple[np.ndarray, ...]
     family: np.ndarray  # (m,)
     row: np.ndarray  # (m,)
+    maximizers: tuple[tuple, ...]
+
+
+def constraint_table(constraints) -> ConstraintTable:
+    """The :class:`ConstraintTable` of a sequence of constraints, agent a + 1's at position a."""
+    family = np.empty(len(constraints), dtype=np.intp)
+    row = np.empty(len(constraints), dtype=np.intp)
+    batches, coefficients, boxes, maximizers = [], [], [], []
+    for f, (batch, agents) in enumerate(families(constraints)):
+        family[agents], row[agents] = f, np.arange(len(agents))
+        batches.append(batch)
+        coefficients.append(np.array([constraints[a].coefficients for a in agents]))
+        boxes.append(np.array([constraints[a].uncertainty_box for a in agents]))
+        for argmax, rows in families([constraints[a] for a in agents], operator.attrgetter("analytic_argmax")):
+            maximizers.append((f, argmax, np.array(agents)[rows], coefficients[f][rows], boxes[f][rows]))
+    return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row, tuple(maximizers))
 
 
 @dataclass(frozen=True)
@@ -235,16 +254,8 @@ class ProblemInstance:
 
     @cached_property
     def constraint_table(self) -> ConstraintTable:
-        """The constraints stacked by kernel family, to gather a cut's data by its agent id."""
-        family = np.empty(self.m, dtype=np.intp)
-        row = np.empty(self.m, dtype=np.intp)
-        batches, coefficients, boxes = [], [], []
-        for f, (batch, agents) in enumerate(families(self.constraints)):
-            family[agents], row[agents] = f, np.arange(len(agents))
-            batches.append(batch)
-            coefficients.append(np.array([self.constraints[a].coefficients for a in agents]))
-            boxes.append(np.array([self.constraints[a].uncertainty_box for a in agents]))
-        return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row)
+        """The constraints' :class:`ConstraintTable`, to gather a cut's data by its agent id."""
+        return constraint_table(self.constraints)
 
 
 CASE_STUDY_CENTERS = ((0.0, 6.0), (0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))

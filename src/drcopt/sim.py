@@ -1,13 +1,14 @@
 """Sequential lock-step orchestration of the full distributed algorithm.
 
-Each outer iteration: flood + consensus-solve the lower subproblem, run
-the agents' lower oracles in one pass, flood + consensus-solve the upper
-subproblem, run the upper oracles in one pass, then one distributed
-stopping round.  Flooding delivers the union of the cuts by the
-schedule's connectivity window, so it is not simulated, but its T*(m-1)
-slots still advance the schedule's slot pointer: each stopping round
-starts from the slot where the flooding before it ended, so on a
-time-varying graph its tests follow the phases of those slots.
+The agents' state is one cut table per side and the (m,) vector of
+restrictions ``eps_i`` (see :mod:`drcopt.agents`).  Each outer
+iteration: flood + consensus-solve the lower subproblem, run the lower
+oracles, flood + consensus-solve the upper subproblem with right-hand
+sides ``-eps_i``, run the upper oracles, then one distributed stopping
+round.  The bounds and gaps add the objective values each solve reports
+at its minimizer.  Flooding is not simulated, but its T*(m-1) slots
+advance the slot pointer, so on a time-varying graph each stopping
+round's tests follow the phases of the slots where it runs.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import agents
 from .agents import AgentState
 from .bounds import method1_accuracy, method2_accuracy
 from .consensus import consensus_solve
 from .graph import GraphSchedule
-from .llp import Verdict, solve_llp
+from .llp import solve_llp
 from .problem import NumericalFailure, ProblemInstance, Vector, require_integer
-from .solver import FEASIBILITY_TOL, SolveStatus
+from .solver import FEASIBILITY_TOL, CutTable, SolveStatus
 from .termination import run_stopping_round
 
 
@@ -100,23 +103,18 @@ def _check_solver_status(report, phase: str):
         raise NumericalFailure(f"{phase} subproblem solve hit the iteration limit")
 
 
-def _bounds_and_gaps(terms, feasible: list[bool], lower_x: Vector, upper_x: Vector):
-    """(lower, upper, per-agent gaps) from one call of ``terms`` at each consensus minimizer.
+def _bounds_and_gaps(at_lower: np.ndarray, at_upper: np.ndarray, feasible: np.ndarray):
+    """(lower, upper, per-agent gaps) from the (m,) f_i at the lower and upper consensus points.
 
-    ``terms`` is the instance's ``objective_terms``.  ``lower_x`` and
-    ``upper_x`` are the consensus points every agent's oracles checked,
-    and ``feasible[i]`` is whether agent i + 1's upper oracle found
-    ``upper_x`` feasible.  lower and upper add the f_i over the agents in
-    order, a left fold from 0.0; upper is +inf unless every agent found
-    ``upper_x`` feasible.  The gap e_i = |f_i(upper_x) - f_i(lower_x)| is
-    +inf for an agent that did not.
+    ``feasible[i]`` is whether agent i + 1's upper oracle found the upper
+    point feasible.  lower and upper add the f_i in agent order, a left
+    fold from 0.0; upper is +inf unless every agent found the upper point
+    feasible.  The gap e_i = |f_i(upper) - f_i(lower)| is +inf for an
+    agent that did not.
     """
-    at_lower = terms(lower_x)[0].tolist()
-    at_upper = terms(upper_x)[0].tolist()
-    lower = functools.reduce(operator.add, at_lower, 0.0)
-    upper = functools.reduce(operator.add, at_upper, 0.0) if all(feasible) else math.inf
-    gaps = [abs(u - lo) if ok else math.inf for lo, u, ok in zip(at_lower, at_upper, feasible)]
-    return lower, upper, gaps
+    lower = functools.reduce(operator.add, at_lower.tolist(), 0.0)
+    upper = functools.reduce(operator.add, at_upper.tolist(), 0.0) if feasible.all() else math.inf
+    return lower, upper, np.where(feasible, abs(at_upper - at_lower), math.inf)
 
 
 def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = RunParams()) -> RunResult:
@@ -128,8 +126,8 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     """
     if schedule.m != instance.m:
         raise ValueError("schedule and instance disagree on the agent count")
-    states = [AgentState(agent_id=i + 1, epsilon=params.eps0) for i in range(instance.m)]
-    terms = instance.objective_terms
+    lower_cuts = upper_cuts = CutTable.empty(instance.constraint_table)
+    epsilon = np.full(instance.m, params.eps0)
     bound = (
         method1_accuracy(instance.m, params.eps_f)
         if params.method == "I"
@@ -145,22 +143,20 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     for k in range(1, params.max_iter + 1):
         slots_at_start = slot
 
-        payloads = [agents.lower_cuts(s) for s in states]
-        lower_report, used = consensus_solve(instance, payloads, schedule, lower_report)
+        lower_report, used = consensus_solve(instance, lower_cuts, schedule, lower_report)
         slot += used
         _check_solver_status(lower_report, "lower")
         lower_x = lower_report.minimizer
-        _, g_max_lower = agents.dlbd_oracle(states, instance, lower_x)
+        _, g_max_lower, lower_cuts = agents.dlbd_oracle(lower_cuts, instance, lower_x)
 
-        payloads = [agents.upper_cuts(s) for s in states]
-        upper_report, used = consensus_solve(instance, payloads, schedule, upper_report)
+        upper_report, used = consensus_solve(instance, upper_cuts, schedule, upper_report, -epsilon[upper_cuts.agent])
         slot += used
         _check_solver_status(upper_report, "upper")
         upper_x = upper_report.minimizer
-        verdicts, g_max_upper = agents.dubd_oracle(states, instance, upper_x, params.r)
-        feasible = [v is Verdict.FEASIBLE for v in verdicts]
+        violated, g_max_upper, upper_cuts, epsilon = agents.dubd_oracle(upper_cuts, epsilon, instance, upper_x, params.r)
+        feasible = ~violated
 
-        lower, upper, gaps = _bounds_and_gaps(terms, feasible, lower_x, upper_x)
+        lower, upper, gaps = _bounds_and_gaps(lower_report.objectives, upper_report.objectives, feasible)
         if lower < prev_lower - 1e-9:
             raise NumericalFailure("lower bound decreased across iterations")
         if math.isfinite(upper) and upper < lower - 1e-9:
@@ -177,16 +173,16 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
                 upper=upper,
                 g_max_lower=tuple(g_max_lower.tolist()),
                 g_max_upper=tuple(g_max_upper.tolist()),
-                epsilons=tuple(s.epsilon for s in states),
-                gaps=tuple(gaps),
+                epsilons=tuple(epsilon.tolist()),
+                gaps=tuple(gaps.tolist()),
                 slots_consumed=slot - slots_at_start,
             )
         )
 
         if stop:
-            if not all(feasible):
+            if not feasible.all():
                 raise NumericalFailure("stopping round fired with an infinite upper bound")
-            g_max, _ = solve_llp(instance.constraints, upper_x)
+            g_max, _ = solve_llp(instance, upper_x)
             if (g_max > FEASIBILITY_TOL).any():
                 raise NumericalFailure("terminal point is not locally feasible")
             break
@@ -194,8 +190,8 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
     return RunResult(
         records=records,
         terminated=stop,
-        x_opt=[upper_x.copy() for _ in states] if stop else None,
+        x_opt=[upper_x.copy() for _ in range(instance.m)] if stop else None,
         method=params.method,
         accuracy_bound=bound,
-        final_states=states,
+        final_states=agents.final_states(lower_cuts, upper_cuts, epsilon, instance.constraint_table),
     )

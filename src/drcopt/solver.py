@@ -1,22 +1,14 @@
 """Deterministic solver for the finite convex subproblems.
 
 Minimizes the sum of the agents' objectives over the shared box subject
-to a finite list of scenario cuts g_a(x, y) <= rhs, kept in canonical
-order.  Method: an exact Newton finish on the KKT system of the cuts
-found active (:func:`_active_set_finish`), tried first at the start
-point and then after each outer iteration of an augmented Lagrangian on
-the inequality constraints with a box-constrained projected Newton inner
-solve (:func:`minimize`).  A warm start usually names the active set,
-so the finish at the start ends the solve without an outer iteration.
-Every solve starts from the point ``x0`` and the multipliers ``lam0``
-given to :func:`solve`.  The first solve on each side (lower, upper) of
-a run starts at the box center with zero multipliers; every later one
-starts from the previous report on the same side, its minimizer and its
-multipliers carried onto the new cuts (see
-:func:`drcopt.consensus.consensus_solve`).  After flooding every agent
-holds that report, so the start is a function of the agents' common
-history; every step is a pure function of the problem and the start, so
-consensus and bitwise repeatability hold as with a fixed start.
+to the scenario cuts g_a(x, y) <= rhs of one side's cut table, in
+canonical order.  Method: an exact Newton finish on the KKT system of
+the cuts found active (:func:`_active_set_finish`), tried at the start
+point and after each outer iteration of an augmented Lagrangian with a
+box-constrained projected Newton inner solve (:func:`minimize`).  Every
+step is a pure function of the problem and the start ``(x0, lam0)``, so
+every agent that holds the same table and start computes the same
+solve, bit for bit (see :func:`drcopt.consensus.consensus_solve`).
 """
 
 from __future__ import annotations
@@ -24,15 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
-from .problem import NumericalFailure, ProblemInstance, Vector, stacked_terms
-
-# (agent_id, insertion_index, scenario coords, rhs); the first two fields
-# define the canonical ordering shared by every agent after flooding.
-Cut = tuple[int, int, tuple[float, ...], float]
+from .problem import ConstraintTable, NumericalFailure, ProblemInstance, Vector, stacked_terms
 
 # The exit test of :func:`solve`: the largest cut violation is at most
 # FEASIBILITY_TOL, the projected KKT residual and complementarity at most
@@ -62,42 +49,65 @@ def _read_only(a):
     return a
 
 
+@dataclass(frozen=True)
+class CutTable:
+    """One side's scenario cuts: the union every agent holds after flooding.
+
+    Row j is a cut of agent ``agent[j]`` (0-based) at ``scenarios[f][j]``,
+    f the agent's constraint family (families may differ in n_y; a row is
+    0 in the other families' arrays).  ``count[a]`` is agent a's number
+    of rows.  Rows are only appended, so a row id names the same cut from
+    one iteration to the next.
+    """
+
+    agent: np.ndarray  # (K,)
+    scenarios: tuple[np.ndarray, ...]  # (K, n_y_f) per family
+    count: np.ndarray  # (m,)
+
+    @classmethod
+    def empty(cls, table: ConstraintTable) -> CutTable:
+        scenarios = tuple(np.zeros((0, boxes.shape[1])) for boxes in table.boxes)
+        return cls(np.zeros(0, dtype=np.intp), scenarios, np.zeros(len(table.family), dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.agent)
+
+
 class FiniteSubproblem:
     """Canonical finite convex program: sum of objectives + box + cuts.
 
-    Built from an instance and any iterable of cuts, which it sorts into
-    canonical order.  On construction each cut's coefficients and
-    uncertainty box are gathered by agent id from the instance's
-    :class:`~drcopt.problem.ConstraintTable`, so :meth:`evaluate` makes
-    one kernel call per constraint family and uses the instance's
-    ``objective_terms`` for the objectives.  It remembers the last point
-    it evaluated: the solver asks for the same point several times in a
-    row.
+    Built from an instance, a :class:`CutTable` and each row's
+    right-hand side ``rhs`` (zeros when None).  The canonical order
+    ``rows`` is a stable sort of the rows by agent, so by agent and then
+    insertion index.  Construction gathers each cut's coefficients and
+    box from the instance's :class:`~drcopt.problem.ConstraintTable`, so
+    :meth:`evaluate` makes one kernel call per constraint family.  It
+    remembers the last point it evaluated.
     """
 
-    def __init__(self, instance: ProblemInstance, cuts: Iterable[Cut]):
+    def __init__(self, instance: ProblemInstance, cuts: CutTable, rhs: np.ndarray | None = None):
         self.box = instance.box
-        self.cuts = tuple(sorted(cuts))
-        agent_ids, _, scenarios, rhs = zip(*self.cuts) if self.cuts else ((), (), (), ())
-        self._rhs = np.array(rhs, dtype=float)
-        if self._rhs.max(initial=0.0) > 0.0:
+        self.cuts = cuts
+        self.rows = rows = np.argsort(cuts.agent, kind="stable")
+        agents = cuts.agent[rows]
+        self.rhs = np.zeros(len(cuts)) if rhs is None else np.asarray(rhs, dtype=float)[rows]
+        if rhs is not None and self.rhs.max(initial=0.0) > 0.0:
             raise ValueError("cut right-hand sides must be <= 0")
         table = instance.constraint_table
-        agents = np.array(agent_ids, dtype=np.intp) - 1
         calls = []
         for f, batch in enumerate(table.batches):
             # With one family every cut is a member.
-            members = np.flatnonzero(table.family[agents] == f) if len(table.batches) > 1 else np.arange(len(agents))
-            if len(members):
-                rows = table.row[agents[members]]
-                y = np.array([scenarios[j] for j in members.tolist()], dtype=float)
-                y_box = table.boxes[f][rows]
+            members = np.flatnonzero(table.family[agents] == f) if len(table.batches) > 1 else slice(None)
+            family_rows = table.row[agents[members]]
+            if len(family_rows):
+                y = cuts.scenarios[f][rows[members]]
+                y_box = table.boxes[f][family_rows]
                 if np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() > 1e-12:
                     raise ValueError("cut scenario lies outside its agent's uncertainty box")
-                calls.append((batch, members, table.coefficients[f][rows], y))
+                calls.append((batch, members, table.coefficients[f][family_rows], y))
         self._f_terms = instance.objective_terms
-        self._g_terms = stacked_terms(calls, len(self.cuts))
-        self._memo_key, self._memo = None, None
+        self._g_terms = stacked_terms(calls, len(agents))
+        self._memo_key, self._memo, self._f_values = None, None, None
         self._hess_terms, self._hess_sum = None, None
 
     @property
@@ -110,12 +120,10 @@ class FiniteSubproblem:
         f is the sum of the objectives; c_j(x) = g_a(x, y_j) - rhs_j is cut
         j's value, violated when positive, and row j of the Jacobian its
         gradient.  The Hessians are (n, n) and (n_cuts, n, n), the exact
-        second derivatives the kernels return.  The arrays are read-only:
-        a repeated call at the same x returns the same ones.  The sums are
-        new arrays, made read-only in place, except that the objectives'
-        Hessian sum is reused while their kernel returns the same
-        read-only array; a kernel's arrays are wrapped in read-only views
-        unless they already are read-only.
+        second derivatives the kernels return.  The arrays are read-only,
+        and a repeated call at the same x returns the same ones; the
+        objectives' Hessian sum is reused while their kernel returns the
+        same read-only array.
         """
         key = x.tobytes()
         if key != self._memo_key:
@@ -128,11 +136,16 @@ class FiniteSubproblem:
                 self._hess_sum.flags.writeable = False
                 self._hess_terms = f_hess
             grad = f_grads.sum(axis=0)
-            c = g_values - self._rhs
+            c = g_values - self.rhs
             grad.flags.writeable = c.flags.writeable = False
             self._memo = (float(f_values.sum()), grad, c, _read_only(g_grads), self._hess_sum, _read_only(g_hess))
-            self._memo_key = key
+            self._memo_key, self._f_values = key, f_values
         return self._memo
+
+    def objective_values(self, x: Vector) -> np.ndarray:
+        """Each agent's objective at x: the kernel rows whose sum :meth:`evaluate` returns."""
+        self.evaluate(x)
+        return self._f_values
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,9 @@ class SolveReport:
     max_violation: float
     iterations: int  # outer iterations run, on every exit; 0 when the finish at the start ends the solve
     status: SolveStatus
-    multipliers: np.ndarray = field(repr=False)  # one per cut of ``cuts``
-    cuts: tuple[Cut, ...] = field(repr=False)  # the canonical cuts solved on
+    multipliers: np.ndarray = field(repr=False)  # one per cut, in the order of ``rows``
+    rows: np.ndarray = field(repr=False)  # the cut-table rows solved on, in canonical order
+    objectives: np.ndarray = field(repr=False)  # each agent's objective at the minimizer
 
 
 def _project(x: Vector, box: Vector) -> Vector:
@@ -373,38 +387,24 @@ def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
 def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray | None = None) -> SolveReport:
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
-    The solve starts from ``x0``, or from the box center when it is None,
-    and from the multipliers ``lam0``, one nonnegative value per cut of
-    ``problem.cuts``, or zeros when it is None.  A cold solve is this same
-    solve from zero multipliers.  First :func:`_active_set_finish` tries
-    Newton's method on the KKT system of the cuts that the start marks
-    active, the carried active cuts and the newly violated ones; when it
-    is accepted the solve ends ``OPTIMAL`` with ``iterations`` 0, and
-    otherwise the augmented-Lagrangian iteration starts from the unchanged
-    start.  Multipliers of a tighter problem cost only outer iterations: the
-    update ``max(0, lam + mu c)`` lowers them on slack cuts, and the exit
-    test requires complementarity, so none survives into an optimal report.
-    Each inner minimization gets the exact generalized Hessian of the
-    augmented Lagrangian, ``H_f + mu J_A^T J_A + sum_j s_j H_j`` with
-    ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``, from the
-    kernels' exact Hessians.  A subproblem with no cuts takes the same
-    path: its empty arrays add no penalty, no violation and no
-    multiplier term.  After every outer iteration whose updated
-    multipliers fail the exit test, :func:`_active_set_finish` tries
-    Newton's method on the KKT system of the cuts those multipliers mark
-    active; when it is accepted the solve ends ``OPTIMAL`` with the
-    finish's point and multipliers, and otherwise it goes on from the
-    unchanged iterate.  Infeasibility is decided once, by the problem and
-    not by the iterate's progress: the first outer iteration that ends
-    with a violation above ``FEASIBILITY_TOL`` and the penalty at its
-    cap runs the feasibility phase, and a residual violation above 1e-7
-    ends the solve ``INFEASIBLE``.  Otherwise the iteration goes on until
-    it is ``OPTIMAL``; ``ITERATION_LIMIT`` means it ran ``MAX_OUTER``
-    outer iterations.  Deterministic: every step is a pure function of
-    the canonical input, ``x0`` and ``lam0``.  :func:`drcopt.sim.run`
-    passes the previous report on the same side, which every agent
-    holds, so every agent would compute the same solve and repeated runs
-    agree bit for bit.
+    The solve starts from ``x0`` (the box center when None) and from the
+    multipliers ``lam0``, one nonnegative value per cut in the order of
+    ``problem.rows`` (zeros when None).  :func:`_active_set_finish` is
+    tried first at the start, where it takes the carried active cuts and
+    the newly violated ones; when it is accepted the solve ends
+    ``OPTIMAL`` with ``iterations`` 0.  Otherwise the augmented-Lagrangian
+    iteration runs from the unchanged start.  Each inner minimization
+    gets the exact generalized Hessian ``H_f + mu J_A^T J_A + sum_j s_j
+    H_j`` with ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``; the
+    update ``max(0, lam + mu c)`` lowers stale multipliers on slack cuts,
+    and the exit test requires complementarity.  After every outer
+    iteration that fails the exit test the finish is tried again on the
+    cuts the updated multipliers mark active.  Infeasibility is decided
+    once, by the problem: the first outer iteration that ends with a
+    violation above ``FEASIBILITY_TOL`` and the penalty at its cap runs
+    the feasibility phase, and a residual violation above 1e-7 ends the
+    solve ``INFEASIBLE``.  ``ITERATION_LIMIT`` means it ran ``MAX_OUTER``
+    outer iterations.  A subproblem with no cuts takes the same path.
     """
     n_cuts = len(problem.cuts)
     x = problem.box.mean(axis=1) if x0 is None else np.asarray(x0, dtype=float)
@@ -484,5 +484,6 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
         iterations=outer,
         status=status,
         multipliers=lam,
-        cuts=problem.cuts,
+        rows=problem.rows,
+        objectives=problem.objective_values(x),
     )

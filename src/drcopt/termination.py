@@ -47,7 +47,7 @@ def _closed_sums(gaps: np.ndarray, by_length: np.ndarray, columns: tuple[np.ndar
 
 
 def run_stopping_round(
-    gaps: list[float],
+    gaps: np.ndarray | list[float],
     schedule: GraphSchedule,
     method: str,
     eps_f: float,

@@ -28,7 +28,7 @@ from drcopt.solver import (
     MAX_INNER,
     MAX_OUTER,
     STATIONARITY_TOL,
-    Cut,
+    CutTable,
     FiniteSubproblem,
     MinimizeResult,
     SolveReport,
@@ -136,9 +136,67 @@ def former_example1_argmax(x: Vector, y_upper: float) -> Vector:
     return ends[0] if at_lo >= at_hi else ends[1]
 
 
-def subproblem_cut_view(problem: FiniteSubproblem):
+# Cut tuples (agent_id, insertion_index, scenario, rhs), the form cuts had
+# before each side became one CutTable, and the tuple sort and dict
+# matching that ordered them and carried multipliers between solves, as
+# oracles for the table's canonical order and row-matched carry.
+
+
+def cut_table(instance: ProblemInstance, cuts) -> tuple[CutTable, np.ndarray]:
+    """A cut table and per-row right-hand sides holding the cut tuples ``cuts``.
+
+    The rows are appended in the order of the insertion indices, as the
+    oracles append them phase by phase; within one index they keep the
+    given order.  An agent's (agent_id, insertion_index) pairs must be
+    distinct.
+    """
+    cuts = sorted(cuts, key=operator.itemgetter(1))
+    assert len({cut[:2] for cut in cuts}) == len(cuts), "an (agent_id, insertion_index) pair repeats"
+    table = instance.constraint_table
+    agent = np.array([a - 1 for a, *_ in cuts], dtype=np.intp)
+    scenarios = tuple(np.zeros((len(cuts), boxes.shape[1])) for boxes in table.boxes)
+    for j, (a, _, y, _) in enumerate(cuts):
+        scenarios[table.family[a - 1]][j] = y
+    count = np.bincount(agent, minlength=instance.m).astype(np.intp)
+    rhs = np.array([cut[3] for cut in cuts], dtype=float)
+    return CutTable(agent, scenarios, count), rhs
+
+
+def subproblem(instance: ProblemInstance, cuts) -> FiniteSubproblem:
+    """The subproblem of the cut tuples ``cuts`` (see :func:`cut_table`)."""
+    return FiniteSubproblem(instance, *cut_table(instance, cuts))
+
+
+def cut_tuples(instance: ProblemInstance, problem: FiniteSubproblem) -> list[tuple]:
+    """The cuts of ``problem``, built on ``instance``, in canonical order as (agent_id, insertion_index, scenario, rhs).
+
+    A row's insertion index is its rank among its agent's rows.
+    """
+    cuts, family = problem.cuts, instance.constraint_table.family
+    ranks: dict[int, int] = {}
+    out = []
+    for j, rhs in zip(problem.rows.tolist(), problem.rhs.tolist()):
+        a = int(cuts.agent[j])
+        ranks[a] = ranks.get(a, -1) + 1
+        out.append((a + 1, ranks[a], tuple(cuts.scenarios[family[a]][j].tolist()), rhs))
+    return out
+
+
+def subproblem_cut_view(instance: ProblemInstance, problem: FiniteSubproblem):
     """(agent_id, scenario, rhs) triples of a subproblem, for the grid oracle."""
-    return [(agent_id, scenario, rhs) for agent_id, _, scenario, rhs in problem.cuts]
+    return [(agent_id, scenario, rhs) for agent_id, _, scenario, rhs in cut_tuples(instance, problem)]
+
+
+def tuple_sorted(cuts) -> tuple:
+    """The canonical order of cut tuples before the cut table: a plain tuple sort."""
+    return tuple(sorted(cuts))
+
+
+def dict_carried_multipliers(previous_cuts, previous_multipliers, cuts) -> np.ndarray:
+    """Multipliers of ``previous_cuts`` on ``cuts``, matched by (agent_id, insertion_index) through a dict, else 0."""
+    key = operator.itemgetter(0, 1)
+    previous = dict(zip(map(key, previous_cuts), np.asarray(previous_multipliers).tolist()))
+    return np.array([previous.get(k, 0.0) for k in map(key, cuts)])
 
 
 def random_connected_schedule(rng: np.random.Generator, m_max=5, p_max=3) -> GraphSchedule:
@@ -244,10 +302,10 @@ def agent_gap(objective, feasible: bool, lower_x: Vector, upper_x: Vector) -> fl
 
 
 def per_slot_flood(
-    payloads: list[frozenset[Cut]],
+    payloads: list[frozenset],
     schedule: GraphSchedule,
     start_slot: int = 0,
-) -> tuple[list[frozenset[Cut]], int]:
+) -> tuple[list[frozenset], int]:
     """Flooding with one frozenset union per agent and slot; returns what each agent holds."""
     m = schedule.m
     if len(payloads) != m:
@@ -503,7 +561,8 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
             iterations=0,
             status=SolveStatus.OPTIMAL,
             multipliers=lam_next,
-            cuts=problem.cuts,
+            rows=problem.rows,
+            objectives=problem.objective_values(x),
         )
 
     for outer in range(1, MAX_OUTER + 1):
@@ -544,7 +603,8 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
-                cuts=problem.cuts,
+                rows=problem.rows,
+                objectives=problem.objective_values(x),
             )
 
         lam = lam_next
@@ -569,5 +629,6 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
         iterations=outer,
         status=status,
         multipliers=lam,
-        cuts=problem.cuts,
+        rows=problem.rows,
+        objectives=problem.objective_values(x),
     )

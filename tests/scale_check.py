@@ -1,0 +1,49 @@
+"""One Method I run of the scaled case study on ``directed_cycle(m)``, checked by the benchmark's result checks.
+
+Run from the root of a checkout, with the package on the path::
+
+    PYTHONPATH=src python tests/scale_check.py 131072
+
+The instance is ``scaled_instance(m, 0)`` of ``perfbench/workloads.py``.
+The script prints the run's wall time, iterations and final cut count,
+then every problem ``perfbench/checks.check_run`` reports, and exits 1
+when there is one.  Not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from checks import check_run, reference_optimum  # noqa: E402
+from workloads import Job, scaled_instance  # noqa: E402
+
+from drcopt.graph import directed_cycle  # noqa: E402
+from drcopt.sim import RunParams, run  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    m = int(argv[0]) if argv else 131_072
+    instance, centers, v = scaled_instance(m, 0)
+    schedule = directed_cycle(m)
+    params = RunParams(method="I")
+    start = time.perf_counter()
+    result = run(instance, schedule, params)
+    seconds = time.perf_counter() - start
+    cuts = sum(len(s.lower_scenarios) + len(s.upper_scenarios) for s in result.final_states)
+    print(f"directed_cycle({m}), Method I: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
+    # (x1 - v)^2 is convex in v, so over the sorted offsets the discs at the
+    # two extremes cut out the same feasible set as all m: the reference
+    # optimum over them is the one over all m, without m grid passes.
+    job = Job(f"I/cycle-m{m}", instance, schedule, params, 1, centers, v)
+    problems = check_run(job, result, reference_optimum(centers, v[[0, -1]]))
+    for problem in problems:
+        print(f"problem: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp, solve_llp_numeric
 from drcopt.problem import example1_constraint
 from drcopt.sim import RunParams, run
-from drcopt.solver import FiniteSubproblem, SolveStatus, solve
+from drcopt.solver import SolveStatus, solve
 from drcopt.termination import run_stopping_round
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     case_study_grid_min,
     edge_scan_in_neighbors,
     random_connected_schedule,
+    subproblem,
     subproblem_cut_view,
 )
 from drcopt.bounds import method2_accuracy, neighborhood_weights
@@ -166,10 +167,10 @@ def test_criterion_09_llp_equivalence(case_study, rng):
 
 def test_criterion_10_solver_equivalence(case_study, rng):
     ok = True
-    report = solve(FiniteSubproblem(case_study, ()))
+    report = solve(subproblem(case_study, ()))
     ok &= bool(np.all(np.abs(report.minimizer - [0.0, 1.0]) <= 1e-6))
     single_scenario = [(a, a - 1, (1.0,), 0.0) for a in range(1, 7)]
-    report = solve(FiniteSubproblem(case_study, single_scenario))
+    report = solve(subproblem(case_study, single_scenario))
     ok &= bool(np.all(np.abs(report.minimizer - [0.0, 0.71875]) <= 1e-6))
     for _ in range(20):
         n_cuts = int(rng.integers(1, 7))
@@ -184,10 +185,10 @@ def test_criterion_10_solver_equivalence(case_study, rng):
                 for k in range(n_cuts)
             )
         )
-        problem = FiniteSubproblem(case_study, cuts)
+        problem = subproblem(case_study, cuts)
         report = solve(problem)
         ok &= report.status is SolveStatus.OPTIMAL
-        _, grid_point = case_study_grid_min(subproblem_cut_view(problem))
+        _, grid_point = case_study_grid_min(subproblem_cut_view(case_study, problem))
         ok &= bool(np.all(np.abs(report.minimizer - grid_point) <= 5e-3))
     verdict(10, "solver matches analytic and dense-grid oracles", ok)
 

@@ -3,99 +3,95 @@ import math
 import numpy as np
 import pytest
 
-from drcopt.agents import AgentState, dlbd_oracle, dubd_oracle, lower_cuts, upper_cuts
-from drcopt.llp import Verdict
+from drcopt.agents import dlbd_oracle, dubd_oracle
 from drcopt.problem import family_terms
 from drcopt.sim import RunParams, _bounds_and_gaps
-from drcopt.solver import FiniteSubproblem
+from drcopt.solver import CutTable, FiniteSubproblem
 
-from helpers import F_STAR, X_STAR, agent_gap, bound_values
+from helpers import F_STAR, X_STAR, agent_gap, bound_values, cut_tuples
 
 
 @pytest.fixture
-def states(case_study):
-    return [AgentState(agent_id=i + 1, epsilon=0.01) for i in range(case_study.m)]
+def empty(case_study):
+    return CutTable.empty(case_study.constraint_table)
+
+
+EPS = np.full(6, 0.01)
 
 
 class TestLowerOracle:
-    def test_first_iteration_cuts_every_agent(self, case_study, states):
+    def test_first_iteration_cuts_every_agent(self, case_study, empty):
         x_new = np.array([0.0, 1.0])
-        verdicts, g_max = dlbd_oracle(states, case_study, x_new)
-        assert verdicts == [Verdict.VIOLATED] * 6
+        violated, g_max, cuts = dlbd_oracle(empty, case_study, x_new)
+        assert violated.tolist() == [True] * 6
         assert (g_max > 0).all()
-        for state in states:
-            assert state.lower_scenarios == [(1.0,)]
+        assert cuts.agent.tolist() == list(range(6)) and cuts.count.tolist() == [1] * 6
+        assert cuts.scenarios[0].tolist() == [[1.0]] * 6
+        assert len(empty) == 0
 
-    def test_feasible_point_leaves_set_unchanged(self, case_study, states):
-        state = states[3]  # v = 0.25
-        verdicts, g_max = dlbd_oracle([state], case_study, X_STAR)
-        assert verdicts == [Verdict.FEASIBLE]
-        assert g_max[0] == pytest.approx(0.0625 + 7 / 16 - 1)
-        assert state.lower_scenarios == []
+    def test_feasible_point_leaves_set_unchanged(self, case_study, empty):
+        violated, g_max, cuts = dlbd_oracle(empty, case_study, X_STAR)
+        assert not violated.any()
+        assert g_max[3] == pytest.approx(0.0625 + 7 / 16 - 1)  # v = 0.25
+        assert len(cuts) == 0 and cuts.count.tolist() == [0] * 6
 
 
 class TestUpperOracle:
-    def test_violation_sets_sentinel(self, case_study, states):
-        # The VIOLATED verdict is what makes the run's upper bound +inf.
+    def test_violation_sets_sentinel(self, case_study, empty):
+        # The violated mask is what makes the run's upper bound +inf.
         z = np.array([0.0, 1.0])
-        verdicts, g_max = dubd_oracle(states, case_study, z, r=2.0)
-        assert verdicts == [Verdict.VIOLATED] * 6
+        violated, g_max, cuts, epsilon = dubd_oracle(empty, EPS, case_study, z, r=2.0)
+        assert violated.tolist() == [True] * 6
         assert (g_max > 0).all()
-        for state in states:
-            assert state.upper_scenarios == [(1.0,)]
-            assert state.epsilon == 0.01
+        assert cuts.scenarios[0].tolist() == [[1.0]] * 6
+        assert epsilon.tolist() == [0.01] * 6
 
-    def test_feasible_point_halves_epsilon(self, case_study, states):
-        state = states[0]
+    def test_feasible_point_halves_epsilon(self, case_study, empty):
         z = np.array([0.0, 0.0])
-        verdicts, _ = dubd_oracle([state], case_study, z, r=2.0)
-        assert verdicts == [Verdict.FEASIBLE]
-        assert state.epsilon == 0.005
-        assert state.upper_scenarios == []
-        assert state == AgentState(agent_id=1, epsilon=0.005)
+        violated, _, cuts, epsilon = dubd_oracle(empty, EPS, case_study, z, r=2.0)
+        assert not violated[0]
+        assert epsilon[0] == 0.005
+        assert len(cuts) == len(empty) + int(violated.sum()) and cuts.count[0] == 0
 
-    def test_two_feasible_verdicts_quarter_epsilon(self, case_study, states):
-        state = states[0]
+    def test_two_feasible_verdicts_quarter_epsilon(self, case_study, empty):
         z = np.array([0.0, 0.0])
-        dubd_oracle([state], case_study, z, r=2.0)
-        dubd_oracle([state], case_study, z, r=2.0)
-        assert state.epsilon == pytest.approx(0.01 / 4)
+        _, _, cuts, epsilon = dubd_oracle(empty, EPS, case_study, z, r=2.0)
+        _, _, _, epsilon = dubd_oracle(cuts, epsilon, case_study, z, r=2.0)
+        assert epsilon[0] == pytest.approx(0.01 / 4)
 
-    def test_reduction_parameter_validated(self, case_study, states):
+    def test_reduction_parameter_validated(self, case_study, empty):
         # NaN fails every comparison: a bare r <= 1 test would let it
         # through and make a feasible agent's epsilon NaN.
         for r in (1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="r must exceed 1"):
-                dubd_oracle(states, case_study, np.zeros(2), r=r)
-            assert [s.epsilon for s in states] == [0.01] * 6
-
-
-def build_from(states, instance, side_cuts):
-    return FiniteSubproblem(instance, [cut for state in states for cut in side_cuts(state)])
+                dubd_oracle(empty, EPS, case_study, np.zeros(2), r=r)
+        assert EPS.tolist() == [0.01] * 6
 
 
 class TestSubproblemBuilders:
-    def test_empty_sets_give_box_only(self, case_study, states):
-        assert build_from(states, case_study, lower_cuts).cuts == ()
-        assert build_from(states, case_study, upper_cuts).cuts == ()
+    def test_empty_sets_give_box_only(self, case_study, empty):
+        assert len(FiniteSubproblem(case_study, empty).cuts) == 0
+        assert len(FiniteSubproblem(case_study, empty, -EPS[empty.agent]).cuts) == 0
 
-    def test_lower_cuts_have_zero_rhs(self, case_study, states):
-        dlbd_oracle(states, case_study, np.array([0.0, 1.0]))
-        problem = build_from(states, case_study, lower_cuts)
+    def test_lower_cuts_have_zero_rhs(self, case_study, empty):
+        _, _, cuts = dlbd_oracle(empty, case_study, np.array([0.0, 1.0]))
+        problem = FiniteSubproblem(case_study, cuts)
         assert len(problem.cuts) == 6
-        assert all(rhs == 0.0 for _, _, _, rhs in problem.cuts)
-        assert [a for a, _, _, _ in problem.cuts] == list(range(1, 7))
+        assert all(rhs == 0.0 for _, _, _, rhs in cut_tuples(case_study, problem))
+        assert [a for a, _, _, _ in cut_tuples(case_study, problem)] == list(range(1, 7))
 
-    def test_upper_cuts_carry_restriction(self, case_study, states):
-        dubd_oracle(states, case_study, np.array([0.0, 1.0]), r=2.0)
-        problem = build_from(states, case_study, upper_cuts)
+    def test_upper_cuts_carry_restriction(self, case_study, empty):
+        _, _, cuts, epsilon = dubd_oracle(empty, EPS, case_study, np.array([0.0, 1.0]), r=2.0)
+        problem = FiniteSubproblem(case_study, cuts, -epsilon[cuts.agent])
         assert len(problem.cuts) == 6
-        assert all(rhs == -0.01 for _, _, _, rhs in problem.cuts)
+        assert all(rhs == -0.01 for _, _, _, rhs in cut_tuples(case_study, problem))
 
 
 def assert_matches_oracle(instance, feasible, lower_x, upper_x):
     """drcopt.sim's (lower, upper, gaps) against the per-agent oracle."""
-    lower, upper, gaps = _bounds_and_gaps(family_terms(instance.objectives), feasible, lower_x, upper_x)
+    terms = family_terms(instance.objectives)
+    lower, upper, gaps = _bounds_and_gaps(terms(lower_x)[0], terms(upper_x)[0], np.array(feasible))
+    gaps = gaps.tolist()
     expected = bound_values(instance, feasible, lower_x, upper_x) + tuple(
         agent_gap(f, ok, lower_x, upper_x) for f, ok in zip(instance.objectives, feasible)
     )

@@ -4,14 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from drcopt.llp import (
-    UnsupportedDimension,
-    Verdict,
-    feasibility_verdict,
-    solve_llp,
-    solve_llp_numeric,
-)
-from drcopt.problem import SemiInfiniteConstraint, example1_constraint, with_numeric_llp
+from drcopt.agents import dlbd_oracle, dubd_oracle
+from drcopt.llp import UnsupportedDimension, solve_llp, solve_llp_numeric
+from drcopt.problem import SemiInfiniteConstraint, constraint_table, example1_constraint, with_numeric_llp
+from drcopt.solver import CutTable
 
 from helpers import X_STAR, member_argmax
 
@@ -57,7 +53,7 @@ def reference_max(g, lo, hi, points=20_001):
 def solve_one(constraint, x):
     """``solve_llp`` for a single constraint: its g_max and maximizer."""
     g_max, y_star = solve_llp([constraint], x)
-    return g_max[0], y_star[0]
+    return g_max[0], y_star[0][0]
 
 
 def random_xs(rng, k):
@@ -90,14 +86,30 @@ class TestCaseStudyLLP:
 
 
 class TestVerdict:
-    def test_violated(self):
-        assert feasibility_verdict(0.5625) is Verdict.VIOLATED
+    """The oracles' verdict: violated iff g_max is positive, so a boundary value counts feasible."""
 
-    def test_boundary_counts_feasible(self):
-        assert feasibility_verdict(0.0) is Verdict.FEASIBLE
+    @staticmethod
+    def verdicts(instance, x):
+        """(lower mask, upper mask, g_max, the upper oracle's eps) of every agent at x."""
+        empty, eps = CutTable.empty(instance.constraint_table), np.full(instance.m, 0.01)
+        lower, g_max, _ = dlbd_oracle(empty, instance, np.asarray(x, dtype=float))
+        upper, _, _, eps = dubd_oracle(empty, eps, instance, np.asarray(x, dtype=float), 2.0)
+        return lower, upper, g_max, eps
 
-    def test_clearly_feasible(self):
-        assert feasibility_verdict(-0.75) is Verdict.FEASIBLE
+    def test_violated(self, case_study):
+        # Agent 1 (v = -0.75) at (0, 1): 0.75^2 + 2 - 1 - 1.
+        lower, upper, g_max, eps = self.verdicts(case_study, [0.0, 1.0])
+        assert g_max[0] == 0.5625 and lower[0] and upper[0] and eps[0] == 0.01
+
+    def test_boundary_counts_feasible(self, case_study):
+        # Agent 4 (v = 0.25) at (1.25, 0): 1 - 1, exactly 0.
+        lower, upper, g_max, eps = self.verdicts(case_study, [1.25, 0.0])
+        assert g_max[3] == 0.0 and not lower[3] and not upper[3] and eps[3] == 0.005
+
+    def test_clearly_feasible(self, case_study):
+        # Agent 1 at (0, 0): 0.75^2 - 1.
+        lower, upper, g_max, eps = self.verdicts(case_study, [0.0, 0.0])
+        assert g_max[0] == -0.4375 and not lower[0] and not upper[0] and eps[0] == 0.005
 
 
 class TestNumericPath:
@@ -252,8 +264,12 @@ class TestPhasePass:
     @staticmethod
     def assert_per_member(constraints, x):
         g_max, y_star = solve_llp(constraints, x)
-        assert g_max.shape == (len(constraints),) and len(y_star) == len(constraints)
-        for constraint, g, y in zip(constraints, g_max.tolist(), y_star):
+        table = constraint_table(constraints)
+        assert g_max.shape == (len(constraints),) and len(y_star) == len(table.batches)
+        for f, ys in enumerate(y_star):
+            assert ys.shape[0] == len(constraints) and not ys[table.family != f].any()
+        for j, (constraint, g) in enumerate(zip(constraints, g_max.tolist())):
+            y = y_star[table.family[j]][j]
             if constraint.analytic_argmax is None:
                 g_ref, y_ref = solve_llp_numeric(constraint, x)
             else:
@@ -276,6 +292,18 @@ class TestPhasePass:
         for constraints in (mixed, half_numeric):
             for x in rng.uniform(case_study.box[:, 0], case_study.box[:, 1], (20, 2)):
                 self.assert_per_member(constraints, x)
+
+    def test_instance_reads_its_kept_table(self, case_study, rng):
+        # An instance's table is built on first use and kept; a pass over
+        # it equals the pass over its constraint sequence, bit for bit.
+        mixed = case_study.constraints[:3] + (example1_constraint(),) * 3
+        half_numeric = tuple(c if j % 2 else dataclasses.replace(c, analytic_argmax=None) for j, c in enumerate(mixed))
+        for instance in (case_study, dataclasses.replace(case_study, constraints=half_numeric)):
+            assert instance.constraint_table is instance.constraint_table
+            for x in random_xs(rng, 10):
+                (g, ys), (g_ref, ys_ref) = solve_llp(instance, x), solve_llp(instance.constraints, x)
+                assert g.tobytes() == g_ref.tobytes()
+                assert [y.tobytes() for y in ys] == [y.tobytes() for y in ys_ref]
 
     def test_two_dimensional_uncertainty(self, rng):
         constraints = [bilinear_constraint(a) for a in (1.0, -2.0, 0.5)]

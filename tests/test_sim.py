@@ -7,7 +7,7 @@ import pytest
 from drcopt import agents, sim, solver
 from drcopt.cli import METHODS, TABLE2_TOPOLOGIES
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
-from drcopt.llp import Verdict, solve_llp
+from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure, example1_constraint
 from drcopt.sim import ConfigError, RunParams, run
 from drcopt.termination import run_stopping_round
@@ -92,13 +92,13 @@ class TestBatchedBounds:
         lower_points, upper_calls, expected = [], [], []
         real_lower_oracle, real_upper_oracle = agents.dlbd_oracle, agents.dubd_oracle
 
-        def recording_lower_oracle(states, instance, x_new):
+        def recording_lower_oracle(cuts, instance, x_new):
             lower_points.append(x_new)
-            return real_lower_oracle(states, instance, x_new)
+            return real_lower_oracle(cuts, instance, x_new)
 
-        def recording_upper_oracle(states, instance, z_new, r):
-            out = real_upper_oracle(states, instance, z_new, r)
-            upper_calls.append((z_new, [v is Verdict.FEASIBLE for v in out[0]]))
+        def recording_upper_oracle(cuts, epsilon, instance, z_new, r):
+            out = real_upper_oracle(cuts, epsilon, instance, z_new, r)
+            upper_calls.append((z_new, (~out[0]).tolist()))
             return out
 
         def checking_stopping_round(gaps, *args):
@@ -133,7 +133,7 @@ class TestRunExits:
         # The terminal check is the run's own LLP solve at its exit point,
         # apart from the upper oracles' verdicts.
         monkeypatch.setattr(
-            sim, "solve_llp", lambda constraints, x: (np.full(len(constraints), 1e-6), [np.zeros(1)] * len(constraints))
+            sim, "solve_llp", lambda instance, x: (np.full(instance.m, 1e-6), (np.zeros((instance.m, 1)),))
         )
         with pytest.raises(NumericalFailure, match="terminal point is not locally feasible"):
             run(case_study, directed_cycle(6), RunParams())
@@ -156,6 +156,19 @@ class TestScaledInstance:
         assert result.final_upper == pytest.approx(upper, abs=1e-7)
 
 
+    def test_cycle_of_32768_terminates(self):
+        # About 2 s: the cut tables hold about 69,000 rows at the end, so
+        # per-agent work that grows with the agent count times the cut
+        # count would take minutes.
+        m = 32768
+        result = run(scaled_case_study(m, 0), directed_cycle(m), RunParams(method="I"))
+        assert result.terminated
+        assert result.iterations == 8
+        assert result.final_lower <= result.final_upper
+        # max over y in [-1, 1] of the paper quadratic is (x1 - v)^2 + x2^2 - 1.
+        x = result.x_opt[0]
+        assert ((x[0] - np.linspace(-0.75, 0.75, m)) ** 2 + x[1] ** 2 - 1.0).max() <= solver.FEASIBILITY_TOL
+
     def test_cycle_of_2048_terminates(self):
         # Thousands of agents on a sparse schedule: the stopping rounds
         # read the closed in-neighbor lists, not an m x m mask.
@@ -165,6 +178,51 @@ class TestScaledInstance:
         assert result.iterations == 8
         assert all(rec.slots_consumed == 3 * (m - 1) + 1 for rec in result.records)
         assert result.final_upper - result.final_lower <= result.accuracy_bound
+
+
+def per_agent_record(monkeypatch, instance, schedule, params):
+    """A run and each agent's (lower scenarios, upper scenarios, epsilon), recorded agent by agent.
+
+    The oracles' lower-level passes alternate lower and upper; replaying
+    them, each agent appends its maximizer as a tuple when its g_max is
+    positive and, on the upper side, divides its epsilon by r otherwise.
+    """
+    passes, real_llp = [], agents.solve_llp
+
+    def recording_llp(instance, x):
+        passes.append(real_llp(instance, x))
+        return passes[-1]
+
+    monkeypatch.setattr(agents, "solve_llp", recording_llp)
+    result = run(instance, schedule, params)
+    family = instance.constraint_table.family
+    lower, upper, epsilon = [[] for _ in range(instance.m)], [[] for _ in range(instance.m)], [params.eps0] * instance.m
+    for k, (g_max, y_star) in enumerate(passes):
+        for a, g in enumerate(g_max.tolist()):
+            if g > 0.0:
+                (upper if k % 2 else lower)[a].append(tuple(y_star[family[a]][a].tolist()))
+            elif k % 2:
+                epsilon[a] = epsilon[a] / params.r
+    return result, lower, upper, epsilon
+
+
+class TestFinalStates:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES + ("mixed",))
+    def test_equal_a_per_agent_record(self, case_study, monkeypatch, method, topology):
+        # The six table2 runs, and example1 for agents 4-6 on the cycle.
+        instance, schedule = case_study, TOPOLOGIES.get(topology, directed_cycle)(6)
+        if topology == "mixed":
+            instance = dataclasses.replace(case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3)
+        result, lower, upper, epsilon = per_agent_record(monkeypatch, instance, schedule, RunParams(method=method))
+        assert result.terminated
+        assert [s.agent_id for s in result.final_states] == list(range(1, 7))
+        assert [s.epsilon.hex() for s in result.final_states] == [e.hex() for e in epsilon]
+        for state, lo, up in zip(result.final_states, lower, upper):
+            assert state.lower_scenarios.tobytes() == np.array(lo, dtype=float).tobytes()
+            assert state.upper_scenarios.tobytes() == np.array(up, dtype=float).tobytes()
+            assert (len(state.lower_scenarios), len(state.upper_scenarios)) == (len(lo), len(up))
+        assert sum(map(len, lower)) > 0 and sum(map(len, upper)) > 0
 
 
 class TestScalarSecondDerivatives:

@@ -18,10 +18,18 @@ from drcopt.problem import (
     quadratic_distance,
 )
 from drcopt.sim import RunParams, run
-from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
+from drcopt.solver import SolveStatus, minimize, solve
 
 import record_digest
-from helpers import case_study_grid_min, reference_minimize, reference_solve, scaled_case_study, subproblem_cut_view
+from helpers import (
+    case_study_grid_min,
+    cut_tuples,
+    reference_minimize,
+    reference_solve,
+    scaled_case_study,
+    subproblem,
+    subproblem_cut_view,
+)
 
 
 def all_agent_cuts(y, rhs):
@@ -97,26 +105,27 @@ def assert_reports_bitwise_equal(a, b):
     assert a.iterations == b.iterations
     assert a.minimizer.tobytes() == b.minimizer.tobytes()
     assert a.multipliers.tobytes() == b.multipliers.tobytes()
+    assert a.objectives.tobytes() == b.objectives.tobytes()
     assert np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
     assert np.float64(a.max_violation).tobytes() == np.float64(b.max_violation).tobytes()
 
 
 class TestHandDerivedSubproblems:
     def test_unconstrained_minimizer(self, case_study):
-        report = solve(FiniteSubproblem(case_study, []))
+        report = solve(subproblem(case_study, []))
         assert report.status is SolveStatus.OPTIMAL
         assert np.allclose(report.minimizer, [0.0, 1.0], atol=1e-8)
         assert report.objective_value == pytest.approx(38.0, abs=1e-8)
 
     def test_single_cut_minimizer(self, case_study):
-        report = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0)))
+        report = solve(subproblem(case_study, all_agent_cuts(1.0, 0.0)))
         assert report.status is SolveStatus.OPTIMAL
         assert np.allclose(report.minimizer, [0.0, 0.71875], atol=1e-6)
         assert report.objective_value == pytest.approx(38.474609375, abs=1e-6)
         assert report.max_violation <= 1e-9
 
     def test_empty_feasible_set_detected(self, case_study):
-        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, -10.0))
+        problem = subproblem(case_study, all_agent_cuts(1.0, -10.0))
         report = solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
 
@@ -131,15 +140,15 @@ def stationarity_residual(problem, x, multipliers=None):
 
 class TestStationarity:
     def test_zero_at_unconstrained_minimum(self, case_study):
-        problem = FiniteSubproblem(case_study, [])
+        problem = subproblem(case_study, [])
         assert stationarity_residual(problem, np.array([0.0, 1.0])) <= 1e-12
 
     def test_positive_away_from_minimum(self, case_study):
-        problem = FiniteSubproblem(case_study, [])
+        problem = subproblem(case_study, [])
         assert stationarity_residual(problem, np.array([0.5, 0.5])) > 0.1
 
     def test_small_at_constrained_minimum_with_multipliers(self, case_study):
-        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
         residual = stationarity_residual(problem, report.minimizer, report.multipliers)
         assert residual <= 1e-8
@@ -147,7 +156,7 @@ class TestStationarity:
 
 class TestProperties:
     def test_determinism_bitwise(self, case_study):
-        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         a = solve(problem)
         b = solve(problem)
         assert np.array_equal(a.minimizer, b.minimizer)
@@ -162,7 +171,7 @@ class TestProperties:
         for size in range(len(pool) + 1):
             cuts = sorted(pool[:size])
             cuts = [(a, k, y, r) for k, (a, _, y, r) in enumerate(cuts)]
-            values.append(solve(FiniteSubproblem(case_study, cuts)).objective_value)
+            values.append(solve(subproblem(case_study, cuts)).objective_value)
         for earlier, later in zip(values, values[1:]):
             # slack: the feasibility tolerance lets the optimum dip by
             # roughly multiplier * 1e-9 per active cut
@@ -172,9 +181,9 @@ class TestProperties:
         cuts = random_cuts(rng)
         shuffled = [cuts[i] for i in rng.permutation(len(cuts))]
         assert shuffled != cuts
-        problem = FiniteSubproblem(case_study, shuffled)
-        assert problem.cuts == tuple(cuts)
-        assert_reports_bitwise_equal(solve(problem), solve(FiniteSubproblem(case_study, cuts)))
+        problem = subproblem(case_study, shuffled)
+        assert cut_tuples(case_study, problem) == cuts
+        assert_reports_bitwise_equal(solve(problem), solve(subproblem(case_study, cuts)))
 
     def test_mixed_scenario_dimensions(self, case_study):
         # Agent 1 has a two-dimensional uncertainty box [0, 1]^2, the
@@ -189,27 +198,36 @@ class TestProperties:
             batch=plane_batch, coefficients=np.zeros(0), uncertainty_box=np.array([[0.0, 1.0], [0.0, 1.0]])
         )
         mixed = dataclasses.replace(case_study, constraints=(plane,) + case_study.constraints[1:])
-        report = solve(FiniteSubproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (-0.9,), 0.0)]))
+        report = solve(subproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (-0.9,), 0.0)]))
         assert report.status is SolveStatus.OPTIMAL
         assert report.minimizer[1] == pytest.approx(0.55, abs=1e-8)
         with pytest.raises(ValueError, match="uncertainty box"):
-            FiniteSubproblem(mixed, [(1, 0, (0.5, -0.5), 0.0), (2, 0, (-0.9,), 0.0)])
+            subproblem(mixed, [(1, 0, (0.5, -0.5), 0.0), (2, 0, (-0.9,), 0.0)])
         with pytest.raises(ValueError, match="uncertainty box"):
-            FiniteSubproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (1.5,), 0.0)])
+            subproblem(mixed, [(1, 0, (0.5, 0.9), 0.0), (2, 0, (1.5,), 0.0)])
+
+    def test_report_carries_the_objective_rows_at_its_minimizer(self, case_study, rng):
+        # The kernel rows of the objectives at the minimizer, whose sum is
+        # the reported objective value.
+        for cuts in ([], all_agent_cuts(1.0, 0.0), random_cuts(rng)):
+            report = solve(subproblem(case_study, cuts))
+            rows = case_study.objective_terms(report.minimizer)[0]
+            assert report.objectives.tobytes() == rows.tobytes()
+            assert float(report.objectives.sum()) == report.objective_value
 
     def test_positive_rhs_rejected(self, case_study):
         with pytest.raises(ValueError, match="<= 0"):
-            FiniteSubproblem(case_study, [(1, 0, (0.5,), 0.1)])
+            subproblem(case_study, [(1, 0, (0.5,), 0.1)])
 
     def test_scenario_outside_box_rejected(self, case_study):
         with pytest.raises(ValueError, match="uncertainty box"):
-            FiniteSubproblem(case_study, [(1, 0, (1.5,), 0.0)])
+            subproblem(case_study, [(1, 0, (1.5,), 0.0)])
 
 
 class TestGridOracle:
     def test_hand_cases_match_grid(self, case_study):
         for cuts in ([], all_agent_cuts(1.0, 0.0)):
-            report = solve(FiniteSubproblem(case_study, cuts))
+            report = solve(subproblem(case_study, cuts))
             grid_val, grid_pt = case_study_grid_min(
                 [(a, y, r) for a, _, y, r in cuts]
             )
@@ -228,10 +246,10 @@ class TestGridOracle:
                 )
                 for k in range(n_cuts)
             )
-            problem = FiniteSubproblem(case_study, cuts)
+            problem = subproblem(case_study, cuts)
             report = solve(problem)
             assert report.status is SolveStatus.OPTIMAL
-            grid_val, _ = case_study_grid_min(subproblem_cut_view(problem))
+            grid_val, _ = case_study_grid_min(subproblem_cut_view(case_study, problem))
             assert report.objective_value == pytest.approx(grid_val, abs=5e-3)
 
 
@@ -255,16 +273,16 @@ class TestFusedEvaluation:
         stacked = per_member_kernels(case_study)
         for _ in range(10):
             cuts = random_cuts(rng)
-            fused = FiniteSubproblem(case_study, cuts)
-            looped = FiniteSubproblem(stacked, cuts)
+            fused = subproblem(case_study, cuts)
+            looped = subproblem(stacked, cuts)
             for x in random_points(rng, 20):
                 for a, b in zip(fused.evaluate(x), looped.evaluate(x)):
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_case_study_solve_bitwise_equal_per_cut_loop(self, case_study, rng):
         cuts = random_cuts(rng)
-        fused = solve(FiniteSubproblem(case_study, cuts))
-        assert_reports_bitwise_equal(fused, solve(FiniteSubproblem(per_member_kernels(case_study), cuts)))
+        fused = solve(subproblem(case_study, cuts))
+        assert_reports_bitwise_equal(fused, solve(subproblem(per_member_kernels(case_study), cuts)))
 
     def test_case_study_solve_calls_no_scalar_closure(self, case_study, monkeypatch):
         # The one-row ``evaluate`` views are never called, and each point
@@ -276,7 +294,7 @@ class TestFusedEvaluation:
         monkeypatch.setattr(SemiInfiniteConstraint, "evaluate", refuse)
         cuts = all_agent_cuts(1.0, 0.0) + [(i, 1, (-0.5,), -0.01) for i in range(1, 7)]
         calls = Counter()
-        report = solve(FiniteSubproblem(counting(case_study, calls), cuts))
+        report = solve(subproblem(counting(case_study, calls), cuts))
         assert report.status is SolveStatus.OPTIMAL
         points = calls["objective"]
         assert points > 0 and calls["constraint"] == points
@@ -284,12 +302,12 @@ class TestFusedEvaluation:
         # With a kernel per member each member is a family of its own: one
         # call per objective, and one call per agent for its two cuts.
         calls.clear()
-        solve(FiniteSubproblem(counting(per_member_kernels(case_study), calls), cuts))
+        solve(subproblem(counting(per_member_kernels(case_study), calls), cuts))
         assert calls["objective"] == calls["objective rows"] == 6 * points
         assert 2 * calls["constraint"] == calls["constraint rows"] == 12 * points
 
     def test_repeated_point_returns_the_same_read_only_arrays(self, case_study, rng):
-        problem = FiniteSubproblem(case_study, random_cuts(rng))
+        problem = subproblem(case_study, random_cuts(rng))
         x = np.array([0.3, -0.2])
         first = problem.evaluate(x)
         second = problem.evaluate(x.copy())
@@ -306,7 +324,7 @@ class TestFusedEvaluation:
 
     def test_objective_hessian_sum_is_reused_only_for_the_same_array(self, case_study):
         # The quadratic-distance kernel returns one cached read-only array.
-        problem = FiniteSubproblem(case_study, [])
+        problem = subproblem(case_study, [])
         first = problem.evaluate(np.array([0.3, -0.2]))[4]
         assert problem.evaluate(np.array([0.1, 0.4]))[4] is first
         assert first.tobytes() == np.diag([12.0, 12.0]).tobytes()
@@ -319,7 +337,7 @@ class TestFusedEvaluation:
             return (d**4).sum(axis=1), 4.0 * d**3, hessians
 
         quartics = tuple(LocalObjective(quartic, f.coefficients) for f in case_study.objectives)
-        problem = FiniteSubproblem(dataclasses.replace(case_study, objectives=quartics), [])
+        problem = subproblem(dataclasses.replace(case_study, objectives=quartics), [])
         for x in (np.array([0.3, -0.2]), np.array([0.1, 0.4])):
             expected = quartic(x, np.array([f.coefficients for f in quartics]))[2].sum(axis=0)
             assert problem.evaluate(x)[4].tobytes() == expected.tobytes()
@@ -340,7 +358,7 @@ class TestFusedEvaluation:
             return results[-1]
 
         monkeypatch.setattr(solver, "minimize", checking_minimize)
-        report = solve(FiniteSubproblem(case_study, cuts))
+        report = solve(subproblem(case_study, cuts))
         assert report.status is SolveStatus.OPTIMAL
         # Every fun_grad call carries the exact Hessian and counts once.
         assert missing["no hessian"] == 0
@@ -355,7 +373,7 @@ class TestFusedEvaluation:
 
         instance = case_study if kernels == "shared" else per_member_kernels(case_study)
         members = tuple(dataclasses.replace(h, batch=no_hessians(h.batch)) for h in getattr(instance, family))
-        problem = FiniteSubproblem(dataclasses.replace(instance, **{family: members}), all_agent_cuts(1.0, 0.0))
+        problem = subproblem(dataclasses.replace(instance, **{family: members}), all_agent_cuts(1.0, 0.0))
         # The first evaluation names the contract, and so does a solve.
         with pytest.raises(TypeError, match="must return the exact x-Hessians"):
             problem.evaluate(np.zeros(2))
@@ -380,7 +398,7 @@ class TestFusedEvaluation:
 
         monkeypatch.setattr(solver, "minimize", recording_minimize)
         monkeypatch.setattr(solver, "_active_set_finish", decline)
-        solve(FiniteSubproblem(mixed, cuts))
+        solve(subproblem(mixed, cuts))
         assert len(functions) >= 2
         h = 1e-6
         for fun_grad in functions:
@@ -401,10 +419,10 @@ class TestFusedEvaluation:
         cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
         calls = Counter()
-        report = solve(FiniteSubproblem(counting(mixed, calls), cuts))
+        report = solve(subproblem(counting(mixed, calls), cuts))
         assert calls["constraint"] == 2 * calls["objective"] > 0
         assert calls["constraint rows"] == 9 * calls["objective"]
-        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(per_member_kernels(mixed), cuts)))
+        assert_reports_bitwise_equal(report, solve(subproblem(per_member_kernels(mixed), cuts)))
 
 
 def box_quadratic(rng, n: int, case: str):
@@ -495,11 +513,11 @@ class TestExitTest:
     def test_stale_multiplier_on_a_slack_cut_is_refused(self, case_study):
         # The optimum of the tighter problem (cuts at rhs -0.05) with its
         # multipliers: the objective's gradient is cancelled by them.
-        tight = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -0.05)))
+        tight = solve(subproblem(case_study, all_agent_cuts(1.0, -0.05)))
         assert tight.status is SolveStatus.OPTIMAL
         # The same point and multipliers on the looser problem (rhs 0):
         # every cut is slack by 0.05, so the multipliers are stale.
-        loose = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        loose = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         x, lam = tight.minimizer, tight.multipliers
         _, grad, c, jac, _, _ = loose.evaluate(x)
         assert np.all(c < -0.04) and np.max(lam) > 1e-3
@@ -512,7 +530,7 @@ class TestExitTest:
         assert report.objective_value < tight.objective_value - 1e-3
 
     def test_accepts_the_solver_optimum(self, case_study):
-        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         report = solve(problem)
         _, grad, c, jac, _, _ = problem.evaluate(report.minimizer)
         assert solver._kkt_satisfied(report.minimizer, grad, c, jac, report.multipliers, problem.box)
@@ -520,8 +538,8 @@ class TestExitTest:
     def test_stale_start_reaches_the_cold_optimum(self, case_study):
         # Start the looser problem from the tighter one's report: every
         # cut is slack by 0.05 there and every multiplier is stale.
-        tight = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -0.05)))
-        loose = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        tight = solve(subproblem(case_study, all_agent_cuts(1.0, -0.05)))
+        loose = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         warm = solve(loose, tight.minimizer, tight.multipliers)
         cold = solve(loose)
         assert warm.status is SolveStatus.OPTIMAL and cold.status is SolveStatus.OPTIMAL
@@ -531,10 +549,10 @@ class TestExitTest:
     @pytest.mark.parametrize("lam0", [np.ones(5), -np.ones(6), np.full(6, np.nan)], ids=["length", "negative", "nan"])
     def test_bad_start_multipliers_rejected(self, case_study, lam0):
         with pytest.raises(ValueError, match="one nonnegative multiplier per cut"):
-            solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0)), None, lam0)
+            solve(subproblem(case_study, all_agent_cuts(1.0, 0.0)), None, lam0)
 
     def test_zero_start_multipliers_are_the_cold_solve(self, case_study, rng):
-        problem = FiniteSubproblem(case_study, random_cuts(rng))
+        problem = subproblem(case_study, random_cuts(rng))
         assert_reports_bitwise_equal(solve(problem, None, np.zeros(len(problem.cuts))), solve(problem))
 
 
@@ -545,7 +563,7 @@ class TestNearDuplicateCuts:
         # The violation stays flat while the multipliers move between them,
         # which must not end the solve.
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
-        report = solve(FiniteSubproblem(case_study, cuts))
+        report = solve(subproblem(case_study, cuts))
         assert report.status is SolveStatus.OPTIMAL
 
     def test_warm_near_parallel_pair_solve(self):
@@ -561,7 +579,7 @@ class TestNearDuplicateCuts:
         x0 = np.array([-1.8750912213070415e-13, 0.6614417610555782])
         lam0 = np.zeros(len(cuts))
         lam0[2], lam0[6] = 651.1825582681677, 670.1189914609281
-        report = solve(FiniteSubproblem(instance, cuts), x0, lam0)
+        report = solve(subproblem(instance, cuts), x0, lam0)
         # The active-set finish ends it at the start point, before any
         # outer iteration (after the first one when only a positive
         # multiplier made a cut a candidate, 11 without the finish).  Its
@@ -572,7 +590,7 @@ class TestNearDuplicateCuts:
 
     def test_separated_cuts_solve(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.6613, 0.6615))]
-        assert solve(FiniteSubproblem(case_study, cuts)).status is SolveStatus.OPTIMAL
+        assert solve(subproblem(case_study, cuts)).status is SolveStatus.OPTIMAL
 
 
 class TestIterationCount:
@@ -580,18 +598,18 @@ class TestIterationCount:
 
     def test_near_duplicate_exit(self, case_study):
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate((0.66137, 0.66144))]
-        report = solve(FiniteSubproblem(case_study, cuts))
+        report = solve(subproblem(case_study, cuts))
         # 12 without the active-set finish.
         assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
 
     def test_infeasible_exit(self, case_study):
         # mu reaches its cap at the end of iteration 6, whose feasibility
         # phase finds the cuts infeasible.
-        report = solve(FiniteSubproblem(case_study, all_agent_cuts(1.0, -10.0)))
+        report = solve(subproblem(case_study, all_agent_cuts(1.0, -10.0)))
         assert (report.status, report.iterations) == (SolveStatus.INFEASIBLE, 6)
 
     def test_exhausted_loop(self, case_study, monkeypatch):
-        problem = FiniteSubproblem(case_study, all_agent_cuts(1.0, 0.0))
+        problem = subproblem(case_study, all_agent_cuts(1.0, 0.0))
         assert solve(problem).iterations == 1
         # Without the active-set finish the multiplier iteration needs 4.
         monkeypatch.setattr(solver, "_active_set_finish", decline)
@@ -655,7 +673,7 @@ class TestActiveSetFinish:
         # positive, so the finish there has no working set and declines.
         ys = (0.66137, 0.66140, 0.66144)
         cuts = [(a, k, (y,), 0.0) for a in (1, 6) for k, y in enumerate(ys)]
-        problem = FiniteSubproblem(case_study, cuts)
+        problem = subproblem(case_study, cuts)
         finishes = recorded_finishes(monkeypatch)
         report = solve(problem)
         assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
@@ -664,8 +682,9 @@ class TestActiveSetFinish:
         assert np.count_nonzero(lam) == 6
         x, multipliers = result
         assert multipliers.tobytes() == report.multipliers.tobytes()
-        assert [cut[:3] for cut, m in zip(problem.cuts, multipliers) if m > 0.0] == [(1, 2, (0.66144,)), (6, 2, (0.66144,))]
-        val, _ = case_study_grid_min(subproblem_cut_view(problem))
+        kept = [cut[:3] for cut, m in zip(cut_tuples(case_study, problem), multipliers) if m > 0.0]
+        assert kept == [(1, 2, (0.66144,)), (6, 2, (0.66144,))]
+        val, _ = case_study_grid_min(subproblem_cut_view(case_study, problem))
         assert report.objective_value <= val + 1e-6
 
     def test_optimum_on_a_box_bound(self, case_study, monkeypatch):
@@ -675,7 +694,7 @@ class TestActiveSetFinish:
         # and solves for x1 and the multiplier.  At the box center the cut
         # is slack, so the finish there ignores it and declines.
         instance = dataclasses.replace(case_study, objectives=(quadratic_distance([0.0, 3.0]),) * 6)
-        problem = FiniteSubproblem(instance, [(6, 0, (0.5,), 0.0)])
+        problem = subproblem(instance, [(6, 0, (0.5,), 0.0)])
         finishes = recorded_finishes(monkeypatch)
         report = solve(problem)
         assert (report.status, report.iterations) == (SolveStatus.OPTIMAL, 1)
@@ -693,11 +712,11 @@ class TestActiveSetFinish:
         instance = case_study if family == "kernel" else example1_mixed(case_study)
         cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, random_scenario(rng, instance, i), -0.5) for i in range(1, 7)]
         finishes = recorded_finishes(monkeypatch)
-        report = solve(FiniteSubproblem(instance, cuts))
+        report = solve(subproblem(instance, cuts))
         assert report.status is SolveStatus.INFEASIBLE
         assert finishes and all(result is None for *_, result in finishes)
         monkeypatch.setattr(solver, "_active_set_finish", decline)
-        assert_reports_bitwise_equal(report, solve(FiniteSubproblem(instance, cuts)))
+        assert_reports_bitwise_equal(report, solve(subproblem(instance, cuts)))
 
     def test_declining_finish_reproduces_the_multiplier_iteration(self, case_study, monkeypatch):
         # The SHA-256 digest of table2's I/cycle run over every record
@@ -783,44 +802,46 @@ def table2_solves_declined_start(case_study):
     return table2_run(case_study, start_finish=False)
 
 
-def expected_start(previous, cuts):
-    """The multipliers of ``previous`` on ``cuts``: a cut's own by (agent, index), else 0."""
+def expected_start(instance, previous, problem):
+    """The multipliers of the ``previous`` (problem, report) on ``problem``'s cuts: a cut's own by (agent, index), else 0."""
+    previous_problem, report = previous
     return [
-        next((lam for old, lam in zip(previous.cuts, previous.multipliers) if old[:2] == cut[:2]), 0.0)
-        for cut in cuts
+        next((lam for old, lam in zip(cut_tuples(instance, previous_problem), report.multipliers) if old[:2] == cut[:2]), 0.0)
+        for cut in cut_tuples(instance, problem)
     ]
 
 
 class TestWarmStart:
-    def test_every_later_solve_is_warm_started(self, table2_solves):
+    def test_every_later_solve_is_warm_started(self, case_study, table2_solves):
         calls, _ = table2_solves
         assert len(calls) == 16
         assert [x0 is None and lam0 is None for _, x0, lam0, _ in calls] == [True, True] + [False] * 14
         # Each side starts from its own previous report.
         for i, (problem, x0, lam0, _) in enumerate(calls[2:], start=2):
-            previous = calls[i - 2][3]
+            previous_problem, _, _, previous = calls[i - 2]
             assert x0 is previous.minimizer
-            assert lam0.tolist() == expected_start(previous, problem.cuts)
+            assert lam0.tolist() == expected_start(case_study, (previous_problem, previous), problem)
 
-    def test_new_cuts_start_at_zero(self, table2_solves):
+    def test_new_cuts_start_at_zero(self, case_study, table2_solves):
         calls, _ = table2_solves
         new = 0
         for i, (problem, _, lam0, _) in enumerate(calls[2:], start=2):
-            known = {cut[:2] for cut in calls[i - 2][3].cuts}
-            for cut, lam in zip(problem.cuts, lam0):
+            known = {cut[:2] for cut in cut_tuples(case_study, calls[i - 2][0])}
+            for cut, lam in zip(cut_tuples(case_study, problem), lam0):
                 if cut[:2] not in known:
                     assert lam == 0.0
                     new += 1
         assert new > 0
 
-    def test_upper_cut_keeps_its_multiplier_when_eps_shrinks(self, table2_solves):
+    def test_upper_cut_keeps_its_multiplier_when_eps_shrinks(self, case_study, table2_solves):
         calls, _ = table2_solves
         kept = 0
         # The upper solves are the odd ones.
         for i in range(3, len(calls), 2):
             problem, _, lam0, _ = calls[i]
-            previous = {cut[:2]: (cut[3], lam) for cut, lam in zip(calls[i - 2][3].cuts, calls[i - 2][3].multipliers)}
-            for cut, lam in zip(problem.cuts, lam0):
+            previous_problem, _, _, report = calls[i - 2]
+            previous = {cut[:2]: (cut[3], lam) for cut, lam in zip(cut_tuples(case_study, previous_problem), report.multipliers)}
+            for cut, lam in zip(cut_tuples(case_study, problem), lam0):
                 old_rhs, old_lam = previous.get(cut[:2], (None, 0.0))
                 if old_rhs is not None and cut[3] > old_rhs and old_lam > 0.0:
                     assert lam == old_lam
@@ -875,7 +896,7 @@ class TestNonFinite:
         instance = dataclasses.replace(
             case_study, objectives=(quadratic_distance([0.0, np.inf]),) + case_study.objectives[1:]
         )
-        problem = FiniteSubproblem(instance, all_agent_cuts(1.0, 0.0))
+        problem = subproblem(instance, all_agent_cuts(1.0, 0.0))
         with pytest.raises(NumericalFailure, match="at the start point"):
             solve(problem)
 
@@ -911,16 +932,16 @@ class TestReferenceSolver:
                 for k, a in enumerate(agents)
             ]
             x0 = None if trial % 4 == 0 else rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-            report = solve(FiniteSubproblem(instance, cuts), x0)
-            assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts), x0))
+            report = solve(subproblem(instance, cuts), x0)
+            assert_reports_bitwise_equal(report, reference_solve(subproblem(instance, cuts), x0))
 
     @pytest.mark.parametrize("family", ["kernel", "mixed"])
     def test_infeasible_cut_set_runs_the_feasibility_phase(self, case_study, rng, family):
         instance = case_study if family == "kernel" else example1_mixed(case_study)
         cuts = all_agent_cuts(1.0, -10.0) + [(i, 1, random_scenario(rng, instance, i), -0.5) for i in range(1, 7)]
-        report = solve(FiniteSubproblem(instance, cuts))
+        report = solve(subproblem(instance, cuts))
         assert report.status is SolveStatus.INFEASIBLE
-        assert_reports_bitwise_equal(report, reference_solve(FiniteSubproblem(instance, cuts)))
+        assert_reports_bitwise_equal(report, reference_solve(subproblem(instance, cuts)))
 
     @pytest.mark.parametrize("case", ["interior", "lower", "upper"])
     def test_minimize_on_box_quadratics(self, rng, case):
