@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import GraphSchedule
 
 
@@ -27,14 +29,12 @@ def neighborhood_weights(schedule: GraphSchedule) -> list[int]:
     Counting appearances: at slot t, gap e_j shows up once in its own
     closed neighborhood and once per out-neighbor, so the triple sum over
     agents, slots and neighborhoods collapses to sum_j w_j * e_j.  The
-    window T is at most the period, so the first T slots are
-    ``slots[:T]``, and w_j counts agent j's sends there.
+    window T is at most the period, so the first T slots are phases
+    0..T-1, and w_j counts agent j's entries in their closed in-neighbor
+    lists (``GraphSchedule.closed_in_lists``): its own list gives the 1.
     """
-    weights = [schedule.window] * schedule.m
-    for edges in schedule.slots[: schedule.window]:
-        for j, _ in edges:
-            weights[j - 1] += 1
-    return weights
+    lists = schedule.closed_in_lists[: schedule.window]
+    return sum(np.bincount(sources, minlength=schedule.m) for sources, _, _ in lists).tolist()
 
 
 def method2_accuracy(schedule: GraphSchedule, eps_f: float) -> float:

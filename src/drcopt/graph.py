@@ -121,45 +121,32 @@ class GraphSchedule:
         return len(self.slots)
 
     @cached_property
-    def closed_in_lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Closed in-neighbor lists per slot phase: ``(sources, starts)``, int arrays, read-only.
+    def closed_in_lists(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Closed in-neighbor lists per slot phase: ``(sources, destinations, starts)``, int arrays, read-only.
 
         In phase p, agent i's closed in-neighborhood is
         ``sources[starts[i-1]:starts[i]]`` (``starts[m]`` is the length of
         ``sources``) in 0-based ids: i itself first, then its in-neighbors
-        ascending.  O(m + edges) per phase, the form the stopping rounds
+        ascending.  ``destinations`` holds each entry's agent, i - 1
+        there, so a ``np.bincount(destinations, weights=terms[sources])``
+        adds up every list, each one left to right.  O(m + edges) per
+        phase, the form the stopping rounds and the Method II weights
         read; built on first use.
         """
         lists = []
-        own = np.arange(self.m)
+        base = self.m + 1  # entry key: destination * base + rank, own id at rank 0, source j at j + 1
+        own = np.arange(self.m, dtype=np.int64) * base
         for edges in self.slots:
-            pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)) - 1
-            sources, destinations = np.concatenate([own, pairs[0::2]]), np.concatenate([own, pairs[1::2]])
-            # Own id first: a self-loop sorts before every in-neighbor.
-            order = np.lexsort((np.where(sources == destinations, -1, sources), destinations))
+            pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+            keys = np.concatenate([own, pairs[1::2] * base + pairs[0::2] - base])
+            destinations, rank = np.divmod(np.sort(keys), base)
+            sources = np.where(rank == 0, destinations, rank - 1)
             starts = np.concatenate([[0], np.cumsum(np.bincount(destinations, minlength=self.m))])
-            sources = sources[order]
-            sources.flags.writeable = starts.flags.writeable = False
-            lists.append((sources, starts))
+            phase = (sources, destinations, starts)
+            for array in phase:
+                array.flags.writeable = False
+            lists.append(phase)
         return tuple(lists)
-
-    @cached_property
-    def closed_in_columns(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]:
-        """``closed_in_lists`` by position, for sums in list order: ``(by_length, columns)`` per phase.
-
-        ``by_length`` orders the agents by list length, longest first
-        (ties by id).  ``columns[k-1]`` holds term k >= 1 of the lists that
-        have one, which are the first ``len(columns[k-1])`` agents of
-        ``by_length``, in that order.  Built on first use.
-        """
-        out = []
-        for sources, starts in self.closed_in_lists:
-            lengths = np.diff(starts)
-            by_length = np.argsort(-lengths, kind="stable")
-            firsts = starts[by_length]
-            columns = tuple(sources[firsts[: np.count_nonzero(lengths > k)] + k] for k in range(1, lengths.max()))
-            out.append((by_length, columns))
-        return tuple(out)
 
 
 def make_schedule(m: int, slots) -> GraphSchedule:

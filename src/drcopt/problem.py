@@ -370,13 +370,27 @@ def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
+def _require_keys(section, keys: tuple[str, ...], where: str) -> dict:
+    """``section``, checked to be a dict with no key outside ``keys``."""
+    if not isinstance(section, dict):
+        raise TypeError(f"{where} must be an object, got {section!r}")
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; the keys are {', '.join(keys)}")
+    return section
+
+
 def instance_from_config(config: dict) -> ProblemInstance:
     """Build an instance from the JSON configuration schema.
 
     Built-in kinds only: objectives of kind "quadratic-distance" with a
-    center, constraints of kind "paper-quadratic" (field v) or "example1".
-    Both constraint kinds are functions of (x1, x2), so n must be 2.
+    center, constraints of kind "paper-quadratic" (field v) or "example1"
+    (field y_upper, 2.0 when omitted).  Both constraint kinds are
+    functions of (x1, x2), so n must be 2.  A key that the schema does not
+    name, in the instance, an agent, an objective or a constraint, raises
+    ``ValueError``.
     """
+    config = _require_keys(config, ("n", "m", "box", "agents"), "instance")
     n = require_integer(config["n"], "n")
     if n != 2:
         raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
@@ -388,7 +402,8 @@ def instance_from_config(config: dict) -> ProblemInstance:
     objectives = []
     constraints = []
     for spec in agents:
-        obj = spec["objective"]
+        spec = _require_keys(spec, ("objective", "constraint"), "agent")
+        obj = _require_keys(spec["objective"], ("kind", "center"), "objective")
         if obj["kind"] != "quadratic-distance":
             raise ValueError(f"unknown objective kind {obj['kind']!r}")
         center = _require_reals(obj["center"], "objective center entry")
@@ -399,8 +414,10 @@ def instance_from_config(config: dict) -> ProblemInstance:
         objectives.append(quadratic_distance(center))
         con = spec["constraint"]
         if con["kind"] == "paper-quadratic":
+            _require_keys(con, ("kind", "v"), "paper-quadratic constraint")
             constraints.append(paper_quadratic_constraint(require_real(con["v"], "paper-quadratic v")))
         elif con["kind"] == "example1":
+            _require_keys(con, ("kind", "y_upper"), "example1 constraint")
             constraints.append(example1_constraint(require_real(con.get("y_upper", 2.0), "example1 y_upper")))
         else:
             raise ValueError(f"unknown constraint kind {con['kind']!r}")

@@ -9,9 +9,11 @@ Method I's condition is per-agent gaps below the threshold; Method II
 bounds the closed-neighborhood gap sum instead.  The gaps are fixed for
 a round, so each agent's condition depends only on the slot phase and is
 computed once per round, over the schedule's closed in-neighbor lists
-(``GraphSchedule.closed_in_lists``); each slot is then one reduction
-over those lists.  A round is decided as soon as its outcome is fixed,
-and it still counts the protocol's T*(m-1)+1 slots.
+(``GraphSchedule.closed_in_lists``): both tests are one ``np.bincount``
+per phase, of the failing gaps (Method I, at most 0) or of the gaps
+(Method II, at most eps_f).  Each slot is then one reduction over those
+lists.  A round is decided as soon as its outcome is fixed, and it still
+counts the protocol's T*(m-1)+1 slots.
 """
 
 from __future__ import annotations
@@ -28,22 +30,6 @@ logger = logging.getLogger(__name__)
 
 def stop_threshold(schedule: GraphSchedule) -> int:
     return schedule.window * (schedule.m - 1) + 1
-
-
-def _closed_sums(gaps: np.ndarray, by_length: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Each agent's closed-neighborhood gap sum, a left fold in list order.
-
-    A sum at eps_f can round either way, so the order is fixed: own gap
-    first, then the in-neighbors ascending, added one at a time.  The
-    arguments are one phase of ``GraphSchedule.closed_in_columns``: term
-    k of every list that has one is added in one array operation.
-    """
-    sums = gaps[by_length]
-    for column in columns:
-        sums[: len(column)] += gaps[column]
-    out = np.empty_like(sums)
-    out[by_length] = sums
-    return out
 
 
 def run_stopping_round(
@@ -80,12 +66,15 @@ def run_stopping_round(
     threshold = stop_threshold(schedule)
     lists = schedule.closed_in_lists
     gaps = np.array(gaps, dtype=float)
-    if method == "I":
-        # No failing gap in the neighborhood; negated so that NaN fails.
-        bad = ~(gaps <= eps_f)
-        ok = [~np.logical_or.reduceat(bad[sources], starts[:-1]) for sources, starts in lists]
-    else:
-        ok = [_closed_sums(gaps, *columns) <= eps_f for columns in schedule.closed_in_columns]
+    # Method I counts the failing gaps in each neighborhood (negated so
+    # that NaN fails), Method II adds the gaps up.  bincount adds in input
+    # order, so each sum is a left fold in list order: own gap first, then
+    # the in-neighbors ascending, which fixes how a sum at eps_f rounds.
+    terms, limit = (~(gaps <= eps_f), 0) if method == "I" else (gaps, eps_f)
+    ok = [
+        np.bincount(destinations, weights=terms[sources], minlength=schedule.m) <= limit
+        for sources, destinations, _ in lists
+    ]
     if all(phase.all() for phase in ok):
         return True, threshold, (np.full(schedule.m, threshold), np.full(schedule.m, threshold))
     # An agent whose test fails in the first slot has c = 0 there, so from
@@ -100,7 +89,7 @@ def run_stopping_round(
     c = np.zeros(schedule.m, dtype=int)
     for k, slot in enumerate(range(start_slot, start_slot + threshold), start=1):
         phase = slot % schedule.period
-        sources, starts = lists[phase]
+        sources, _, starts = lists[phase]
         h = np.minimum.reduceat(np.minimum(h, c)[sources], starts[:-1]) + 1
         c = np.where(ok[phase], c + 1, 0)
         if k < threshold and h.max() < k:

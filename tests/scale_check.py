@@ -1,8 +1,10 @@
-"""One Method I run of the scaled case study on ``directed_cycle(m)``, checked by the benchmark's result checks.
+"""One run of the scaled case study on ``directed_cycle(m)``, checked by the benchmark's result checks.
 
-Run from the root of a checkout, with the package on the path::
+Run from the root of a checkout, with the package on the path; the
+optional second argument is the stopping method, I (the default) or II::
 
     PYTHONPATH=src python tests/scale_check.py 131072
+    PYTHONPATH=src python tests/scale_check.py 131072 II
 
 The instance is ``scaled_instance(m, 0)`` of ``perfbench/workloads.py``.
 The script prints the run's wall time, iterations and final cut count,
@@ -27,18 +29,19 @@ from drcopt.sim import RunParams, run  # noqa: E402
 
 def main(argv: list[str]) -> int:
     m = int(argv[0]) if argv else 131_072
+    method = argv[1] if len(argv) > 1 else "I"
     instance, centers, v = scaled_instance(m, 0)
     schedule = directed_cycle(m)
-    params = RunParams(method="I")
+    params = RunParams(method=method)
     start = time.perf_counter()
     result = run(instance, schedule, params)
     seconds = time.perf_counter() - start
     cuts = sum(len(s.lower_scenarios) + len(s.upper_scenarios) for s in result.final_states)
-    print(f"directed_cycle({m}), Method I: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
+    print(f"directed_cycle({m}), Method {method}: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
     # (x1 - v)^2 is convex in v, so over the sorted offsets the discs at the
     # two extremes cut out the same feasible set as all m: the reference
     # optimum over them is the one over all m, without m grid passes.
-    job = Job(f"I/cycle-m{m}", instance, schedule, params, 1, centers, v)
+    job = Job(f"{method}/cycle-m{m}", instance, schedule, params, 1, centers, v)
     problems = check_run(job, result, reference_optimum(centers, v[[0, -1]]))
     for problem in problems:
         print(f"problem: {problem}")

@@ -46,6 +46,8 @@ def two_agent_instance(n=2, center=None, constraint=None):
     }
 
 
+AGENT = {"objective": {"kind": "quadratic-distance", "center": [0.0, 0.0]}, "constraint": {"kind": "example1"}}
+
 MALFORMED_CONFIGS = {
     "not-an-object": ([], "must hold a JSON object"),
     "misspelled-key": ({"eps_F": 0.5, "metod": "II"}, "unknown config key 'eps_F'"),
@@ -96,6 +98,26 @@ MALFORMED_CONFIGS = {
     "center-string": (
         {"instance": two_agent_instance(center=[0.0, "1"])},
         "center entry must be a real number, got '1'",
+    ),
+    "instance-unknown-key": (
+        {"instance": {**two_agent_instance(), "window": 3}},
+        "unknown instance key 'window'; the keys are n, m, box, agents",
+    ),
+    "agent-unknown-key": (
+        {"instance": {**two_agent_instance(), "agents": [{**AGENT, "weight": 2}] * 2}},
+        "unknown agent key 'weight'; the keys are objective, constraint",
+    ),
+    "objective-unknown-key": (
+        {"instance": {**two_agent_instance(), "agents": [{**AGENT, "objective": {**AGENT["objective"], "centre": 1}}] * 2}},
+        "unknown objective key 'centre'; the keys are kind, center",
+    ),
+    "example1-misspelled-y-upper": (
+        {"instance": two_agent_instance(constraint={"kind": "example1", "y_uper": 0.5})},
+        "unknown example1 constraint key 'y_uper'; the keys are kind, y_upper",
+    ),
+    "paper-quadratic-unknown-key": (
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": 0.5, "y_upper": 2})},
+        "unknown paper-quadratic constraint key 'y_upper'; the keys are kind, v",
     ),
     # On the box (x1 - 5)^2 >= 9, while 1 + y^2 - 2 y x2 <= 4 for every y in
     # [-1, 1]: even the lower subproblem, a relaxation, has no feasible point.

@@ -166,28 +166,30 @@ class TestNeighbors:
     def test_single_agent(self):
         s = make_schedule(1, [set()])
         assert closed_neighborhood(s, 1, 0) == (1,)
-        assert [(sources.tolist(), starts.tolist()) for sources, starts in s.closed_in_lists] == [([0], [0, 1])]
+        assert [tuple(array.tolist() for array in phase) for phase in s.closed_in_lists] == [([0], [0], [0, 1])]
 
     def test_neighbor_lists_read_only_and_built_on_first_use(self):
         s = customized(5)
         assert "closed_in_lists" not in vars(s)
         assert s.closed_in_lists is s.closed_in_lists
-        sources, starts = s.closed_in_lists[0]
-        with pytest.raises(ValueError):
-            sources[0] = 1
-        with pytest.raises(ValueError):
-            starts[0] = 1
+        for array in s.closed_in_lists[0]:  # sources, destinations, starts
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_table_matches_edge_scan(self, rng):
-        # The neighbor lists hold own id first, then the in-neighbors ascending.
+        # The neighbor lists hold own id first, then the in-neighbors
+        # ascending, and every entry names the agent whose list holds it.
         for _ in range(50):
             s = random_connected_schedule(rng)
             for t in range(2 * s.period):
-                sources, starts = s.closed_in_lists[t % s.period]
+                sources, destinations, starts = s.closed_in_lists[t % s.period]
                 for node in range(1, s.m + 1):
                     expected = (node,) + edge_scan_in_neighbors(s, node, t)
-                    assert tuple(int(j) + 1 for j in sources[starts[node - 1] : starts[node]]) == expected
+                    entries = slice(starts[node - 1], starts[node])
+                    assert tuple(int(j) + 1 for j in sources[entries]) == expected
+                    assert destinations[entries].tolist() == [node - 1] * len(expected)
                     assert closed_neighborhood(s, node, t) == tuple(sorted(expected))
+                assert starts[-1] == len(sources) == len(destinations)
 
 
 class TestValidation:

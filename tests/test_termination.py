@@ -121,15 +121,26 @@ class TestStepMethod2:
         assert final_counters([0.011], schedule, "II") == ([1], [0])
 
     def test_gap_sum_is_a_left_fold_in_neighborhood_order(self):
-        # Own gap first, then the in-neighbors ascending: agents 1 and 2
-        # add up to 0.010000000000000002 and fail, agent 3's order
-        # 0.001 + 0.007 + 0.002 gives 0.01 and passes.  A compensated sum,
-        # as builtin sum is from Python 3.12 on, would pass all three.
-        gaps = [0.007, 0.002, 0.001]
-        assert final_counters(gaps, complete(3), "II") == ([1, 1, 1], [0, 0, 3])
-        stop, _, counters = per_slot_stopping_round(gaps, complete(3), "II", EPS_F)
-        assert not stop
-        assert [(n.h, n.c) for n in counters] == [(1, 0), (1, 0), (1, 3)]
+        # Own gap first, then the in-neighbors ascending.  On complete(3),
+        # agents 1 and 2 add up to 0.010000000000000002 and fail, agent 3's
+        # order 0.001 + 0.007 + 0.002 gives 0.01 and passes; a compensated
+        # sum, as builtin sum is from Python 3.12 on, would pass all three.
+        # Past 8 terms np.sum adds pairwise: on complete(9) it gives 0.01
+        # for agent 1, whose left fold is 0.010000000000000002 and fails.
+        # On a cycle where every agent also sends to agent 1, that sum is
+        # the only one that fails, so a pairwise sum would stop the round.
+        long_gaps = [EPS_F * n / 10 for n in (1, 3, 0, 3, 0, 1, 1, 1, 0)]
+        to_agent_1 = make_schedule(9, [{(i, i % 9 + 1) for i in range(1, 10)} | {(j, 1) for j in range(2, 10)}])
+        rounds = (
+            ([0.007, 0.002, 0.001], complete(3), ([1, 1, 1], [0, 0, 3])),
+            (long_gaps, complete(9), ([1] * 9, [0] * 9)),
+            (long_gaps, to_agent_1, ([1, 1, 2, 3, 4, 5, 6, 7, 8], [0] + [9] * 8)),
+        )
+        for gaps, schedule, want in rounds:
+            assert final_counters(gaps, schedule, "II") == want
+            stop, _, counters = per_slot_stopping_round(gaps, schedule, "II", EPS_F)
+            assert not stop
+            assert ([n.h for n in counters], [n.c for n in counters]) == want
 
     def test_time_varying_neighborhood(self):
         # Agent 2 hears agent 1 in even slots, agent 1 hears agent 2 in odd
