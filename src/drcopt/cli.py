@@ -61,7 +61,9 @@ def _build_from_config(config: dict):
     else:
         try:
             instance = instance_from_config(instance_cfg)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"bad 'instance' section: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad 'instance' section: {exc}") from None
     llp = config.get("llp", "analytic")
     if llp not in LLP_MODES:
@@ -160,6 +162,8 @@ def cmd_run(args) -> int:
     out = _out_dir(args.out)
     _write_results(out, _result_summary(result))
     _write_trace_csv(out / "trace.csv", result)
+    # Leave no plot of an earlier run next to this run's trace.
+    (out / "trace.svg").unlink(missing_ok=True)
     if args.plot:
         records = result.records
         uppers = [(rec.k, rec.upper) for rec in records if math.isfinite(rec.upper)]

@@ -34,15 +34,13 @@ def flood_constraints(cuts: CutTable, schedule: GraphSchedule) -> tuple[list[Cut
 
 
 def carried_multipliers(start: SolveReport, problem: FiniteSubproblem) -> np.ndarray:
-    """``start``'s multipliers on ``problem``'s cuts, matched by cut-table row.
+    """``start``'s multipliers, then 0 for each row of ``problem`` appended since, in table order.
 
-    A row that ``start`` did not solve on starts at 0.  Rows are only
-    appended, so a row names the same scenario from one iteration to the
-    next, and an upper cut whose ``eps_i`` shrank keeps its multiplier.
+    Rows are only appended, so the rows ``start`` solved on are a prefix
+    of ``problem``'s table and name the same scenarios: an upper cut
+    whose ``eps_i`` shrank keeps its multiplier.
     """
-    by_row = np.zeros(len(problem.cuts))
-    by_row[start.rows] = start.multipliers
-    return by_row[problem.rows]
+    return np.concatenate([start.multipliers, np.zeros(len(problem.cuts) - len(start.multipliers))])
 
 
 def consensus_solve(
@@ -56,7 +54,7 @@ def consensus_solve(
 
     ``rhs`` holds each row's right-hand side: zeros (the lower side) when
     None, the row agent's ``-eps_i`` on the upper side.  Every agent holds
-    the same table and, in canonical order, the same solver input, so the
+    the same table and, in table order, the same solver input, so the
     deterministic solver runs once and its report is every agent's.
     ``start`` is the previous report on the same side, which every agent
     holds: the solve starts from its minimizer and its

@@ -2,7 +2,7 @@
 
 Minimizes the sum of the agents' objectives over the shared box subject
 to the scenario cuts g_a(x, y) <= rhs of one side's cut table, in
-canonical order.  Method: an exact Newton finish on the KKT system of
+table order.  Method: an exact Newton finish on the KKT system of
 the cuts found active (:func:`_active_set_finish`), tried at the start
 point and after each outer iteration of an augmented Lagrangian with a
 box-constrained projected Newton inner solve (:func:`minimize`).  Every
@@ -74,39 +74,37 @@ class CutTable:
 
 
 class FiniteSubproblem:
-    """Canonical finite convex program: sum of objectives + box + cuts.
+    """Finite convex program: sum of objectives + box + cuts.
 
     Built from an instance, a :class:`CutTable` and each row's
-    right-hand side ``rhs`` (zeros when None).  The canonical order
-    ``rows`` is a stable sort of the rows by agent, so by agent and then
-    insertion index.  Construction gathers each cut's coefficients and
-    box from the instance's :class:`~drcopt.problem.ConstraintTable`, so
-    :meth:`evaluate` makes one kernel call per constraint family.  It
-    remembers the last point it evaluated.
+    right-hand side ``rhs`` (zeros when None); cut j is table row j, an
+    order every agent holding the table shares.  Construction gathers
+    each cut's coefficients and box from the instance's
+    :class:`~drcopt.problem.ConstraintTable`, so :meth:`evaluate` makes
+    one kernel call per constraint family.  It remembers the last point
+    it evaluated.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: CutTable, rhs: np.ndarray | None = None):
         self.box = instance.box
         self.cuts = cuts
-        self.rows = rows = np.argsort(cuts.agent, kind="stable")
-        agents = cuts.agent[rows]
-        self.rhs = np.zeros(len(cuts)) if rhs is None else np.asarray(rhs, dtype=float)[rows]
-        if rhs is not None and self.rhs.max(initial=0.0) > 0.0:
+        self.rhs = np.zeros(len(cuts)) if rhs is None else np.asarray(rhs, dtype=float)
+        if self.rhs.max(initial=0.0) > 0.0:
             raise ValueError("cut right-hand sides must be <= 0")
         table = instance.constraint_table
         calls = []
         for f, batch in enumerate(table.batches):
             # With one family every cut is a member.
-            members = np.flatnonzero(table.family[agents] == f) if len(table.batches) > 1 else slice(None)
-            family_rows = table.row[agents[members]]
+            members = np.flatnonzero(table.family[cuts.agent] == f) if len(table.batches) > 1 else slice(None)
+            family_rows = table.row[cuts.agent[members]]
             if len(family_rows):
-                y = cuts.scenarios[f][rows[members]]
+                y = cuts.scenarios[f][members]
                 y_box = table.boxes[f][family_rows]
                 if np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() > 1e-12:
                     raise ValueError("cut scenario lies outside its agent's uncertainty box")
                 calls.append((batch, members, table.coefficients[f][family_rows], y))
         self._f_terms = instance.objective_terms
-        self._g_terms = stacked_terms(calls, len(agents))
+        self._g_terms = stacked_terms(calls, len(cuts))
         self._memo_key, self._memo, self._f_values = None, None, None
         self._hess_terms, self._hess_sum = None, None
 
@@ -155,8 +153,7 @@ class SolveReport:
     max_violation: float
     iterations: int  # outer iterations run, on every exit; 0 when the finish at the start ends the solve
     status: SolveStatus
-    multipliers: np.ndarray = field(repr=False)  # one per cut, in the order of ``rows``
-    rows: np.ndarray = field(repr=False)  # the cut-table rows solved on, in canonical order
+    multipliers: np.ndarray = field(repr=False)  # one per cut, in table order
     objectives: np.ndarray = field(repr=False)  # each agent's objective at the minimizer
 
 
@@ -388,11 +385,11 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
     """Solve the subproblem to ``FEASIBILITY_TOL`` and ``STATIONARITY_TOL``.
 
     The solve starts from ``x0`` (the box center when None) and from the
-    multipliers ``lam0``, one nonnegative value per cut in the order of
-    ``problem.rows`` (zeros when None).  :func:`_active_set_finish` is
-    tried first at the start, where it takes the carried active cuts and
-    the newly violated ones; when it is accepted the solve ends
-    ``OPTIMAL`` with ``iterations`` 0.  Otherwise the augmented-Lagrangian
+    multipliers ``lam0``, one nonnegative value per cut in table order
+    (zeros when None).  :func:`_active_set_finish` is tried first at the
+    start, where it takes the carried active cuts and the newly violated
+    ones; when it is accepted the solve ends ``OPTIMAL`` with
+    ``iterations`` 0.  Otherwise the augmented-Lagrangian
     iteration runs from the unchanged start.  Each inner minimization
     gets the exact generalized Hessian ``H_f + mu J_A^T J_A + sum_j s_j
     H_j`` with ``s = max(0, lam + mu c)`` and ``A = {j : s_j > 0}``; the
@@ -484,6 +481,5 @@ def solve(problem: FiniteSubproblem, x0: Vector | None = None, lam0: np.ndarray 
         iterations=outer,
         status=status,
         multipliers=lam,
-        rows=problem.rows,
         objectives=problem.objective_values(x),
     )

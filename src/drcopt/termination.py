@@ -50,9 +50,9 @@ def run_stopping_round(
     Returns (stop, slots, counters); slots is always the protocol's
     T*(m-1)+1.  The round is decided as soon as its outcome is fixed.
     When every agent's test holds in every phase, h = c = threshold in
-    closed form.  A test that fails in the first slot (with m > 1) fixes
-    stop False: the agent's lag reaches every agent within the remaining
-    slots, as a flooded payload would.  Otherwise the slots are run, and
+    closed form.  A test that fails in the first slot fixes stop False:
+    the agent's lag reaches every agent within the remaining slots (with
+    m = 1 there are none).  Otherwise the slots are run, and
     since h grows by at most one per slot, once every h is below the
     number of slots run none can reach the threshold and the round ends
     with stop False.  A round decided before its last slot returns
@@ -80,9 +80,9 @@ def run_stopping_round(
     # An agent whose test fails in the first slot has c = 0 there, so from
     # the second slot on its h, and that of every agent it reaches, lags
     # the slot count.  When the remaining threshold - 1 slots flood that
-    # lag to every agent, as T*(m-1) slots do for m > 1, no h reaches the
-    # threshold.
-    floods = 1 < threshold and schedule.window * (schedule.m - 1) <= threshold - 1
+    # lag to every agent, as T*(m-1) slots do, no h reaches the threshold;
+    # for m = 1 the one slot never carries c into h, so this rule decides.
+    floods = schedule.window * (schedule.m - 1) <= threshold - 1
     if floods and not ok[start_slot % schedule.period].all():
         return False, threshold, None
     h = np.zeros(schedule.m, dtype=int)

@@ -137,9 +137,7 @@ def former_example1_argmax(x: Vector, y_upper: float) -> Vector:
 
 
 # Cut tuples (agent_id, insertion_index, scenario, rhs), the form cuts had
-# before each side became one CutTable, and the tuple sort and dict
-# matching that ordered them and carried multipliers between solves, as
-# oracles for the table's canonical order and row-matched carry.
+# before each side became one CutTable.
 
 
 def cut_table(instance: ProblemInstance, cuts) -> tuple[CutTable, np.ndarray]:
@@ -168,15 +166,14 @@ def subproblem(instance: ProblemInstance, cuts) -> FiniteSubproblem:
 
 
 def cut_tuples(instance: ProblemInstance, problem: FiniteSubproblem) -> list[tuple]:
-    """The cuts of ``problem``, built on ``instance``, in canonical order as (agent_id, insertion_index, scenario, rhs).
+    """The cuts of ``problem``, built on ``instance``, in table order as (agent_id, insertion_index, scenario, rhs).
 
     A row's insertion index is its rank among its agent's rows.
     """
     cuts, family = problem.cuts, instance.constraint_table.family
     ranks: dict[int, int] = {}
     out = []
-    for j, rhs in zip(problem.rows.tolist(), problem.rhs.tolist()):
-        a = int(cuts.agent[j])
+    for j, (a, rhs) in enumerate(zip(cuts.agent.tolist(), problem.rhs.tolist())):
         ranks[a] = ranks.get(a, -1) + 1
         out.append((a + 1, ranks[a], tuple(cuts.scenarios[family[a]][j].tolist()), rhs))
     return out
@@ -185,18 +182,6 @@ def cut_tuples(instance: ProblemInstance, problem: FiniteSubproblem) -> list[tup
 def subproblem_cut_view(instance: ProblemInstance, problem: FiniteSubproblem):
     """(agent_id, scenario, rhs) triples of a subproblem, for the grid oracle."""
     return [(agent_id, scenario, rhs) for agent_id, _, scenario, rhs in cut_tuples(instance, problem)]
-
-
-def tuple_sorted(cuts) -> tuple:
-    """The canonical order of cut tuples before the cut table: a plain tuple sort."""
-    return tuple(sorted(cuts))
-
-
-def dict_carried_multipliers(previous_cuts, previous_multipliers, cuts) -> np.ndarray:
-    """Multipliers of ``previous_cuts`` on ``cuts``, matched by (agent_id, insertion_index) through a dict, else 0."""
-    key = operator.itemgetter(0, 1)
-    previous = dict(zip(map(key, previous_cuts), np.asarray(previous_multipliers).tolist()))
-    return np.array([previous.get(k, 0.0) for k in map(key, cuts)])
 
 
 def random_connected_schedule(rng: np.random.Generator, m_max=5, p_max=3) -> GraphSchedule:
@@ -357,7 +342,12 @@ def per_slot_stopping_round(
     eps_f: float,
     start_slot: int = 0,
 ) -> tuple[bool, int, list[CounterState]]:
-    """One stopping round of T*(m-1)+1 slots of :func:`step_counters`."""
+    """One stopping round of T*(m-1)+1 slots of :func:`step_counters`.
+
+    stop is declared when an agent's h reaches the threshold.  A one-slot
+    round (m = 1) never carries c into h, so there the agent's own test
+    in that slot, its c, decides.
+    """
     if len(gaps) != schedule.m:
         raise ValueError("one gap value per agent required")
     if method not in ("I", "II"):
@@ -366,8 +356,9 @@ def per_slot_stopping_round(
     counters = [CounterState(e=e) for e in gaps]
     for offset in range(threshold):
         counters = step_counters(counters, schedule, start_slot + offset, method, eps_f)
-    stop = any(c.h >= threshold for c in counters)
-    if stop and not all(c.h >= threshold for c in counters):
+    reached = [(n.c if threshold == 1 else n.h) >= threshold for n in counters]
+    stop = any(reached)
+    if stop and not all(reached):
         if method == "I":
             raise NumericalFailure("Method I stop must be simultaneous across agents")
         logger.warning("Method II stop was not simultaneous across agents")
@@ -561,7 +552,6 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
             iterations=0,
             status=SolveStatus.OPTIMAL,
             multipliers=lam_next,
-            rows=problem.rows,
             objectives=problem.objective_values(x),
         )
 
@@ -603,7 +593,6 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
                 iterations=outer,
                 status=SolveStatus.OPTIMAL,
                 multipliers=lam_next,
-                rows=problem.rows,
                 objectives=problem.objective_values(x),
             )
 
@@ -629,6 +618,5 @@ def reference_solve(problem: FiniteSubproblem, x0: Vector | None = None) -> Solv
         iterations=outer,
         status=status,
         multipliers=lam,
-        rows=problem.rows,
         objectives=problem.objective_values(x),
     )

@@ -119,6 +119,14 @@ MALFORMED_CONFIGS = {
         {"instance": two_agent_instance(constraint={"kind": "paper-quadratic", "v": 0.5, "y_upper": 2})},
         "unknown paper-quadratic constraint key 'y_upper'; the keys are kind, v",
     ),
+    "constraint-missing-kind": (
+        {"instance": two_agent_instance(constraint={"v": 0.5})},
+        "bad 'instance' section: missing key 'kind'",
+    ),
+    "agent-missing-constraint": (
+        {"instance": {**two_agent_instance(), "agents": [{"objective": AGENT["objective"]}] * 2}},
+        "bad 'instance' section: missing key 'constraint'",
+    ),
     # On the box (x1 - 5)^2 >= 9, while 1 + y^2 - 2 y x2 <= 4 for every y in
     # [-1, 1]: even the lower subproblem, a relaxation, has no feasible point.
     "robust-infeasible": (
@@ -378,6 +386,13 @@ class TestTraceFiles:
         lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
         assert [line.get("points").count(",") for line in lines] == [1, 0]
         assert "inf" not in (out / "trace.svg").read_text()
+
+    def test_run_without_plot_removes_an_earlier_plot(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json"), "--out", str(out), "--plot"]) == 0
+        assert (out / "trace.svg").exists()
+        assert main(["run", write_config(tmp_path / "cfg.json", method="II"), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["results.json", "trace.csv"]
 
 
 NUMERICAL_FAILURES = {

@@ -11,7 +11,7 @@ from drcopt.problem import SemiInfiniteConstraint
 from drcopt.solver import CutTable, FiniteSubproblem, SolveReport, SolveStatus
 
 import helpers
-from helpers import cut_table, cut_tuples, dict_carried_multipliers, per_slot_flood, random_connected_schedule, tuple_sorted
+from helpers import cut_table, cut_tuples, per_slot_flood, random_connected_schedule
 
 
 def table_of_agents(agents, m):
@@ -120,23 +120,23 @@ class TestConsensusSolve:
             iterations=1,
             status=SolveStatus.OPTIMAL,
             multipliers=np.array([1.0, 2.0, 3.0]),
-            rows=FiniteSubproblem(case_study, table, rhs).rows,
             objectives=np.zeros(6),
         )
-        # Agent 1's eps shrank, agent 2 and agent 1's third scenario are new.
+        # Agent 1's eps shrank, agent 2 and agent 1's third scenario are
+        # new.  The rows are appended, so the previous ones are a prefix.
         grown = _with_cuts(table, np.arange(6) < 2, (np.array([[0.9], [0.1]] + [[0.0]] * 4),))
         epsilon = np.array([0.005, 0.01, 0.01, 0.01, 0.01, 0.01])
         problem = FiniteSubproblem(case_study, grown, -epsilon[grown.agent])
         assert cut_tuples(case_study, problem) == [
             (1, 0, (0.5,), -0.005),
+            (3, 0, (0.2,), -0.01),
             (1, 1, (0.7,), -0.005),
             (1, 2, (0.9,), -0.005),
             (2, 0, (0.1,), -0.01),
-            (3, 0, (0.2,), -0.01),
         ]
-        assert carried_multipliers(previous, problem).tolist() == [1.0, 2.0, 0.0, 0.0, 3.0]
+        assert carried_multipliers(previous, problem).tolist() == [1.0, 2.0, 3.0, 0.0, 0.0]
         empty = FiniteSubproblem(case_study, CutTable.empty(case_study.constraint_table))
-        assert carried_multipliers(dataclasses.replace(previous, rows=empty.rows, multipliers=np.zeros(0)), empty).shape == (0,)
+        assert carried_multipliers(dataclasses.replace(previous, multipliers=np.zeros(0)), empty).shape == (0,)
 
 
 def random_y_star(rng, table):
@@ -149,11 +149,10 @@ def random_y_star(rng, table):
 
 
 class TestCutTable:
-    """Canonical order and carried multipliers against the cut-tuple oracles of ``helpers``.
+    """Table order and carried multipliers against (agent_id, insertion_index, scenario, rhs) tuples.
 
     Each trial appends random phases, as the oracles do, to a table and to
-    a list of (agent_id, insertion_index, scenario, rhs) tuples, and
-    shrinks random agents' eps_i between phases.
+    a list of tuples, and shrinks random agents' eps_i between phases.
     """
 
     @pytest.mark.parametrize("families", [1, 2])
@@ -170,7 +169,7 @@ class TestCutTable:
         for _ in range(40):
             cuts, tuples, epsilon = CutTable.empty(table), [], np.full(instance.m, 0.01)
             previous = FiniteSubproblem(instance, cuts, -epsilon[cuts.agent])
-            assert cut_tuples(instance, previous) == [] and len(previous.rows) == 0
+            assert cut_tuples(instance, previous) == []
             for _ in range(int(rng.integers(0, 6))):
                 violated = rng.random(instance.m) < rng.choice([0.0, 0.3, 1.0])
                 y_star = random_y_star(rng, table)
@@ -180,10 +179,9 @@ class TestCutTable:
                     tuples.append((a + 1, k, tuple(y_star[table.family[a]][a].tolist())))
                 epsilon = np.where(rng.random(instance.m) < 0.5, epsilon / 2.0, epsilon)
                 problem = FiniteSubproblem(instance, cuts, -epsilon[cuts.agent])
-                expected = tuple_sorted((a, k, y, -float(epsilon[a - 1])) for a, k, y in tuples)
-                assert tuple(cut_tuples(instance, problem)) == expected
+                assert cut_tuples(instance, problem) == [(a, k, y, -float(epsilon[a - 1])) for a, k, y in tuples]
                 assert cuts.count.tolist() == np.bincount([t[0] - 1 for t in tuples], minlength=instance.m).tolist()
-                multipliers = rng.random(len(previous.rows)) * (rng.random(len(previous.rows)) < 0.5)
+                multipliers = rng.random(len(previous.cuts)) * (rng.random(len(previous.cuts)) < 0.5)
                 report = SolveReport(
                     minimizer=np.zeros(2),
                     objective_value=0.0,
@@ -191,11 +189,12 @@ class TestCutTable:
                     iterations=0,
                     status=SolveStatus.OPTIMAL,
                     multipliers=multipliers,
-                    rows=previous.rows,
                     objectives=np.zeros(instance.m),
                 )
-                oracle = dict_carried_multipliers(cut_tuples(instance, previous), multipliers, expected)
-                assert carried_multipliers(report, problem).tobytes() == oracle.tobytes()
+                # Each cut keeps its own multiplier, matched by (agent_id, insertion_index); a new one starts at 0.
+                by_cut = dict(zip((t[:2] for t in cut_tuples(instance, previous)), multipliers.tolist()))
+                oracle = [by_cut.get(t[:2], 0.0) for t in cut_tuples(instance, problem)]
+                assert carried_multipliers(report, problem).tolist() == oracle
                 previous = problem
 
 

@@ -18,11 +18,12 @@ from drcopt.problem import (
     quadratic_distance,
 )
 from drcopt.sim import RunParams, run
-from drcopt.solver import SolveStatus, minimize, solve
+from drcopt.solver import FiniteSubproblem, SolveStatus, minimize, solve
 
 import record_digest
 from helpers import (
     case_study_grid_min,
+    cut_table,
     cut_tuples,
     reference_minimize,
     reference_solve,
@@ -177,13 +178,19 @@ class TestProperties:
             # roughly multiplier * 1e-9 per active cut
             assert later >= earlier - 1e-8
 
-    def test_unsorted_cuts_build_the_same_subproblem_as_sorted_ones(self, case_study, rng):
+    def test_cuts_are_the_table_rows_in_order(self, case_study, rng):
+        # Cut j is table row j, with the agents as appended, not sorted:
+        # every agent holds the same table, so its order is one they share.
         cuts = random_cuts(rng)
-        shuffled = [cuts[i] for i in rng.permutation(len(cuts))]
-        assert shuffled != cuts
-        problem = subproblem(case_study, shuffled)
-        assert cut_tuples(case_study, problem) == cuts
-        assert_reports_bitwise_equal(solve(problem), solve(subproblem(case_study, cuts)))
+        table, rhs = cut_table(case_study, [cuts[i] for i in rng.permutation(len(cuts))])
+        problem = FiniteSubproblem(case_study, table, rhs)
+        assert problem.rhs.tobytes() == rhs.tobytes()
+        x = rng.uniform([-2.0, -1.0], [2.0, 1.0])
+        _, _, c, jac, _, _ = problem.evaluate(x)
+        for j, a in enumerate(table.agent.tolist()):
+            constraint = case_study.constraints[a]
+            values, grads, _ = constraint.batch(x, constraint.coefficients[None], table.scenarios[0][j : j + 1])
+            assert (c[j], jac[j].tolist()) == (values[0] - rhs[j], grads[0].tolist())
 
     def test_mixed_scenario_dimensions(self, case_study):
         # Agent 1 has a two-dimensional uncertainty box [0, 1]^2, the
@@ -414,7 +421,7 @@ class TestFusedEvaluation:
     def test_mixed_family_takes_one_call_per_family(self, case_study):
         # Two constraint kernels: the cuts of agents 1-3 and those of
         # agents 4-6 each take one call per point, their rows interleaved
-        # by agent in canonical order.
+        # in table order.
         mixed = example1_mixed(case_study)
         cuts = [(i, 0, (0.5,), 0.0) for i in range(1, 7)]
         cuts += [(i, 1, (-0.5,), -0.01) for i in range(1, 4)]
@@ -725,7 +732,7 @@ class TestActiveSetFinish:
         # declines must leave no trace.
         monkeypatch.setattr(solver, "_active_set_finish", decline)
         run_list = [("I/cycle", case_study, directed_cycle(6), RunParams(method="I"))]
-        assert record_digest.digest(run_list) == "4f762f5a73a214f0e77fa6bbb7fb5de39b57a540c6b61f5502904cafe68cd244"
+        assert record_digest.digest(run_list) == "ce2a5d7fbdc667b2fd97b43c44b1b55204bb6116f19327931f70ed1c61cbef3a"
 
     def test_declining_start_finish_reproduces_the_finish_after_an_update(self, case_study, monkeypatch):
         # The same digest as the solver computes it with the finish tried
@@ -734,7 +741,7 @@ class TestActiveSetFinish:
         # a violated cut as a working-set candidate changes nothing there.
         decline_at_start(monkeypatch)
         run_list = [("I/cycle", case_study, directed_cycle(6), RunParams(method="I"))]
-        assert record_digest.digest(run_list) == "5c3d27e3e546249ca43f844833b0e4bc4c25e2735fe8858a0a2e2b34ceeb4815"
+        assert record_digest.digest(run_list) == "93a9039fbf698dd502192b33b1d6e7b4793dfdce2135e43a936d9d78d3e581dd"
 
     def test_warm_solves_end_at_the_start(self, table2_solves, monkeypatch):
         # The carried point and multipliers, with the newly violated cuts,

@@ -119,6 +119,10 @@ class TestStepMethod2:
         schedule = make_schedule(1, [set()])
         assert final_counters([0.009], schedule, "II") == ([1], [1])
         assert final_counters([0.011], schedule, "II") == ([1], [0])
+        # The one slot's h is 1 whatever the test: the test alone decides.
+        for method in ("I", "II"):
+            assert run_stopping_round([0.009], schedule, method, EPS_F)[0]
+            assert run_stopping_round([0.011], schedule, method, EPS_F) == (False, 1, None)
 
     def test_gap_sum_is_a_left_fold_in_neighborhood_order(self):
         # Own gap first, then the in-neighbors ascending.  On complete(3),
