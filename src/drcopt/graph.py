@@ -186,6 +186,8 @@ TOPOLOGIES = {
 def schedule_from_config(config: dict) -> GraphSchedule:
     """Schedule from {"topology": ..., "m": int, "slots": [[[j,i],...],...]}."""
     topology = config["topology"]
+    if not isinstance(topology, str):
+        raise TypeError(f"topology must be a name, got {topology!r}")
     m = require_integer(config["m"], "m")
     if topology == "explicit":
         return make_schedule(m, config["slots"])

@@ -167,8 +167,11 @@ class SemiInfiniteConstraint:
     coefficients and B of shape (k, n_y, 2) their uncertainty boxes, and
     returns the (k, n_y) global maximizers of g_j(x, .) over box j; row j
     must not depend on the other rows.  Without it, ``concave_in_y`` tells
-    :func:`drcopt.llp.solve_llp_numeric` how many grid starts to polish:
-    one when g(x, .) is concave, the five best grid points otherwise.
+    the numeric path of :func:`drcopt.llp.solve_llp` how to search its
+    grid.  A member that declares g(x, .) concave is searched coarse to
+    fine, which finds the grid's best point only because a concave g has
+    no other peak, and polishes that one point; the others scan the whole
+    grid and polish the five best grid points.
     """
 
     batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -370,14 +373,45 @@ def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
-def _require_keys(section, keys: tuple[str, ...], where: str) -> dict:
-    """``section``, checked to be a dict with no key outside ``keys``."""
+def _require_object(section, where: str, required: tuple[str, ...] = ()) -> dict:
+    """``section``, checked to be a dict that holds every key of ``required``."""
     if not isinstance(section, dict):
         raise TypeError(f"{where} must be an object, got {section!r}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in the {where}")
+    return section
+
+
+def _require_keys(section, keys: tuple[str, ...], where: str, required: tuple[str, ...] = ()) -> dict:
+    """``section``, checked to be a dict that holds every key of ``required`` and no key outside ``keys``."""
+    _require_object(section, where, required)
     unknown = [key for key in section if key not in keys]
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}; the keys are {', '.join(keys)}")
     return section
+
+
+def _agent_from_config(spec, n: int) -> tuple[LocalObjective, SemiInfiniteConstraint]:
+    """One agent's objective and constraint from its config object."""
+    spec = _require_keys(spec, ("objective", "constraint"), "agent", ("objective", "constraint"))
+    obj = _require_keys(spec["objective"], ("kind", "center"), "objective", ("kind", "center"))
+    if obj["kind"] != "quadratic-distance":
+        raise ValueError(f"unknown objective kind {obj['kind']!r}")
+    center = _require_reals(obj["center"], "objective center entry")
+    if center.shape != (n,):
+        raise ValueError("objective center has wrong dimension")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"objective center must be finite, got {center.tolist()}")
+    objective = quadratic_distance(center)
+    con = _require_object(spec["constraint"], "constraint", ("kind",))
+    if con["kind"] == "paper-quadratic":
+        _require_keys(con, ("kind", "v"), "paper-quadratic constraint", ("v",))
+        return objective, paper_quadratic_constraint(require_real(con["v"], "paper-quadratic v"))
+    if con["kind"] == "example1":
+        _require_keys(con, ("kind", "y_upper"), "example1 constraint")
+        return objective, example1_constraint(require_real(con.get("y_upper", 2.0), "example1 y_upper"))
+    raise ValueError(f"unknown constraint kind {con['kind']!r}")
 
 
 def instance_from_config(config: dict) -> ProblemInstance:
@@ -386,9 +420,11 @@ def instance_from_config(config: dict) -> ProblemInstance:
     Built-in kinds only: objectives of kind "quadratic-distance" with a
     center, constraints of kind "paper-quadratic" (field v) or "example1"
     (field y_upper, 2.0 when omitted).  Both constraint kinds are
-    functions of (x1, x2), so n must be 2.  A key that the schema does not
-    name, in the instance, an agent, an objective or a constraint, raises
-    ``ValueError``.
+    functions of (x1, x2), so n must be 2.  ``agents`` is a list of
+    objects.  A key that the schema does not name, in the instance, an
+    agent, an objective or a constraint, raises ``ValueError``, and so
+    does a missing key of an agent, an objective or a constraint; an
+    error in an agent's entry names the agent, counted from 1.
     """
     config = _require_keys(config, ("n", "m", "box", "agents"), "instance")
     n = require_integer(config["n"], "n")
@@ -397,30 +433,16 @@ def instance_from_config(config: dict) -> ProblemInstance:
     m = require_integer(config["m"], "m")
     box = _require_reals(config["box"], "box entry")
     agents = config["agents"]
+    if not isinstance(agents, list):
+        raise TypeError(f"agents must be a list of agent objects, got {agents!r}")
     if len(agents) != m:
         raise ValueError(f"config declares m={m} but lists {len(agents)} agents")
-    objectives = []
-    constraints = []
-    for spec in agents:
-        spec = _require_keys(spec, ("objective", "constraint"), "agent")
-        obj = _require_keys(spec["objective"], ("kind", "center"), "objective")
-        if obj["kind"] != "quadratic-distance":
-            raise ValueError(f"unknown objective kind {obj['kind']!r}")
-        center = _require_reals(obj["center"], "objective center entry")
-        if center.shape != (n,):
-            raise ValueError("objective center has wrong dimension")
-        if not np.all(np.isfinite(center)):
-            raise ValueError(f"objective center must be finite, got {center.tolist()}")
-        objectives.append(quadratic_distance(center))
-        con = spec["constraint"]
-        if con["kind"] == "paper-quadratic":
-            _require_keys(con, ("kind", "v"), "paper-quadratic constraint")
-            constraints.append(paper_quadratic_constraint(require_real(con["v"], "paper-quadratic v")))
-        elif con["kind"] == "example1":
-            _require_keys(con, ("kind", "y_upper"), "example1 constraint")
-            constraints.append(example1_constraint(require_real(con.get("y_upper", 2.0), "example1 y_upper")))
-        else:
-            raise ValueError(f"unknown constraint kind {con['kind']!r}")
-    return ProblemInstance(
-        n=n, m=m, objectives=tuple(objectives), constraints=tuple(constraints), box=box
-    )
+    objectives, constraints = [], []
+    for a, spec in enumerate(agents, start=1):
+        try:
+            objective, constraint = _agent_from_config(spec, n)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{exc} (agent {a})") from None
+        objectives.append(objective)
+        constraints.append(constraint)
+    return ProblemInstance(n=n, m=m, objectives=tuple(objectives), constraints=tuple(constraints), box=box)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from drcopt import llp
 from drcopt.consensus import flood_slots
 from drcopt.graph import GraphSchedule, NotUniformlyConnected, make_schedule
 from drcopt.problem import (
@@ -134,6 +135,40 @@ def former_example1_argmax(x: Vector, y_upper: float) -> Vector:
     ends = np.array([[0.0], [y_upper]])
     at_lo, at_hi = example1_constraint(y_upper).batch(x, no_coefficients, ends)[0].tolist()
     return ends[0] if at_lo >= at_hi else ends[1]
+
+
+# The numeric lower-level solver as it was before drcopt.llp solved a
+# phase's numeric members in one pass: one member at a time, over its
+# whole grid, verbatim except for its names.  The bitwise oracle of the
+# pass.
+
+
+def _former_vertex_offset(below: float, mid: float, above: float) -> float:
+    curvature = below - 2.0 * mid + above
+    if curvature < 0.0:
+        return min(1.0, max(-1.0, (below - above) / (2.0 * curvature)))
+    return 1.0 if above > below else -1.0 if below > above else 0.0
+
+
+def former_solve_llp_numeric(constraint, x: Vector) -> tuple[float, Vector]:
+    """(g_max, y_star) of one constraint: the best grid point or the five best, each polished by a parabola vertex."""
+    lo, hi = constraint.uncertainty_box[0].tolist()
+    ys = llp._grid(lo, hi)
+    h = (hi - lo) / (llp.GRID_POINTS - 1)
+
+    def values(points) -> np.ndarray:
+        return constraint.batch(x, constraint.coefficients[None, :], np.asarray(points)[:, None])[0]
+
+    vals = values(ys)
+    seeds = [int(np.argmax(vals))] if constraint.concave_in_y else np.argsort(vals)[-5:].tolist()
+    cells = [min(max(i, 1), llp.GRID_POINTS - 2) for i in seeds]
+    vertices = [
+        min(hi, max(lo, float(ys[k]) + h * _former_vertex_offset(*vals[k - 1 : k + 2].tolist()))) for k in cells
+    ]
+    candidates = vertices + [float(ys[i]) for i in seeds]
+    scores = np.concatenate([values(vertices), vals[seeds]])
+    best = int(np.argmax(scores))
+    return float(scores[best]), np.array([candidates[best]])
 
 
 # Cut tuples (agent_id, insertion_index, scenario, rhs), the form cuts had

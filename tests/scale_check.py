@@ -1,10 +1,13 @@
 """One run of the scaled case study on ``directed_cycle(m)``, checked by the benchmark's result checks.
 
 Run from the root of a checkout, with the package on the path; the
-optional second argument is the stopping method, I (the default) or II::
+optional second argument is the stopping method, I (the default) or II,
+and an optional third argument ``numeric`` drops every closed-form
+maximizer, so that each lower-level problem takes the numeric path::
 
     PYTHONPATH=src python tests/scale_check.py 131072
     PYTHONPATH=src python tests/scale_check.py 131072 II
+    PYTHONPATH=src python tests/scale_check.py 8192 I numeric
 
 The instance is ``scaled_instance(m, 0)`` of ``perfbench/workloads.py``.
 The script prints the run's wall time, iterations and final cut count,
@@ -24,20 +27,27 @@ from checks import check_run, reference_optimum  # noqa: E402
 from workloads import Job, scaled_instance  # noqa: E402
 
 from drcopt.graph import directed_cycle  # noqa: E402
+from drcopt.problem import with_numeric_llp  # noqa: E402
 from drcopt.sim import RunParams, run  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
     m = int(argv[0]) if argv else 131_072
     method = argv[1] if len(argv) > 1 else "I"
+    numeric = argv[2:] == ["numeric"]
+    if argv[2:] and not numeric:
+        raise SystemExit(f"the third argument must be 'numeric', got {argv[2]!r}")
     instance, centers, v = scaled_instance(m, 0)
+    if numeric:
+        instance = with_numeric_llp(instance)
     schedule = directed_cycle(m)
     params = RunParams(method=method)
     start = time.perf_counter()
     result = run(instance, schedule, params)
     seconds = time.perf_counter() - start
     cuts = sum(len(s.lower_scenarios) + len(s.upper_scenarios) for s in result.final_states)
-    print(f"directed_cycle({m}), Method {method}: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
+    llp = ", numeric LLP" if numeric else ""
+    print(f"directed_cycle({m}), Method {method}{llp}: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
     # (x1 - v)^2 is convex in v, so over the sorted offsets the discs at the
     # two extremes cut out the same feasible set as all m: the reference
     # optimum over them is the one over all m, without m grid passes.

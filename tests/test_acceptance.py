@@ -5,6 +5,7 @@ suite's verdict can be read off the captured output.  The six full
 case-study runs are shared through a module-scoped fixture.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,8 +14,8 @@ import pytest
 
 from drcopt.cli import main
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
-from drcopt.llp import solve_llp, solve_llp_numeric
-from drcopt.problem import example1_constraint
+from drcopt.llp import solve_llp
+from drcopt.problem import example1_constraint, with_numeric_llp
 from drcopt.sim import RunParams, run
 from drcopt.solver import SolveStatus, solve
 from drcopt.termination import run_stopping_round
@@ -154,14 +155,16 @@ def test_criterion_08_termination_soundness(rng):
 
 def test_criterion_09_llp_equivalence(case_study, rng):
     ok = True
+    numeric = with_numeric_llp(case_study).constraints
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-        constraint = case_study.constraints[int(rng.integers(0, 6))]
-        ok &= abs(solve_llp([constraint], x)[0][0] - solve_llp_numeric(constraint, x)[0]) <= 1e-8
+        j = int(rng.integers(0, 6))
+        ok &= abs(solve_llp([case_study.constraints[j]], x)[0][0] - solve_llp([numeric[j]], x)[0][0]) <= 1e-8
     example1 = example1_constraint()
+    example1_numeric = dataclasses.replace(example1, analytic_argmax=None)
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-        ok &= abs(solve_llp([example1], x)[0][0] - solve_llp_numeric(example1, x)[0]) <= 1e-8
+        ok &= abs(solve_llp([example1], x)[0][0] - solve_llp([example1_numeric], x)[0][0]) <= 1e-8
     verdict(9, "analytic vs grid+refine LLP within 1e-8 on 400 points", ok)
 
 

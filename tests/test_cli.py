@@ -121,12 +121,34 @@ MALFORMED_CONFIGS = {
     ),
     "constraint-missing-kind": (
         {"instance": two_agent_instance(constraint={"v": 0.5})},
-        "bad 'instance' section: missing key 'kind'",
+        "bad 'instance' section: missing key 'kind' in the constraint (agent 1)",
     ),
     "agent-missing-constraint": (
         {"instance": {**two_agent_instance(), "agents": [{"objective": AGENT["objective"]}] * 2}},
         "bad 'instance' section: missing key 'constraint'",
     ),
+    "agents-null": ({"instance": {**two_agent_instance(), "agents": None}}, "agents must be a list of agent objects, got None"),
+    "constraint-a-list": (
+        {"instance": two_agent_instance(constraint=[1])},
+        "bad 'instance' section: constraint must be an object, got [1] (agent 1)",
+    ),
+    "constraint-a-string": (
+        {"instance": two_agent_instance(constraint="x")},
+        "bad 'instance' section: constraint must be an object, got 'x' (agent 1)",
+    ),
+    "objective-missing-kind": (
+        {"instance": {**two_agent_instance(), "agents": [AGENT, {**AGENT, "objective": {"center": [0.0, 6.0]}}]}},
+        "bad 'instance' section: missing key 'kind' in the objective (agent 2)",
+    ),
+    "objective-missing-center": (
+        {"instance": {**two_agent_instance(), "agents": [{**AGENT, "objective": {"kind": "quadratic-distance"}}] * 2}},
+        "missing key 'center' in the objective (agent 1)",
+    ),
+    "paper-quadratic-missing-v": (
+        {"instance": two_agent_instance(constraint={"kind": "paper-quadratic"})},
+        "missing key 'v' in the paper-quadratic constraint (agent 1)",
+    ),
+    "topology-name-a-list": ({"topology": {"topology": ["cycle"], "m": 6}}, "bad 'topology' field: topology must be a name, got ['cycle']"),
     # On the box (x1 - 5)^2 >= 9, while 1 + y^2 - 2 y x2 <= 4 for every y in
     # [-1, 1]: even the lower subproblem, a relaxation, has no feasible point.
     "robust-infeasible": (

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from drcopt import llp
 from drcopt.agents import dlbd_oracle, dubd_oracle
-from drcopt.llp import UnsupportedDimension, solve_llp, solve_llp_numeric
+from drcopt.llp import UnsupportedDimension, solve_llp
 from drcopt.problem import SemiInfiniteConstraint, constraint_table, example1_constraint, with_numeric_llp
 from drcopt.solver import CutTable
 
-from helpers import X_STAR, member_argmax
+from helpers import X_STAR, former_solve_llp_numeric, member_argmax
 
 
 def row_by_row(batch):
@@ -54,6 +55,11 @@ def solve_one(constraint, x):
     """``solve_llp`` for a single constraint: its g_max and maximizer."""
     g_max, y_star = solve_llp([constraint], x)
     return g_max[0], y_star[0][0]
+
+
+def solve_numeric(constraint, x):
+    """``solve_one`` on the numeric path: the constraint without its closed form."""
+    return solve_one(dataclasses.replace(constraint, analytic_argmax=None), x)
 
 
 def random_xs(rng, k):
@@ -118,7 +124,7 @@ class TestNumericPath:
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             constraint = case_study.constraints[int(rng.integers(0, 6))]
             g_ana, _ = solve_one(constraint, x)
-            g_num, _ = solve_llp_numeric(constraint, x)
+            g_num, _ = solve_numeric(constraint, x)
             assert g_num == pytest.approx(g_ana, abs=1e-8)
 
     def test_agreement_with_analytic_example1(self, rng):
@@ -126,7 +132,7 @@ class TestNumericPath:
         for _ in range(200):
             x = np.array([rng.uniform(0, 2), rng.uniform(0, 1)])
             g_ana, _ = solve_one(constraint, x)
-            g_num, _ = solve_llp_numeric(constraint, x)
+            g_num, _ = solve_numeric(constraint, x)
             assert g_num == pytest.approx(g_ana, abs=1e-8)
 
     def test_maximizer_dominates_random_samples(self, case_study, rng):
@@ -166,7 +172,7 @@ class TestNumericPath:
                 uncertainty_box=np.array([[-1.0, 1.0]]),
                 concave_in_y=False,
             )
-            g_max, _ = solve_llp_numeric(constraint, x)
+            g_max, _ = solve_one(constraint, x)
             reference = reference_max(lambda ys: asymmetric(x, np.array([[a]]), ys[:, None])[0], -1.0, 1.0)
             assert g_max == pytest.approx(reference, abs=2e-12)
 
@@ -178,8 +184,8 @@ class TestNumericPath:
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
             nudged = np.array([x[0], np.nextafter(x[1], np.inf)])
             constraint = case_study.constraints[int(rng.integers(0, 6))]
-            _, y_star = solve_llp_numeric(constraint, x)
-            assert abs(y_star[0] - solve_llp_numeric(constraint, nudged)[1][0]) <= 1e-11
+            _, y_star = solve_numeric(constraint, x)
+            assert abs(y_star[0] - solve_numeric(constraint, nudged)[1][0]) <= 1e-11
             assert abs(y_star[0] - solve_one(constraint, x)[1][0]) <= 1e-11
 
     def test_scalar_only_concave_constraint(self):
@@ -216,24 +222,126 @@ class TestBatchedGrid:
         constraint = case_study.constraints[agent]
         one_by_one = dataclasses.replace(constraint, batch=row_by_row(constraint.batch))
         for x in random_xs(rng, 30):
-            g, y = solve_llp_numeric(constraint, x)
-            g_ref, y_ref = solve_llp_numeric(one_by_one, x)
+            g, y = solve_numeric(constraint, x)
+            g_ref, y_ref = solve_numeric(one_by_one, x)
             assert np.float64(g).tobytes() == np.float64(g_ref).tobytes()
             assert y.tobytes() == y_ref.tobytes()
 
-    @pytest.mark.parametrize("concave_in_y", [True, False])
-    def test_two_kernel_calls_per_solve(self, case_study, concave_in_y):
-        # One call scans the grid, one scores the starts' parabola vertices.
-        calls = []
+    @pytest.mark.parametrize(
+        "concave_in_y, calls",
+        [
+            ((True,) * 3, [51 * 3, 81 * 3, 3]),
+            ((False,) * 3, [2001, 2001, 2001, 5 * 3]),
+            ((True, False, True), [51 * 2, 81 * 2, 2001, 2 + 5]),
+        ],
+        ids=["concave", "not-concave", "mixed"],
+    )
+    def test_kernel_calls_per_pass(self, case_study, concave_in_y, calls):
+        # The concave members of a family share a call at every 40th grid
+        # point and one over the 81 points around their coarse winners; a
+        # member that is not concave scans its whole grid alone.  One call
+        # scores every member's parabola vertices.
+        seen = []
         constraint = case_study.constraints[2]
 
         def counted(x, coefficients, ys):
-            calls.append(len(ys))
+            seen.append(len(ys))
             return constraint.batch(x, coefficients, ys)
 
-        counting = dataclasses.replace(constraint, batch=counted, concave_in_y=concave_in_y)
-        solve_llp_numeric(counting, np.array([0.3, 0.4]))
-        assert calls == [2001, 1 if concave_in_y else 5]
+        members = [
+            dataclasses.replace(constraint, batch=counted, concave_in_y=flag, analytic_argmax=None)
+            for flag in concave_in_y
+        ]
+        solve_llp(members, np.array([0.3, 0.4]))
+        assert seen == calls
+
+    def test_concave_members_scanned_in_chunks(self, case_study, rng, monkeypatch):
+        # Each chunk of CONCAVE_PER_CALL concave members takes its own pair
+        # of scan calls, which bounds their rows; the vertices still share
+        # one call, and the values are the per-member solver's.
+        seen = []
+
+        def counted(x, coefficients, ys):
+            seen.append(len(ys))
+            return case_study.constraints[0].batch(x, coefficients, ys)
+
+        monkeypatch.setattr(llp, "CONCAVE_PER_CALL", 2)
+        members = [dataclasses.replace(c, batch=counted, analytic_argmax=None) for c in case_study.constraints[:5]]
+        for x in random_xs(rng, 10):
+            seen.clear()
+            g_max, y_star = solve_llp(members, x)
+            assert seen == [51 * 2, 81 * 2, 51 * 2, 81 * 2, 51, 81, 5]
+            for j, member in enumerate(members):
+                g_ref, y_ref = former_solve_llp_numeric(member, x)
+                assert g_max[j].hex() == g_ref.hex() and y_star[0][j].tobytes() == y_ref.tobytes()
+
+
+def kernel_family(g):
+    """A constraint kernel from g(x, a, y), with a = coefficients[:, 0]; only its values are read."""
+
+    def batch(x, coefficients, ys):
+        return g(x, coefficients[:, 0], ys[:, 0]), np.zeros((len(ys), 2)), np.zeros((len(ys), 2, 2))
+
+    return batch
+
+
+# Concave in y, in y - x2 so that the maximum moves with x: inside the box,
+# on a plateau wider or narrower than the coarse step, or at an end.
+CONCAVE_KERNELS = {
+    "quadratic": kernel_family(lambda x, a, y: x[0] - a * (y - x[1]) ** 2),
+    "constant": kernel_family(lambda x, a, y: x[0] + 0.0 * a * y),
+    "linear": kernel_family(lambda x, a, y: a * x[1] * y + x[0]),
+    "flat-top": kernel_family(lambda x, a, y: -(np.maximum(np.abs(y - x[1]) - 0.01 * a, 0.0) ** 2)),
+    "1e-17-curvature": kernel_family(lambda x, a, y: x[0] - 1e-17 * a * (y - x[1]) ** 2),
+    "1e-17-curvature-alone": kernel_family(lambda x, a, y: -1e-17 * a * (y - x[1]) ** 2),
+}
+BOXES = ([-1.0, 1.0], [0.0, 2.0], [-3.0, -1.0], [-0.5, 0.25])
+
+
+def end_value_kernel(end, value):
+    """A concave quadratic in y whose value at the end ``end`` of [-1, 1] is ``value`` (-inf or NaN)."""
+    return kernel_family(lambda x, a, y: np.where(y == end, value, x[0] + a * y - (y - x[1]) ** 2))
+
+
+class TestCoarseToFine:
+    """The phase pass against helpers.former_solve_llp_numeric, the per-member full-grid solver, bit for bit."""
+
+    @staticmethod
+    def assert_reference(constraints, xs):
+        family = constraint_table(constraints).family
+        for x in xs:
+            g_max, y_star = solve_llp(constraints, x)
+            for j, constraint in enumerate(constraints):
+                g_ref, y_ref = former_solve_llp_numeric(constraint, x)
+                assert g_max[j].hex() == g_ref.hex()
+                assert y_star[family[j]][j].tobytes() == y_ref.tobytes()
+
+    def test_case_study(self, case_study, rng):
+        self.assert_reference(with_numeric_llp(case_study).constraints, random_xs(rng, 300))
+
+    def test_example1_mixed_with_paper_quadratic(self, case_study, rng):
+        mixed = with_numeric_llp(case_study).constraints[:3] + (dataclasses.replace(example1_constraint(), analytic_argmax=None),) * 3
+        self.assert_reference(mixed, rng.uniform([-0.5, -2.0], [2.5, 2.0], (40, 2)))
+
+    @pytest.mark.parametrize("kernel", CONCAVE_KERNELS.values(), ids=CONCAVE_KERNELS.keys())
+    def test_concave_kernels_on_different_boxes(self, rng, kernel):
+        members = [
+            SemiInfiniteConstraint(kernel, np.array([a]), np.array([box]), concave_in_y=True)
+            for a in (0.5, 3.0)
+            for box in BOXES
+        ]
+        self.assert_reference(members, rng.uniform([-2.0, -4.0], [2.0, 3.0], (300, 2)))
+
+    @pytest.mark.parametrize("end", [-1.0, 1.0])
+    @pytest.mark.parametrize("value", [-np.inf, np.nan])
+    def test_non_finite_value_at_a_grid_end(self, rng, end, value):
+        kernel = end_value_kernel(end, value)
+        members = [
+            SemiInfiniteConstraint(kernel, np.array([a]), np.array([[-1.0, 1.0]]), concave_in_y=concave)
+            for a in (0.0, 0.5, -3.0)
+            for concave in (True, False)
+        ]
+        self.assert_reference(members, rng.uniform([-2.0, -3.0], [2.0, 3.0], (60, 2)))
 
 
 def bilinear(x, coefficients, ys):
@@ -271,7 +379,7 @@ class TestPhasePass:
         for j, (constraint, g) in enumerate(zip(constraints, g_max.tolist())):
             y = y_star[table.family[j]][j]
             if constraint.analytic_argmax is None:
-                g_ref, y_ref = solve_llp_numeric(constraint, x)
+                g_ref, y_ref = former_solve_llp_numeric(constraint, x)
             else:
                 y_ref = member_argmax(constraint, x)
                 g_ref = constraint.evaluate(x, y_ref)

@@ -129,14 +129,21 @@ class TestRunExits:
         with pytest.raises(NumericalFailure, match="stopping round fired with an infinite upper bound"):
             run(case_study, directed_cycle(6), RunParams())
 
-    def test_infeasible_terminal_point_raises(self, case_study, monkeypatch):
-        # The terminal check is the run's own LLP solve at its exit point,
-        # apart from the upper oracles' verdicts.
-        monkeypatch.setattr(
-            sim, "solve_llp", lambda instance, x: (np.full(instance.m, 1e-6), (np.zeros((instance.m, 1)),))
-        )
-        with pytest.raises(NumericalFailure, match="terminal point is not locally feasible"):
-            run(case_study, directed_cycle(6), RunParams())
+    def test_upper_verdicts_gate_the_exit(self, case_study, monkeypatch):
+        # A run stops only when every upper oracle found the upper point
+        # feasible, g_max <= 0 there: with agent 1's verdict held at
+        # violated, the upper bound stays infinite and no round stops it.
+        assert run(case_study, directed_cycle(6), RunParams(max_iter=12)).terminated
+        real_oracle = agents.dubd_oracle
+
+        def agent_1_violated(*args):
+            violated, *rest = real_oracle(*args)
+            return (violated | (np.arange(len(violated)) == 0), *rest)
+
+        monkeypatch.setattr(agents, "dubd_oracle", agent_1_violated)
+        result = run(case_study, directed_cycle(6), RunParams(max_iter=12))
+        assert not result.terminated and result.iterations == 12
+        assert all(rec.upper == math.inf and rec.gaps[0] == math.inf for rec in result.records)
 
 
 class TestScaledInstance:

@@ -888,14 +888,14 @@ class TestWarmStart:
     def test_constraint_kernel_calls(self, table2_solves, table2_solves_declined_start):
         # The lower-level problem checks all agents at the consensus point
         # in one call of the shared kernel: 2 per iteration for 8
-        # iterations, and 1 for the exit check.  The solver's calls are
+        # iterations.  The solver's calls are
         # the finishes' evaluations alone; with the start finish declining
         # they also serve the minimizations.  With one call per agent the
-        # declined run makes 161 calls (102 from the lower-level problem)
-        # of the same 644 rows.
-        for (_, work), counts in ((table2_solves, (45, 382)), (table2_solves_declined_start, (76, 644))):
+        # declined run makes 155 calls (96 from the lower-level problem)
+        # of the same 638 rows.
+        for (_, work), counts in ((table2_solves, (44, 376)), (table2_solves_declined_start, (75, 638))):
             assert (work["constraint"], work["constraint rows"]) == counts
-            assert work["constraint"] - work["solver constraint"] == 17
+            assert work["constraint"] - work["solver constraint"] == 16
 
 
 class TestNonFinite:
