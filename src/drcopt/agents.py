@@ -52,7 +52,7 @@ def dlbd_oracle(cuts: CutTable, instance: ProblemInstance, x_new: Vector) -> tup
 
     An agent is violated iff its g_max is positive: a boundary value counts feasible.
     """
-    g_max, y_star = solve_llp(instance, x_new)
+    g_max, y_star = solve_llp(instance.constraint_table, x_new)
     violated = g_max > 0.0
     return violated, g_max, _with_cuts(cuts, violated, y_star)
 
@@ -67,7 +67,7 @@ def dubd_oracle(
     # Negated comparison so that NaN is rejected too.
     if not 1.0 < r < math.inf:
         raise ValueError(f"reduction parameter r must exceed 1 and be finite, got {r}")
-    g_max, y_star = solve_llp(instance, z_new)
+    g_max, y_star = solve_llp(instance.constraint_table, z_new)
     violated = g_max > 0.0
     return violated, g_max, _with_cuts(cuts, violated, y_star), np.where(violated, epsilon, epsilon / r)
 

@@ -1,29 +1,31 @@
 """Global maximization of g(x, .) over the uncertainty box (the lower-level problem).
 
-:func:`solve_llp` checks a whole phase at its one consensus point.  The
-members of a family that share a closed-form maximizer take one
-maximizer call and one kernel call.  The members without one take one
-numeric pass per family: a GRID_POINTS-point grid over each member's
-uncertainty interval, searched coarse to fine where the member declares
-``concave_in_y`` and scanned whole otherwise, then a parabola vertex per
-start.  The pass keeps nothing between calls; for a g(x, .) that is
-concave it finds the whole grid's first best point, as a scan would.
+:func:`solve_llp` checks a whole phase at its one consensus point, from
+the :class:`~drcopt.problem.ConstraintTable` alone.  The members of a
+family that share a closed-form maximizer take one maximizer call and
+one kernel call.  The members without one take one numeric pass per
+family: a GRID_POINTS-point grid over each member's uncertainty
+interval, read coarse to fine where the member declares
+``concave_in_y`` and whole otherwise, in calls of at most ROWS_PER_CALL
+rows, then a parabola vertex per start.  The pass keeps nothing between
+calls; for a g(x, .) that is concave it finds the whole grid's first
+best point, as a scan would.
 """
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 
 import numpy as np
 
-from .problem import ProblemInstance, Vector, constraint_table, families
+from .problem import ConstraintTable, Vector
 
 GRID_POINTS = 2001  # grid of the numeric path over the uncertainty interval
 COARSE_STEP = 40  # a concave member's first scan reads every 40th grid point; 40 divides 2000, so both ends are read
 _COARSE = np.arange(0, GRID_POINTS, COARSE_STEP)
 _WINDOW = np.arange(2 * COARSE_STEP + 1)
-CONCAVE_PER_CALL = 1024  # concave members per coarse-to-fine pair of calls: at most 83,000 rows a call
+_WHOLE = np.arange(GRID_POINTS)
+ROWS_PER_CALL = 83_000  # rows of one scan call: the windows of 1024 concave members, or 41 whole grids
 
 
 class UnsupportedDimension(Exception):
@@ -35,14 +37,6 @@ class Verdict(Enum):
 
     FEASIBLE = "feasible"
     VIOLATED = "violated"
-
-
-@functools.lru_cache(maxsize=64)
-def _grid(lo: float, hi: float) -> np.ndarray:
-    """The GRID_POINTS points spanning [lo, hi], built once per interval and read-only."""
-    ys = np.linspace(lo, hi, GRID_POINTS)
-    ys.flags.writeable = False
-    return ys
 
 
 def _vertex_offsets(below: np.ndarray, mid: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -70,41 +64,20 @@ def _starts(ys: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> tuple[np.nda
     return tuple(array[rows, columns].ravel() for array, columns in picks)
 
 
-def _concave_starts(batch, x: Vector, coefficients: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The :func:`_starts` of concave members, one start each: the first best point of the grid.
-
-    One kernel call reads every COARSE_STEP-th grid point of every
-    member, and a second the 2 * COARSE_STEP + 1 points centered on each
-    member's coarse winner (moved inside the grid).  Where g(x, .) is
-    concave no other peak lies between two coarse points, so these hold
-    the grid's first best point and the three points around it.
-    """
-    grids = [(_grid(lo, hi), np.array(group)) for (lo, hi), group in families(ends.tolist(), tuple)]
-
-    def scan(first, span):
-        """Each member's grid points ``first[i] + span`` and its values there."""
-        ys = np.empty((len(ends), len(span)))
-        for grid, group in grids:
-            ys[group] = grid[first[group, None] + span]
-        vals = batch(x, coefficients.repeat(len(span), axis=0), ys.reshape(-1, 1))[0]
-        return ys, vals.reshape(ys.shape)
-
-    _, coarse = scan(np.zeros(len(ends), dtype=np.intp), _COARSE)
-    # Each window starts one coarse step before its winner, moved inside the grid.
-    first = np.minimum(np.maximum(coarse.argmax(axis=1) - 1, 0) * COARSE_STEP, GRID_POINTS - len(_WINDOW))
-    ys, vals = scan(first, _WINDOW)
-    return _starts(ys, vals, vals.argmax(axis=1)[:, None])
-
-
 def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarray, concave: np.ndarray):
     """(g_max, y_star) of k members of one family without a closed form: (k,) and (k, 1).
 
-    Each member's start is the first best point of its GRID_POINTS-point
-    grid, or, unless ``concave[j]``, each of its five best.  The concave
-    members find theirs coarse to fine (:func:`_concave_starts`), up to
-    CONCAVE_PER_CALL members per pair of kernel calls, which bounds the
-    calls' rows.  A member that is not concave scans its whole grid in a
-    call of its own.  For each start, the parabola through the grid
+    Grid point i of a member's box [lo, hi] is ``i * h + lo`` with
+    h = (hi - lo) / (GRID_POINTS - 1), and the last is hi, as
+    ``np.linspace`` places them.  One scan serves both kinds of member,
+    in chunks of ROWS_PER_CALL // width members, where width is the most
+    points a member reads in one call.  A ``concave[j]`` member reads
+    every COARSE_STEP-th point, then the 2 * COARSE_STEP + 1 points
+    centered on its coarse winner (moved inside the grid): where g(x, .)
+    is concave no other peak lies between two coarse points, so these
+    hold the grid's first best point and its three-point stencil, its
+    one start.  Every other member reads its whole grid and starts from
+    its five best points.  For each start, the parabola through the grid
     values at the three points centered on it (one point inside the box)
     gives a vertex.  Near a maximum the values locate y only to about the
     square root of the float resolution, but a vertex is a ratio of value
@@ -115,23 +88,37 @@ def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarra
     """
     if boxes.shape[1] != 1:
         raise UnsupportedDimension("numeric LLP path requires n_y == 1; provide analytic_argmax instead")
-    ends = boxes[:, 0]
+    lo, hi = boxes[:, 0, 0], boxes[:, 0, 1]
+    step = (hi - lo) / (GRID_POINTS - 1)
+
+    def scan(rows, columns):
+        """Members ``rows``' grid points at ``columns`` ((w,) or (len(rows), w)) and the values there."""
+        ys = np.where(columns == GRID_POINTS - 1, hi[rows, None], columns * step[rows, None] + lo[rows, None])
+        vals = batch(x, coefficients[rows].repeat(ys.shape[1], axis=0), ys.reshape(-1, 1))[0]
+        return ys, vals.reshape(ys.shape)
+
     blocks = []  # (members, starts per member, the _starts of their starts)
-    concave_rows = concave.nonzero()[0]
-    for i in range(0, len(concave_rows), CONCAVE_PER_CALL):
-        rows = concave_rows[i : i + CONCAVE_PER_CALL]
-        blocks.append((rows, 1, _concave_starts(batch, x, coefficients[rows], ends[rows])))
-    for j in (~concave).nonzero()[0].tolist():
-        ys = _grid(*ends[j].tolist())
-        vals = batch(x, coefficients[j : j + 1], ys[:, None])[0]
-        blocks.append(([j], 5, _starts(ys[None], vals[None], np.argsort(vals)[None, -5:])))
+    for flag, width in ((True, len(_WINDOW)), (False, GRID_POINTS)):
+        members = np.flatnonzero(concave == flag)
+        per_call = ROWS_PER_CALL // width
+        for i in range(0, len(members), per_call):
+            rows = members[i : i + per_call]
+            if flag:
+                # Each window starts one coarse step before its winner, moved inside the grid.
+                winner = scan(rows, _COARSE)[1].argmax(axis=1)
+                first = np.minimum(np.maximum(winner - 1, 0) * COARSE_STEP, GRID_POINTS - width)
+                ys, vals = scan(rows, first[:, None] + _WINDOW)
+                seeds = vals.argmax(axis=1)[:, None]
+            else:
+                ys, vals = scan(rows, _WHOLE)
+                seeds = np.argsort(vals, axis=1)[:, -5:]
+            blocks.append((rows, seeds.shape[1], _starts(ys, vals, seeds)))
 
     owner = np.concatenate([np.repeat(members, s) for members, s, _ in blocks])
     cell_y, below, mid, above, seed_y, seed_g = (np.concatenate(parts) for parts in zip(*(b[2] for b in blocks)))
-    lo, hi = ends[owner, 0], ends[owner, 1]
-    vertices = np.fmin(hi, np.fmax(lo, cell_y + (hi - lo) / (GRID_POINTS - 1) * _vertex_offsets(below, mid, above)))
+    vertices = np.fmin(hi[owner], np.fmax(lo[owner], cell_y + step[owner] * _vertex_offsets(below, mid, above)))
     vertex_g = batch(x, coefficients[owner], vertices[:, None])[0]
-    g_max, y_star = np.empty(len(ends)), np.empty((len(ends), 1))
+    g_max, y_star = np.empty(len(boxes)), np.empty((len(boxes), 1))
     done = 0
     for members, s, _ in blocks:
         part = slice(done, done + len(members) * s)
@@ -143,29 +130,23 @@ def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarra
     return g_max, y_star
 
 
-def solve_llp(constraints, x: Vector) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Return (g_max, y_star) for every constraint at the one point x.
+def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Return (g_max, y_star) for every constraint of ``table`` at the one point x.
 
-    ``constraints`` is a :class:`~drcopt.problem.ProblemInstance`, whose
-    :class:`~drcopt.problem.ConstraintTable` is kept, or a sequence of
-    constraints.  ``g_max`` is (k,); ``y_star`` holds one (k, n_y) array
-    per family of the table, in which member j's maximizer is row j (0
-    in the other families' arrays).  Each entry of the table's
-    ``maximizers`` takes one maximizer call and one kernel call; rows
-    are independent, so each value equals ``constraint.evaluate(x, y)``
-    to the bit.  The members of a family without an ``analytic_argmax``
-    take one numeric grid-and-vertex pass (:func:`_numeric_maxima`).
+    ``g_max`` is (k,); ``y_star`` holds one (k, n_y) array per family of
+    the table, in which member j's maximizer is row j (0 in the other
+    families' arrays).  Each entry of the table's ``maximizers`` takes
+    one maximizer call and one kernel call; rows are independent, so
+    each value equals ``constraint.evaluate(x, y)`` to the bit.  The
+    members of a family without an ``analytic_argmax`` take one numeric
+    grid-and-vertex pass (:func:`_numeric_maxima`).
     """
-    if isinstance(constraints, ProblemInstance):
-        table, constraints = constraints.constraint_table, constraints.constraints
-    else:
-        table = constraint_table(constraints)
     x = np.asarray(x, dtype=float)
-    g_max = np.empty(len(constraints))
-    y_star = tuple(np.zeros((len(constraints), boxes.shape[1])) for boxes in table.boxes)
-    for f, argmax, agents, coefficients, boxes in table.maximizers:
+    k = len(table.family)
+    g_max = np.empty(k)
+    y_star = tuple(np.zeros((k, boxes.shape[1])) for boxes in table.boxes)
+    for f, argmax, agents, coefficients, boxes, concave in table.maximizers:
         if argmax is None:
-            concave = np.array([constraints[j].concave_in_y for j in agents.tolist()], dtype=bool)
             g_max[agents], y_star[f][agents] = _numeric_maxima(table.batches[f], x, coefficients, boxes, concave)
             continue
         ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)

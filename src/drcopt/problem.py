@@ -167,11 +167,12 @@ class SemiInfiniteConstraint:
     coefficients and B of shape (k, n_y, 2) their uncertainty boxes, and
     returns the (k, n_y) global maximizers of g_j(x, .) over box j; row j
     must not depend on the other rows.  Without it, ``concave_in_y`` tells
-    the numeric path of :func:`drcopt.llp.solve_llp` how to search its
-    grid.  A member that declares g(x, .) concave is searched coarse to
-    fine, which finds the grid's best point only because a concave g has
-    no other peak, and polishes that one point; the others scan the whole
-    grid and polish the five best grid points.
+    the numeric path of :func:`drcopt.llp.solve_llp` how to read its
+    grid; :func:`constraint_table` reads the flag once.  A member that
+    declares g(x, .) concave is read coarse to fine, which finds the
+    grid's best point only because a concave g has no other peak, and
+    polishes that one point; the others read the whole grid and polish
+    the five best grid points.
     """
 
     batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -198,9 +199,10 @@ class ConstraintTable:
     ``batches[f]`` its kernel and ``coefficients[f]`` (k_f, p) and
     ``boxes[f]`` (k_f, n_y, 2) its members' data.  Agent a + 1's
     constraint is row ``row[a]`` of family ``family[a]``.  Each entry
-    ``(f, argmax, agents, coefficients, boxes)`` of ``maximizers`` holds
-    the gathered data of the agents of family f that share one
-    ``analytic_argmax``, for :func:`drcopt.llp.solve_llp`.
+    ``(f, argmax, agents, coefficients, boxes, concave)`` of
+    ``maximizers`` holds the gathered data of the agents of family f that
+    share one ``analytic_argmax``, with their ``concave_in_y`` flags as a
+    bool array, for :func:`drcopt.llp.solve_llp`, which reads nothing else.
     """
 
     batches: tuple[Callable, ...]
@@ -218,11 +220,13 @@ def constraint_table(constraints) -> ConstraintTable:
     batches, coefficients, boxes, maximizers = [], [], [], []
     for f, (batch, agents) in enumerate(families(constraints)):
         family[agents], row[agents] = f, np.arange(len(agents))
+        members = [constraints[a] for a in agents]
         batches.append(batch)
-        coefficients.append(np.array([constraints[a].coefficients for a in agents]))
-        boxes.append(np.array([constraints[a].uncertainty_box for a in agents]))
-        for argmax, rows in families([constraints[a] for a in agents], operator.attrgetter("analytic_argmax")):
-            maximizers.append((f, argmax, np.array(agents)[rows], coefficients[f][rows], boxes[f][rows]))
+        coefficients.append(np.array([c.coefficients for c in members]))
+        boxes.append(np.array([c.uncertainty_box for c in members]))
+        concave, agents = np.array([c.concave_in_y for c in members], dtype=bool), np.array(agents)
+        for argmax, rows in families(members, operator.attrgetter("analytic_argmax")):
+            maximizers.append((f, argmax, agents[rows], coefficients[f][rows], boxes[f][rows], concave[rows]))
     return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row, tuple(maximizers))
 
 

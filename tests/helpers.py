@@ -139,8 +139,8 @@ def former_example1_argmax(x: Vector, y_upper: float) -> Vector:
 
 # The numeric lower-level solver as it was before drcopt.llp solved a
 # phase's numeric members in one pass: one member at a time, over its
-# whole grid, verbatim except for its names.  The bitwise oracle of the
-# pass.
+# whole grid, verbatim except for its names and its grid, which it builds
+# with np.linspace itself.  The bitwise oracle of the pass.
 
 
 def _former_vertex_offset(below: float, mid: float, above: float) -> float:
@@ -153,7 +153,7 @@ def _former_vertex_offset(below: float, mid: float, above: float) -> float:
 def former_solve_llp_numeric(constraint, x: Vector) -> tuple[float, Vector]:
     """(g_max, y_star) of one constraint: the best grid point or the five best, each polished by a parabola vertex."""
     lo, hi = constraint.uncertainty_box[0].tolist()
-    ys = llp._grid(lo, hi)
+    ys = np.linspace(lo, hi, llp.GRID_POINTS)
     h = (hi - lo) / (llp.GRID_POINTS - 1)
 
     def values(points) -> np.ndarray:

@@ -3,11 +3,14 @@
 Run from the root of a checkout, with the package on the path; the
 optional second argument is the stopping method, I (the default) or II,
 and an optional third argument ``numeric`` drops every closed-form
-maximizer, so that each lower-level problem takes the numeric path::
+maximizer, so that each lower-level problem takes the numeric path;
+``numeric-scan`` also declares every member not concave, so that each
+reads its whole grid::
 
     PYTHONPATH=src python tests/scale_check.py 131072
     PYTHONPATH=src python tests/scale_check.py 131072 II
     PYTHONPATH=src python tests/scale_check.py 8192 I numeric
+    PYTHONPATH=src python tests/scale_check.py 512 I numeric-scan
 
 The instance is ``scaled_instance(m, 0)`` of ``perfbench/workloads.py``.
 The script prints the run's wall time, iterations and final cut count,
@@ -17,6 +20,7 @@ when there is one.  Not a test module: pytest does not collect it.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -34,20 +38,23 @@ from drcopt.sim import RunParams, run  # noqa: E402
 def main(argv: list[str]) -> int:
     m = int(argv[0]) if argv else 131_072
     method = argv[1] if len(argv) > 1 else "I"
-    numeric = argv[2:] == ["numeric"]
-    if argv[2:] and not numeric:
-        raise SystemExit(f"the third argument must be 'numeric', got {argv[2]!r}")
+    llp = argv[2] if len(argv) > 2 else ""
+    if llp not in ("", "numeric", "numeric-scan"):
+        raise SystemExit(f"the third argument must be 'numeric' or 'numeric-scan', got {llp!r}")
     instance, centers, v = scaled_instance(m, 0)
-    if numeric:
+    if llp:
         instance = with_numeric_llp(instance)
+    if llp == "numeric-scan":
+        scan = tuple(dataclasses.replace(c, concave_in_y=False) for c in instance.constraints)
+        instance = dataclasses.replace(instance, constraints=scan)
     schedule = directed_cycle(m)
     params = RunParams(method=method)
     start = time.perf_counter()
     result = run(instance, schedule, params)
     seconds = time.perf_counter() - start
     cuts = sum(len(s.lower_scenarios) + len(s.upper_scenarios) for s in result.final_states)
-    llp = ", numeric LLP" if numeric else ""
-    print(f"directed_cycle({m}), Method {method}{llp}: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
+    label = {"": "", "numeric": ", numeric LLP", "numeric-scan": ", numeric LLP, whole-grid scan"}[llp]
+    print(f"directed_cycle({m}), Method {method}{label}: {seconds:.2f} s, {result.iterations} iterations, {cuts} cuts")
     # (x1 - v)^2 is convex in v, so over the sorted offsets the discs at the
     # two extremes cut out the same feasible set as all m: the reference
     # optimum over them is the one over all m, without m grid passes.

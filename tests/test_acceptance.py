@@ -15,7 +15,7 @@ import pytest
 from drcopt.cli import main
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp
-from drcopt.problem import example1_constraint, with_numeric_llp
+from drcopt.problem import constraint_table, example1_constraint, with_numeric_llp
 from drcopt.sim import RunParams, run
 from drcopt.solver import SolveStatus, solve
 from drcopt.termination import run_stopping_round
@@ -85,7 +85,7 @@ def test_criterion_04_local_feasibility(accepted_runs, case_study):
     ok = True
     for result, _, _ in accepted_runs.values():
         for constraint, x in zip(case_study.constraints, result.x_opt):
-            g_max, _ = solve_llp([constraint], x)
+            g_max, _ = solve_llp(constraint_table([constraint]), x)
             ok &= g_max[0] <= 1e-9
     verdict(4, "analytic LLP feasibility at every exit point", ok)
 
@@ -159,12 +159,14 @@ def test_criterion_09_llp_equivalence(case_study, rng):
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
         j = int(rng.integers(0, 6))
-        ok &= abs(solve_llp([case_study.constraints[j]], x)[0][0] - solve_llp([numeric[j]], x)[0][0]) <= 1e-8
+        g_ana, g_num = (solve_llp(constraint_table([c]), x)[0][0] for c in (case_study.constraints[j], numeric[j]))
+        ok &= abs(g_ana - g_num) <= 1e-8
     example1 = example1_constraint()
     example1_numeric = dataclasses.replace(example1, analytic_argmax=None)
     for _ in range(200):
         x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-        ok &= abs(solve_llp([example1], x)[0][0] - solve_llp([example1_numeric], x)[0][0]) <= 1e-8
+        g_ana, g_num = (solve_llp(constraint_table([c]), x)[0][0] for c in (example1, example1_numeric))
+        ok &= abs(g_ana - g_num) <= 1e-8
     verdict(9, "analytic vs grid+refine LLP within 1e-8 on 400 points", ok)
 
 

@@ -593,6 +593,17 @@ class TestTable2:
         subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True)
         assert (out / "table2.csv").read_bytes() == (ROOT / "perfbench" / "expected_table2.csv").read_bytes()
 
+    def test_feasible_column_reads_the_runs_verdicts(self, tmp_path, capsys, monkeypatch):
+        # A terminated run stopped with every upper verdict feasible at its
+        # exit point, so the column solves no lower-level problem of its own.
+        def refused(*args, **kwargs):
+            raise AssertionError("table2 solved a lower-level problem outside the runs")
+
+        monkeypatch.setattr(drcopt.cli, "solve_llp", refused)
+        out = tmp_path / "t2"
+        assert main(["table2", "--out", str(out)]) == 0
+        assert (out / "table2.csv").read_bytes() == (ROOT / "perfbench" / "expected_table2.csv").read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["table2", "--out", str(a)]) == 0

@@ -53,7 +53,7 @@ def reference_max(g, lo, hi, points=20_001):
 
 def solve_one(constraint, x):
     """``solve_llp`` for a single constraint: its g_max and maximizer."""
-    g_max, y_star = solve_llp([constraint], x)
+    g_max, y_star = solve_llp(constraint_table([constraint]), x)
     return g_max[0], y_star[0][0]
 
 
@@ -231,16 +231,16 @@ class TestBatchedGrid:
         "concave_in_y, calls",
         [
             ((True,) * 3, [51 * 3, 81 * 3, 3]),
-            ((False,) * 3, [2001, 2001, 2001, 5 * 3]),
+            ((False,) * 3, [2001 * 3, 5 * 3]),
             ((True, False, True), [51 * 2, 81 * 2, 2001, 2 + 5]),
         ],
         ids=["concave", "not-concave", "mixed"],
     )
     def test_kernel_calls_per_pass(self, case_study, concave_in_y, calls):
         # The concave members of a family share a call at every 40th grid
-        # point and one over the 81 points around their coarse winners; a
-        # member that is not concave scans its whole grid alone.  One call
-        # scores every member's parabola vertices.
+        # point and one over the 81 points around their coarse winners; the
+        # members that are not concave share one call over their whole
+        # grids.  One call scores every member's parabola vertices.
         seen = []
         constraint = case_study.constraints[2]
 
@@ -252,12 +252,13 @@ class TestBatchedGrid:
             dataclasses.replace(constraint, batch=counted, concave_in_y=flag, analytic_argmax=None)
             for flag in concave_in_y
         ]
-        solve_llp(members, np.array([0.3, 0.4]))
+        solve_llp(constraint_table(members), np.array([0.3, 0.4]))
         assert seen == calls
 
-    def test_concave_members_scanned_in_chunks(self, case_study, rng, monkeypatch):
-        # Each chunk of CONCAVE_PER_CALL concave members takes its own pair
-        # of scan calls, which bounds their rows; the vertices still share
+    def test_both_kinds_scanned_in_chunks(self, case_study, rng, monkeypatch):
+        # Each chunk of ROWS_PER_CALL // width members takes its own scan
+        # calls, which bounds their rows: at 4002 rows, 49 concave members
+        # (81-point windows) or 2 whole grids.  The vertices still share
         # one call, and the values are the per-member solver's.
         seen = []
 
@@ -265,12 +266,17 @@ class TestBatchedGrid:
             seen.append(len(ys))
             return case_study.constraints[0].batch(x, coefficients, ys)
 
-        monkeypatch.setattr(llp, "CONCAVE_PER_CALL", 2)
-        members = [dataclasses.replace(c, batch=counted, analytic_argmax=None) for c in case_study.constraints[:5]]
+        monkeypatch.setattr(llp, "ROWS_PER_CALL", 2 * 2001)
+        members = [
+            dataclasses.replace(c, batch=counted, concave_in_y=j % 21 != 0, analytic_argmax=None)
+            for j, c in enumerate(case_study.constraints * 21)
+        ]
+        table = constraint_table(members)
+        concave = [51 * 49, 81 * 49, 51 * 49, 81 * 49, 51 * 22, 81 * 22]
         for x in random_xs(rng, 10):
             seen.clear()
-            g_max, y_star = solve_llp(members, x)
-            assert seen == [51 * 2, 81 * 2, 51 * 2, 81 * 2, 51, 81, 5]
+            g_max, y_star = solve_llp(table, x)
+            assert seen == concave + [2001 * 2, 2001 * 2, 2001 * 2, 120 + 5 * 6]
             for j, member in enumerate(members):
                 g_ref, y_ref = former_solve_llp_numeric(member, x)
                 assert g_max[j].hex() == g_ref.hex() and y_star[0][j].tobytes() == y_ref.tobytes()
@@ -295,7 +301,8 @@ CONCAVE_KERNELS = {
     "1e-17-curvature": kernel_family(lambda x, a, y: x[0] - 1e-17 * a * (y - x[1]) ** 2),
     "1e-17-curvature-alone": kernel_family(lambda x, a, y: -1e-17 * a * (y - x[1]) ** 2),
 }
-BOXES = ([-1.0, 1.0], [0.0, 2.0], [-3.0, -1.0], [-0.5, 0.25])
+# On [-1.1, 0.3] the last grid point is hi itself, not 2000 * h + lo.
+BOXES = ([-1.0, 1.0], [0.0, 2.0], [-3.0, -1.0], [-0.5, 0.25], [-1.1, 0.3])
 
 
 def end_value_kernel(end, value):
@@ -308,13 +315,13 @@ class TestCoarseToFine:
 
     @staticmethod
     def assert_reference(constraints, xs):
-        family = constraint_table(constraints).family
+        table = constraint_table(constraints)
         for x in xs:
-            g_max, y_star = solve_llp(constraints, x)
+            g_max, y_star = solve_llp(table, x)
             for j, constraint in enumerate(constraints):
                 g_ref, y_ref = former_solve_llp_numeric(constraint, x)
                 assert g_max[j].hex() == g_ref.hex()
-                assert y_star[family[j]][j].tobytes() == y_ref.tobytes()
+                assert y_star[table.family[j]][j].tobytes() == y_ref.tobytes()
 
     def test_case_study(self, case_study, rng):
         self.assert_reference(with_numeric_llp(case_study).constraints, random_xs(rng, 300))
@@ -331,6 +338,19 @@ class TestCoarseToFine:
             for box in BOXES
         ]
         self.assert_reference(members, rng.uniform([-2.0, -4.0], [2.0, 3.0], (300, 2)))
+
+    @pytest.mark.parametrize("kernel", CONCAVE_KERNELS.values(), ids=CONCAVE_KERNELS.keys())
+    def test_kernels_declared_not_concave(self, rng, kernel):
+        # The whole-grid scan with its five argsort starts: the constant,
+        # linear and flat-top kernels tie on many grid points, and 60
+        # members stack into two calls.
+        members = [
+            SemiInfiniteConstraint(kernel, np.array([a]), np.array([box]), concave_in_y=False)
+            for a in np.linspace(0.25, 3.0, 12).tolist()
+            for box in BOXES
+        ]
+        assert len(members) > llp.ROWS_PER_CALL // llp.GRID_POINTS
+        self.assert_reference(members, rng.uniform([-2.0, -4.0], [2.0, 3.0], (100, 2)))
 
     @pytest.mark.parametrize("end", [-1.0, 1.0])
     @pytest.mark.parametrize("value", [-np.inf, np.nan])
@@ -371,8 +391,8 @@ class TestPhasePass:
 
     @staticmethod
     def assert_per_member(constraints, x):
-        g_max, y_star = solve_llp(constraints, x)
         table = constraint_table(constraints)
+        g_max, y_star = solve_llp(table, x)
         assert g_max.shape == (len(constraints),) and len(y_star) == len(table.batches)
         for f, ys in enumerate(y_star):
             assert ys.shape[0] == len(constraints) and not ys[table.family != f].any()
@@ -403,13 +423,15 @@ class TestPhasePass:
 
     def test_instance_reads_its_kept_table(self, case_study, rng):
         # An instance's table is built on first use and kept; a pass over
-        # it equals the pass over its constraint sequence, bit for bit.
+        # it equals the pass over a fresh table of its constraints, bit for bit.
         mixed = case_study.constraints[:3] + (example1_constraint(),) * 3
         half_numeric = tuple(c if j % 2 else dataclasses.replace(c, analytic_argmax=None) for j, c in enumerate(mixed))
         for instance in (case_study, dataclasses.replace(case_study, constraints=half_numeric)):
             assert instance.constraint_table is instance.constraint_table
+            fresh = constraint_table(instance.constraints)
+            assert fresh is not instance.constraint_table
             for x in random_xs(rng, 10):
-                (g, ys), (g_ref, ys_ref) = solve_llp(instance, x), solve_llp(instance.constraints, x)
+                (g, ys), (g_ref, ys_ref) = solve_llp(instance.constraint_table, x), solve_llp(fresh, x)
                 assert g.tobytes() == g_ref.tobytes()
                 assert [y.tobytes() for y in ys] == [y.tobytes() for y in ys_ref]
 
@@ -419,6 +441,6 @@ class TestPhasePass:
             self.assert_per_member(constraints, x)
             # The closed form is the maximum over the box's four vertices.
             vertices = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-            g_max, _ = solve_llp(constraints, x)
+            g_max, _ = solve_llp(constraint_table(constraints), x)
             brute = [max(c.evaluate(x, v) for v in vertices) for c in constraints]
             assert g_max.tolist() == brute

@@ -64,7 +64,7 @@ class TestCaseStudyInstance:
         assert sum(f.evaluate(X_STAR) for f in case_study.objectives) == pytest.approx(F_STAR, abs=1e-9)
 
     def test_known_optimum_feasible_all_agents(self, case_study):
-        g_max, _ = solve_llp(case_study.constraints, X_STAR)
+        g_max, _ = solve_llp(case_study.constraint_table, X_STAR)
         assert (g_max <= 1e-10).all()
 
     def test_objective_gradients_match_finite_differences(self, case_study, rng):
@@ -101,7 +101,7 @@ class TestCaseStudyInstance:
         # x feasible for agent i iff (x1 - v_i)^2 + clamp(x2)^2 adjustments <= 1
         for _ in range(200):
             x = rng.uniform(case_study.box[:, 0], case_study.box[:, 1])
-            g_maxes, _ = solve_llp(case_study.constraints, x)
+            g_maxes, _ = solve_llp(case_study.constraint_table, x)
             for v, g_max in zip(CASE_STUDY_V, g_maxes):
                 closed_form = (x[0] - v) ** 2 + x[1] ** 2 - 1.0
                 assert g_max == pytest.approx(closed_form, abs=1e-12)

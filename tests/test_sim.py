@@ -48,7 +48,7 @@ class TestCaseStudyRun:
         for x in cycle_run.x_opt:
             assert np.array_equal(x, cycle_run.x_opt[0])
         assert np.allclose(cycle_run.x_opt[0], X_STAR, atol=5e-2)
-        g_max, _ = solve_llp(case_study.constraints, cycle_run.x_opt[0])
+        g_max, _ = solve_llp(case_study.constraint_table, cycle_run.x_opt[0])
         assert (g_max <= 1e-9).all()
 
     def test_accuracy_bound_value(self, cycle_run):
@@ -196,8 +196,8 @@ def per_agent_record(monkeypatch, instance, schedule, params):
     """
     passes, real_llp = [], agents.solve_llp
 
-    def recording_llp(instance, x):
-        passes.append(real_llp(instance, x))
+    def recording_llp(table, x):
+        passes.append(real_llp(table, x))
         return passes[-1]
 
     monkeypatch.setattr(agents, "solve_llp", recording_llp)
