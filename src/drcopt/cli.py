@@ -1,4 +1,7 @@
-"""Command-line front end: run experiments, reproduce the tables and figures."""
+"""Command-line front end: run experiments, reproduce the tables and figures.
+
+The one reader of the ``drcopt run`` config format: :func:`_build_from_config`.
+"""
 
 from __future__ import annotations
 
@@ -11,14 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import svgplot
+from . import graph, svgplot
 from .bounds import accuracy_sweep, method1_accuracy
-from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected, schedule_from_config
+from .graph import TOPOLOGIES, InvalidSize, NotUniformlyConnected
 from .llp import solve_llp  # noqa: F401  (unused here; perfbench/spans.py wraps drcopt.cli.solve_llp)
 from .problem import (
     NumericalFailure,
+    ProblemInstance,
     case_study_instance,
-    instance_from_config,
+    example1_constraint,
+    paper_quadratic_constraint,
+    quadratic_distance,
     require_integer,
     require_real,
     with_numeric_llp,
@@ -28,6 +34,13 @@ from .sim import ConfigError, RunParams, RunResult, run
 METHODS = ("I", "II")
 TABLE2_TOPOLOGIES = ("cycle", "customized", "complete")
 LLP_MODES = ("analytic", "numeric")
+CONFIG_KEYS = ("instance", "llp", "topology", "eps0", "r", "eps_f", "method", "max_iter")
+# Constraint kind -> (keys, required keys, constructor); the constructor
+# takes the keys other than "kind" as real keyword arguments.
+CONSTRAINT_KINDS = {
+    "paper-quadratic": (("kind", "v"), ("kind", "v"), paper_quadratic_constraint),
+    "example1": (("kind", "y_upper"), ("kind",), example1_constraint),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -47,58 +60,132 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _build_from_config(config: dict):
-    keys = ("instance", "llp", "topology", "eps0", "r", "eps_f", "method", "max_iter")
-    unknown = [key for key in config if key not in keys]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}; the keys are {', '.join(keys)}")
-    instance_cfg = config.get("instance", "case-study")
-    if instance_cfg == "case-study":
-        instance = case_study_instance()
-    elif not isinstance(instance_cfg, dict):
-        raise ConfigError(f"bad 'instance' section: {instance_cfg!r} is neither \"case-study\" nor an object")
-    else:
-        try:
-            instance = instance_from_config(instance_cfg)
-        except KeyError as exc:
-            raise ConfigError(f"bad 'instance' section: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad 'instance' section: {exc}") from None
-    llp = config.get("llp", "analytic")
-    if llp not in LLP_MODES:
-        raise ConfigError(f"bad 'llp' field: {llp!r} is not one of {', '.join(LLP_MODES)}")
-    if llp == "numeric":
-        instance = with_numeric_llp(instance)
-    topology = config.get("topology", "cycle")
-    if isinstance(topology, str):
-        topology = {"topology": topology, "m": instance.m}
-    elif not isinstance(topology, dict):
-        raise ConfigError(f"bad 'topology' field: {topology!r} is neither a topology name nor an object")
-    keys = ("topology", "m", "slots") if topology.get("topology") == "explicit" else ("topology", "m")
-    unknown = [key for key in topology if key not in keys]
-    if unknown:
-        raise ConfigError(f"bad 'topology' field: unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
+def _read(prefix: str, build, *args):
+    """``build(*args)``; its ``TypeError``, ``ValueError`` or schedule error becomes a ConfigError."""
     try:
-        # Compare the agent counts before building: a schedule's size grows as m^2.
-        m = require_integer(topology["m"], "m")
-        if m != instance.m:
-            raise ConfigError(f"bad 'topology' field: the schedule has {m} agents, the instance {instance.m}")
-        schedule = schedule_from_config(topology)
-    except KeyError as exc:
-        raise ConfigError(f"bad 'topology' field: missing key {exc}") from None
+        return build(*args)
     except (TypeError, ValueError, InvalidSize, NotUniformlyConnected) as exc:
-        raise ConfigError(f"bad 'topology' field: {exc}") from None
-    try:
-        params = RunParams(
-            eps0=require_real(config.get("eps0", RunParams.eps0), "eps0"),
-            r=require_real(config.get("r", RunParams.r), "r"),
-            eps_f=require_real(config.get("eps_f", RunParams.eps_f), "eps_f"),
-            method=str(config.get("method", RunParams.method)),
-            max_iter=config.get("max_iter", RunParams.max_iter),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run parameter: {exc}") from None
-    return instance, schedule, params
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _section(value, where: str, keys: tuple[str, ...] | None, required: tuple[str, ...] | None = None) -> dict:
+    """``value``, checked to be an object with no key outside ``keys`` (unless None) and each of ``required``.
+
+    ``required`` defaults to ``keys``.  The one check of every config
+    object; an unknown key is reported before a missing one.
+    """
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be an object, got {value!r}")
+    unknown = [] if keys is None else [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; the keys are {', '.join(keys)}")
+    missing = [key for key in (keys if required is None else required) if key not in value]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in the {where}")
+    return value
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """A (nested) list of real numbers as a float array; ValueError on any other entry."""
+    array = np.asarray(values, dtype=object)
+    for value in array.flat:
+        require_real(value, name)
+    return array.astype(float)
+
+
+def _agent(spec, n: int):
+    """One agent's (objective, constraint) from its config object."""
+    _section(spec, "agent", ("objective", "constraint"))
+    objective = _section(spec["objective"], "objective", ("kind", "center"))
+    if objective["kind"] != "quadratic-distance":
+        raise ValueError(f"unknown objective kind {objective['kind']!r}")
+    center = _reals(objective["center"], "objective center entry")
+    if center.shape != (n,):
+        raise ValueError("objective center has wrong dimension")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"objective center must be finite, got {center.tolist()}")
+    kind = _section(spec["constraint"], "constraint", None, ("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in CONSTRAINT_KINDS:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    keys, required, build = CONSTRAINT_KINDS[kind]
+    fields = _section(spec["constraint"], f"{kind} constraint", keys, required)
+    constraint = build(**{key: require_real(value, f"{kind} {key}") for key, value in fields.items() if key != "kind"})
+    return quadratic_distance(center), constraint
+
+
+def _instance(section) -> ProblemInstance:
+    """The case study, or an instance of quadratic-distance objectives and ``CONSTRAINT_KINDS`` constraints.
+
+    Both constraint kinds are functions of (x1, x2), so n must be 2.  An
+    error in an agent's entry names the agent, counted from 1.
+    """
+    if section == "case-study":
+        return case_study_instance()
+    if not isinstance(section, dict):
+        raise TypeError(f'{section!r} is neither "case-study" nor an object')
+    _section(section, "instance", ("n", "m", "box", "agents"))
+    n = require_integer(section["n"], "n")
+    if n != 2:
+        raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
+    m = require_integer(section["m"], "m")
+    box = _reals(section["box"], "box entry")
+    agents = section["agents"]
+    if not isinstance(agents, list):
+        raise TypeError(f"agents must be a list of agent objects, got {agents!r}")
+    if len(agents) != m:
+        raise ValueError(f"config declares m={m} but lists {len(agents)} agents")
+    objectives, constraints = [], []
+    for a, spec in enumerate(agents, start=1):
+        try:
+            objective, constraint = _agent(spec, n)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{exc} (agent {a})") from None
+        objectives.append(objective)
+        constraints.append(constraint)
+    return ProblemInstance(n=n, m=m, objectives=tuple(objectives), constraints=tuple(constraints), box=box)
+
+
+def _with_llp(llp, instance: ProblemInstance) -> ProblemInstance:
+    """``instance`` for the ``llp`` mode: as it is, or with its closed-form maximizers dropped."""
+    if llp not in LLP_MODES:
+        raise ValueError(f"{llp!r} is not one of {', '.join(LLP_MODES)}")
+    return with_numeric_llp(instance) if llp == "numeric" else instance
+
+
+def _schedule(topology, m: int):
+    """The schedule of a ``topology`` field, a name or an object, for an instance of ``m`` agents."""
+    if isinstance(topology, str):
+        topology = {"topology": topology, "m": m}
+    elif not isinstance(topology, dict):
+        raise TypeError(f"{topology!r} is neither a topology name nor an object")
+    explicit = topology.get("topology") == "explicit"
+    _section(topology, "topology", ("topology", "m", "slots") if explicit else ("topology", "m"))
+    # Compare the agent counts before building: a schedule's size grows as m^2.
+    if require_integer(topology["m"], "m") != m:
+        raise ValueError(f"the schedule has {topology['m']} agents, the instance {m}")
+    name = topology["topology"]
+    if not isinstance(name, str):
+        raise TypeError(f"topology must be a name, got {name!r}")
+    if explicit:
+        return graph.make_schedule(m, topology["slots"])
+    if name not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {name!r}")
+    return TOPOLOGIES[name](m)
+
+
+def _run_params(config: dict) -> RunParams:
+    """The run parameters of a config; a key it leaves out takes its ``RunParams`` default."""
+    reals = {key: require_real(config[key], key) for key in ("eps0", "r", "eps_f") if key in config}
+    return RunParams(**reals, **{key: config[key] for key in ("method", "max_iter") if key in config})
+
+
+def _build_from_config(config: dict):
+    """``(instance, schedule, params)`` of a run config; an error in any section is a :class:`ConfigError`."""
+    _read("", _section, config, "config", CONFIG_KEYS, ())
+    instance = _read("bad 'instance' section: ", _instance, config.get("instance", "case-study"))
+    instance = _read("bad 'llp' field: ", _with_llp, config.get("llp", "analytic"), instance)
+    schedule = _read("bad 'topology' field: ", _schedule, config.get("topology", "cycle"), instance.m)
+    return instance, schedule, _read("bad run parameter: ", _run_params, config)
 
 
 def _write_trace_csv(path: Path, result: RunResult) -> None:
@@ -184,37 +271,30 @@ def _fixed(value: float, places: int, sign: str = "") -> str:
 
 
 def cmd_table2(args) -> int:
-    try:
-        params = {
-            method: RunParams(eps0=args.eps0, r=args.r, eps_f=args.eps_f, method=method, max_iter=args.max_iter)
-            for method in METHODS
-        }
-    except ValueError as exc:
-        raise ConfigError(f"bad run parameter: {exc}") from None
+    params = {method: _read("bad run parameter: ", _run_params, {**vars(args), "method": method}) for method in METHODS}
     instance = case_study_instance()
     rows = []
     for method in METHODS:
         for topology in TABLE2_TOPOLOGIES:
             schedule = TOPOLOGIES[topology](instance.m)
             try:
-                result = run(instance, schedule, params[method])
+                rows.append((method, topology, run(instance, schedule, params[method])))
             except NumericalFailure as exc:
                 _numerical_failure(exc)
                 return 3
-            # A run stops only when every upper verdict at its exit point
-            # is feasible; a run that hit --max-iter has no exit point.
-            feasible = result.terminated
-            rows.append((method, topology, result, feasible))
 
+    # A run stops only when every upper verdict at its exit point is
+    # feasible, so the feasible column reads whether it terminated; a run
+    # that hit --max-iter has no exit point.
     header = f"{'method':<8}{'topology':<12}{'iters':<7}{'lower':<12}{'upper':<12}{'feasible':<9}solution (agent 1)"
     print(header)
     print("-" * len(header))
-    for method, topology, result, feasible in rows:
+    for method, topology, result in rows:
         solution = f"[{_fixed(result.x_opt[0][0], 4, '+')}, {_fixed(result.x_opt[0][1], 4, '+')}]" if result.terminated else ""
         print(
             f"{method:<8}{topology:<12}{result.iterations:<7}"
             f"{result.final_lower:<12.4f}{result.final_upper:<12.4f}"
-            f"{'yes' if feasible else 'NO':<9}{solution}"
+            f"{'yes' if result.terminated else 'NO':<9}{solution}"
         )
 
     out = _out_dir(args.out)
@@ -224,7 +304,7 @@ def cmd_table2(args) -> int:
             ["method", "topology", "iterations", "lower", "upper", "feasible"]
             + [f"x{i}_coord{j}" for i in range(1, instance.m + 1) for j in (1, 2)]
         )
-        for method, topology, result, feasible in rows:
+        for method, topology, result in rows:
             if result.terminated:
                 coords = [_fixed(c, 6) for x in result.x_opt for c in x]
             else:
@@ -236,11 +316,11 @@ def cmd_table2(args) -> int:
                     result.iterations,
                     f"{result.final_lower:.6f}",
                     f"{result.final_upper:.6f}",
-                    feasible,
+                    result.terminated,
                 ]
                 + coords
             )
-    return 0 if all(result.terminated for _, _, result, _ in rows) else 2
+    return 0 if all(result.terminated for _, _, result in rows) else 2
 
 
 def _sweep_rows(m_max: float, eps_f: float):

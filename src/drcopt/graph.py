@@ -181,17 +181,3 @@ TOPOLOGIES = {
     "customized": customized,
     "complete": complete,
 }
-
-
-def schedule_from_config(config: dict) -> GraphSchedule:
-    """Schedule from {"topology": ..., "m": int, "slots": [[[j,i],...],...]}."""
-    topology = config["topology"]
-    if not isinstance(topology, str):
-        raise TypeError(f"topology must be a name, got {topology!r}")
-    m = require_integer(config["m"], "m")
-    if topology == "explicit":
-        return make_schedule(m, config["slots"])
-    try:
-        return TOPOLOGIES[topology](m)
-    except KeyError:
-        raise ValueError(f"unknown topology {topology!r}") from None

@@ -43,14 +43,6 @@ def require_real(value, name: str) -> float:
     return float(value)
 
 
-def _require_reals(values, name: str) -> np.ndarray:
-    """A (nested) list of real numbers as a float array; ValueError on any other entry."""
-    array = np.asarray(values, dtype=object)
-    for value in array.flat:
-        require_real(value, name)
-    return array.astype(float)
-
-
 @functools.lru_cache(maxsize=256)
 def _constant_hessians(k: int, diagonal: tuple[float, ...]) -> np.ndarray:
     """k rows of diag(diagonal) as one read-only broadcast view: no memory per row.
@@ -375,78 +367,3 @@ def with_numeric_llp(instance: ProblemInstance) -> ProblemInstance:
     return replace(
         instance, constraints=tuple(replace(c, analytic_argmax=None) for c in instance.constraints)
     )
-
-
-def _require_object(section, where: str, required: tuple[str, ...] = ()) -> dict:
-    """``section``, checked to be a dict that holds every key of ``required``."""
-    if not isinstance(section, dict):
-        raise TypeError(f"{where} must be an object, got {section!r}")
-    missing = [key for key in required if key not in section]
-    if missing:
-        raise ValueError(f"missing key {missing[0]!r} in the {where}")
-    return section
-
-
-def _require_keys(section, keys: tuple[str, ...], where: str, required: tuple[str, ...] = ()) -> dict:
-    """``section``, checked to be a dict that holds every key of ``required`` and no key outside ``keys``."""
-    _require_object(section, where, required)
-    unknown = [key for key in section if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown {where} key {unknown[0]!r}; the keys are {', '.join(keys)}")
-    return section
-
-
-def _agent_from_config(spec, n: int) -> tuple[LocalObjective, SemiInfiniteConstraint]:
-    """One agent's objective and constraint from its config object."""
-    spec = _require_keys(spec, ("objective", "constraint"), "agent", ("objective", "constraint"))
-    obj = _require_keys(spec["objective"], ("kind", "center"), "objective", ("kind", "center"))
-    if obj["kind"] != "quadratic-distance":
-        raise ValueError(f"unknown objective kind {obj['kind']!r}")
-    center = _require_reals(obj["center"], "objective center entry")
-    if center.shape != (n,):
-        raise ValueError("objective center has wrong dimension")
-    if not np.all(np.isfinite(center)):
-        raise ValueError(f"objective center must be finite, got {center.tolist()}")
-    objective = quadratic_distance(center)
-    con = _require_object(spec["constraint"], "constraint", ("kind",))
-    if con["kind"] == "paper-quadratic":
-        _require_keys(con, ("kind", "v"), "paper-quadratic constraint", ("v",))
-        return objective, paper_quadratic_constraint(require_real(con["v"], "paper-quadratic v"))
-    if con["kind"] == "example1":
-        _require_keys(con, ("kind", "y_upper"), "example1 constraint")
-        return objective, example1_constraint(require_real(con.get("y_upper", 2.0), "example1 y_upper"))
-    raise ValueError(f"unknown constraint kind {con['kind']!r}")
-
-
-def instance_from_config(config: dict) -> ProblemInstance:
-    """Build an instance from the JSON configuration schema.
-
-    Built-in kinds only: objectives of kind "quadratic-distance" with a
-    center, constraints of kind "paper-quadratic" (field v) or "example1"
-    (field y_upper, 2.0 when omitted).  Both constraint kinds are
-    functions of (x1, x2), so n must be 2.  ``agents`` is a list of
-    objects.  A key that the schema does not name, in the instance, an
-    agent, an objective or a constraint, raises ``ValueError``, and so
-    does a missing key of an agent, an objective or a constraint; an
-    error in an agent's entry names the agent, counted from 1.
-    """
-    config = _require_keys(config, ("n", "m", "box", "agents"), "instance")
-    n = require_integer(config["n"], "n")
-    if n != 2:
-        raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
-    m = require_integer(config["m"], "m")
-    box = _require_reals(config["box"], "box entry")
-    agents = config["agents"]
-    if not isinstance(agents, list):
-        raise TypeError(f"agents must be a list of agent objects, got {agents!r}")
-    if len(agents) != m:
-        raise ValueError(f"config declares m={m} but lists {len(agents)} agents")
-    objectives, constraints = [], []
-    for a, spec in enumerate(agents, start=1):
-        try:
-            objective, constraint = _agent_from_config(spec, n)
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{exc} (agent {a})") from None
-        objectives.append(objective)
-        constraints.append(constraint)
-    return ProblemInstance(n=n, m=m, objectives=tuple(objectives), constraints=tuple(constraints), box=box)

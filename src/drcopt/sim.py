@@ -74,7 +74,7 @@ class IterationRecord:
 class RunResult:
     records: list[IterationRecord]
     terminated: bool
-    x_opt: list[Vector] | None
+    x_opt: list[Vector] | None  # m references to one read-only copy of the exit point
     method: str
     accuracy_bound: float
     final_states: list[AgentState] = field(repr=False)
@@ -185,10 +185,12 @@ def run(instance: ProblemInstance, schedule: GraphSchedule, params: RunParams = 
                 raise NumericalFailure("stopping round fired with an infinite upper bound")
             break
 
+    x_opt = upper_x.copy()
+    x_opt.flags.writeable = False
     return RunResult(
         records=records,
         terminated=stop,
-        x_opt=[upper_x.copy() for _ in range(instance.m)] if stop else None,
+        x_opt=[x_opt] * instance.m if stop else None,
         method=params.method,
         accuracy_bound=bound,
         final_states=agents.final_states(lower_cuts, upper_cuts, epsilon, instance.constraint_table),

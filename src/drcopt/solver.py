@@ -181,6 +181,13 @@ def _projected_gradient(x: Vector, grad: Vector, box: Vector) -> float:
     return float(abs(x - _project(x - grad, box)).max())
 
 
+def _bound_split(x: Vector, grad: Vector, lo: Vector, hi: Vector, pg: float):
+    """``(at_lo, at_hi, free)``: :func:`minimize`'s epsilon-active masks at each bound, the others' indices."""
+    eps = min(1e-3, pg)
+    at_lo, at_hi = (x <= lo + eps) & (grad > 0.0), (x >= hi - eps) & (grad < 0.0)
+    return at_lo, at_hi, (~(at_lo | at_hi)).nonzero()[0]
+
+
 def _require_finite(f: float, grad: Vector, where: str) -> None:
     # Non-finite values spread into the Newton direction, and a NaN trial
     # point never equals x and fails every test, so halving would not end.
@@ -222,9 +229,7 @@ def minimize(fun_grad, x0: Vector, box: Vector) -> MinimizeResult:
         pg = _projected_gradient(x, grad, box)
         if pg <= 1e-12:
             break
-        eps = min(1e-3, pg)
-        active = ((x <= lo + eps) & (grad > 0.0)) | ((x >= hi - eps) & (grad < 0.0))
-        free = (~active).nonzero()[0]
+        free = _bound_split(x, grad, lo, hi, pg)[2]
         whole = len(free) == len(x)
         d = -grad
         if len(free):
@@ -310,8 +315,8 @@ def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
 
     ``x`` and ``lam`` are the solve's start point and multipliers, or an
     augmented-Lagrangian iterate and its updated multipliers.  The
-    variables that :func:`minimize`'s epsilon-active rule holds at a bound
-    (for the Lagrangian's gradient) are fixed there; the others are free.
+    variables that :func:`_bound_split`, :func:`minimize`'s rule, holds at
+    a bound (for the Lagrangian's gradient) are fixed there; the others are free.
     The candidates for the working set W are the cuts with a positive
     multiplier or a positive violation: at a warm start the carried active
     cuts and the newly violated ones, after an update the cuts with a
@@ -332,9 +337,7 @@ def _active_set_finish(problem: FiniteSubproblem, x: Vector, lam: np.ndarray):
     lo, hi = box[:, 0], box[:, 1]
     _, grad, c, jac, _, _ = problem.evaluate(x)
     grad = grad + jac.T.dot(lam)
-    eps = min(1e-3, _projected_gradient(x, grad, box))
-    at_lo, at_hi = (x <= lo + eps) & (grad > 0.0), (x >= hi - eps) & (grad < 0.0)
-    free = (~(at_lo | at_hi)).nonzero()[0]
+    at_lo, at_hi, free = _bound_split(x, grad, lo, hi, _projected_gradient(x, grad, box))
     n_free = len(free)
     if not n_free:
         return None

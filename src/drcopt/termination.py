@@ -23,7 +23,6 @@ import logging
 import numpy as np
 
 from .graph import GraphSchedule
-from .problem import NumericalFailure
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +51,10 @@ def run_stopping_round(
     When every agent's test holds in every phase, h = c = threshold in
     closed form.  A test that fails in the first slot fixes stop False:
     the agent's lag reaches every agent within the remaining slots (with
-    m = 1 there are none).  Otherwise the slots are run, and
-    since h grows by at most one per slot, once every h is below the
+    m = 1 there are none).  A failing Method I gap fails its own agent's
+    test in every phase, so a Method I round is decided there or in
+    closed form, and its stop is simultaneous.  Otherwise the slots are
+    run, and since h grows by at most one per slot, once every h is below the
     number of slots run none can reach the threshold and the round ends
     with stop False.  A round decided before its last slot returns
     counters None; otherwise counters is (h, c) after the last slot,
@@ -79,11 +80,11 @@ def run_stopping_round(
         return True, threshold, (np.full(schedule.m, threshold), np.full(schedule.m, threshold))
     # An agent whose test fails in the first slot has c = 0 there, so from
     # the second slot on its h, and that of every agent it reaches, lags
-    # the slot count.  When the remaining threshold - 1 slots flood that
-    # lag to every agent, as T*(m-1) slots do, no h reaches the threshold;
-    # for m = 1 the one slot never carries c into h, so this rule decides.
-    floods = schedule.window * (schedule.m - 1) <= threshold - 1
-    if floods and not ok[start_slot % schedule.period].all():
+    # the slot count.  The remaining threshold - 1 = T*(m-1) slots flood
+    # that lag to every agent, so no h reaches the threshold.  For m = 1
+    # there are no remaining slots and the one slot never carries c into
+    # h, so this rule alone keeps a failing test from stopping the round.
+    if not ok[start_slot % schedule.period].all():
         return False, threshold, None
     h = np.zeros(schedule.m, dtype=int)
     c = np.zeros(schedule.m, dtype=int)
@@ -97,7 +98,5 @@ def run_stopping_round(
     reached = h >= threshold
     stop = bool(reached.any())
     if stop and not reached.all():
-        if method == "I":
-            raise NumericalFailure("Method I stop must be simultaneous across agents")
         logger.warning("Method II stop was not simultaneous across agents")
     return stop, threshold, (h, c)

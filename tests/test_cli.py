@@ -169,6 +169,71 @@ MALFORMED_CONFIGS = {
 }
 
 
+def with_constraint(constraint):
+    return {"instance": two_agent_instance(constraint=constraint)}
+
+
+def with_agent(**agent):
+    return {"instance": {**two_agent_instance(), "agents": [agent] * 2}}
+
+
+INSTANCE, TOPOLOGY = "bad 'instance' section: ", "bad 'topology' field: "
+ALL_KEYS = "instance, llp, topology, eps0, r, eps_f, method, max_iter"
+# Each config object, once with a key outside its schema and once without
+# a key it needs (the top level needs none, and example1 only its kind),
+# with the whole line the one section checker prints.
+SECTION_KEY_ERRORS = {
+    "config-unknown": ({"eps_F": 0.5}, f"unknown config key 'eps_F'; the keys are {ALL_KEYS}"),
+    "instance-unknown": (
+        {"instance": {**two_agent_instance(), "window": 3}},
+        f"{INSTANCE}unknown instance key 'window'; the keys are n, m, box, agents",
+    ),
+    "instance-missing": (
+        {"instance": {key: value for key, value in two_agent_instance().items() if key != "box"}},
+        f"{INSTANCE}missing key 'box' in the instance",
+    ),
+    "agent-unknown": (
+        with_agent(**AGENT, weight=2),
+        f"{INSTANCE}unknown agent key 'weight'; the keys are objective, constraint (agent 1)",
+    ),
+    "agent-missing": (with_agent(constraint=AGENT["constraint"]), f"{INSTANCE}missing key 'objective' in the agent (agent 1)"),
+    "objective-unknown": (
+        with_agent(objective={**AGENT["objective"], "scale": 2}, constraint=AGENT["constraint"]),
+        f"{INSTANCE}unknown objective key 'scale'; the keys are kind, center (agent 1)",
+    ),
+    "objective-missing": (
+        with_agent(objective={"center": [0.0, 0.0]}, constraint=AGENT["constraint"]),
+        f"{INSTANCE}missing key 'kind' in the objective (agent 1)",
+    ),
+    "constraint-missing-kind": (with_constraint({"y_upper": 2.0}), f"{INSTANCE}missing key 'kind' in the constraint (agent 1)"),
+    "paper-quadratic-misspelled": (
+        with_constraint({"kind": "paper-quadratic", "V": 0.5}),
+        f"{INSTANCE}unknown paper-quadratic constraint key 'V'; the keys are kind, v (agent 1)",
+    ),
+    "paper-quadratic-missing": (
+        with_constraint({"kind": "paper-quadratic"}),
+        f"{INSTANCE}missing key 'v' in the paper-quadratic constraint (agent 1)",
+    ),
+    "example1-misspelled": (
+        with_constraint({"kind": "example1", "y_uper": 0.5}),
+        f"{INSTANCE}unknown example1 constraint key 'y_uper'; the keys are kind, y_upper (agent 1)",
+    ),
+    "named-topology-unknown": (
+        {"topology": {"topology": "cycle", "m": 6, "period": 1}},
+        f"{TOPOLOGY}unknown topology key 'period'; the keys are topology, m",
+    ),
+    "named-topology-missing": ({"topology": {"topology": "cycle"}}, f"{TOPOLOGY}missing key 'm' in the topology"),
+    "explicit-topology-unknown": (
+        {"topology": {"topology": "explicit", "m": 6, "slots": [], "period": 1}},
+        f"{TOPOLOGY}unknown topology key 'period'; the keys are topology, m, slots",
+    ),
+    "explicit-topology-missing-slots": (
+        {"topology": {"topology": "explicit", "m": 6}},
+        f"{TOPOLOGY}missing key 'slots' in the topology",
+    ),
+}
+
+
 class TestRun:
     def test_successful_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -222,8 +287,8 @@ class TestRun:
             ({"topology": "explicit", "m": 6, "slots": [5]}, "slot 0 is not a collection of edges"),
             ({"topology": "explicit", "m": 6, "slots": "ab"}, "slot 0 is not a collection of edges"),
             ({"topology": "explicit", "m": 6, "slots": 5}, "slots must be a collection of slots, got 5"),
-            ({"topology": "cycle", "m": 6, "slots": [[[1, 2]]]}, "unknown key 'slots'; the keys are topology, m"),
-            ({"topology": "cycle", "m": 6, "window": 9}, "unknown key 'window'; the keys are topology, m"),
+            ({"topology": "cycle", "m": 6, "slots": [[[1, 2]]]}, "unknown topology key 'slots'; the keys are topology, m"),
+            ({"topology": "cycle", "m": 6, "window": 9}, "unknown topology key 'window'; the keys are topology, m"),
         ],
         ids=[
             "not-uniformly-connected",
@@ -323,6 +388,15 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", SECTION_KEY_ERRORS.values(), ids=SECTION_KEY_ERRORS.keys())
+    def test_unknown_or_missing_key_of_each_section_exits_1(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_numeric_llp_matches_analytic(self, tmp_path, capsys):

@@ -14,10 +14,16 @@ from drcopt.graph import (
     customized,
     directed_cycle,
     make_schedule,
-    schedule_from_config,
 )
+from drcopt.cli import _build_from_config
+from drcopt.sim import ConfigError
 
 from helpers import closed_in, edge_scan_in_neighbors, random_connected_schedule
+
+
+def schedule_of(topology):
+    """The schedule that ``drcopt run`` builds from a ``topology`` field, on the 6-agent case study."""
+    return _build_from_config({"topology": topology})[1]
 
 
 def out_neighbors(schedule, node, t):
@@ -217,13 +223,13 @@ class TestValidation:
     def test_empty_slot_list_rejected(self):
         with pytest.raises(ValueError, match="a schedule needs at least one slot"):
             GraphSchedule(m=2, slots=())
-        with pytest.raises(ValueError, match="a schedule needs at least one slot"):
-            schedule_from_config({"topology": "explicit", "m": 2, "slots": []})
+        with pytest.raises(ConfigError, match="a schedule needs at least one slot"):
+            schedule_of({"topology": "explicit", "m": 6, "slots": []})
 
     @pytest.mark.parametrize("edge", [[1, 2, 3], 5, "ab", [1]], ids=["triple", "int", "string", "single"])
     def test_edge_that_is_not_a_pair_rejected(self, edge):
-        with pytest.raises(ValueError, match=r"edge .* is not a pair \(j, i\)"):
-            schedule_from_config({"topology": "explicit", "m": 2, "slots": [[[1, 2], edge, [2, 1]]]})
+        with pytest.raises(ConfigError, match=r"edge .* is not a pair \(j, i\)"):
+            schedule_of({"topology": "explicit", "m": 6, "slots": [[[1, 2], edge, [2, 1]]]})
 
     @pytest.mark.parametrize("slot", [5, "ab", None], ids=["int", "string", "null"])
     def test_slot_that_is_not_a_collection_of_edges_rejected(self, slot):
@@ -250,12 +256,13 @@ class TestValidation:
         assert s == make_schedule(2, [{(1, 2)}, {(2, 1)}])
 
     def test_config_explicit(self):
-        s = schedule_from_config({"topology": "explicit", "m": 2, "slots": [[[1, 2]], [[2, 1]]]})
+        # Each slot alone is a matching; together they form the cycle 1 -> 2 -> ... -> 6 -> 1.
+        s = schedule_of({"topology": "explicit", "m": 6, "slots": [[[1, 2], [3, 4], [5, 6]], [[2, 3], [4, 5], [6, 1]]]})
         assert s.window == 2
 
     def test_config_named(self):
-        assert schedule_from_config({"topology": "complete", "m": 4}).m == 4
+        assert schedule_of({"topology": "complete", "m": 6}) == complete(6)
 
     def test_config_unknown(self):
-        with pytest.raises(ValueError, match="topology"):
-            schedule_from_config({"topology": "torus", "m": 4})
+        with pytest.raises(ConfigError, match="unknown topology 'torus'"):
+            schedule_of({"topology": "torus", "m": 6})

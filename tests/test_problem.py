@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from drcopt.cli import _build_from_config
 from drcopt.llp import solve_llp
 from drcopt.problem import (
     CASE_STUDY_V,
     case_study_instance,
     example1_constraint,
-    instance_from_config,
 )
+from drcopt.sim import ConfigError
 
 import helpers
 from helpers import F_STAR, X_STAR, member_argmax
@@ -214,7 +215,7 @@ class TestConfig:
                 )
             ],
         }
-        instance = instance_from_config(config)
+        instance, _, _ = _build_from_config({"instance": config})
         x = np.array([0.3, -0.2])
         assert [f.evaluate(x) for f in instance.objectives] == pytest.approx(
             [f.evaluate(x) for f in case_study.objectives]
@@ -232,9 +233,9 @@ class TestConfig:
                 }
             ],
         }
-        with pytest.raises(ValueError, match="objective kind"):
-            instance_from_config(config)
+        with pytest.raises(ConfigError, match="objective kind"):
+            _build_from_config({"instance": config})
 
     def test_agent_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="agents"):
-            instance_from_config({"n": 2, "m": 3, "box": [[0, 1], [0, 1]], "agents": []})
+        with pytest.raises(ConfigError, match="agents"):
+            _build_from_config({"instance": {"n": 2, "m": 3, "box": [[0, 1], [0, 1]], "agents": []}})

@@ -51,6 +51,14 @@ class TestCaseStudyRun:
         g_max, _ = solve_llp(case_study.constraint_table, cycle_run.x_opt[0])
         assert (g_max <= 1e-9).all()
 
+    def test_exit_point_is_one_read_only_array(self, cycle_run):
+        # One copy for every agent, not m: its memory does not grow with m.
+        assert len(cycle_run.x_opt) == 6
+        assert all(x is cycle_run.x_opt[0] for x in cycle_run.x_opt)
+        assert not cycle_run.x_opt[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cycle_run.x_opt[0][0] = 0.0
+
     def test_accuracy_bound_value(self, cycle_run):
         assert cycle_run.accuracy_bound == pytest.approx(0.06)
 

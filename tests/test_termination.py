@@ -10,7 +10,6 @@ import pytest
 
 from drcopt import termination
 from drcopt.graph import complete, directed_cycle, make_schedule
-from drcopt.problem import NumericalFailure
 from drcopt.termination import run_stopping_round, stop_threshold
 
 from helpers import closed_in, edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
@@ -233,13 +232,14 @@ class TestRandomizedSoundness:
             _, _, counters = per_slot_stopping_round(gaps, schedule, "I", EPS_F)
             assert all(n.h >= stop_threshold(schedule) for n in counters)
 
-    def test_method1_stop_that_is_not_simultaneous_raises(self, monkeypatch):
-        # Impossible with the true threshold; a threshold of 2 on the cycle
-        # 1 -> 2 -> 3 -> 4 -> 1 lets agent 2, two hops from agent 3's bad
-        # gap, stop alone.
+    def test_method1_round_with_a_failing_gap_runs_no_slot(self, monkeypatch):
+        # A threshold of 2 on the cycle 1 -> 2 -> 3 -> 4 -> 1 is too short
+        # to carry agent 3's bad gap to agent 2, two hops away, so slot by
+        # slot agent 2 would stop alone.  Agent 3's own test fails in the
+        # first slot, which decides a Method I round before any slot runs,
+        # whatever the threshold: a Method I stop is always simultaneous.
         monkeypatch.setattr(termination, "stop_threshold", lambda schedule: 2)
-        with pytest.raises(NumericalFailure, match="simultaneous"):
-            run_stopping_round([0.0, 0.0, 0.02, 0.0], directed_cycle(4), "I", EPS_F)
+        assert run_stopping_round([0.0, 0.0, 0.02, 0.0], directed_cycle(4), "I", EPS_F) == (False, 2, None)
 
     def test_method2_stop_need_not_be_simultaneous(self, caplog):
         schedule = make_schedule(3, [{(2, 1)}, {(3, 1), (3, 2), (1, 3), (2, 1)}])
