@@ -25,7 +25,7 @@ SCENARIO_CAP = 10_000  # runaway guard per agent
 
 @dataclass
 class AgentState:
-    """Agent ``agent_id``'s restriction and scenarios per side, (k, n_y) arrays in insertion order."""
+    """Agent ``agent_id``'s restriction and scenarios per side, (k, n_y_f) arrays in insertion order."""
 
     agent_id: int
     epsilon: float
@@ -33,7 +33,7 @@ class AgentState:
     upper_scenarios: np.ndarray
 
 
-def _with_cuts(cuts: CutTable, violated: np.ndarray, y_star) -> CutTable:
+def _with_cuts(cuts: CutTable, violated: np.ndarray, y_star: np.ndarray) -> CutTable:
     """``cuts`` with one row per violated agent, at its maximizer in ``y_star`` (see :func:`solve_llp`)."""
     new = np.flatnonzero(violated)
     if not len(new):
@@ -43,8 +43,7 @@ def _with_cuts(cuts: CutTable, violated: np.ndarray, y_star) -> CutTable:
     if count.max() > SCENARIO_CAP:
         raise NumericalFailure(f"scenario set exceeded the cap of {SCENARIO_CAP}")
     # No dedup: re-appending a near-identical maximizer is harmless.
-    scenarios = tuple(np.concatenate([old, ys[new]]) for old, ys in zip(cuts.scenarios, y_star))
-    return CutTable(np.concatenate([cuts.agent, new]), scenarios, count)
+    return CutTable(np.concatenate([cuts.agent, new]), np.concatenate([cuts.scenarios, y_star[new]]), count)
 
 
 def dlbd_oracle(cuts: CutTable, instance: ProblemInstance, x_new: Vector) -> tuple[np.ndarray, np.ndarray, CutTable]:
@@ -73,16 +72,11 @@ def dubd_oracle(
 
 
 def final_states(lower: CutTable, upper: CutTable, epsilon: np.ndarray, table: ConstraintTable) -> list[AgentState]:
-    """The per-agent view of a run's state: per side one stable sort, then one split per family."""
+    """The per-agent view of a run's state: per side one stable sort, then one slice per agent in its n_y_f columns."""
+    widths = np.array([boxes.shape[1] for boxes in table.boxes])[table.family].tolist()
     sides = []
     for cuts in (lower, upper):
-        order, out = np.argsort(cuts.agent, kind="stable"), [None] * len(epsilon)
-        for f, scenarios in enumerate(cuts.scenarios):
-            agents = np.flatnonzero(table.family == f)
-            ys = scenarios[order[table.family[cuts.agent[order]] == f]]
-            ends = np.cumsum(cuts.count[agents]).tolist()
-            # Slices, not np.split, which costs a swapaxes call per part.
-            for a, start, end in zip(agents.tolist(), [0] + ends, ends):
-                out[a] = ys[start:end]
-        sides.append(out)
+        ys, ends = cuts.scenarios[np.argsort(cuts.agent, kind="stable")], np.cumsum(cuts.count).tolist()
+        # Slices, not np.split, which costs a swapaxes call per part.
+        sides.append([ys[start:end, :width] for start, end, width in zip([0] + ends, ends, widths)])
     return [AgentState(a + 1, *state) for a, state in enumerate(zip(epsilon.tolist(), *sides))]

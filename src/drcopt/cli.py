@@ -86,10 +86,13 @@ def _section(value, where: str, keys: tuple[str, ...] | None, required: tuple[st
 
 
 def _reals(values, name: str) -> np.ndarray:
-    """A (nested) list of real numbers as a float array; ValueError on any other entry."""
+    """A (nested) list of real numbers as a float array; ValueError on a ragged list or any other entry."""
     array = np.asarray(values, dtype=object)
     for value in array.flat:
-        require_real(value, name)
+        # numpy keeps the lists of a ragged nesting as entries.
+        if isinstance(value, list):
+            raise ValueError(f"{name} must be a rectangular list, got the ragged list {values!r}")
+        require_real(value, f"{name} entry")
     return array.astype(float)
 
 
@@ -99,7 +102,7 @@ def _agent(spec, n: int):
     objective = _section(spec["objective"], "objective", ("kind", "center"))
     if objective["kind"] != "quadratic-distance":
         raise ValueError(f"unknown objective kind {objective['kind']!r}")
-    center = _reals(objective["center"], "objective center entry")
+    center = _reals(objective["center"], "objective center")
     if center.shape != (n,):
         raise ValueError("objective center has wrong dimension")
     if not np.all(np.isfinite(center)):
@@ -128,7 +131,7 @@ def _instance(section) -> ProblemInstance:
     if n != 2:
         raise ValueError(f"the built-in constraint kinds need n = 2, got n = {n}")
     m = require_integer(section["m"], "m")
-    box = _reals(section["box"], "box entry")
+    box = _reals(section["box"], "box")
     agents = section["agents"]
     if not isinstance(agents, list):
         raise TypeError(f"agents must be a list of agent objects, got {agents!r}")

@@ -130,13 +130,14 @@ def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarra
     return g_max, y_star
 
 
-def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, np.ndarray]:
     """Return (g_max, y_star) for every constraint of ``table`` at the one point x.
 
-    ``g_max`` is (k,); ``y_star`` holds one (k, n_y) array per family of
-    the table, in which member j's maximizer is row j (0 in the other
-    families' arrays).  Each entry of the table's ``maximizers`` takes
-    one maximizer call and one kernel call; rows are independent, so
+    ``g_max`` is (k,) and ``y_star`` (k, n_y), n_y the table's widest
+    family, in the layout of a :class:`~drcopt.solver.CutTable`: member
+    j's maximizer is row j, in its family's first n_y_f columns and 0
+    after them.  Each entry of the table's ``maximizers`` takes one
+    maximizer call and one kernel call; rows are independent, so
     each value equals ``constraint.evaluate(x, y)`` to the bit.  The
     members of a family without an ``analytic_argmax`` take one numeric
     grid-and-vertex pass (:func:`_numeric_maxima`).
@@ -144,12 +145,12 @@ def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, tuple[np.n
     x = np.asarray(x, dtype=float)
     k = len(table.family)
     g_max = np.empty(k)
-    y_star = tuple(np.zeros((k, boxes.shape[1])) for boxes in table.boxes)
+    y_star = np.zeros((k, table.n_y))
     for f, argmax, agents, coefficients, boxes, concave in table.maximizers:
         if argmax is None:
-            g_max[agents], y_star[f][agents] = _numeric_maxima(table.batches[f], x, coefficients, boxes, concave)
-            continue
-        ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)
-        g_max[agents] = table.batches[f](x, coefficients, ys)[0]
-        y_star[f][agents] = ys
+            g, ys = _numeric_maxima(table.batches[f], x, coefficients, boxes, concave)
+        else:
+            ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)
+            g = table.batches[f](x, coefficients, ys)[0]
+        g_max[agents], y_star[agents, : boxes.shape[1]] = g, ys
     return g_max, y_star

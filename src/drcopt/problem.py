@@ -173,10 +173,6 @@ class SemiInfiniteConstraint:
     concave_in_y: bool = False
     analytic_argmax: Optional[Callable[[Vector, np.ndarray, np.ndarray], np.ndarray]] = None
 
-    @property
-    def n_y(self) -> int:
-        return self.uncertainty_box.shape[0]
-
     def evaluate(self, x: Vector, y: Vector) -> float:
         """g(x, y): row 0 of the kernel at this member's coefficients."""
         ys = np.asarray(y, dtype=float)[None, :]
@@ -189,12 +185,15 @@ class ConstraintTable:
 
     The constraints that share one ``batch`` kernel form family f, with
     ``batches[f]`` its kernel and ``coefficients[f]`` (k_f, p) and
-    ``boxes[f]`` (k_f, n_y, 2) its members' data.  Agent a + 1's
+    ``boxes[f]`` (k_f, n_y_f, 2) its members' data.  Agent a + 1's
     constraint is row ``row[a]`` of family ``family[a]``.  Each entry
     ``(f, argmax, agents, coefficients, boxes, concave)`` of
     ``maximizers`` holds the gathered data of the agents of family f that
     share one ``analytic_argmax``, with their ``concave_in_y`` flags as a
     bool array, for :func:`drcopt.llp.solve_llp`, which reads nothing else.
+    ``n_y``, the widest family's n_y_f, is the width of every scenario
+    array: a row of a narrower family holds its point in its first n_y_f
+    columns, 0 after them.
     """
 
     batches: tuple[Callable, ...]
@@ -203,6 +202,7 @@ class ConstraintTable:
     family: np.ndarray  # (m,)
     row: np.ndarray  # (m,)
     maximizers: tuple[tuple, ...]
+    n_y: int
 
 
 def constraint_table(constraints) -> ConstraintTable:
@@ -219,7 +219,8 @@ def constraint_table(constraints) -> ConstraintTable:
         concave, agents = np.array([c.concave_in_y for c in members], dtype=bool), np.array(agents)
         for argmax, rows in families(members, operator.attrgetter("analytic_argmax")):
             maximizers.append((f, argmax, agents[rows], coefficients[f][rows], boxes[f][rows], concave[rows]))
-    return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row, tuple(maximizers))
+    n_y = max(b.shape[1] for b in boxes)
+    return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row, tuple(maximizers), n_y)
 
 
 @dataclass(frozen=True)

@@ -53,21 +53,20 @@ def _read_only(a):
 class CutTable:
     """One side's scenario cuts: the union every agent holds after flooding.
 
-    Row j is a cut of agent ``agent[j]`` (0-based) at ``scenarios[f][j]``,
-    f the agent's constraint family (families may differ in n_y; a row is
-    0 in the other families' arrays).  ``count[a]`` is agent a's number
-    of rows.  Rows are only appended, so a row id names the same cut from
-    one iteration to the next.
+    Row j is a cut of agent ``agent[j]`` (0-based) at ``scenarios[j]``, in
+    the first n_y_f columns of the (K, n_y) array and 0 after them (see
+    :class:`~drcopt.problem.ConstraintTable`).  ``count[a]`` is agent a's
+    number of rows.  Rows are only appended, so a row id names the same
+    cut from one iteration to the next.
     """
 
     agent: np.ndarray  # (K,)
-    scenarios: tuple[np.ndarray, ...]  # (K, n_y_f) per family
+    scenarios: np.ndarray  # (K, n_y)
     count: np.ndarray  # (m,)
 
     @classmethod
     def empty(cls, table: ConstraintTable) -> CutTable:
-        scenarios = tuple(np.zeros((0, boxes.shape[1])) for boxes in table.boxes)
-        return cls(np.zeros(0, dtype=np.intp), scenarios, np.zeros(len(table.family), dtype=np.intp))
+        return cls(np.zeros(0, dtype=np.intp), np.zeros((0, table.n_y)), np.zeros(len(table.family), dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.agent)
@@ -81,8 +80,8 @@ class FiniteSubproblem:
     order every agent holding the table shares.  Construction gathers
     each cut's coefficients and box from the instance's
     :class:`~drcopt.problem.ConstraintTable`, so :meth:`evaluate` makes
-    one kernel call per constraint family.  It remembers the last point
-    it evaluated.
+    one kernel call per constraint family, on its members' scenarios'
+    first n_y_f columns.  It remembers the last point it evaluated.
     """
 
     def __init__(self, instance: ProblemInstance, cuts: CutTable, rhs: np.ndarray | None = None):
@@ -98,8 +97,8 @@ class FiniteSubproblem:
             members = np.flatnonzero(table.family[cuts.agent] == f) if len(table.batches) > 1 else slice(None)
             family_rows = table.row[cuts.agent[members]]
             if len(family_rows):
-                y = cuts.scenarios[f][members]
                 y_box = table.boxes[f][family_rows]
+                y = cuts.scenarios[members, : y_box.shape[1]]
                 if np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() > 1e-12:
                     raise ValueError("cut scenario lies outside its agent's uncertainty box")
                 calls.append((batch, members, table.coefficients[f][family_rows], y))
@@ -107,10 +106,6 @@ class FiniteSubproblem:
         self._g_terms = stacked_terms(calls, len(cuts))
         self._memo_key, self._memo, self._f_values = None, None, None
         self._hess_terms, self._hess_sum = None, None
-
-    @property
-    def n(self) -> int:
-        return self.box.shape[0]
 
     def evaluate(self, x: Vector):
         """(f, grad f, c, Jacobian of c, Hessian of f, Hessians of c) at x.

@@ -20,8 +20,6 @@ from drcopt.problem import (
     ProblemInstance,
     Vector,
     example1_constraint,
-    paper_quadratic_constraint,
-    quadratic_distance,
 )
 from drcopt.solver import (
     FEASIBILITY_TOL,
@@ -91,23 +89,6 @@ def case_study_grid_min(cuts, step=1e-3, refine=True):
         if val2 < val:
             val, pt = val2, pt2
     return val, pt
-
-
-def scaled_case_study(m: int, seed: int) -> ProblemInstance:
-    """The case-study recipe at m agents.
-
-    Centers uniform in [-1, 1]^2 with every 6th x2 set to 6, offsets
-    v = linspace(-0.75, 0.75, m), on the case-study box.
-    """
-    centers = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, 2))
-    centers[::6, 1] = 6.0
-    return ProblemInstance(
-        n=2,
-        m=m,
-        objectives=tuple(quadratic_distance(c) for c in centers),
-        constraints=tuple(paper_quadratic_constraint(float(v)) for v in np.linspace(-0.75, 0.75, m)),
-        box=np.array([[-2.0, 2.0], [-1.0, 1.0]]),
-    )
 
 
 def member_argmax(constraint, x: Vector) -> Vector:
@@ -187,9 +168,9 @@ def cut_table(instance: ProblemInstance, cuts) -> tuple[CutTable, np.ndarray]:
     assert len({cut[:2] for cut in cuts}) == len(cuts), "an (agent_id, insertion_index) pair repeats"
     table = instance.constraint_table
     agent = np.array([a - 1 for a, *_ in cuts], dtype=np.intp)
-    scenarios = tuple(np.zeros((len(cuts), boxes.shape[1])) for boxes in table.boxes)
-    for j, (a, _, y, _) in enumerate(cuts):
-        scenarios[table.family[a - 1]][j] = y
+    scenarios = np.zeros((len(cuts), table.n_y))
+    for j, (_, _, y, _) in enumerate(cuts):
+        scenarios[j, : len(y)] = y
     count = np.bincount(agent, minlength=instance.m).astype(np.intp)
     rhs = np.array([cut[3] for cut in cuts], dtype=float)
     return CutTable(agent, scenarios, count), rhs
@@ -205,12 +186,13 @@ def cut_tuples(instance: ProblemInstance, problem: FiniteSubproblem) -> list[tup
 
     A row's insertion index is its rank among its agent's rows.
     """
-    cuts, family = problem.cuts, instance.constraint_table.family
+    cuts, table = problem.cuts, instance.constraint_table
     ranks: dict[int, int] = {}
     out = []
     for j, (a, rhs) in enumerate(zip(cuts.agent.tolist(), problem.rhs.tolist())):
         ranks[a] = ranks.get(a, -1) + 1
-        out.append((a + 1, ranks[a], tuple(cuts.scenarios[family[a]][j].tolist()), rhs))
+        width = table.boxes[table.family[a]].shape[1]
+        out.append((a + 1, ranks[a], tuple(cuts.scenarios[j, :width].tolist()), rhs))
     return out
 
 
@@ -489,7 +471,7 @@ def _ref_feasibility_phase(problem: FiniteSubproblem) -> float:
     def fun_grad(x):
         _, _, c, jac, _, cut_hess = problem.evaluate(x)
         pos = np.maximum(c, 0.0)
-        grad = jac.T @ pos if len(c) else np.zeros(problem.n)
+        grad = jac.T @ pos if len(c) else np.zeros(len(problem.box))
         return 0.5 * float(pos @ pos), grad, lambda: _ref_cut_curvature(jac, cut_hess, pos, 1.0)
 
     x = reference_minimize(fun_grad, problem.box.mean(axis=1), problem.box, MAX_INNER).x

@@ -26,7 +26,7 @@ class TestLowerOracle:
         assert violated.tolist() == [True] * 6
         assert (g_max > 0).all()
         assert cuts.agent.tolist() == list(range(6)) and cuts.count.tolist() == [1] * 6
-        assert cuts.scenarios[0].tolist() == [[1.0]] * 6
+        assert cuts.scenarios.tolist() == [[1.0]] * 6
         assert len(empty) == 0
 
     def test_feasible_point_leaves_set_unchanged(self, case_study, empty):
@@ -43,7 +43,7 @@ class TestUpperOracle:
         violated, g_max, cuts, epsilon = dubd_oracle(empty, EPS, case_study, z, r=2.0)
         assert violated.tolist() == [True] * 6
         assert (g_max > 0).all()
-        assert cuts.scenarios[0].tolist() == [[1.0]] * 6
+        assert cuts.scenarios.tolist() == [[1.0]] * 6
         assert epsilon.tolist() == [0.01] * 6
 
     def test_feasible_point_halves_epsilon(self, case_study, empty):

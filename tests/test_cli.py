@@ -91,6 +91,10 @@ MALFORMED_CONFIGS = {
         {"instance": {**two_agent_instance(), "box": [[-2, 2], ["-1", 1]]}},
         "box entry must be a real number, got '-1'",
     ),
+    "box-ragged": (
+        {"instance": {**two_agent_instance(), "box": [[-2, 2], [-1]]}},
+        "box must be a rectangular list, got the ragged list [[-2, 2], [-1]]",
+    ),
     "center-bool-and-string": (
         {"instance": two_agent_instance(center=[True, "1"])},
         "center entry must be a real number, got True",
@@ -98,6 +102,10 @@ MALFORMED_CONFIGS = {
     "center-string": (
         {"instance": two_agent_instance(center=[0.0, "1"])},
         "center entry must be a real number, got '1'",
+    ),
+    "center-ragged": (
+        {"instance": two_agent_instance(center=[0.0, [1.0]])},
+        "objective center must be a rectangular list, got the ragged list [0.0, [1.0]]",
     ),
     "instance-unknown-key": (
         {"instance": {**two_agent_instance(), "window": 3}},

@@ -18,7 +18,7 @@ def table_of_agents(agents, m):
     """A one-family cut table whose row j belongs to agent ``agents[j]`` (0-based), at scenario j."""
     agents = np.asarray(agents, dtype=np.intp)
     scenarios = np.arange(len(agents), dtype=float)[:, None]
-    return CutTable(agents, (scenarios,), np.bincount(agents, minlength=m).astype(np.intp))
+    return CutTable(agents, scenarios, np.bincount(agents, minlength=m).astype(np.intp))
 
 
 def one_row_each(m):
@@ -124,7 +124,7 @@ class TestConsensusSolve:
         )
         # Agent 1's eps shrank, agent 2 and agent 1's third scenario are
         # new.  The rows are appended, so the previous ones are a prefix.
-        grown = _with_cuts(table, np.arange(6) < 2, (np.array([[0.9], [0.1]] + [[0.0]] * 4),))
+        grown = _with_cuts(table, np.arange(6) < 2, np.array([[0.9], [0.1]] + [[0.0]] * 4))
         epsilon = np.array([0.005, 0.01, 0.01, 0.01, 0.01, 0.01])
         problem = FiniteSubproblem(case_study, grown, -epsilon[grown.agent])
         assert cut_tuples(case_study, problem) == [
@@ -141,10 +141,10 @@ class TestConsensusSolve:
 
 def random_y_star(rng, table):
     """One maximizer per agent drawn from its uncertainty box, in ``solve_llp``'s layout."""
-    y_star = tuple(np.zeros((len(table.family), boxes.shape[1])) for boxes in table.boxes)
+    y_star = np.zeros((len(table.family), table.n_y))
     for f, boxes in enumerate(table.boxes):
         members = np.flatnonzero(table.family == f)
-        y_star[f][members] = boxes[:, :, 0] + rng.random(boxes.shape[:2]) * (boxes[:, :, 1] - boxes[:, :, 0])
+        y_star[members, : boxes.shape[1]] = boxes[:, :, 0] + rng.random(boxes.shape[:2]) * (boxes[:, :, 1] - boxes[:, :, 0])
     return y_star
 
 
@@ -176,7 +176,8 @@ class TestCutTable:
                 cuts = _with_cuts(cuts, violated, y_star)
                 for a in np.flatnonzero(violated).tolist():
                     k = sum(1 for t in tuples if t[0] == a + 1)
-                    tuples.append((a + 1, k, tuple(y_star[table.family[a]][a].tolist())))
+                    width = table.boxes[table.family[a]].shape[1]
+                    tuples.append((a + 1, k, tuple(y_star[a, :width].tolist())))
                 epsilon = np.where(rng.random(instance.m) < 0.5, epsilon / 2.0, epsilon)
                 problem = FiniteSubproblem(instance, cuts, -epsilon[cuts.agent])
                 assert cut_tuples(instance, problem) == [(a, k, y, -float(epsilon[a - 1])) for a, k, y in tuples]

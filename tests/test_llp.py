@@ -54,7 +54,7 @@ def reference_max(g, lo, hi, points=20_001):
 def solve_one(constraint, x):
     """``solve_llp`` for a single constraint: its g_max and maximizer."""
     g_max, y_star = solve_llp(constraint_table([constraint]), x)
-    return g_max[0], y_star[0][0]
+    return g_max[0], y_star[0]
 
 
 def solve_numeric(constraint, x):
@@ -279,7 +279,7 @@ class TestBatchedGrid:
             assert seen == concave + [2001 * 2, 2001 * 2, 2001 * 2, 120 + 5 * 6]
             for j, member in enumerate(members):
                 g_ref, y_ref = former_solve_llp_numeric(member, x)
-                assert g_max[j].hex() == g_ref.hex() and y_star[0][j].tobytes() == y_ref.tobytes()
+                assert g_max[j].hex() == g_ref.hex() and y_star[j].tobytes() == y_ref.tobytes()
 
 
 def kernel_family(g):
@@ -321,7 +321,7 @@ class TestCoarseToFine:
             for j, constraint in enumerate(constraints):
                 g_ref, y_ref = former_solve_llp_numeric(constraint, x)
                 assert g_max[j].hex() == g_ref.hex()
-                assert y_star[table.family[j]][j].tobytes() == y_ref.tobytes()
+                assert y_star[j].tobytes() == y_ref.tobytes()
 
     def test_case_study(self, case_study, rng):
         self.assert_reference(with_numeric_llp(case_study).constraints, random_xs(rng, 300))
@@ -393,11 +393,12 @@ class TestPhasePass:
     def assert_per_member(constraints, x):
         table = constraint_table(constraints)
         g_max, y_star = solve_llp(table, x)
-        assert g_max.shape == (len(constraints),) and len(y_star) == len(table.batches)
-        for f, ys in enumerate(y_star):
-            assert ys.shape[0] == len(constraints) and not ys[table.family != f].any()
-        for j, (constraint, g) in enumerate(zip(constraints, g_max.tolist())):
-            y = y_star[table.family[j]][j]
+        widths = [len(c.uncertainty_box) for c in constraints]
+        assert g_max.shape == (len(constraints),) and y_star.shape == (len(constraints), max(widths))
+        for j, (constraint, g, width) in enumerate(zip(constraints, g_max.tolist(), widths)):
+            # A narrower family's maximizer fills the first columns, 0 after them.
+            y = y_star[j, :width]
+            assert not y_star[j, width:].any()
             if constraint.analytic_argmax is None:
                 g_ref, y_ref = former_solve_llp_numeric(constraint, x)
             else:
@@ -433,7 +434,7 @@ class TestPhasePass:
             for x in random_xs(rng, 10):
                 (g, ys), (g_ref, ys_ref) = solve_llp(instance.constraint_table, x), solve_llp(fresh, x)
                 assert g.tobytes() == g_ref.tobytes()
-                assert [y.tobytes() for y in ys] == [y.tobytes() for y in ys_ref]
+                assert ys.tobytes() == ys_ref.tobytes()
 
     def test_two_dimensional_uncertainty(self, rng):
         constraints = [bilinear_constraint(a) for a in (1.0, -2.0, 0.5)]

@@ -10,9 +10,12 @@ from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp
 from drcopt.problem import NumericalFailure, example1_constraint
 from drcopt.sim import ConfigError, RunParams, run
+from drcopt.solver import CutTable
 from drcopt.termination import run_stopping_round
 
-from helpers import F_STAR, X_STAR, agent_gap, bound_values, scaled_case_study
+from helpers import F_STAR, X_STAR, agent_gap, bound_values
+from test_llp import bilinear_constraint
+from workloads import scaled_instance
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +167,7 @@ class TestScaledInstance:
         ],
     )
     def test_cycle_of_24_terminates(self, seed, iterations, lower, upper):
-        result = run(scaled_case_study(24, seed), directed_cycle(24), RunParams(method="I"))
+        result = run(scaled_instance(24, seed)[0], directed_cycle(24), RunParams(method="I"))
         assert result.terminated
         assert result.iterations == iterations
         assert result.final_lower == pytest.approx(lower, abs=1e-7)
@@ -176,7 +179,7 @@ class TestScaledInstance:
         # per-agent work that grows with the agent count times the cut
         # count would take minutes.
         m = 32768
-        result = run(scaled_case_study(m, 0), directed_cycle(m), RunParams(method="I"))
+        result = run(scaled_instance(m, 0)[0], directed_cycle(m), RunParams(method="I"))
         assert result.terminated
         assert result.iterations == 8
         assert result.final_lower <= result.final_upper
@@ -188,7 +191,7 @@ class TestScaledInstance:
         # Thousands of agents on a sparse schedule: the stopping rounds
         # read the closed in-neighbor lists, not an m x m mask.
         m = 2048
-        result = run(scaled_case_study(m, 0), directed_cycle(m), RunParams(method="I"))
+        result = run(scaled_instance(m, 0)[0], directed_cycle(m), RunParams(method="I"))
         assert result.terminated
         assert result.iterations == 8
         assert all(rec.slots_consumed == 3 * (m - 1) + 1 for rec in result.records)
@@ -210,34 +213,63 @@ def per_agent_record(monkeypatch, instance, schedule, params):
 
     monkeypatch.setattr(agents, "solve_llp", recording_llp)
     result = run(instance, schedule, params)
-    family = instance.constraint_table.family
+    table = instance.constraint_table
+    widths = [table.boxes[f].shape[1] for f in table.family.tolist()]
     lower, upper, epsilon = [[] for _ in range(instance.m)], [[] for _ in range(instance.m)], [params.eps0] * instance.m
     for k, (g_max, y_star) in enumerate(passes):
+        # One array as wide as the widest family; a narrower family's rows are 0 past their width.
+        assert y_star.shape == (instance.m, table.n_y)
         for a, g in enumerate(g_max.tolist()):
+            assert not y_star[a, widths[a] :].any()
             if g > 0.0:
-                (upper if k % 2 else lower)[a].append(tuple(y_star[family[a]][a].tolist()))
+                (upper if k % 2 else lower)[a].append(tuple(y_star[a, : widths[a]].tolist()))
             elif k % 2:
                 epsilon[a] = epsilon[a] / params.r
     return result, lower, upper, epsilon
 
 
+# Agents 4-6's constraint in the cases of TestFinalStates on the cycle:
+# example1 (n_y = 1) or the bilinear constraint with n_y = 2.
+LATER_AGENTS = {"mixed": example1_constraint(), "two-width": bilinear_constraint(2.0)}
+
+
+def with_later_agents(instance, constraint):
+    return dataclasses.replace(instance, constraints=instance.constraints[:3] + (constraint,) * 3)
+
+
 class TestFinalStates:
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES + ("mixed",))
+    @pytest.mark.parametrize("topology", TABLE2_TOPOLOGIES + tuple(LATER_AGENTS))
     def test_equal_a_per_agent_record(self, case_study, monkeypatch, method, topology):
-        # The six table2 runs, and example1 for agents 4-6 on the cycle.
+        # The six table2 runs, and two families on the cycle.
         instance, schedule = case_study, TOPOLOGIES.get(topology, directed_cycle)(6)
-        if topology == "mixed":
-            instance = dataclasses.replace(case_study, constraints=case_study.constraints[:3] + (example1_constraint(),) * 3)
+        if topology in LATER_AGENTS:
+            instance = with_later_agents(case_study, LATER_AGENTS[topology])
         result, lower, upper, epsilon = per_agent_record(monkeypatch, instance, schedule, RunParams(method=method))
         assert result.terminated
         assert [s.agent_id for s in result.final_states] == list(range(1, 7))
         assert [s.epsilon.hex() for s in result.final_states] == [e.hex() for e in epsilon]
-        for state, lo, up in zip(result.final_states, lower, upper):
+        table = instance.constraint_table
+        for state, lo, up, f in zip(result.final_states, lower, upper, table.family.tolist()):
             assert state.lower_scenarios.tobytes() == np.array(lo, dtype=float).tobytes()
             assert state.upper_scenarios.tobytes() == np.array(up, dtype=float).tobytes()
-            assert (len(state.lower_scenarios), len(state.upper_scenarios)) == (len(lo), len(up))
+            # Each agent's view keeps its own family's columns.
+            width = table.boxes[f].shape[1]
+            assert (state.lower_scenarios.shape, state.upper_scenarios.shape) == ((len(lo), width), (len(up), width))
         assert sum(map(len, lower)) > 0 and sum(map(len, upper)) > 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_widths(self, case_study, method):
+        # A side's table is as wide as the widest family from the start
+        # (per_agent_record checks each lower-level pass); agents 4-6 end
+        # with two 2-column scenarios per side.
+        instance = with_later_agents(case_study, LATER_AGENTS["two-width"])
+        assert instance.constraint_table.n_y == 2
+        assert CutTable.empty(instance.constraint_table).scenarios.shape == (0, 2)
+        result = run(instance, directed_cycle(6), RunParams(method=method))
+        assert result.terminated and result.iterations == 6
+        for state in result.final_states[3:]:
+            assert state.lower_scenarios.shape == state.upper_scenarios.shape == (2, 2)
 
 
 class TestScalarSecondDerivatives:

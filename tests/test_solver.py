@@ -27,10 +27,10 @@ from helpers import (
     cut_tuples,
     reference_minimize,
     reference_solve,
-    scaled_case_study,
     subproblem,
     subproblem_cut_view,
 )
+from workloads import scaled_instance
 
 
 def all_agent_cuts(y, rhs):
@@ -189,7 +189,7 @@ class TestProperties:
         _, _, c, jac, _, _ = problem.evaluate(x)
         for j, a in enumerate(table.agent.tolist()):
             constraint = case_study.constraints[a]
-            values, grads, _ = constraint.batch(x, constraint.coefficients[None], table.scenarios[0][j : j + 1])
+            values, grads, _ = constraint.batch(x, constraint.coefficients[None], table.scenarios[j : j + 1])
             assert (c[j], jac[j].tolist()) == (values[0] - rhs[j], grads[0].tolist())
 
     def test_mixed_scenario_dimensions(self, case_study):
@@ -580,7 +580,7 @@ class TestNearDuplicateCuts:
         # violated).  The carried multipliers sit on the slack cuts, and
         # each outer iteration moves about mu |c| of them to the violated
         # ones while x and the violation stay put.
-        instance = scaled_case_study(2560, 0)
+        instance = scaled_instance(2560, 0)[0]
         ys = (1.0, 0.7187500000001887, 0.6637228260909734, 0.6614417610555782)
         cuts = [(a, k, (y,), 0.0) for a in (1, 2560) for k, y in enumerate(ys)]
         x0 = np.array([-1.8750912213070415e-13, 0.6614417610555782])
@@ -631,7 +631,7 @@ class TestIterationCount:
         # schedule: without its decay, or with a plain x10 while
         # infeasible, a solve of these runs hits the iteration limit.
         monkeypatch.setattr(solver, "_active_set_finish", decline)
-        result = run(scaled_case_study(m, 0), complete(m), RunParams())
+        result = run(scaled_instance(m, 0)[0], complete(m), RunParams())
         assert (result.terminated, result.iterations) == (True, iterations)
 
 

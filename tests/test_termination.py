@@ -2,8 +2,6 @@ import functools
 import logging
 import math
 import operator
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +11,7 @@ from drcopt.graph import complete, directed_cycle, make_schedule
 from drcopt.termination import run_stopping_round, stop_threshold
 
 from helpers import closed_in, edge_scan_in_neighbors, per_slot_stopping_round, random_connected_schedule
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from workloads import period3_cycle  # noqa: E402
+from workloads import period3_cycle
 
 EPS_F = 0.01
 
