@@ -8,7 +8,7 @@ directed network, with finite-time distributed termination detection.
 from .agents import AgentState, dlbd_oracle, dubd_oracle
 from .bounds import method1_accuracy, method2_accuracy
 from .graph import GraphSchedule, complete, customized, directed_cycle
-from .llp import Verdict, solve_llp
+from .llp import solve_llp
 from .problem import (
     NumericalFailure,
     ProblemInstance,
@@ -27,7 +27,6 @@ __all__ = [
     "RunParams",
     "RunResult",
     "SolveReport",
-    "Verdict",
     "case_study_instance",
     "complete",
     "customized",

@@ -46,14 +46,23 @@ def _with_cuts(cuts: CutTable, violated: np.ndarray, y_star: np.ndarray) -> CutT
     return CutTable(np.concatenate([cuts.agent, new]), np.concatenate([cuts.scenarios, y_star[new]]), count)
 
 
-def dlbd_oracle(cuts: CutTable, instance: ProblemInstance, x_new: Vector) -> tuple[np.ndarray, np.ndarray, CutTable]:
-    """Lower oracles at the consensus point: (violated mask, g_max, grown table).
+def _check(cuts: CutTable, instance: ProblemInstance, x: Vector) -> tuple[np.ndarray, np.ndarray, CutTable]:
+    """Every agent at x: (violated mask, g_max, ``cuts`` with a row per violated agent).
 
-    An agent is violated iff its g_max is positive: a boundary value counts feasible.
+    An agent is violated iff its g_max is positive: a boundary value counts
+    feasible.  A NaN g_max is neither, so it raises :class:`NumericalFailure`.
     """
-    g_max, y_star = solve_llp(instance.constraint_table, x_new)
+    g_max, y_star = solve_llp(instance.constraint_table, x)
+    unknown = np.flatnonzero(np.isnan(g_max))
+    if len(unknown):
+        raise NumericalFailure(f"agent {unknown[0] + 1}'s lower-level maximum is NaN at x = {x.tolist()}")
     violated = g_max > 0.0
     return violated, g_max, _with_cuts(cuts, violated, y_star)
+
+
+def dlbd_oracle(cuts: CutTable, instance: ProblemInstance, x_new: Vector) -> tuple[np.ndarray, np.ndarray, CutTable]:
+    """Lower oracles at the consensus point: (violated mask, g_max, grown table); see :func:`_check`."""
+    return _check(cuts, instance, x_new)
 
 
 def dubd_oracle(
@@ -66,9 +75,8 @@ def dubd_oracle(
     # Negated comparison so that NaN is rejected too.
     if not 1.0 < r < math.inf:
         raise ValueError(f"reduction parameter r must exceed 1 and be finite, got {r}")
-    g_max, y_star = solve_llp(instance.constraint_table, z_new)
-    violated = g_max > 0.0
-    return violated, g_max, _with_cuts(cuts, violated, y_star), np.where(violated, epsilon, epsilon / r)
+    violated, g_max, grown = _check(cuts, instance, z_new)
+    return violated, g_max, grown, np.where(violated, epsilon, epsilon / r)
 
 
 def final_states(lower: CutTable, upper: CutTable, epsilon: np.ndarray, table: ConstraintTable) -> list[AgentState]:

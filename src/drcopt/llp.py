@@ -1,13 +1,14 @@
 """Global maximization of g(x, .) over the uncertainty box (the lower-level problem).
 
 :func:`solve_llp` checks a whole phase at its one consensus point, from
-the :class:`~drcopt.problem.ConstraintTable` alone.  The members of a
-family that share a closed-form maximizer take one maximizer call and
-one kernel call.  The members without one take one numeric pass per
-family: a GRID_POINTS-point grid over each member's uncertainty
-interval, read coarse to fine where the member declares
-``concave_in_y`` and whole otherwise, in calls of at most ROWS_PER_CALL
-rows, then a parabola vertex per start.  The pass keeps nothing between
+the :class:`~drcopt.problem.ConstraintTable` alone, one family at a
+time: its members share a kernel, a closed-form maximizer or none, and
+a ``concave_in_y`` flag.  A family with a closed-form maximizer takes one
+maximizer call and one kernel call.  A family without one takes one
+numeric pass: a GRID_POINTS-point grid over each member's uncertainty
+interval, read coarse to fine for a concave family and whole otherwise,
+in calls of at most ROWS_PER_CALL rows, then one kernel call that scores
+a parabola vertex per start.  The pass keeps nothing between
 calls; for a g(x, .) that is concave it finds the whole grid's first
 best point, as a scan would.
 """
@@ -64,19 +65,19 @@ def _starts(ys: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> tuple[np.nda
     return tuple(array[rows, columns].ravel() for array, columns in picks)
 
 
-def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarray, concave: np.ndarray):
-    """(g_max, y_star) of k members of one family without a closed form: (k,) and (k, 1).
+def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarray, concave: bool):
+    """(g_max, y_star) of the k members of one family without a closed form: (k,) and (k, 1).
 
     Grid point i of a member's box [lo, hi] is ``i * h + lo`` with
     h = (hi - lo) / (GRID_POINTS - 1), and the last is hi, as
-    ``np.linspace`` places them.  One scan serves both kinds of member,
-    in chunks of ROWS_PER_CALL // width members, where width is the most
-    points a member reads in one call.  A ``concave[j]`` member reads
-    every COARSE_STEP-th point, then the 2 * COARSE_STEP + 1 points
-    centered on its coarse winner (moved inside the grid): where g(x, .)
-    is concave no other peak lies between two coarse points, so these
-    hold the grid's first best point and its three-point stencil, its
-    one start.  Every other member reads its whole grid and starts from
+    ``np.linspace`` places them.  The family is scanned in chunks of
+    ROWS_PER_CALL // width members, where width is the most points a
+    member reads in one call.  A ``concave`` family's members read every
+    COARSE_STEP-th point, then the 2 * COARSE_STEP + 1 points centered on
+    their coarse winner (moved inside the grid): where g(x, .) is concave
+    no other peak lies between two coarse points, so these hold the
+    grid's first best point and its three-point stencil, the member's one
+    start.  Otherwise each member reads its whole grid and starts from
     its five best points.  For each start, the parabola through the grid
     values at the three points centered on it (one point inside the box)
     gives a vertex.  Near a maximum the values locate y only to about the
@@ -92,42 +93,35 @@ def _numeric_maxima(batch, x: Vector, coefficients: np.ndarray, boxes: np.ndarra
     step = (hi - lo) / (GRID_POINTS - 1)
 
     def scan(rows, columns):
-        """Members ``rows``' grid points at ``columns`` ((w,) or (len(rows), w)) and the values there."""
+        """Members ``rows``' grid points at ``columns`` ((w,) or (rows, w)) and the values there."""
         ys = np.where(columns == GRID_POINTS - 1, hi[rows, None], columns * step[rows, None] + lo[rows, None])
         vals = batch(x, coefficients[rows].repeat(ys.shape[1], axis=0), ys.reshape(-1, 1))[0]
         return ys, vals.reshape(ys.shape)
 
-    blocks = []  # (members, starts per member, the _starts of their starts)
-    for flag, width in ((True, len(_WINDOW)), (False, GRID_POINTS)):
-        members = np.flatnonzero(concave == flag)
-        per_call = ROWS_PER_CALL // width
-        for i in range(0, len(members), per_call):
-            rows = members[i : i + per_call]
-            if flag:
-                # Each window starts one coarse step before its winner, moved inside the grid.
-                winner = scan(rows, _COARSE)[1].argmax(axis=1)
-                first = np.minimum(np.maximum(winner - 1, 0) * COARSE_STEP, GRID_POINTS - width)
-                ys, vals = scan(rows, first[:, None] + _WINDOW)
-                seeds = vals.argmax(axis=1)[:, None]
-            else:
-                ys, vals = scan(rows, _WHOLE)
-                seeds = np.argsort(vals, axis=1)[:, -5:]
-            blocks.append((rows, seeds.shape[1], _starts(ys, vals, seeds)))
+    width, starts = (len(_WINDOW), 1) if concave else (GRID_POINTS, 5)
+    per_call = ROWS_PER_CALL // width
+    chunks = []  # the _starts of each chunk's starts
+    for i in range(0, len(boxes), per_call):
+        rows = slice(i, i + per_call)
+        if concave:
+            # Each window starts one coarse step before its winner, moved inside the grid.
+            winner = scan(rows, _COARSE)[1].argmax(axis=1)
+            first = np.minimum(np.maximum(winner - 1, 0) * COARSE_STEP, GRID_POINTS - width)
+            ys, vals = scan(rows, first[:, None] + _WINDOW)
+            seeds = vals.argmax(axis=1)[:, None]
+        else:
+            ys, vals = scan(rows, _WHOLE)
+            seeds = np.argsort(vals, axis=1)[:, -starts:]
+        chunks.append(_starts(ys, vals, seeds))
 
-    owner = np.concatenate([np.repeat(members, s) for members, s, _ in blocks])
-    cell_y, below, mid, above, seed_y, seed_g = (np.concatenate(parts) for parts in zip(*(b[2] for b in blocks)))
+    owner = np.arange(len(boxes)).repeat(starts)
+    cell_y, below, mid, above, seed_y, seed_g = map(np.concatenate, zip(*chunks))
     vertices = np.fmin(hi[owner], np.fmax(lo[owner], cell_y + step[owner] * _vertex_offsets(below, mid, above)))
     vertex_g = batch(x, coefficients[owner], vertices[:, None])[0]
-    g_max, y_star = np.empty(len(boxes)), np.empty((len(boxes), 1))
-    done = 0
-    for members, s, _ in blocks:
-        part = slice(done, done + len(members) * s)
-        done = part.stop
-        scores = np.concatenate([vertex_g[part].reshape(-1, s), seed_g[part].reshape(-1, s)], axis=1)
-        points = np.concatenate([vertices[part].reshape(-1, s), seed_y[part].reshape(-1, s)], axis=1)
-        best = np.arange(len(members)), scores.argmax(axis=1)
-        g_max[members], y_star[members, 0] = scores[best], points[best]
-    return g_max, y_star
+    scores = np.concatenate([vertex_g.reshape(-1, starts), seed_g.reshape(-1, starts)], axis=1)
+    points = np.concatenate([vertices.reshape(-1, starts), seed_y.reshape(-1, starts)], axis=1)
+    best = np.arange(len(boxes)), scores.argmax(axis=1)
+    return scores[best], points[best][:, None]
 
 
 def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +130,19 @@ def solve_llp(table: ConstraintTable, x: Vector) -> tuple[np.ndarray, np.ndarray
     ``g_max`` is (k,) and ``y_star`` (k, n_y), n_y the table's widest
     family, in the layout of a :class:`~drcopt.solver.CutTable`: member
     j's maximizer is row j, in its family's first n_y_f columns and 0
-    after them.  Each entry of the table's ``maximizers`` takes one
-    maximizer call and one kernel call; rows are independent, so
-    each value equals ``constraint.evaluate(x, y)`` to the bit.  The
-    members of a family without an ``analytic_argmax`` take one numeric
-    grid-and-vertex pass (:func:`_numeric_maxima`).
+    after them.  A family with an ``analytic_argmax`` takes one maximizer
+    call and one kernel call; rows are independent, so each value equals
+    ``constraint.evaluate(x, y)`` to the bit.  A family without one takes
+    one numeric grid-and-vertex pass (:func:`_numeric_maxima`).
     """
     x = np.asarray(x, dtype=float)
-    k = len(table.family)
-    g_max = np.empty(k)
-    y_star = np.zeros((k, table.n_y))
-    for f, argmax, agents, coefficients, boxes, concave in table.maximizers:
+    g_max, y_star = np.empty(len(table.family)), np.zeros((len(table.family), table.n_y))
+    families = zip(table.batches, table.argmaxes, table.concave, table.agents, table.coefficients, table.boxes)
+    for batch, argmax, concave, agents, coefficients, boxes in families:
         if argmax is None:
-            g, ys = _numeric_maxima(table.batches[f], x, coefficients, boxes, concave)
+            g, ys = _numeric_maxima(batch, x, coefficients, boxes, concave)
         else:
             ys = np.asarray(argmax(x, coefficients, boxes), dtype=float)
-            g = table.batches[f](x, coefficients, ys)[0]
+            g = batch(x, coefficients, ys)[0]
         g_max[agents], y_star[agents, : boxes.shape[1]] = g, ys
     return g_max, y_star

@@ -160,11 +160,11 @@ class SemiInfiniteConstraint:
     returns the (k, n_y) global maximizers of g_j(x, .) over box j; row j
     must not depend on the other rows.  Without it, ``concave_in_y`` tells
     the numeric path of :func:`drcopt.llp.solve_llp` how to read its
-    grid; :func:`constraint_table` reads the flag once.  A member that
-    declares g(x, .) concave is read coarse to fine, which finds the
-    grid's best point only because a concave g has no other peak, and
-    polishes that one point; the others read the whole grid and polish
-    the five best grid points.
+    grid; like the kernel and the maximizer, it is part of a family's key
+    (:func:`constraint_table`).  A member that declares g(x, .) concave
+    is read coarse to fine, which finds the grid's best point only
+    because a concave g has no other peak, and polishes that one point;
+    the others read the whole grid and polish the five best grid points.
     """
 
     batch: Callable[[Vector, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -183,44 +183,40 @@ class SemiInfiniteConstraint:
 class ConstraintTable:
     """Constraints stacked by family, to gather cut data by agent id.
 
-    The constraints that share one ``batch`` kernel form family f, with
-    ``batches[f]`` its kernel and ``coefficients[f]`` (k_f, p) and
-    ``boxes[f]`` (k_f, n_y_f, 2) its members' data.  Agent a + 1's
-    constraint is row ``row[a]`` of family ``family[a]``.  Each entry
-    ``(f, argmax, agents, coefficients, boxes, concave)`` of
-    ``maximizers`` holds the gathered data of the agents of family f that
-    share one ``analytic_argmax``, with their ``concave_in_y`` flags as a
-    bool array, for :func:`drcopt.llp.solve_llp`, which reads nothing else.
-    ``n_y``, the widest family's n_y_f, is the width of every scenario
-    array: a row of a narrower family holds its point in its first n_y_f
-    columns, 0 after them.
+    The constraints that share one ``batch`` kernel, one
+    ``analytic_argmax`` and one ``concave_in_y`` flag form family f, with
+    ``batches[f]``, ``argmaxes[f]`` and ``concave[f]`` those three,
+    ``agents[f]`` its members' 0-based agent ids and ``coefficients[f]``
+    (k_f, p) and ``boxes[f]`` (k_f, n_y_f, 2) their data.  Agent a + 1's
+    constraint is row ``row[a]`` of family ``family[a]``.  ``n_y``, the
+    widest family's n_y_f, is the width of every scenario array: a row of
+    a narrower family holds its point in its first n_y_f columns, 0 after
+    them.
     """
 
     batches: tuple[Callable, ...]
+    argmaxes: tuple[Optional[Callable], ...]
+    concave: tuple[bool, ...]
+    agents: tuple[np.ndarray, ...]
     coefficients: tuple[np.ndarray, ...]
     boxes: tuple[np.ndarray, ...]
     family: np.ndarray  # (m,)
     row: np.ndarray  # (m,)
-    maximizers: tuple[tuple, ...]
     n_y: int
 
 
 def constraint_table(constraints) -> ConstraintTable:
     """The :class:`ConstraintTable` of a sequence of constraints, agent a + 1's at position a."""
+    keys, agents = zip(*families(constraints, operator.attrgetter("batch", "analytic_argmax", "concave_in_y")))
     family = np.empty(len(constraints), dtype=np.intp)
     row = np.empty(len(constraints), dtype=np.intp)
-    batches, coefficients, boxes, maximizers = [], [], [], []
-    for f, (batch, agents) in enumerate(families(constraints)):
-        family[agents], row[agents] = f, np.arange(len(agents))
-        members = [constraints[a] for a in agents]
-        batches.append(batch)
-        coefficients.append(np.array([c.coefficients for c in members]))
-        boxes.append(np.array([c.uncertainty_box for c in members]))
-        concave, agents = np.array([c.concave_in_y for c in members], dtype=bool), np.array(agents)
-        for argmax, rows in families(members, operator.attrgetter("analytic_argmax")):
-            maximizers.append((f, argmax, agents[rows], coefficients[f][rows], boxes[f][rows], concave[rows]))
+    for f, members in enumerate(agents):
+        family[members], row[members] = f, np.arange(len(members))
+    coefficients = tuple(np.array([constraints[a].coefficients for a in members]) for members in agents)
+    boxes = tuple(np.array([constraints[a].uncertainty_box for a in members]) for members in agents)
     n_y = max(b.shape[1] for b in boxes)
-    return ConstraintTable(tuple(batches), tuple(coefficients), tuple(boxes), family, row, tuple(maximizers), n_y)
+    # zip(*keys) is the batches, argmaxes and concave tuples, in field order.
+    return ConstraintTable(*zip(*keys), tuple(map(np.array, agents)), coefficients, boxes, family, row, n_y)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,8 @@ class FiniteSubproblem:
         self.box = instance.box
         self.cuts = cuts
         self.rhs = np.zeros(len(cuts)) if rhs is None else np.asarray(rhs, dtype=float)
-        if self.rhs.max(initial=0.0) > 0.0:
+        # Negated comparisons so that NaN is rejected too.
+        if not self.rhs.max(initial=0.0) <= 0.0:
             raise ValueError("cut right-hand sides must be <= 0")
         table = instance.constraint_table
         calls = []
@@ -99,7 +100,7 @@ class FiniteSubproblem:
             if len(family_rows):
                 y_box = table.boxes[f][family_rows]
                 y = cuts.scenarios[members, : y_box.shape[1]]
-                if np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() > 1e-12:
+                if not np.maximum(y_box[:, :, 0] - y, y - y_box[:, :, 1]).max() <= 1e-12:
                     raise ValueError("cut scenario lies outside its agent's uncertainty box")
                 calls.append((batch, members, table.coefficients[f][family_rows], y))
         self._f_terms = instance.objective_terms

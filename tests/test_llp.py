@@ -7,7 +7,13 @@ import pytest
 from drcopt import llp
 from drcopt.agents import dlbd_oracle, dubd_oracle
 from drcopt.llp import UnsupportedDimension, solve_llp
-from drcopt.problem import SemiInfiniteConstraint, constraint_table, example1_constraint, with_numeric_llp
+from drcopt.problem import (
+    NumericalFailure,
+    SemiInfiniteConstraint,
+    constraint_table,
+    example1_constraint,
+    with_numeric_llp,
+)
 from drcopt.solver import CutTable
 
 from helpers import X_STAR, former_solve_llp_numeric, member_argmax
@@ -116,6 +122,24 @@ class TestVerdict:
         # Agent 1 at (0, 0): 0.75^2 - 1.
         lower, upper, g_max, eps = self.verdicts(case_study, [0.0, 0.0])
         assert g_max[0] == -0.4375 and not lower[0] and not upper[0] and eps[0] == 0.005
+
+    def test_nan_raises(self, case_study):
+        # NaN > 0 is False, so a NaN g_max would count feasible: both
+        # oracles refuse it and name the first such agent.
+        second = case_study.constraints[1]
+
+        def nan_kernel(x, coefficients, ys):
+            values, grads, hessians = second.batch(x, coefficients, ys)
+            return np.full_like(values, np.nan), grads, hessians
+
+        constraints = list(case_study.constraints)
+        constraints[1] = constraints[4] = dataclasses.replace(second, batch=nan_kernel)
+        instance = dataclasses.replace(case_study, constraints=tuple(constraints))
+        with pytest.raises(NumericalFailure, match="agent 2's lower-level maximum is NaN"):
+            self.verdicts(instance, [0.0, 0.0])
+        empty, eps = CutTable.empty(instance.constraint_table), np.full(instance.m, 0.01)
+        with pytest.raises(NumericalFailure, match="agent 2's lower-level maximum is NaN"):
+            dubd_oracle(empty, eps, instance, np.zeros(2), 2.0)
 
 
 class TestNumericPath:
@@ -232,15 +256,17 @@ class TestBatchedGrid:
         [
             ((True,) * 3, [51 * 3, 81 * 3, 3]),
             ((False,) * 3, [2001 * 3, 5 * 3]),
-            ((True, False, True), [51 * 2, 81 * 2, 2001, 2 + 5]),
+            ((True, False, True), [51 * 2, 81 * 2, 2, 2001, 5]),
         ],
         ids=["concave", "not-concave", "mixed"],
     )
     def test_kernel_calls_per_pass(self, case_study, concave_in_y, calls):
-        # The concave members of a family share a call at every 40th grid
+        # The members of a concave family share a call at every 40th grid
         # point and one over the 81 points around their coarse winners; the
-        # members that are not concave share one call over their whole
-        # grids.  One call scores every member's parabola vertices.
+        # members of a family that is not concave share one call over their
+        # whole grids.  One call scores a family's parabola vertices.  A
+        # kernel whose members differ in concave_in_y forms two families,
+        # in first-appearance order, each with its own vertex call.
         seen = []
         constraint = case_study.constraints[2]
 
@@ -258,8 +284,9 @@ class TestBatchedGrid:
     def test_both_kinds_scanned_in_chunks(self, case_study, rng, monkeypatch):
         # Each chunk of ROWS_PER_CALL // width members takes its own scan
         # calls, which bounds their rows: at 4002 rows, 49 concave members
-        # (81-point windows) or 2 whole grids.  The vertices still share
-        # one call, and the values are the per-member solver's.
+        # (81-point windows) or 2 whole grids.  Each family's vertices still
+        # share one call, and the values are the per-member solver's.  The
+        # first member is not concave, so that family is scanned first.
         seen = []
 
         def counted(x, coefficients, ys):
@@ -276,7 +303,7 @@ class TestBatchedGrid:
         for x in random_xs(rng, 10):
             seen.clear()
             g_max, y_star = solve_llp(table, x)
-            assert seen == concave + [2001 * 2, 2001 * 2, 2001 * 2, 120 + 5 * 6]
+            assert seen == [2001 * 2, 2001 * 2, 2001 * 2, 5 * 6] + concave + [120]
             for j, member in enumerate(members):
                 g_ref, y_ref = former_solve_llp_numeric(member, x)
                 assert g_max[j].hex() == g_ref.hex() and y_star[j].tobytes() == y_ref.tobytes()

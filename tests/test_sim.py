@@ -8,7 +8,7 @@ from drcopt import agents, sim, solver
 from drcopt.cli import METHODS, TABLE2_TOPOLOGIES
 from drcopt.graph import TOPOLOGIES, complete, directed_cycle
 from drcopt.llp import solve_llp
-from drcopt.problem import NumericalFailure, example1_constraint
+from drcopt.problem import NumericalFailure, example1_constraint, with_numeric_llp
 from drcopt.sim import ConfigError, RunParams, run
 from drcopt.solver import CutTable
 from drcopt.termination import run_stopping_round
@@ -155,6 +155,30 @@ class TestRunExits:
         result = run(case_study, directed_cycle(6), RunParams(max_iter=12))
         assert not result.terminated and result.iterations == 12
         assert all(rec.upper == math.inf and rec.gaps[0] == math.inf for rec in result.records)
+
+    def test_nan_lower_level_maximum_raises(self, case_study, monkeypatch):
+        # Agent 1's numeric kernel is NaN at y = 1, so its g_max is NaN at
+        # every point.  Counted feasible, it would let the run stop with an
+        # upper bound below the robust optimum; the first oracle refuses it.
+        numeric = with_numeric_llp(case_study)
+        first = numeric.constraints[0]
+
+        def nan_at_one(x, coefficients, ys):
+            values, grads, hessians = first.batch(x, coefficients, ys)
+            return np.where(ys[:, 0] == 1.0, np.nan, values), grads, hessians
+
+        constraints = (dataclasses.replace(first, batch=nan_at_one),) + numeric.constraints[1:]
+        instance = dataclasses.replace(numeric, constraints=constraints)
+        calls, real_oracle = [], agents.dlbd_oracle
+
+        def counted_oracle(*args):
+            calls.append(args)
+            return real_oracle(*args)
+
+        monkeypatch.setattr(agents, "dlbd_oracle", counted_oracle)
+        with pytest.raises(NumericalFailure, match="agent 1's lower-level maximum is NaN"):
+            run(instance, directed_cycle(6), RunParams())
+        assert len(calls) == 1  # iteration 1's lower oracle
 
 
 class TestScaledInstance:
